@@ -14,8 +14,6 @@ import os
 import sys
 import time
 
-from scipy.stats import chi2 as _chi2_dist
-
 from . import __version__
 from . import models as _models
 from .datasets import DATASET_NAMES, dataset, dataset_models
@@ -100,6 +98,23 @@ def _stat_pair(args, ds) -> tuple[ModelSpec, ModelSpec | None]:
     return model, alt
 
 
+def _chi2_sf(x: float, df: int) -> float:
+    """Asymptotic chi-square tail; scipy is imported here because it
+    dominates the import time of this module."""
+    from scipy.stats import chi2
+
+    return float(chi2.sf(x, df))
+
+
+def _check_chain_args(args) -> None:
+    for flag, value in (("--steps", args.steps), ("--chains", args.chains),
+                        ("--thin", args.thin)):
+        if value < 1:
+            raise CliError(f"{flag} must be >= 1, got {value}")
+    if args.burn_in is not None and not 0 <= args.burn_in < args.steps:
+        raise CliError(f"--burn-in must be in [0, steps), got {args.burn_in}")
+
+
 def _observed_and_df(table, model, alt, stat, tol):
     """Report-grade statistic and reference degrees of freedom."""
     R, C = table.R, table.C
@@ -123,6 +138,7 @@ def _write_stream(path: str, k: int, n_chains: int, samples) -> str:
 
 
 def cmd_test(args) -> dict:
+    _check_chain_args(args)
     table, ds = _load_table(args)
     model, alt = _stat_pair(args, ds)
     R, C = table.R, table.C
@@ -136,7 +152,9 @@ def cmd_test(args) -> dict:
     observed, df = _observed_and_df(table, model, alt, args.stat, args.tol)
     fit_s = time.perf_counter() - t0
 
+    t0 = time.perf_counter()
     basis = basis_for_model(model, R, C)
+    basis_s = time.perf_counter() - t0
     burn = args.burn_in if args.burn_in is not None else args.steps // 10
     chain = ChainConfig(steps=args.steps, burn_in=burn, thin=args.thin,
                         seed=args.seed, proposal=basis,
@@ -163,7 +181,7 @@ def cmd_test(args) -> dict:
         "stat": args.stat,
         "observed": observed,
         "df": df,
-        "asymptotic_pvalue": float(_chi2_dist.sf(observed, df)),
+        "asymptotic_pvalue": _chi2_sf(observed, df),
         "fit": {
             "iterations": fit.iterations,
             "max_discrepancy": fit.max_discrepancy,
@@ -182,7 +200,12 @@ def cmd_test(args) -> dict:
             "stay_fractions": [r.stay_count / r.steps for r in results],
         },
         "stats_out": streams or None,
-        "timings": {"fit_s": fit_s, "walk_s": walk_s},
+        "timings": {
+            "fit_s": fit_s,
+            "basis_s": basis_s,
+            "n_moves": len(basis) if basis.kind == "enumerated" else None,
+            "walk_s": walk_s,
+        },
     }
 
 
@@ -210,8 +233,8 @@ def cmd_fit(args) -> dict:
         "chi2": chi2,
         "g2": g2,
         "df": df,
-        "asymptotic_pvalue_chi2": float(_chi2_dist.sf(chi2, df)),
-        "asymptotic_pvalue_g2": float(_chi2_dist.sf(g2, df)),
+        "asymptotic_pvalue_chi2": _chi2_sf(chi2, df),
+        "asymptotic_pvalue_g2": _chi2_sf(g2, df),
         "timings": {"fit_s": fit_s},
     }
 

@@ -183,67 +183,49 @@ def enumerate_fiber(t, cfg: Configuration, cap: int = DEFAULT_CAP,
     )
 
 
-def _move_deltas(basis, C: int):
-    """Moves as (flat cell ids, coefficients) pairs."""
-    out = []
-    for move in basis:
-        flats, coefs = move.flats_coefs(C)
-        out.append((flats, coefs))
-    return out
+def _move_graph(fiber: Fiber, basis, stop_when_connected: bool) -> UnionFind:
+    """Union-find over fiber members joined by the edges x <-> x + z.
+
+    The basis stores one sign per move, and applying +z from every member
+    still finds each edge once: the edge x <-> x - z is found from x - z.
+    """
+    idx = fiber.index()
+    uf = UnionFind(len(fiber))
+    off, flat, coef = basis.move_arrays()
+    deltas = [(flat[lo:hi], coef[lo:hi]) for lo, hi in zip(off, off[1:])]
+    for k, member in enumerate(fiber.members):
+        for flats, coefs in deltas:
+            target = list(member)
+            ok = True
+            for f, c in zip(flats, coefs):
+                nv = target[f] + c
+                if nv < 0:
+                    ok = False
+                    break
+                target[f] = nv
+            if not ok:
+                continue
+            other = idx.get(tuple(target))
+            if other is not None:
+                uf.union(k, other)
+        if stop_when_connected and uf.n_components == 1:
+            break
+    return uf
 
 
 def is_connected(fiber: Fiber, basis) -> bool:
     """Is the fiber graph (edges x <-> x + z, both ends nonnegative) one
     component?  Singleton and empty fibers count as connected."""
-    n = len(fiber)
-    if n <= 1:
+    if len(fiber) <= 1:
         return True
-    idx = fiber.index()
-    uf = UnionFind(n)
-    deltas = _move_deltas(basis, fiber.C)
-    for k, member in enumerate(fiber.members):
-        for flats, coefs in deltas:
-            target = list(member)
-            ok = True
-            for f, c in zip(flats, coefs):
-                nv = target[f] + c
-                if nv < 0:
-                    ok = False
-                    break
-                target[f] = nv
-            if not ok:
-                continue
-            other = idx.get(tuple(target))
-            if other is not None:
-                uf.union(k, other)
-        if uf.n_components == 1:
-            return True
-    return uf.n_components == 1
+    return _move_graph(fiber, basis, stop_when_connected=True).n_components == 1
 
 
 def components(fiber: Fiber, basis) -> list[list[int]]:
     """Connected components as lists of member indices (for witnesses)."""
-    n = len(fiber)
-    idx = fiber.index()
-    uf = UnionFind(n)
-    deltas = _move_deltas(basis, fiber.C)
-    for k, member in enumerate(fiber.members):
-        for flats, coefs in deltas:
-            target = list(member)
-            ok = True
-            for f, c in zip(flats, coefs):
-                nv = target[f] + c
-                if nv < 0:
-                    ok = False
-                    break
-                target[f] = nv
-            if not ok:
-                continue
-            other = idx.get(tuple(target))
-            if other is not None:
-                uf.union(k, other)
+    uf = _move_graph(fiber, basis, stop_when_connected=False)
     groups: dict[int, list[int]] = {}
-    for k in range(n):
+    for k in range(len(fiber)):
         groups.setdefault(uf.find(k), []).append(k)
     return sorted(groups.values(), key=len, reverse=True)
 

@@ -296,7 +296,13 @@ def model_from_dict(data: dict) -> ModelSpec:
 
 def load_model(path) -> ModelSpec:
     with open(path) as fp:
-        return model_from_dict(json.load(fp))
+        try:
+            data = json.load(fp)
+        except json.JSONDecodeError as exc:
+            raise ModelError(f"model file {path} is not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ModelError(f"model file {path} must hold a JSON object")
+    return model_from_dict(data)
 
 
 def save_model(model: ModelSpec, path) -> None:

@@ -16,10 +16,17 @@ tables in the same fiber.  The bases constructed here are:
   +-2 (those non-square-free moves are required: dropping them disconnects
   small fibers, which the brute-force oracle demonstrates).
 
-Bases are sign-invariant: every generator emits both orientations.  Grids
-up to ``enumerate_threshold`` cells (default 400) are enumerated into a
-compact flat-array store; larger grids get a lazy rejection sampler with the
-same per-move support.
+An enumerated basis stores each move in one sign only, the orientation
+whose lowest cell has a positive coefficient; the walk and ``random_move``
+draw the sign uniformly, which keeps the proposal symmetric (Diaconis &
+Sturmfels 1998).  Every type is generated as index products in numpy: all
+candidates of a type become ``(n, k)`` arrays of flat cells and
+coefficients, the term balance is one terms x cells matrix product, and
+duplicates are dropped on a canonical key (the sorted signed-cell codes),
+keeping the first occurrence in the order I, II/III, IV, IVt.  Grids up to
+``enumerate_threshold`` cells (default 400) are enumerated into a compact
+flat-array store; larger grids get a lazy rejection sampler with the same
+per-move support.
 """
 
 from __future__ import annotations
@@ -48,6 +55,14 @@ __all__ = [
 
 TYPE_NAMES = ("I", "II", "III", "IV", "IVt")
 _TYPE_CODE = {name: k for k, name in enumerate(TYPE_NAMES)}
+
+# A canonical key holds the signed-cell codes flat * 5 + coef + 2 of one
+# move (coefficients are +-1 or +-2), sorted and padded to the widest move,
+# Type IV with eight cells.
+_KEY_WIDTH = 8
+_PAD = np.iinfo(np.int32).max
+# Candidates handled per numpy pass, which bounds the build's working memory.
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -81,42 +96,38 @@ def format_move(move: Move) -> str:
     return f"{move.degree} {move.mtype}  {cells}"
 
 
+def _as_array(typecode: str, values) -> array:
+    out = array(typecode)
+    out.frombytes(np.ascontiguousarray(values, dtype=typecode).view(np.uint8))
+    return out
+
+
 class MoveBasis:
-    """Sign-invariant enumerated move set in compact flat-array storage.
+    """Enumerated move set, one sign per move, in compact flat-array storage.
 
     ``_flat``/``_coef`` hold the concatenated sparse entries of all moves,
-    ``_off`` the per-move offsets; this keeps half-million-move bases (a
-    12x12 common-block grid) at a few tens of MB.
+    ``_off`` the per-move offsets; this keeps a 331k-move basis (a 12x12
+    common-block grid) at about 15 MB.  ``len`` counts unsigned moves.
     """
 
     kind = "enumerated"
 
-    def __init__(self, R: int, C: int, model) -> None:
+    def __init__(self, R: int, C: int, model, keys: np.ndarray, tcodes: np.ndarray) -> None:
         self.R = R
         self.C = C
         self.model = model
-        self._flat = array("i")
-        self._coef = array("b")
-        self._off = array("i", [0])
-        self._tcode = bytearray()
-        self._seen: set | None = set()
-
-    def _add(self, flats, coefs, tcode: int) -> bool:
-        key = tuple(sorted(zip(flats, coefs)))
-        assert self._seen is not None, "basis already sealed"
-        if key in self._seen:
-            return False
-        self._seen.add(key)
-        for f, c in key:
-            self._flat.append(f)
-            self._coef.append(c)
-        self._off.append(len(self._flat))
-        self._tcode.append(tcode)
-        return True
-
-    def _seal(self) -> "MoveBasis":
-        self._seen = None  # drop the dedup index once building is done
-        return self
+        used = keys != _PAD
+        self._off = _as_array("i", np.concatenate(([0], np.cumsum(used.sum(axis=1)))))
+        codes = keys[used]
+        # decode in place and free each temporary early: a 12x12 common-block
+        # basis has 2.5M entries
+        coef = codes % 5
+        coef -= 2
+        self._coef = _as_array("b", coef)
+        del coef
+        codes //= 5
+        self._flat = _as_array("i", codes)
+        self._tcode = bytes(np.asarray(tcodes, dtype=np.uint8))
 
     def __len__(self) -> int:
         return len(self._tcode)
@@ -134,10 +145,9 @@ class MoveBasis:
         return (self.move(k) for k in range(len(self)))
 
     def counts_by_type(self) -> dict[str, int]:
-        out = {name: 0 for name in TYPE_NAMES}
-        for code in self._tcode:
-            out[TYPE_NAMES[code]] += 1
-        return {name: n for name, n in out.items() if n}
+        counts = np.bincount(np.frombuffer(self._tcode, dtype=np.uint8),
+                             minlength=len(TYPE_NAMES))
+        return {name: int(n) for name, n in zip(TYPE_NAMES, counts) if n}
 
     def move_arrays(self) -> tuple[array, array, array]:
         """(offsets, flat cell ids, coefficients) for the sampler's hot loop."""
@@ -173,29 +183,6 @@ def _terms_balanced(term_grids, entries) -> bool:
     return True
 
 
-def basis_change_point(model, R: int, C: int) -> MoveBasis:
-    """All basic moves whose 2x2 corner strata balance, both orientations.
-
-    Accepts change-point and independence specs (the latter has a single
-    stratum, so every minor qualifies).
-    """
-    if model.family not in (_models.CHANGE_POINT, _models.INDEPENDENCE):
-        raise _models.ModelError(f"change-point basis needs a change-point model, got {model.family}")
-    _models.require_valid(model, R, C)
-    strata = _strata_grid(model, R, C)
-    basis = MoveBasis(R, C, model)
-    for i1, i2 in combinations(range(1, R + 1), 2):
-        si1, si2 = strata[i1], strata[i2]
-        for j1, j2 in combinations(range(1, C + 1), 2):
-            if sorted((si1[j1], si2[j2])) != sorted((si1[j2], si2[j1])):
-                continue
-            f11, f12 = flat_index(i1, j1, C), flat_index(i1, j2, C)
-            f21, f22 = flat_index(i2, j1, C), flat_index(i2, j2, C)
-            basis._add((f11, f22, f12, f21), (1, 1, -1, -1), _TYPE_CODE["I"])
-            basis._add((f11, f22, f12, f21), (-1, -1, 1, 1), _TYPE_CODE["I"])
-    return basis._seal()
-
-
 def _band_tables(model, R: int, C: int) -> tuple[list[int], list[int], int]:
     """1-based band id per row and per column; leftover rows/cols (general
     model) get band N+1 so the complement is still carved into blocks."""
@@ -205,108 +192,193 @@ def _band_tables(model, R: int, C: int) -> tuple[list[int], list[int], int]:
     return rows, cols, N
 
 
-def _block_loops(basis, model, R, C, term_grids, want_ii, want_iii) -> None:
-    """Degree-3 loops classified into Types II and III by block geometry."""
+def _term_matrix(model, R: int, C: int) -> np.ndarray:
+    """Terms x cells 0/1 matrix: row q marks the flat cells of term q."""
+    model_terms = _models.terms(model, R, C)
+    out = np.zeros((len(model_terms), R * C), dtype=np.int8)
+    for q, (_, cells) in enumerate(model_terms):
+        out[q, [flat_index(i, j, C) for i, j in cells]] = 1
+    return out
+
+
+def _balanced(terms: np.ndarray, flats: np.ndarray, coefs: np.ndarray) -> np.ndarray:
+    """Mask of the candidate moves whose coefficients sum to 0 on every term."""
+    return ~(terms[:, flats] * coefs).sum(axis=2).any(axis=0)
+
+
+def _keys(flats: np.ndarray, coefs: np.ndarray) -> np.ndarray:
+    """Canonical keys of (n, k) candidate moves: coincident cells merged,
+    the orientation whose lowest cell is positive, signed-cell codes sorted
+    and padded to ``_KEY_WIDTH``."""
+    n, k = flats.shape
+    order = np.argsort(flats, axis=1, kind="stable")
+    flats = np.take_along_axis(flats, order, axis=1)
+    coefs = np.take_along_axis(np.broadcast_to(coefs, (n, k)), order, axis=1)
+    head = np.ones((n, k), dtype=bool)
+    head[:, 1:] = flats[:, 1:] != flats[:, :-1]
+    if not head.all():
+        # sum each run of one cell into its first slot, zero the rest
+        starts = np.flatnonzero(head)
+        merged = np.zeros((n, k), dtype=coefs.dtype)
+        merged[head] = np.add.reduceat(coefs.ravel(), starts)
+        coefs = merged
+    live = coefs != 0
+    sign = np.sign(coefs[np.arange(n), np.argmax(live, axis=1)]).astype(coefs.dtype)
+    keys = np.full((n, _KEY_WIDTH), _PAD, dtype=np.int32)
+    keys[:, :k] = np.where(live, flats * 5 + coefs * sign[:, None] + 2, _PAD)
+    keys.sort(axis=1)
+    return keys
+
+
+class _Candidates:
+    """Canonical keys and type codes of generated moves, in generation order."""
+
+    def __init__(self, terms: np.ndarray) -> None:
+        self.terms = terms
+        self.keys: list[np.ndarray] = []
+        self.tcodes: list[np.ndarray] = []
+
+    def add(self, flats: np.ndarray, coefs: np.ndarray, tcodes) -> None:
+        ok = _balanced(self.terms, flats, coefs)
+        if not ok.any():
+            return
+        self.keys.append(_keys(flats[ok], coefs))
+        self.tcodes.append(np.broadcast_to(tcodes, ok.shape)[ok])
+
+    def basis(self, R: int, C: int, model) -> MoveBasis:
+        """Deduplicate on the key, keeping first occurrences in order."""
+        if not self.keys:
+            empty = np.empty((0, _KEY_WIDTH), dtype=np.int32)
+            return MoveBasis(R, C, model, empty, np.empty(0, dtype=np.uint8))
+        keys = np.concatenate(self.keys)
+        tcodes = np.concatenate(self.tcodes)
+        self.keys, self.tcodes = [], []
+        order = np.lexsort(keys.T)  # stable: equal keys keep generation order
+        ranked = keys[order]
+        first = np.ones(len(keys), dtype=bool)
+        first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+        del ranked
+        keep = np.sort(order[first])
+        keys = keys[keep]
+        return MoveBasis(R, C, model, keys, tcodes[keep])
+
+
+_I_COEFS = np.array([1, -1, -1, 1], dtype=np.int8)
+
+
+def _pairs(n: int, k: int) -> np.ndarray:
+    """(m, k) array of the k-subsets of range(n), in lexicographic order."""
+    return np.array(list(combinations(range(n), k)), dtype=np.int32).reshape(-1, k)
+
+
+def _type_i(out: _Candidates, R: int, C: int) -> None:
+    """Every basic move (i1,j1) + (i2,j2) - (i1,j2) - (i2,j1), i1 < i2, j1 < j2."""
+    rows = _pairs(R, 2) * C
+    cols = _pairs(C, 2)
+    i1, i2, j1, j2 = rows[:, :1], rows[:, 1:], cols[:, 0], cols[:, 1]
+    flats = np.stack([i1 + j1, i1 + j2, i2 + j1, i2 + j2], axis=-1)
+    out.add(flats.reshape(-1, 4), _I_COEFS, _TYPE_CODE["I"])
+
+
+def basis_change_point(model, R: int, C: int) -> MoveBasis:
+    """All basic moves whose 2x2 corner strata balance, one sign each.
+
+    Accepts change-point and independence specs (the latter has a single
+    stratum, so every minor qualifies).  With nested rectangles, balanced
+    strata are exactly balanced rectangle sums, so the term matrix decides.
+    """
+    if model.family not in (_models.CHANGE_POINT, _models.INDEPENDENCE):
+        raise _models.ModelError(f"change-point basis needs a change-point model, got {model.family}")
+    _models.require_valid(model, R, C)
+    out = _Candidates(_term_matrix(model, R, C))
+    _type_i(out, R, C)
+    return out.basis(R, C, model)
+
+
+def _bands(model, R: int, C: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """0-based arrays of the 1-based row and column band ids, and N."""
     rband, cband, N = _band_tables(model, R, C)
-    rows_range = range(1, R + 1)
-    cols_range = range(1, C + 1)
-    for rows in combinations(rows_range, 3):
-        for cols in combinations(cols_range, 3):
-            for pos in permutations((0, 1, 2)):
-                for shift in (1, 2):
-                    neg = tuple(pos[(k + shift) % 3] for k in range(3))
-                    entries = tuple(
-                        (rows[k], cols[pos[k]], 1) for k in range(3)
-                    ) + tuple((rows[k], cols[neg[k]], -1) for k in range(3))
-                    blocks = [(rband[i], cband[j]) for i, j, _ in entries]
-                    in_s = [k == l and k <= N for k, l in blocks]
-                    n_s = sum(in_s)
-                    if n_s == 0:
-                        if not want_ii:
-                            continue
-                        if len(set(blocks)) != 6:
-                            continue
-                        tcode = _TYPE_CODE["II"]
-                    elif n_s == 2 and want_iii:
-                        s_entries = [e for e, s in zip(entries, in_s) if s]
-                        (i1, j1, c1), (i2, j2, c2) = s_entries
-                        if c1 + c2 != 0:
-                            continue
-                        if (rband[i1], cband[j1]) == (rband[i2], cband[j2]):
-                            continue
-                        rest = [b for b, s in zip(blocks, in_s) if not s]
-                        if len(set(rest)) != 4:
-                            continue
-                        tcode = _TYPE_CODE["III"]
-                    else:
-                        continue
-                    if not _terms_balanced(term_grids, entries):
-                        continue
-                    flats = [flat_index(i, j, C) for i, j, _ in entries]
-                    basis._add(flats, [c for _, _, c in entries], tcode)
+    return np.array(rband[1:]), np.array(cband[1:]), N
 
 
-def _type_iv_entries(i1, i2, i3, i4, j1, j2, j3, j4):
-    """Accumulate the degree-4 double-interchange pattern; coincident indices
-    stack into +-2 entries (the non-square-free moves)."""
-    acc: dict[tuple[int, int], int] = {}
-    for (i, j), c in (
-        ((i1, j1), 1), ((i2, j2), 1), ((i3, j3), 1), ((i4, j4), 1),
-        ((i1, j3), -1), ((i2, j4), -1), ((i3, j2), -1), ((i4, j1), -1),
-    ):
-        acc[(i, j)] = acc.get((i, j), 0) + c
-    return tuple((i, j, c) for (i, j), c in acc.items() if c)
+def _all_distinct(codes: np.ndarray) -> np.ndarray:
+    s = np.sort(codes, axis=-1)
+    return (s[..., 1:] != s[..., :-1]).all(axis=-1)
 
 
-def _block_type_iv(basis, model, R, C, term_grids, transposed: bool) -> None:
-    rband, cband, N = _band_tables(model, R, C)
+_LOOP_COEFS = np.array([1, 1, 1, -1, -1, -1], dtype=np.int8)
+
+
+def _type_ii_iii(out: _Candidates, model, R: int, C: int, want_ii: bool, want_iii: bool) -> None:
+    """Degree-3 loops classified into Types II and III by block geometry.
+
+    A loop on rows r and columns c has +1 at (r[k], c[p[k]]) and -1 at
+    (r[k], c[p[k+1 mod 3]]) for a permutation p; the shift by one alone gives
+    every loop once up to sign.  Row triples are handled in chunks.
+    """
+    rband, cband, N = _bands(model, R, C)
+    n_bands = N + 2
+    perms = np.array(list(permutations(range(3))))
+    col3 = _pairs(C, 3)
+    # (column triple, permutation) -> the columns of the +1, then the -1 cells
+    cols = np.concatenate([col3[:, perms], col3[:, perms[:, [1, 2, 0]]]], axis=2).reshape(-1, 6)
+    row3 = _pairs(R, 3)
+    rows = np.concatenate([row3, row3], axis=1)
+    if not len(cols) or not len(rows):
+        return
+    col_bands = cband[cols]
+    unique_slot = -1 - np.arange(6)
+    step = max(1, _CHUNK // len(cols))
+    for lo in range(0, len(rows), step):
+        r = rows[lo:lo + step, None, :]
+        rb = rband[r]
+        blocks = rb * n_bands + col_bands
+        in_s = (rb == col_bands) & (rb <= N)
+        n_s = in_s.sum(axis=2)
+        tcode = np.full(n_s.shape, -1, dtype=np.int8)
+        if want_ii:
+            tcode[(n_s == 0) & _all_distinct(blocks)] = _TYPE_CODE["II"]
+        if want_iii:
+            iii = ((n_s == 2) & ((_LOOP_COEFS * in_s).sum(axis=2) == 0)
+                   & _all_distinct(np.where(in_s, blocks, unique_slot))
+                   & _all_distinct(np.where(in_s, unique_slot, blocks)))
+            tcode[iii] = _TYPE_CODE["III"]
+        a, b = np.nonzero(tcode >= 0)
+        flats = rows[lo + a] * C + cols[b]
+        out.add(flats, _LOOP_COEFS, tcode[a, b])
+
+
+_IV_COEFS = np.array([1, 1, 1, 1, -1, -1, -1, -1], dtype=np.int8)
+
+
+def _type_iv(out: _Candidates, model, R: int, C: int, transposed: bool) -> None:
+    """Degree-4 double interchanges between diagonal blocks k and l:
+    +1 at (i1,j1) (i2,j2) (i3,j3) (i4,j4) and -1 at (i1,j3) (i2,j4) (i3,j2)
+    (i4,j1), with i1, i2 in row band k, i3, i4 in row band l, j1 in column
+    band k, j2 in column band l and j3, j4 in neither; coincident indices
+    stack into +-2 entries.  The pattern of (l, k) is the negation of that
+    of (k, l), so only k < l is generated, one block pair at a time.  The
+    transpose runs the same pattern with rows and columns swapped."""
+    rband, cband, N = _bands(model, R, C)
     if transposed:
-        # run the row-pattern generator on the transposed geometry
         rband, cband = cband, rband
-        R, C = C, R
-    rows_of = [[] for _ in range(max(rband[1:]) + 1)]
-    for i in range(1, R + 1):
-        rows_of[rband[i]].append(i)
-    cols_of = [[] for _ in range(max(cband[1:]) + 1)]
-    for j in range(1, C + 1):
-        cols_of[cband[j]].append(j)
     tcode = _TYPE_CODE["IVt" if transposed else "IV"]
-    true_c = basis.C
     for k in range(1, N + 1):
-        for l in range(1, N + 1):
-            if k == l or not rows_of[k] or not rows_of[l]:
+        for l in range(k + 1, N + 1):
+            rk, rl = np.flatnonzero(rband == k), np.flatnonzero(rband == l)
+            ck, cl = np.flatnonzero(cband == k), np.flatnonzero(cband == l)
+            other = np.flatnonzero((cband != k) & (cband != l))
+            if not (len(rk) and len(rl) and len(ck) and len(cl) and len(other)):
                 continue
-            other_cols = [
-                j for j in range(1, C + 1) if cband[j] != k and cband[j] != l
-            ]
-            if not cols_of[k] or not cols_of[l] or not other_cols:
-                continue
-            for i1 in rows_of[k]:
-                for i2 in rows_of[k]:
-                    for i3 in rows_of[l]:
-                        for i4 in rows_of[l]:
-                            for j1 in cols_of[k]:
-                                for j2 in cols_of[l]:
-                                    for j3 in other_cols:
-                                        for j4 in other_cols:
-                                            entries = _type_iv_entries(
-                                                i1, i2, i3, i4, j1, j2, j3, j4
-                                            )
-                                            if transposed:
-                                                entries = tuple(
-                                                    (j, i, c) for i, j, c in entries
-                                                )
-                                            if not _terms_balanced(term_grids, entries):
-                                                continue
-                                            flats = [
-                                                flat_index(i, j, true_c)
-                                                for i, j, _ in entries
-                                            ]
-                                            basis._add(
-                                                flats,
-                                                [c for _, _, c in entries],
-                                                tcode,
-                                            )
+            for first in rk:  # one first row at a time bounds the working set
+                grid = np.meshgrid(rk, rl, rl, ck, cl, other, other, indexing="ij")
+                i2, i3, i4, j1, j2, j3, j4 = (g.ravel().astype(np.int32) for g in grid)
+                i1 = np.full_like(i2, first)
+                rows = np.stack([i1, i2, i3, i4, i1, i2, i3, i4], axis=1)
+                cols = np.stack([j1, j2, j3, j4, j3, j4, j2, j1], axis=1)
+                if transposed:
+                    rows, cols = cols, rows
+                out.add(rows * C + cols, _IV_COEFS, tcode)
 
 
 def basis_block(model, R: int, C: int, types: tuple[str, ...] | None = None) -> MoveBasis:
@@ -325,25 +397,28 @@ def basis_block(model, R: int, C: int, types: tuple[str, ...] | None = None) -> 
     unknown = set(types) - set(TYPE_NAMES)
     if unknown:
         raise ValueError(f"unknown move types {sorted(unknown)}")
-    term_grids = _term_grids(model, R, C)
-    basis = MoveBasis(R, C, model)
+    out = _Candidates(_term_matrix(model, R, C))
     if "I" in types:
-        for i1, i2 in combinations(range(1, R + 1), 2):
-            for j1, j2 in combinations(range(1, C + 1), 2):
-                entries = ((i1, j1, 1), (i2, j2, 1), (i1, j2, -1), (i2, j1, -1))
-                if not _terms_balanced(term_grids, entries):
-                    continue
-                flats = [flat_index(i, j, C) for i, j, _ in entries]
-                coefs = [c for _, _, c in entries]
-                basis._add(flats, coefs, _TYPE_CODE["I"])
-                basis._add(flats, [-c for c in coefs], _TYPE_CODE["I"])
+        _type_i(out, R, C)
     if "II" in types or "III" in types:
-        _block_loops(basis, model, R, C, term_grids, "II" in types, "III" in types)
+        _type_ii_iii(out, model, R, C, "II" in types, "III" in types)
     if "IV" in types:
-        _block_type_iv(basis, model, R, C, term_grids, transposed=False)
+        _type_iv(out, model, R, C, transposed=False)
     if "IVt" in types:
-        _block_type_iv(basis, model, R, C, term_grids, transposed=True)
-    return basis._seal()
+        _type_iv(out, model, R, C, transposed=True)
+    return out.basis(R, C, model)
+
+
+def _type_iv_entries(i1, i2, i3, i4, j1, j2, j3, j4):
+    """Accumulate the degree-4 double-interchange pattern; coincident indices
+    stack into +-2 entries (the non-square-free moves)."""
+    acc: dict[tuple[int, int], int] = {}
+    for (i, j), c in (
+        ((i1, j1), 1), ((i2, j2), 1), ((i3, j3), 1), ((i4, j4), 1),
+        ((i1, j3), -1), ((i2, j4), -1), ((i3, j2), -1), ((i4, j1), -1),
+    ):
+        acc[(i, j)] = acc.get((i, j), 0) + c
+    return tuple((i, j, c) for (i, j), c in acc.items() if c)
 
 
 class LazyMoveBasis:
@@ -367,17 +442,18 @@ class LazyMoveBasis:
         )
         if self._strata is None:
             self._rband, self._cband, self._N = _band_tables(model, R, C)
-        weights = []
-        for t in types:
-            weights.append(self._pattern_space(t))
+        weights = [self._pattern_space(t) for t in types]
         total = float(sum(weights))
         if total <= 0:
             raise ValueError("lazy basis has empty pattern space")
+        # types with an empty pattern space are never drawn
+        self._drawn = tuple(t for t, w in zip(types, weights) if w > 0)
         self._cum = []
         acc = 0.0
         for w in weights:
-            acc += w / total
-            self._cum.append(acc)
+            if w > 0:
+                acc += w / total
+                self._cum.append(acc)
 
     def _pattern_space(self, t: str) -> float:
         R, C = self.R, self.C
@@ -385,6 +461,8 @@ class LazyMoveBasis:
             return R * (R - 1) / 2 * C * (C - 1) / 2
         if t in ("II", "III"):
             return R * (R - 1) * (R - 2) * C * (C - 1) * (C - 2) / 3
+        if self._N < 2:
+            return 0  # Type IV needs two diagonal blocks
         return R * R * C * C  # rough; only relative draw rates are affected
     def _draw_candidate(self, t: str, rng):
         R, C = self.R, self.C
@@ -459,8 +537,8 @@ class LazyMoveBasis:
     def random_move(self, rng) -> Move:
         while True:
             u = rng.random()
-            t = self.types[-1]
-            for name, edge in zip(self.types, self._cum):
+            t = self._drawn[-1]
+            for name, edge in zip(self._drawn, self._cum):
                 if u <= edge:
                     t = name
                     break
@@ -488,17 +566,20 @@ def basis_for_model(model, R: int, C: int, types: tuple[str, ...] | None = None,
 
 
 def random_move(basis, rng) -> Move:
-    """Uniform draw from an enumerated basis; delegated draw for lazy ones.
+    """Uniform move and uniform sign from an enumerated basis, as the walk
+    draws them; delegated draw for lazy ones.
 
-    Every basis element has positive draw probability and the distribution
-    is state-independent, which is what the Metropolis kernel requires.
+    Every basis element has positive draw probability in both signs and the
+    distribution is state-independent, which is what the Metropolis kernel
+    requires.
     """
     if isinstance(basis, LazyMoveBasis):
         return basis.random_move(rng)
     n = len(basis)
     if n == 0:
         raise ValueError("basis is empty")
-    return basis.move(rng.randrange(n))
+    move = basis.move(rng.randrange(n))
+    return move.negated() if rng.random() < 0.5 else move
 
 
 def is_kernel_move(cfg: Configuration, move: Move) -> bool:

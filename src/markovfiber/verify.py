@@ -24,7 +24,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from . import models as _models
-from .fiber import enumerate_fiber, indispensable, is_connected
+from .fiber import UnionFind, enumerate_fiber, indispensable, is_connected
 from .models import ModelSpec
 from .moves import basis_for_model, format_move
 from .tables import Rectangle, build_configuration
@@ -71,39 +71,6 @@ def _universe(R: int, C: int, total: int):
     order = np.argsort(_row_view(tables), kind="stable")
     tables = np.ascontiguousarray(tables[order])
     return tables, _row_view(tables)
-
-
-def _unsigned_moves(basis, C: int):
-    """One orientation per move pair, as (flat cells, coefficients) arrays."""
-    seen: set[tuple] = set()
-    out = []
-    for mv in basis:
-        flats, coefs = mv.flats_coefs(C)
-        if (flats, tuple(-c for c in coefs)) in seen:
-            continue
-        seen.add((flats, coefs))
-        out.append((np.array(flats, dtype=np.int64),
-                    np.array(coefs, dtype=np.int16), mv))
-    return out
-
-
-class _DisjointSets:
-    __slots__ = ("parent",)
-
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-
-    def find(self, a: int) -> int:
-        p = self.parent
-        while p[a] != a:
-            p[a] = p[p[a]]
-            a = p[a]
-        return a
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
 
 
 @dataclass(frozen=True)
@@ -183,12 +150,16 @@ def connectivity_sweep(model: ModelSpec, R: int, C: int, total: int,
     keep = np.flatnonzero(multi_mask)
     n_multi = int(np.count_nonzero(sizes >= 2))
 
-    dsu = _DisjointSets(keep.size)
+    dsu = UnionFind(keep.size)
     if keep.size:
         inv_keep = np.full(n, -1, dtype=np.int64)
         inv_keep[keep] = np.arange(keep.size)
         sub = tables[keep]
-        for flats, coefs, _mv in _unsigned_moves(basis, C):
+        off, flat, coef = basis.move_arrays()
+        flat = np.asarray(flat, dtype=np.int64)
+        coef = np.asarray(coef, dtype=np.int16)
+        for lo, hi in zip(off, off[1:]):
+            flats, coefs = flat[lo:hi], coef[lo:hi]
             valid = np.ones(keep.size, dtype=bool)
             for c, v in zip(flats[coefs < 0], -coefs[coefs < 0]):
                 valid &= sub[:, c] >= v
@@ -286,13 +257,9 @@ def indispensability_sweep(model: ModelSpec, R: int, C: int,
     """Every unsigned basis move must have the two-element fiber {z+, z-}."""
     cfg = build_configuration(model, R, C)
     basis = basis_for_model(model, R, C)
-    failures = []
-    n = 0
-    for _flats, _coefs, mv in _unsigned_moves(basis, C):
-        n += 1
-        if not indispensable(mv, cfg, cap=cap):
-            failures.append(format_move(mv))
-    return IndispensabilityReport(R=R, C=C, n_moves=n, failures=tuple(failures))
+    failures = tuple(format_move(mv) for mv in basis
+                     if not indispensable(mv, cfg, cap=cap))
+    return IndispensabilityReport(R=R, C=C, n_moves=len(basis), failures=failures)
 
 
 def _rectangles(R: int, C: int):

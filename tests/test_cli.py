@@ -66,6 +66,10 @@ def test_test_command_report_shape(capsys):
     assert 0 < m["pvalue"] <= 1
     assert 0 <= m["acceptance_rates"][0] <= 1
     assert 0 <= m["stay_fractions"][0] <= 1
+    timings = rep["timings"]
+    assert set(timings) == {"fit_s", "basis_s", "n_moves", "walk_s"}
+    assert timings["n_moves"] == 81  # Gilby's unsigned basic moves
+    assert all(timings[k] >= 0 for k in ("fit_s", "basis_s", "walk_s"))
 
 
 def test_identical_invocations_agree(capsys):
@@ -117,6 +121,24 @@ def test_missing_inputs_are_errors(capsys):
     assert "--dataset or --table" in rep["error"]["message"]
 
 
+@pytest.mark.parametrize("flag,value", [("--steps", "0"), ("--chains", "0"),
+                                        ("--thin", "0"), ("--burn-in", "100000")])
+def test_bad_chain_flags_are_errors(capsys, flag, value):
+    code, rep = run_json(capsys, "test", "--dataset", "gilby", flag, value)
+    assert code == 1
+    assert rep["error"]["type"] == "CliError"
+    assert flag in rep["error"]["message"]
+
+
+@pytest.mark.parametrize("text", ['{"family": "change-point", ', '[1, 2]'])
+def test_malformed_model_json_is_an_error(capsys, tmp_path, text):
+    path = tmp_path / "broken.json"
+    path.write_text(text)
+    code, rep = run_json(capsys, "fit", "--dataset", "gilby", "--model", str(path))
+    assert code == 1
+    assert rep["error"]["type"] == "ModelError"
+
+
 def test_sample_requires_stats_out(capsys):
     code, rep = run_json(capsys, "sample", "--dataset", "gilby",
                          "--steps", "100")
@@ -140,7 +162,7 @@ def test_moves_dump_to_stdout(capsys):
     code, out = run(capsys, "moves", "dump", "--dataset", "gilby")
     assert code == 0
     lines = out.strip().splitlines()
-    assert len(lines) == 162
+    assert len(lines) == 81  # one line per unsigned move
     assert lines[0].split()[0] == "2" and lines[0].split()[1] == "I"
 
 
@@ -149,9 +171,9 @@ def test_moves_dump_to_file(capsys, tmp_path):
     code, rep = run_json(capsys, "moves", "dump", "--dataset", "gilby",
                          "--out", str(out))
     assert code == 0
-    assert rep["n_moves"] == 162
-    assert rep["by_type"] == {"I": 162}
-    assert len(out.read_text().strip().splitlines()) == 162
+    assert rep["n_moves"] == 81
+    assert rep["by_type"] == {"I": 81}
+    assert len(out.read_text().strip().splitlines()) == 81
 
 
 def test_fiber_command(capsys, tmp_path, cp_model_path):

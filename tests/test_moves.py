@@ -32,6 +32,39 @@ from markovfiber.moves import (
 )
 from markovfiber.tables import Rectangle, build_configuration
 from markovfiber.datasets import gilby_model, victoria_models
+from reference_moves import reference_unsigned, unsigned_key
+
+
+def _blocks(family, rows, cols, groups=()):
+    return ModelSpec(family=family, row_bounds=rows, col_bounds=cols, groups=groups)
+
+
+# (model, R, C, types): N = 1..3, even and uneven bands, leftover bands of
+# general models, restricted type selections, change-point and independence
+ORACLE_CASES = [
+    (ModelSpec(family=INDEPENDENCE), 3, 4, None),
+    (gilby_model(), 8, 4, None),
+    (ModelSpec(family=CHANGE_POINT,
+               rectangles=(Rectangle(2, 3, 1, 2), Rectangle(1, 4, 1, 3))), 5, 4, None),
+    (_blocks(OWN_BLOCKS, (1, 5), (1, 5)), 4, 4, None),
+    (_blocks(OWN_BLOCKS, (1, 3, 6), (1, 2, 5)), 5, 4, None),
+    (_blocks(OWN_BLOCKS, (1, 3, 5, 7), (1, 3, 5, 7)), 6, 6, None),
+    (_blocks(OWN_BLOCKS, (1, 2, 4, 6), (1, 3, 4, 7)), 5, 6, None),
+    (_blocks(OWN_BLOCKS, (1, 3, 5, 7), (1, 3, 5, 7)), 6, 6, ("I",)),
+    (_blocks(OWN_BLOCKS, (1, 2, 4, 6), (1, 2, 3, 6)), 5, 5, ("I", "II", "III", "IV", "IVt")),
+    (_blocks(COMMON_BLOCKS, (1, 5), (1, 6)), 4, 5, None),
+    (_blocks(COMMON_BLOCKS, (1, 3, 5), (1, 2, 6)), 4, 5, None),
+    (_blocks(COMMON_BLOCKS, (1, 3, 5, 7), (1, 3, 5, 7)), 6, 6, None),
+    (_blocks(COMMON_BLOCKS, (1, 2, 4, 6), (1, 3, 4, 7)), 5, 6, None),
+    (_blocks(COMMON_BLOCKS, (1, 2, 4, 6), (1, 2, 4, 6)), 5, 5, ("I", "II", "III")),
+    (_blocks(COMMON_BLOCKS, (1, 2, 4, 6), (1, 2, 4, 6)), 5, 5, ("IVt", "I")),
+    (_blocks(GENERAL_BLOCKS, (1, 3), (1, 4), ((1,),)), 5, 5, None),
+    (_blocks(GENERAL_BLOCKS, (1, 3, 5), (1, 3, 5), ((1, 2),)), 6, 6, None),
+    (_blocks(GENERAL_BLOCKS, (1, 2, 4, 5), (1, 3, 4, 6), ((1, 3),)), 6, 7, None),
+    (_blocks(GENERAL_BLOCKS, (1, 2, 3, 5), (1, 2, 4, 5), ((1,), (2, 3))), 5, 5, None),
+]
+ORACLE_IDS = [f"{m.family}-{R}x{C}-{'+'.join(t) if t else 'default'}-{k}"
+              for k, (m, R, C, t) in enumerate(ORACLE_CASES)]
 
 
 def balanced_minors(model, R, C):
@@ -47,16 +80,24 @@ def balanced_minors(model, R, C):
     return out
 
 
-def canon(entries):
-    """Sign-free key for a move: the lexicographically smaller orientation."""
-    pos = tuple(sorted(entries))
-    neg = tuple(sorted((i, j, -c) for i, j, c in entries))
-    return min(pos, neg)
-
-
 def unsigned(basis):
-    """Moves of a sign-invariant basis up to sign."""
-    return {canon(mv.entries) for mv in basis}
+    """Moves of a basis up to sign."""
+    return {unsigned_key(mv.entries) for mv in basis}
+
+
+@pytest.mark.parametrize("model,R,C,types", ORACLE_CASES, ids=ORACLE_IDS)
+def test_basis_matches_the_loop_reference(model, R, C, types):
+    basis = basis_for_model(model, R, C, types=types)
+    got = {unsigned_key(mv.entries): mv.mtype for mv in basis}
+    assert len(got) == len(basis)
+    assert got == reference_unsigned(model, R, C, types)
+
+
+def test_victoria_common_basis_counts():
+    basis = basis_for_model(victoria_models()[0], 12, 12)
+    assert basis.counts_by_type() == {"I": 1926, "II": 11664, "III": 17496,
+                                      "IV": 150174, "IVt": 150174}
+    assert len(basis) == 331434
 
 
 def test_move_accessors():
@@ -72,7 +113,7 @@ def test_move_accessors():
 def test_independence_basis_is_all_minors():
     model = ModelSpec(family=INDEPENDENCE)
     basis = basis_change_point(model, 3, 4)
-    assert len(basis) == 2 * 3 * 6  # C(3,2) * C(4,2) minors, both signs
+    assert len(basis) == 3 * 6  # C(3,2) * C(4,2) minors, one sign each
     cfg = build_configuration(model, 3, 4)
     assert all(is_kernel_move(cfg, mv) for mv in basis)
 
@@ -93,8 +134,8 @@ def test_change_point_basis_matches_strata_oracle():
             if sorted((a, b)) == sorted((c, d)):
                 expect.add(((i1, j1, 1), (i1, j2, -1), (i2, j1, -1), (i2, j2, 1)))
     got = unsigned(basis)
-    assert got == {canon(e) for e in expect}
-    assert len(basis) == 2 * len(expect) == 162
+    assert got == {unsigned_key(e) for e in expect}
+    assert len(basis) == len(expect) == 81
 
     cfg = build_configuration(model, R, C)
     for mv in basis:
@@ -102,11 +143,24 @@ def test_change_point_basis_matches_strata_oracle():
         assert mv.degree == 2 and mv.mtype == "I"
 
 
-def test_basis_is_sign_invariant():
-    basis = basis_change_point(gilby_model(), 8, 4)
+@pytest.mark.parametrize("model,R,C,types", ORACLE_CASES, ids=ORACLE_IDS)
+def test_no_move_is_stored_in_both_signs(model, R, C, types):
+    basis = basis_for_model(model, R, C, types=types)
     entries = {mv.entries for mv in basis}
+    assert len(entries) == len(basis)
     for mv in basis:
-        assert mv.negated().entries in entries
+        assert mv.entries[0][2] > 0  # the lowest cell carries the + sign
+        assert mv.negated().entries not in entries
+
+
+def test_random_move_draws_both_orientations():
+    basis = basis_change_point(gilby_model(), 8, 4)
+    stored = {mv.entries for mv in basis}
+    rng = random.Random(5)
+    draws = [random_move(basis, rng).entries for _ in range(400)]
+    flipped = [e for e in draws if e not in stored]
+    assert flipped and len(flipped) < len(draws)
+    assert all(Move(e, "I").negated().entries in stored for e in flipped)
 
 
 def test_unbalanced_minor_is_not_a_kernel_move():
@@ -126,7 +180,7 @@ def test_change_point_basis_rejects_block_models():
 def test_block_type_i_matches_minor_oracle():
     own = ModelSpec(family=OWN_BLOCKS, row_bounds=(1, 3, 5, 7), col_bounds=(1, 3, 5, 7))
     basis = basis_block(own, 6, 6, types=("I",))
-    oracle = {canon(e) for e in balanced_minors(own, 6, 6)}
+    oracle = {unsigned_key(e) for e in balanced_minors(own, 6, 6)}
     assert unsigned(basis) == oracle
 
 
@@ -196,13 +250,14 @@ def test_random_move_covers_a_small_basis():
     basis = basis_for_model(model, 2, 2)
     rng = random.Random(3)
     seen = {random_move(basis, rng).entries for _ in range(200)}
-    assert seen == {mv.entries for mv in basis}
+    assert seen == {mv.entries for mv in basis} | {mv.negated().entries for mv in basis}
     assert len(seen) == 2
 
 
 def test_lazy_draws_agree_with_enumeration():
     common = ModelSpec(family=COMMON_BLOCKS, row_bounds=(1, 3, 5, 7), col_bounds=(1, 3, 5, 7))
-    enumerated = {mv.entries for mv in basis_block(common, 6, 6)}
+    basis = basis_block(common, 6, 6)
+    enumerated = {mv.entries for mv in basis} | {mv.negated().entries for mv in basis}
     lazy = basis_for_model(common, 6, 6, enumerate_threshold=0)
     assert isinstance(lazy, LazyMoveBasis)
     cfg = build_configuration(common, 6, 6)
@@ -211,6 +266,29 @@ def test_lazy_draws_agree_with_enumeration():
         mv = random_move(lazy, rng)
         assert mv.entries in enumerated
         assert is_kernel_move(cfg, mv)
+
+
+def test_lazy_one_block_draws_are_kernel_moves():
+    # 441 cells: above the enumeration threshold, and no Type IV block pair
+    model = _blocks(COMMON_BLOCKS, (1, 22), (1, 22))
+    lazy = basis_for_model(model, 21, 21)
+    assert isinstance(lazy, LazyMoveBasis)
+    cfg = build_configuration(model, 21, 21)
+    rng = random.Random(2)
+    for _ in range(50):
+        mv = random_move(lazy, rng)
+        assert mv.mtype in ("I", "II", "III") and is_kernel_move(cfg, mv)
+
+
+def test_lazy_one_block_draws_agree_with_enumeration():
+    model = _blocks(COMMON_BLOCKS, (1, 5), (1, 5))
+    basis = basis_block(model, 4, 4)
+    enumerated = {mv.entries for mv in basis} | {mv.negated().entries for mv in basis}
+    lazy = basis_for_model(model, 4, 4, enumerate_threshold=0)
+    assert isinstance(lazy, LazyMoveBasis)
+    rng = random.Random(4)
+    draws = {random_move(lazy, rng).entries for _ in range(600)}
+    assert draws == enumerated
 
 
 def test_dump_moves_format():

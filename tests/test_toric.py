@@ -60,7 +60,7 @@ def test_generators_pair_with_unsigned_basic_moves():
     model = ModelSpec(family=CHANGE_POINT, rectangles=(Rectangle(1, 2, 1, 2),))
     gens, order, _, _ = generators(model, 3, 3)
     basis = basis_for_model(model, 3, 3)
-    assert len(gens) == len(basis) // 2 == 5
+    assert len(gens) == len(basis) == 5
     cfg = build_configuration(model, 3, 3)
     A = cfg.matrix.astype(int)
     for g in gens:

@@ -85,7 +85,7 @@ def test_indispensability_sweep_change_point():
     model = ModelSpec(family=CHANGE_POINT, rectangles=(Rectangle(1, 2, 1, 2),))
     rep = indispensability_sweep(model, 3, 3)
     assert rep.ok
-    assert rep.n_moves == len(basis_for_model(model, 3, 3)) // 2 == 5
+    assert rep.n_moves == len(basis_for_model(model, 3, 3)) == 5
     assert rep.to_dict()["all_indispensable"] is True
 
 
