@@ -11,7 +11,6 @@ desk-scale bases with a Groebner criterion.
 from .tables import (
     Table,
     Rectangle,
-    CellSet,
     Configuration,
     TableError,
     build_configuration,
@@ -58,7 +57,7 @@ from .datasets import dataset, dataset_models, gilby_table, victoria_table
 __version__ = "0.1.0"
 
 __all__ = [
-    "Table", "Rectangle", "CellSet", "Configuration", "TableError",
+    "Table", "Rectangle", "Configuration", "TableError",
     "build_configuration", "sufficient_statistic", "degrees_of_freedom",
     "read_table_csv", "write_table_csv",
     "ModelSpec", "ModelError",

@@ -293,6 +293,9 @@ def cmd_fiber(args) -> dict:
             raise FiberOverflow(
                 f"fiber exceeded cap {args.cap}; cannot check connectivity")
         basis = basis_for_model(model, R, C)
+        if basis.kind != "enumerated":
+            raise CliError(f"--check-connect needs an enumerated basis; the {R}x{C} "
+                           "grid is above the enumeration threshold")
         report["connected"] = is_connected(fiber, basis)
     if args.exact_p:
         if fiber.overflowed:

@@ -1,6 +1,7 @@
 """Metropolis walk over a fiber.
 
-Proposal: uniform move z from the basis, uniform sign s; x' = x + s z.
+Proposal: a move z from the basis's sampler (uniform over an enumerated
+basis, drawn in batches by a lazy one), uniform sign s; x' = x + s z.
 A negative cell means the chain stays put (the stay still yields a sample);
 otherwise accept with probability min(1, prod x! / prod x'!), evaluated in
 log-factorial space.  The stationary law is the conditional distribution
@@ -16,13 +17,10 @@ at every step.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .moves import LazyMoveBasis, MoveBasis
 from .tables import Configuration, Table
 
 __all__ = [
@@ -32,7 +30,6 @@ __all__ = [
     "run_chains",
     "estimate_pvalue",
     "pooled_pvalue",
-    "max_threads",
 ]
 
 PV_TOL = 1e-12
@@ -135,12 +132,7 @@ def walk(start: Table, cfg_matrix: Configuration, chain: ChainConfig, statistic)
         raise ValueError(f"statistic is not finite at the starting table: {cur}")
     observed = cur
 
-    lazy = isinstance(basis, LazyMoveBasis)
-    if not lazy:
-        off, flat, coef = basis.move_arrays()
-        n_moves = len(basis)
-        if n_moves == 0:
-            raise ValueError("proposal basis is empty")
+    draw, (off, flat, coef, _) = basis.sampler(rng)
 
     n_keep = (chain.steps - chain.burn_in + chain.thin - 1) // chain.thin
     samples = np.empty(n_keep, dtype=np.float64)
@@ -151,22 +143,15 @@ def walk(start: Table, cfg_matrix: Configuration, chain: ChainConfig, statistic)
     exp = math.exp
 
     for step in range(chain.steps):
-        if lazy:
-            mv_flats, mv_coefs = basis.random_move(rng).flats_coefs(C)
-            lo, hi = 0, len(mv_flats)
-        else:
-            k = rng.randrange(n_moves)
-            lo, hi = off[k], off[k + 1]
+        k = draw()
+        lo, hi = off[k], off[k + 1]
         s = 1 if rnd() < 0.5 else -1
 
         lr = 0.0
         ok = True
         p = lo
         while p < hi:
-            if lazy:
-                f, c = mv_flats[p], s * mv_coefs[p]
-            else:
-                f, c = flat[p], s * coef[p]
+            f, c = flat[p], s * coef[p]
             xv = x[f]
             nv = xv + c
             if nv < 0:
@@ -178,12 +163,8 @@ def walk(start: Table, cfg_matrix: Configuration, chain: ChainConfig, statistic)
         if not ok:
             stays += 1
         elif lr >= 0.0 or rnd() < exp(lr):
-            if lazy:
-                fl = mv_flats
-                co = tuple(s * c for c in mv_coefs)
-            else:
-                fl = flat[lo:hi]
-                co = [s * c for c in coef[lo:hi]]
+            fl = flat[lo:hi]
+            co = [s * c for c in coef[lo:hi]]
             new_val = tracker.value_after(x, fl, co)
             if not math.isfinite(new_val):
                 raise ValueError(f"statistic became non-finite at step {step}: {new_val}")
@@ -225,26 +206,13 @@ def estimate_pvalue(samples, observed: float, tol: float = PV_TOL) -> float:
     return (n_ge + 1) / (arr.size + 1)
 
 
-def max_threads() -> int:
-    """Parallelism cap: MARKOV_FIBER_THREADS, else the CPU count."""
-    env = os.environ.get("MARKOV_FIBER_THREADS")
-    if env:
-        try:
-            n = int(env)
-        except ValueError:
-            raise ValueError(f"MARKOV_FIBER_THREADS must be an integer, got {env!r}")
-        if n < 1:
-            raise ValueError("MARKOV_FIBER_THREADS must be >= 1")
-        return n
-    return os.cpu_count() or 1
-
-
 def run_chains(start: Table, cfg_matrix: Configuration, chain: ChainConfig,
                statistic, n_chains: int = 1) -> list[ChainResult]:
-    """k independent chains seeded seed+0 .. seed+k-1; no cross-chain state.
+    """k independent chains seeded seed+0 .. seed+k-1, run one after another
+    in the calling thread (threads only slow a walk that holds the GIL).
 
     Each chain gets its own statistic tracker (via fork() when available),
-    so stateful trackers stay thread-confined.
+    so no tracker state passes from one chain to the next.
     """
     if n_chains < 1:
         raise ValueError("n_chains must be >= 1")
@@ -254,18 +222,11 @@ def run_chains(start: Table, cfg_matrix: Configuration, chain: ChainConfig,
                     check_every=chain.check_every)
         for k in range(n_chains)
     ]
-    trackers = []
-    for _ in range(n_chains):
-        trackers.append(statistic.fork() if hasattr(statistic, "fork") else statistic)
-    if n_chains == 1:
-        return [walk(start, cfg_matrix, configs[0], trackers[0])]
-    workers = min(n_chains, max_threads())
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(walk, start, cfg_matrix, cfg, trk)
-            for cfg, trk in zip(configs, trackers)
-        ]
-        return [f.result() for f in futures]
+    return [
+        walk(start, cfg_matrix, cfg,
+             statistic.fork() if hasattr(statistic, "fork") else statistic)
+        for cfg in configs
+    ]
 
 
 def pooled_pvalue(results: list[ChainResult]) -> tuple[float, float]:

@@ -16,23 +16,28 @@ tables in the same fiber.  The bases constructed here are:
   +-2 (those non-square-free moves are required: dropping them disconnects
   small fibers, which the brute-force oracle demonstrates).
 
-An enumerated basis stores each move in one sign only, the orientation
-whose lowest cell has a positive coefficient; the walk and ``random_move``
-draw the sign uniformly, which keeps the proposal symmetric (Diaconis &
-Sturmfels 1998).  Every type is generated as index products in numpy: all
-candidates of a type become ``(n, k)`` arrays of flat cells and
-coefficients, the term balance is one terms x cells matrix product, and
-duplicates are dropped on a canonical key (the sorted signed-cell codes),
-keeping the first occurrence in the order I, II/III, IV, IVt.  Grids up to
-``enumerate_threshold`` cells (default 400) are enumerated into a compact
-flat-array store; larger grids get a lazy rejection sampler with the same
-per-move support.
+Each type has one numpy kernel, which maps arrays of index tuples (rows and
+columns, or the rows and columns of two diagonal blocks) to ``(n, k)``
+arrays of flat cells, the type's coefficients and a type code; the term
+balance, one terms x cells matrix product, is checked after the kernel.
+Every move is canonicalized to a key (the sorted signed-cell codes, in the
+orientation whose lowest cell has a positive coefficient) and stored in
+that one sign, in flat arrays of offsets, cells and coefficients.
+
+Grids up to ``enumerate_threshold`` cells (default 400) are enumerated: the
+kernels get every index product, and duplicates are dropped on the key,
+keeping the first occurrence in the order I, II/III, IV, IVt.  Larger grids
+get a lazy basis, which feeds the kernels small batches of uniformly drawn
+index tuples and keeps the valid candidates in draw order.  Both bases give
+the walk the same sampler, and the walk draws the sign uniformly, which
+keeps the proposal symmetric (Diaconis & Sturmfels 1998).
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations, permutations
 
 import numpy as np
@@ -63,6 +68,11 @@ _KEY_WIDTH = 8
 _PAD = np.iinfo(np.int32).max
 # Candidates handled per numpy pass, which bounds the build's working memory.
 _CHUNK = 1 << 16
+# Candidates drawn per lazy batch: enough to spread the fixed cost of the
+# numpy calls over about 45 valid moves on a 24x24 four-block grid, few
+# enough that a batch's arrays (tens of kB) leave the resident high-water
+# mark where it is.
+_LAZY_BATCH = 1024
 
 
 @dataclass(frozen=True)
@@ -102,6 +112,31 @@ def _as_array(typecode: str, values) -> array:
     return out
 
 
+def _decode(keys: np.ndarray) -> tuple[array, array, array]:
+    """(offsets, flat cell ids, coefficients) of the moves with these keys."""
+    used = keys != _PAD
+    off = _as_array("i", np.concatenate(([0], np.cumsum(used.sum(axis=1)))))
+    codes = keys[used]
+    # decode in place and free each temporary early: a 12x12 common-block
+    # basis has 2.5M entries
+    coef = codes % 5
+    coef -= 2
+    coefs = _as_array("b", coef)
+    del coef
+    codes //= 5
+    return off, _as_array("i", codes), coefs
+
+
+def _move_at(store, k: int, C: int) -> Move:
+    """Move k of a store (offsets, flat cell ids, coefficients, type codes)."""
+    off, flat, coef, tcode = store
+    entries = tuple(
+        (flat[p] // C + 1, flat[p] % C + 1, coef[p])
+        for p in range(off[k], off[k + 1])
+    )
+    return Move(entries, TYPE_NAMES[tcode[k]])
+
+
 class MoveBasis:
     """Enumerated move set, one sign per move, in compact flat-array storage.
 
@@ -116,30 +151,14 @@ class MoveBasis:
         self.R = R
         self.C = C
         self.model = model
-        used = keys != _PAD
-        self._off = _as_array("i", np.concatenate(([0], np.cumsum(used.sum(axis=1)))))
-        codes = keys[used]
-        # decode in place and free each temporary early: a 12x12 common-block
-        # basis has 2.5M entries
-        coef = codes % 5
-        coef -= 2
-        self._coef = _as_array("b", coef)
-        del coef
-        codes //= 5
-        self._flat = _as_array("i", codes)
+        self._off, self._flat, self._coef = _decode(keys)
         self._tcode = bytes(np.asarray(tcodes, dtype=np.uint8))
 
     def __len__(self) -> int:
         return len(self._tcode)
 
     def move(self, k: int) -> Move:
-        lo, hi = self._off[k], self._off[k + 1]
-        C = self.C
-        entries = tuple(
-            (self._flat[p] // C + 1, self._flat[p] % C + 1, self._coef[p])
-            for p in range(lo, hi)
-        )
-        return Move(entries, TYPE_NAMES[self._tcode[k]])
+        return _move_at((self._off, self._flat, self._coef, self._tcode), k, self.C)
 
     def __iter__(self):
         return (self.move(k) for k in range(len(self)))
@@ -150,46 +169,24 @@ class MoveBasis:
         return {name: int(n) for name, n in zip(TYPE_NAMES, counts) if n}
 
     def move_arrays(self) -> tuple[array, array, array]:
-        """(offsets, flat cell ids, coefficients) for the sampler's hot loop."""
+        """(offsets, flat cell ids, coefficients) of every stored move."""
         return self._off, self._flat, self._coef
 
-
-def _strata_grid(model, R: int, C: int) -> list[list[int]]:
-    if model.family == _models.INDEPENDENCE:
-        return [[1] * (C + 1) for _ in range(R + 1)]
-    return [
-        [0] * (C + 1)
-    ] + [
-        [0] + [_models.cell_stratum(model, R, C, i, j) for j in range(1, C + 1)]
-        for i in range(1, R + 1)
-    ]
+    def sampler(self, rng):
+        """``(draw, store)``: ``draw()`` returns a uniform move index into the
+        store (offsets, flat cell ids, coefficients, type codes)."""
+        if not len(self):
+            raise ValueError("basis is empty")
+        return partial(rng.randrange, len(self)), (self._off, self._flat, self._coef, self._tcode)
 
 
-def _term_grids(model, R: int, C: int) -> list[list[list[bool]]]:
-    """1-based membership grids for each subtable term."""
-    grids = []
-    for _, cells in _models.terms(model, R, C):
-        g = [[False] * (C + 1) for _ in range(R + 1)]
-        for i, j in cells:
-            g[i][j] = True
-        grids.append(g)
-    return grids
-
-
-def _terms_balanced(term_grids, entries) -> bool:
-    for g in term_grids:
-        if sum(c for i, j, c in entries if g[i][j]) != 0:
-            return False
-    return True
-
-
-def _band_tables(model, R: int, C: int) -> tuple[list[int], list[int], int]:
-    """1-based band id per row and per column; leftover rows/cols (general
-    model) get band N+1 so the complement is still carved into blocks."""
-    N = _models.n_blocks(model)
-    rows = [0] + [_models.row_band(model, i) for i in range(1, R + 1)]
-    cols = [0] + [_models.col_band(model, j) for j in range(1, C + 1)]
-    return rows, cols, N
+def _bands(model, R: int, C: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """0-based arrays of the 1-based row and column band ids, and N;
+    leftover rows/cols (general model) get band N+1 so the complement is
+    still carved into blocks."""
+    rband = np.array([_models.row_band(model, i) for i in range(1, R + 1)])
+    cband = np.array([_models.col_band(model, j) for j in range(1, C + 1)])
+    return rband, cband, _models.n_blocks(model)
 
 
 def _term_matrix(model, R: int, C: int) -> np.ndarray:
@@ -230,6 +227,62 @@ def _keys(flats: np.ndarray, coefs: np.ndarray) -> np.ndarray:
     return keys
 
 
+# --- the kernels: index arrays -> (flat cells, coefficients, type code) ---------
+
+_I_COEFS = np.array([1, -1, -1, 1], dtype=np.int8)
+_LOOP_COEFS = np.array([1, 1, 1, -1, -1, -1], dtype=np.int8)
+_IV_COEFS = np.array([1, 1, 1, 1, -1, -1, -1, -1], dtype=np.int8)
+_UNIQUE_SLOT = -1 - np.arange(6)
+
+
+def _type_i_cells(i1, i2, j1, j2, C: int):
+    """Type I: the basic move (i1,j1) + (i2,j2) - (i1,j2) - (i2,j1)."""
+    i1, i2 = i1 * C, i2 * C
+    flats = np.stack([i1 + j1, i1 + j2, i2 + j1, i2 + j2], axis=-1)
+    return flats, _I_COEFS, _TYPE_CODE["I"]
+
+
+def _all_distinct(codes: np.ndarray) -> np.ndarray:
+    s = np.sort(codes, axis=-1)
+    return (s[..., 1:] != s[..., :-1]).all(axis=-1)
+
+
+def _loop_cells(bands, rows: np.ndarray, cols: np.ndarray, C: int):
+    """Types II and III: the degree-3 loop with +1 at (rows[q], cols[q]) and
+    -1 at (rows[q + 3], cols[q + 3]), q < 3, typed by block geometry.  Type
+    II has its six cells in distinct off-diagonal blocks; Type III has one
+    +1 and one -1 cell in distinct diagonal blocks and its other four cells
+    in distinct off-diagonal blocks.  Other loops get code -1."""
+    rband, cband, N = bands
+    rb, cb = rband[rows], cband[cols]
+    blocks = rb * (N + 2) + cb
+    in_s = (rb == cb) & (rb <= N)
+    n_s = in_s.sum(axis=-1)
+    tcode = np.full(n_s.shape, -1, dtype=np.int8)
+    tcode[(n_s == 0) & _all_distinct(blocks)] = _TYPE_CODE["II"]
+    iii = ((n_s == 2) & ((_LOOP_COEFS * in_s).sum(axis=-1) == 0)
+           & _all_distinct(np.where(in_s, blocks, _UNIQUE_SLOT))
+           & _all_distinct(np.where(in_s, _UNIQUE_SLOT, blocks)))
+    tcode[iii] = _TYPE_CODE["III"]
+    return rows * C + cols, _LOOP_COEFS, tcode
+
+
+def _type_iv_cells(i1, i2, i3, i4, j1, j2, j3, j4, C: int, transposed: bool):
+    """Type IV between diagonal blocks k and l: +1 at (i1,j1) (i2,j2)
+    (i3,j3) (i4,j4) and -1 at (i1,j3) (i2,j4) (i3,j2) (i4,j1), with i1, i2
+    in row band k, i3, i4 in row band l, j1 in column band k, j2 in column
+    band l and j3, j4 in neither; coincident indices stack into +-2 entries
+    once the move is keyed.  The transpose takes the indices in the
+    transposed grid and swaps rows and columns."""
+    rows = np.stack(np.broadcast_arrays(i1, i2, i3, i4, i1, i2, i3, i4), axis=-1)
+    cols = np.stack(np.broadcast_arrays(j1, j2, j3, j4, j3, j4, j2, j1), axis=-1)
+    if transposed:
+        rows, cols = cols, rows
+    return rows * C + cols, _IV_COEFS, _TYPE_CODE["IVt" if transposed else "IV"]
+
+
+# --- enumeration: every index product ---------------------------------------------
+
 class _Candidates:
     """Canonical keys and type codes of generated moves, in generation order."""
 
@@ -263,21 +316,16 @@ class _Candidates:
         return MoveBasis(R, C, model, keys, tcodes[keep])
 
 
-_I_COEFS = np.array([1, -1, -1, 1], dtype=np.int8)
-
-
 def _pairs(n: int, k: int) -> np.ndarray:
     """(m, k) array of the k-subsets of range(n), in lexicographic order."""
     return np.array(list(combinations(range(n), k)), dtype=np.int32).reshape(-1, k)
 
 
 def _type_i(out: _Candidates, R: int, C: int) -> None:
-    """Every basic move (i1,j1) + (i2,j2) - (i1,j2) - (i2,j1), i1 < i2, j1 < j2."""
-    rows = _pairs(R, 2) * C
-    cols = _pairs(C, 2)
-    i1, i2, j1, j2 = rows[:, :1], rows[:, 1:], cols[:, 0], cols[:, 1]
-    flats = np.stack([i1 + j1, i1 + j2, i2 + j1, i2 + j2], axis=-1)
-    out.add(flats.reshape(-1, 4), _I_COEFS, _TYPE_CODE["I"])
+    """Every basic move with i1 < i2, j1 < j2."""
+    rows, cols = _pairs(R, 2), _pairs(C, 2)
+    flats, coefs, tcode = _type_i_cells(rows[:, :1], rows[:, 1:], cols[:, 0], cols[:, 1], C)
+    out.add(flats.reshape(-1, 4), coefs, tcode)
 
 
 def basis_change_point(model, R: int, C: int) -> MoveBasis:
@@ -295,29 +343,11 @@ def basis_change_point(model, R: int, C: int) -> MoveBasis:
     return out.basis(R, C, model)
 
 
-def _bands(model, R: int, C: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """0-based arrays of the 1-based row and column band ids, and N."""
-    rband, cband, N = _band_tables(model, R, C)
-    return np.array(rband[1:]), np.array(cband[1:]), N
-
-
-def _all_distinct(codes: np.ndarray) -> np.ndarray:
-    s = np.sort(codes, axis=-1)
-    return (s[..., 1:] != s[..., :-1]).all(axis=-1)
-
-
-_LOOP_COEFS = np.array([1, 1, 1, -1, -1, -1], dtype=np.int8)
-
-
-def _type_ii_iii(out: _Candidates, model, R: int, C: int, want_ii: bool, want_iii: bool) -> None:
-    """Degree-3 loops classified into Types II and III by block geometry.
-
-    A loop on rows r and columns c has +1 at (r[k], c[p[k]]) and -1 at
-    (r[k], c[p[k+1 mod 3]]) for a permutation p; the shift by one alone gives
-    every loop once up to sign.  Row triples are handled in chunks.
-    """
-    rband, cband, N = _bands(model, R, C)
-    n_bands = N + 2
+def _type_ii_iii(out: _Candidates, bands, R: int, C: int, wanted: list[int]) -> None:
+    """Every degree-3 loop of the wanted codes.  A loop on rows r and
+    columns c has +1 at (r[k], c[p[k]]) and -1 at (r[k], c[p[k+1 mod 3]])
+    for a permutation p; the shift by one alone gives every loop once up to
+    sign.  Row triples are handled in chunks."""
     perms = np.array(list(permutations(range(3))))
     col3 = _pairs(C, 3)
     # (column triple, permutation) -> the columns of the +1, then the -1 cells
@@ -326,43 +356,19 @@ def _type_ii_iii(out: _Candidates, model, R: int, C: int, want_ii: bool, want_ii
     rows = np.concatenate([row3, row3], axis=1)
     if not len(cols) or not len(rows):
         return
-    col_bands = cband[cols]
-    unique_slot = -1 - np.arange(6)
     step = max(1, _CHUNK // len(cols))
     for lo in range(0, len(rows), step):
-        r = rows[lo:lo + step, None, :]
-        rb = rband[r]
-        blocks = rb * n_bands + col_bands
-        in_s = (rb == col_bands) & (rb <= N)
-        n_s = in_s.sum(axis=2)
-        tcode = np.full(n_s.shape, -1, dtype=np.int8)
-        if want_ii:
-            tcode[(n_s == 0) & _all_distinct(blocks)] = _TYPE_CODE["II"]
-        if want_iii:
-            iii = ((n_s == 2) & ((_LOOP_COEFS * in_s).sum(axis=2) == 0)
-                   & _all_distinct(np.where(in_s, blocks, unique_slot))
-                   & _all_distinct(np.where(in_s, unique_slot, blocks)))
-            tcode[iii] = _TYPE_CODE["III"]
-        a, b = np.nonzero(tcode >= 0)
-        flats = rows[lo + a] * C + cols[b]
-        out.add(flats, _LOOP_COEFS, tcode[a, b])
+        flats, coefs, tcode = _loop_cells(bands, rows[lo:lo + step, None, :], cols, C)
+        keep = np.isin(tcode, wanted)
+        out.add(flats[keep], coefs, tcode[keep])
 
 
-_IV_COEFS = np.array([1, 1, 1, 1, -1, -1, -1, -1], dtype=np.int8)
-
-
-def _type_iv(out: _Candidates, model, R: int, C: int, transposed: bool) -> None:
-    """Degree-4 double interchanges between diagonal blocks k and l:
-    +1 at (i1,j1) (i2,j2) (i3,j3) (i4,j4) and -1 at (i1,j3) (i2,j4) (i3,j2)
-    (i4,j1), with i1, i2 in row band k, i3, i4 in row band l, j1 in column
-    band k, j2 in column band l and j3, j4 in neither; coincident indices
-    stack into +-2 entries.  The pattern of (l, k) is the negation of that
-    of (k, l), so only k < l is generated, one block pair at a time.  The
-    transpose runs the same pattern with rows and columns swapped."""
-    rband, cband, N = _bands(model, R, C)
+def _type_iv(out: _Candidates, bands, C: int, transposed: bool) -> None:
+    """Every Type IV move.  The pattern of blocks (l, k) is the negation of
+    that of (k, l), so only k < l is generated, one block pair at a time."""
+    rband, cband, N = bands
     if transposed:
         rband, cband = cband, rband
-    tcode = _TYPE_CODE["IVt" if transposed else "IV"]
     for k in range(1, N + 1):
         for l in range(k + 1, N + 1):
             rk, rl = np.flatnonzero(rband == k), np.flatnonzero(rband == l)
@@ -373,212 +379,238 @@ def _type_iv(out: _Candidates, model, R: int, C: int, transposed: bool) -> None:
             for first in rk:  # one first row at a time bounds the working set
                 grid = np.meshgrid(rk, rl, rl, ck, cl, other, other, indexing="ij")
                 i2, i3, i4, j1, j2, j3, j4 = (g.ravel().astype(np.int32) for g in grid)
-                i1 = np.full_like(i2, first)
-                rows = np.stack([i1, i2, i3, i4, i1, i2, i3, i4], axis=1)
-                cols = np.stack([j1, j2, j3, j4, j3, j4, j2, j1], axis=1)
-                if transposed:
-                    rows, cols = cols, rows
-                out.add(rows * C + cols, _IV_COEFS, tcode)
+                out.add(*_type_iv_cells(np.int32(first), i2, i3, i4, j1, j2, j3, j4,
+                                        C, transposed))
+
+
+def _block_types(model, types) -> tuple[str, ...]:
+    """Own-parameter models get Types I+II (the unique minimal basis; Type
+    II is vacuous for N = 2), common/general models Types I-IV with Type IV
+    transposes; ``types`` restricts the selection."""
+    if types is None:
+        return ("I", "II") if model.family == _models.OWN_BLOCKS else TYPE_NAMES
+    unknown = set(types) - set(TYPE_NAMES)
+    if unknown:
+        raise ValueError(f"unknown move types {sorted(unknown)}")
+    return tuple(types)
 
 
 def basis_block(model, R: int, C: int, types: tuple[str, ...] | None = None) -> MoveBasis:
     """Markov basis for a block-family model.
 
-    Default type selection: own-parameter models get Types I+II (the unique
-    minimal basis; Type II is vacuous for N = 2), common/general models get
-    Types I-IV with Type IV transposes.  ``types`` restricts the selection,
-    which the verification sweeps use to exhibit disconnection witnesses.
+    ``types`` restricts the default selection, which the verification sweeps
+    use to exhibit disconnection witnesses.
     """
     if model.family not in (_models.OWN_BLOCKS, _models.COMMON_BLOCKS, _models.GENERAL_BLOCKS):
         raise _models.ModelError(f"block basis needs a block-family model, got {model.family}")
     _models.require_valid(model, R, C)
-    if types is None:
-        types = ("I", "II") if model.family == _models.OWN_BLOCKS else ("I", "II", "III", "IV", "IVt")
-    unknown = set(types) - set(TYPE_NAMES)
-    if unknown:
-        raise ValueError(f"unknown move types {sorted(unknown)}")
+    types = _block_types(model, types)
+    bands = _bands(model, R, C)
     out = _Candidates(_term_matrix(model, R, C))
     if "I" in types:
         _type_i(out, R, C)
     if "II" in types or "III" in types:
-        _type_ii_iii(out, model, R, C, "II" in types, "III" in types)
+        _type_ii_iii(out, bands, R, C, [_TYPE_CODE[t] for t in ("II", "III") if t in types])
     if "IV" in types:
-        _type_iv(out, model, R, C, transposed=False)
+        _type_iv(out, bands, C, transposed=False)
     if "IVt" in types:
-        _type_iv(out, model, R, C, transposed=True)
+        _type_iv(out, bands, C, transposed=True)
     return out.basis(R, C, model)
 
 
-def _type_iv_entries(i1, i2, i3, i4, j1, j2, j3, j4):
-    """Accumulate the degree-4 double-interchange pattern; coincident indices
-    stack into +-2 entries (the non-square-free moves)."""
-    acc: dict[tuple[int, int], int] = {}
-    for (i, j), c in (
-        ((i1, j1), 1), ((i2, j2), 1), ((i3, j3), 1), ((i4, j4), 1),
-        ((i1, j3), -1), ((i2, j4), -1), ((i3, j2), -1), ((i4, j1), -1),
-    ):
-        acc[(i, j)] = acc.get((i, j), 0) + c
-    return tuple((i, j, c) for (i, j), c in acc.items() if c)
+# --- lazy draws: uniform index tuples --------------------------------------------
+
+def _words(rng, n: int, k: int) -> np.ndarray:
+    """(n, k) uniform 32-bit words, from one ``getrandbits`` call."""
+    bits = rng.getrandbits(32 * n * k).to_bytes(4 * n * k, "little")
+    return np.frombuffer(bits, dtype=np.uint32).reshape(n, k).astype(np.uint64)
+
+
+def _below(u: np.ndarray, n) -> np.ndarray:
+    """Integers in [0, n) from 32-bit words, by multiply and shift (the
+    bias, under n / 2**32, leaves the draw state-independent, which is all
+    the walk needs)."""
+    return (u * np.asarray(n, dtype=np.uint64) >> np.uint64(32)).astype(np.intp)
+
+
+def _distinct(u: np.ndarray, n: int) -> np.ndarray:
+    """(m, k) uniform ordered draws without replacement from range(n), k <= 3,
+    from (m, k) words: each draw skips the earlier ones in ascending order."""
+    a = _below(u[:, 0], n)
+    b = _below(u[:, 1], n - 1)
+    b += b >= a
+    if u.shape[1] == 2:
+        return np.stack([a, b], axis=1)
+    c = _below(u[:, 2], n - 2)
+    c += c >= np.minimum(a, b)
+    c += c >= np.maximum(a, b)
+    return np.stack([a, b, c], axis=1)
+
+
+def _band_index(band: np.ndarray, n_bands: int):
+    """Indices sorted by band, and each band's start and count in that order."""
+    count = np.bincount(band, minlength=n_bands + 1)
+    return np.argsort(band, kind="stable"), np.cumsum(count) - count, count
+
+
+def _pick(index, band: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """A uniform index of each given band (every band 1..N is nonempty)."""
+    order, start, count = index
+    return order[start[band] + _below(u, count[band])]
+
+
+def _pick_other(index, k: np.ndarray, l: np.ndarray, u: np.ndarray):
+    """A uniform index outside bands k and l, and whether there is one: the
+    u-th of the others skips the two bands' runs in the sorted order."""
+    order, start, count = index
+    n_other = len(order) - count[k] - count[l]
+    lo, hi = np.minimum(k, l), np.maximum(k, l)
+    p = _below(u, n_other)
+    p += count[lo] * (p >= start[lo])
+    p += count[hi] * (p >= start[hi])
+    return order[np.minimum(p, len(order) - 1)], n_other > 0
+
+
+# the type code whose kernel draws each type: II and III share the loops
+_KERNEL_OF = np.array([0, 1, 1, 3, 4])
+
+
+def _pattern_space(t: str, R: int, C: int, N: int) -> float:
+    if t == "I":
+        return R * (R - 1) / 2 * C * (C - 1) / 2
+    if t in ("II", "III"):
+        return R * (R - 1) * (R - 2) * C * (C - 1) * (C - 2) / 3
+    if N < 2:
+        return 0  # Type IV needs two diagonal blocks
+    return R * R * C * C  # rough; only relative draw rates are affected
 
 
 class LazyMoveBasis:
-    """Rejection sampler over the same move families, for grids too large to
-    enumerate.  Draw a type with weight proportional to its raw pattern-space
-    size, then uniform indices; invalid candidates are rejected and redrawn,
-    so the selection is state-independent and sign-symmetric."""
+    """The same move families, drawn instead of enumerated, for grids too
+    large to enumerate.  A candidate draws a type with weight proportional
+    to its raw pattern-space size, then uniform distinct rows and columns
+    and a shift of 1 or 2 (Types I-III), or a uniform ordered pair of
+    diagonal blocks and uniform rows and columns of the bands the pattern
+    needs (Type IV).  The kernels keep the candidates of the drawn type
+    whose terms balance, so the selection is state-independent, and a
+    sampler walks through them one batch at a time."""
 
     kind = "lazy"
 
     def __init__(self, model, R: int, C: int, types: tuple[str, ...]) -> None:
+        _models.require_valid(model, R, C)
         self.model = model
         self.R = R
         self.C = C
         self.types = types
-        self._term_grids = _term_grids(model, R, C)
-        self._strata = (
-            _strata_grid(model, R, C)
-            if model.family in (_models.CHANGE_POINT, _models.INDEPENDENCE)
-            else None
-        )
-        if self._strata is None:
-            self._rband, self._cband, self._N = _band_tables(model, R, C)
-        weights = [self._pattern_space(t) for t in types]
-        total = float(sum(weights))
-        if total <= 0:
+        self._terms = _term_matrix(model, R, C)
+        N = 0
+        if model.family not in (_models.CHANGE_POINT, _models.INDEPENDENCE):
+            self._bands = rband, cband, N = _bands(model, R, C)
+            self._index = (_band_index(rband, N + 1), _band_index(cband, N + 1))
+        weights = np.array([_pattern_space(t, R, C, N) for t in types])
+        if weights.sum() <= 0:
             raise ValueError("lazy basis has empty pattern space")
         # types with an empty pattern space are never drawn
-        self._drawn = tuple(t for t, w in zip(types, weights) if w > 0)
-        self._cum = []
-        acc = 0.0
-        for w in weights:
-            if w > 0:
-                acc += w / total
-                self._cum.append(acc)
+        self._drawn = np.array([_TYPE_CODE[t] for t, w in zip(types, weights) if w > 0])
+        self._kernels = sorted(set(_KERNEL_OF[self._drawn].tolist()))
+        self._cum = np.cumsum(weights[weights > 0]) / weights.sum()
+        self._cum[-1] = 1.0
 
-    def _pattern_space(self, t: str) -> float:
+    def _candidates(self, code: int, rng, m: int):
+        """Kernel output for m candidates of one type's kernel."""
         R, C = self.R, self.C
-        if t == "I":
-            return R * (R - 1) / 2 * C * (C - 1) / 2
-        if t in ("II", "III"):
-            return R * (R - 1) * (R - 2) * C * (C - 1) * (C - 2) / 3
-        if self._N < 2:
-            return 0  # Type IV needs two diagonal blocks
-        return R * R * C * C  # rough; only relative draw rates are affected
-    def _draw_candidate(self, t: str, rng):
-        R, C = self.R, self.C
-        if t == "I":
-            i1, i2 = rng.sample(range(1, R + 1), 2)
-            j1, j2 = rng.sample(range(1, C + 1), 2)
-            return ((i1, j1, 1), (i2, j2, 1), (i1, j2, -1), (i2, j1, -1))
-        if t in ("II", "III"):
-            rows = rng.sample(range(1, R + 1), 3)
-            cols = rng.sample(range(1, C + 1), 3)
-            pos = list(range(3))
-            rng.shuffle(pos)
-            shift = rng.choice((1, 2))
-            entries = tuple((rows[k], cols[pos[k]], 1) for k in range(3)) + tuple(
-                (rows[k], cols[pos[(k + shift) % 3]], -1) for k in range(3)
-            )
-            return entries
-        # Type IV and its transpose, by uniform band/index draw
-        transposed = t == "IVt"
-        rband, cband = self._rband, self._cband
-        if transposed:
-            rband, cband = cband, rband
-            R, C = C, R
-        N = self._N
-        k, l = rng.sample(range(1, N + 1), 2)
-        rows_k = [i for i in range(1, R + 1) if rband[i] == k]
-        rows_l = [i for i in range(1, R + 1) if rband[i] == l]
-        cols_k = [j for j in range(1, C + 1) if cband[j] == k]
-        cols_l = [j for j in range(1, C + 1) if cband[j] == l]
-        other = [j for j in range(1, C + 1) if cband[j] not in (k, l)]
-        if not (rows_k and rows_l and cols_k and cols_l and other):
-            return None
-        entries = _type_iv_entries(
-            rng.choice(rows_k), rng.choice(rows_k),
-            rng.choice(rows_l), rng.choice(rows_l),
-            rng.choice(cols_k), rng.choice(cols_l),
-            rng.choice(other), rng.choice(other),
-        )
-        if transposed:
-            entries = tuple((j, i, c) for i, j, c in entries)
-        return entries
+        if code == _TYPE_CODE["I"]:
+            u = _words(rng, m, 4)
+            rows, cols = _distinct(u[:, 0:2], R), _distinct(u[:, 2:4], C)
+            return _type_i_cells(rows[:, 0], rows[:, 1], cols[:, 0], cols[:, 1], C)
+        if code == _TYPE_CODE["II"]:
+            u = _words(rng, m, 7)
+            rows, cols = _distinct(u[:, 0:3], R), _distinct(u[:, 3:6], C)
+            minus = np.where(u[:, 6:] >> np.uint64(31), cols[:, [2, 0, 1]], cols[:, [1, 2, 0]])
+            return _loop_cells(self._bands, np.concatenate([rows, rows], axis=1),
+                               np.concatenate([cols, minus], axis=1), C)
+        u = _words(rng, m, 10)
+        transposed = code == _TYPE_CODE["IVt"]
+        rows, cols = self._index[::-1] if transposed else self._index
+        k, l = (_distinct(u[:, 0:2], self._bands[2]) + 1).T
+        j3, ok = _pick_other(cols, k, l, u[:, 2])
+        j4, _ = _pick_other(cols, k, l, u[:, 3])
+        flats, coefs, tcode = _type_iv_cells(
+            _pick(rows, k, u[:, 4]), _pick(rows, k, u[:, 5]),
+            _pick(rows, l, u[:, 6]), _pick(rows, l, u[:, 7]),
+            _pick(cols, k, u[:, 8]), _pick(cols, l, u[:, 9]), j3, j4, C, transposed)
+        return flats, coefs, np.where(ok, tcode, -1)
 
-    def _classify_ok(self, t: str, entries) -> bool:
-        if self._strata is not None:
-            strata = self._strata
-            (i1, j1, _), (i2, j2, _), (i1b, j2b, _), (i2b, j1b, _) = entries
-            return sorted((strata[i1][j1], strata[i2][j2])) == sorted(
-                (strata[i1][j2], strata[i2][j1])
-            )
-        rband, cband, N = self._rband, self._cband, self._N
-        if t in ("II", "III"):
-            blocks = [(rband[i], cband[j]) for i, j, _ in entries]
-            in_s = [k == l and k <= N for k, l in blocks]
-            n_s = sum(in_s)
-            if t == "II":
-                if n_s != 0 or len(set(blocks)) != 6:
-                    return False
-            else:
-                if n_s != 2:
-                    return False
-                s_entries = [e for e, s in zip(entries, in_s) if s]
-                if s_entries[0][2] + s_entries[1][2] != 0:
-                    return False
-                b = [blk for blk, s in zip(blocks, in_s) if s]
-                if b[0] == b[1]:
-                    return False
-                rest = [blk for blk, s in zip(blocks, in_s) if not s]
-                if len(set(rest)) != 4:
-                    return False
-        return _terms_balanced(self._term_grids, entries)
+    def _batch(self, rng) -> tuple[np.ndarray, np.ndarray]:
+        """Keys and type codes of one batch's valid candidates, in draw order.
+        Candidates are padded to eight cells with zero coefficients, so the
+        term balance and the keys take one numpy pass for the whole batch."""
+        u = _words(rng, _LAZY_BATCH, 1)[:, 0]
+        drawn = self._drawn[np.searchsorted(self._cum, u * 2.0 ** -32)]
+        flats = np.zeros((_LAZY_BATCH, _KEY_WIDTH), dtype=np.intp)
+        coefs = np.zeros((_LAZY_BATCH, _KEY_WIDTH), dtype=np.int8)
+        ok = np.zeros(_LAZY_BATCH, dtype=bool)
+        kernel = _KERNEL_OF[drawn]
+        for code in self._kernels:
+            mine = np.flatnonzero(kernel == code)
+            if not len(mine):
+                continue
+            f, c, got = self._candidates(code, rng, len(mine))
+            flats[mine, :f.shape[1]] = f
+            coefs[mine, :f.shape[1]] = c
+            ok[mine] = got == drawn[mine]
+        ok &= _balanced(self._terms, flats, coefs)
+        return _keys(flats[ok], coefs[ok]), drawn[ok].astype(np.uint8)
 
-    def random_move(self, rng) -> Move:
-        while True:
-            u = rng.random()
-            t = self._drawn[-1]
-            for name, edge in zip(self._drawn, self._cum):
-                if u <= edge:
-                    t = name
-                    break
-            entries = self._draw_candidate(t, rng)
-            if entries is None:
-                continue
-            if not self._classify_ok(t, entries):
-                continue
-            return Move(tuple(sorted(entries)), t)
+    def sampler(self, rng):
+        """``(draw, store)`` like ``MoveBasis.sampler``; the store holds one
+        batch of drawn moves, and ``draw()`` refills it in place when the
+        batch is spent, so the returned arrays stay current."""
+        store = off, flat, coef, tcode = array("i"), array("i"), array("b"), bytearray()
+        pos = n = 0
+
+        def draw() -> int:
+            nonlocal pos, n
+            if pos == n:
+                keys, codes = self._batch(rng)
+                while not len(codes):
+                    keys, codes = self._batch(rng)
+                off[:], flat[:], coef[:] = _decode(keys)
+                tcode[:] = codes.tobytes()
+                pos, n = 0, len(codes)
+            pos += 1
+            return pos - 1
+
+        return draw, store
 
 
 def basis_for_model(model, R: int, C: int, types: tuple[str, ...] | None = None,
                     enumerate_threshold: int = 400):
     """Dispatch on family; enumerate up to ``enumerate_threshold`` cells,
-    return a lazy sampler beyond it."""
-    if model.family in (_models.CHANGE_POINT, _models.INDEPENDENCE):
-        if R * C <= enumerate_threshold:
-            return basis_change_point(model, R, C)
-        return LazyMoveBasis(model, R, C, ("I",))
-    if R * C <= enumerate_threshold:
-        return basis_block(model, R, C, types)
-    if types is None:
-        types = ("I", "II") if model.family == _models.OWN_BLOCKS else ("I", "II", "III", "IV", "IVt")
-    return LazyMoveBasis(model, R, C, types)
+    return a lazy basis beyond it."""
+    change_point = model.family in (_models.CHANGE_POINT, _models.INDEPENDENCE)
+    if R * C > enumerate_threshold:
+        return LazyMoveBasis(model, R, C, ("I",) if change_point else _block_types(model, types))
+    if change_point:
+        return basis_change_point(model, R, C)
+    return basis_block(model, R, C, types)
 
 
 def random_move(basis, rng) -> Move:
-    """Uniform move and uniform sign from an enumerated basis, as the walk
-    draws them; delegated draw for lazy ones.
+    """One move of ``basis.sampler(rng)`` with a uniform sign, as the walk
+    draws it.
 
     Every basis element has positive draw probability in both signs and the
     distribution is state-independent, which is what the Metropolis kernel
-    requires.
+    requires.  The sampler is kept on the basis while the same ``rng`` is
+    passed, so repeated calls use up a lazy batch before drawing the next.
     """
-    if isinstance(basis, LazyMoveBasis):
-        return basis.random_move(rng)
-    n = len(basis)
-    if n == 0:
-        raise ValueError("basis is empty")
-    move = basis.move(rng.randrange(n))
+    held = getattr(basis, "_held_sampler", None)
+    if held is None or held[0] is not rng:
+        held = basis._held_sampler = (rng, *basis.sampler(rng))
+    _, draw, store = held
+    move = _move_at(store, draw(), basis.C)
     return move.negated() if rng.random() < 0.5 else move
 
 

@@ -28,7 +28,6 @@ import numpy as np
 __all__ = [
     "Table",
     "Rectangle",
-    "CellSet",
     "Configuration",
     "build_configuration",
     "sufficient_statistic",
@@ -149,35 +148,6 @@ class Rectangle:
             and self.b1 <= other.b1
             and other.b2 <= self.b2
         )
-
-
-@dataclass(frozen=True)
-class CellSet:
-    """An explicit, duplicate-free set of 1-based cells."""
-
-    cells: frozenset[tuple[int, int]]
-
-    @classmethod
-    def of(cls, cells: Iterable[tuple[int, int]]) -> "CellSet":
-        return cls(frozenset((int(i), int(j)) for i, j in cells))
-
-    @classmethod
-    def from_rectangle(cls, rect: Rectangle) -> "CellSet":
-        return cls(frozenset(rect.cells()))
-
-    def check_in_grid(self, R: int, C: int) -> None:
-        for i, j in self.cells:
-            if not (1 <= i <= R and 1 <= j <= C):
-                raise TableError(f"cell ({i},{j}) outside {R}x{C} grid")
-
-    def __contains__(self, cell: tuple[int, int]) -> bool:
-        return cell in self.cells
-
-    def __len__(self) -> int:
-        return len(self.cells)
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(sorted(self.cells))
 
 
 @dataclass(frozen=True)

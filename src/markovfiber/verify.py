@@ -65,9 +65,12 @@ def _universe(R: int, C: int, total: int):
     idx = np.fromiter(
         (c for comb in combos for c in comb), dtype=np.int64
     ).reshape(-1, total)
-    flat = idx + n_cells * np.arange(idx.shape[0], dtype=np.int64)[:, None]
-    tables = np.bincount(flat.ravel(), minlength=idx.shape[0] * n_cells)
-    tables = tables.reshape(idx.shape[0], n_cells).astype(np.uint8)
+    # one pass per chosen cell fills the uint8 tables in place; a bincount
+    # over every (table, cell) slot allocates eight times their size
+    tables = np.zeros((idx.shape[0], n_cells), dtype=np.uint8)
+    rows = np.arange(idx.shape[0])
+    for col in idx.T:
+        tables[rows, col] += 1
     order = np.argsort(_row_view(tables), kind="stable")
     tables = np.ascontiguousarray(tables[order])
     return tables, _row_view(tables)
@@ -140,8 +143,10 @@ def connectivity_sweep(model: ModelSpec, R: int, C: int, total: int,
     tables, view = _universe(R, C, total)
     n = tables.shape[0]
 
-    t_float = tables.astype(np.float64) @ np.asarray(cfg.matrix, dtype=np.float64).T
-    t_all = np.rint(t_float).astype(np.int32)
+    # exact in uint8: a statistic is at most the total, which the uint8
+    # tables already keep below 256; a float64 copy of the tables would be
+    # the sweep's largest array
+    t_all = (tables @ np.asarray(cfg.matrix, dtype=np.uint8).T).astype(np.int32)
     _, fiber_id = np.unique(t_all, axis=0, return_inverse=True)
     fiber_id = fiber_id.ravel()
     n_fibers = int(fiber_id.max()) + 1 if n else 0

@@ -7,7 +7,7 @@ import pytest
 
 from markovfiber.cli import main
 from markovfiber.datasets import dataset, dataset_models
-from markovfiber.models import CHANGE_POINT, ModelSpec, load_model, save_model
+from markovfiber.models import CHANGE_POINT, COMMON_BLOCKS, ModelSpec, load_model, save_model
 from markovfiber.tables import Rectangle, read_table_csv
 
 GILBY_CHI2 = 153.66942307412367
@@ -200,6 +200,22 @@ def test_fiber_cap_overflow(capsys, tmp_path, cp_model_path):
     code, rep = run_json(capsys, "fiber", "--table", str(table),
                          "--model", cp_model_path, "--cap", "3")
     assert code == 0 and rep["overflowed"] is True
+
+
+def test_check_connect_above_the_enumeration_threshold(capsys, tmp_path):
+    # 420 cells: the basis is lazy, so there is no move set to check
+    path = tmp_path / "common.json"
+    save_model(ModelSpec(family=COMMON_BLOCKS, row_bounds=(1, 11, 22),
+                         col_bounds=(1, 11, 21)), path)
+    table = tmp_path / "t.csv"
+    rows = [[0] * 20 for _ in range(21)]
+    rows[0][0] = rows[1][1] = 1  # fiber: this table and its swap of columns 1, 2
+    table.write_text("".join(",".join(map(str, r)) + "\n" for r in rows))
+    code, rep = run_json(capsys, "fiber", "--table", str(table),
+                         "--model", str(path), "--check-connect")
+    assert code == 1
+    assert rep["error"]["type"] == "CliError"
+    assert "enumerated basis" in rep["error"]["message"]
 
 
 def test_verify_single_model(capsys, cp_model_path):

@@ -10,12 +10,11 @@ from markovfiber.mcmc import (
     ChainConfig,
     ChainResult,
     estimate_pvalue,
-    max_threads,
     pooled_pvalue,
     run_chains,
     walk,
 )
-from markovfiber.models import INDEPENDENCE, ModelSpec
+from markovfiber.models import COMMON_BLOCKS, INDEPENDENCE, ModelSpec
 from markovfiber.moves import basis_for_model
 from markovfiber.tables import Table, build_configuration, sufficient_statistic
 from markovfiber.datasets import gilby_model, gilby_table
@@ -125,19 +124,6 @@ def test_pooled_pvalue_single_chain_batches():
         pooled_pvalue([])
 
 
-def test_max_threads_env(monkeypatch):
-    monkeypatch.setenv("MARKOV_FIBER_THREADS", "3")
-    assert max_threads() == 3
-    monkeypatch.setenv("MARKOV_FIBER_THREADS", "zero")
-    with pytest.raises(ValueError):
-        max_threads()
-    monkeypatch.setenv("MARKOV_FIBER_THREADS", "0")
-    with pytest.raises(ValueError):
-        max_threads()
-    monkeypatch.delenv("MARKOV_FIBER_THREADS")
-    assert max_threads() >= 1
-
-
 def test_two_state_fiber_occupancy_is_even():
     table, cfg, basis = indep_setup([[1, 0], [0, 1]])
     t = sufficient_statistic(table, cfg)
@@ -163,6 +149,25 @@ def test_sampler_pvalue_matches_exact_on_small_fiber():
     res = walk(table, cfg,
                ChainConfig(steps=200_000, burn_in=10_000, thin=10, seed=3,
                            proposal=basis), stat)
+    _, se = pooled_pvalue([res])
+    assert abs(res.pvalue - p_exact) <= 3 * max(se, 1e-4)
+
+
+def test_lazy_sampler_pvalue_matches_exact_on_small_fiber():
+    # three diagonal blocks, so the lazy basis draws all five move types
+    model = ModelSpec(family=COMMON_BLOCKS, row_bounds=(1, 2, 3, 5), col_bounds=(1, 2, 3, 5))
+    table = Table.from_rows([[2, 1, 1, 0], [1, 2, 0, 1], [1, 0, 2, 1], [0, 1, 1, 2]])
+    cfg = build_configuration(model, 4, 4)
+    lazy = basis_for_model(model, 4, 4, enumerate_threshold=0)
+    assert lazy.kind == "lazy"
+
+    def stat(arr):
+        return float(arr[0, 2] + arr[2, 0])
+
+    p_exact = exact_pvalue(table, cfg, stat)
+    res = walk(table, cfg,
+               ChainConfig(steps=200_000, burn_in=10_000, thin=10, seed=3,
+                           proposal=lazy), stat)
     _, se = pooled_pvalue([res])
     assert abs(res.pvalue - p_exact) <= 3 * max(se, 1e-4)
 

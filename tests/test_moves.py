@@ -254,18 +254,33 @@ def test_random_move_covers_a_small_basis():
     assert len(seen) == 2
 
 
-def test_lazy_draws_agree_with_enumeration():
-    common = ModelSpec(family=COMMON_BLOCKS, row_bounds=(1, 3, 5, 7), col_bounds=(1, 3, 5, 7))
-    basis = basis_block(common, 6, 6)
+# the common case draws Types I-IVt; the change-point case balances its
+# rectangle terms; the own-blocks case draws Type II; the general case has a
+# leftover band that Type IV's third and fourth columns may use
+LAZY_CASES = [
+    (_blocks(COMMON_BLOCKS, (1, 3, 5, 7), (1, 3, 5, 7)), 6, 6),
+    (gilby_model(), 8, 4),
+    (_blocks(OWN_BLOCKS, (1, 3, 5, 7), (1, 3, 5, 7)), 6, 6),
+    (_blocks(GENERAL_BLOCKS, (1, 3, 5), (1, 3, 5), groups=((1, 2),)), 6, 6),
+]
+
+
+@pytest.mark.parametrize("model,R,C", LAZY_CASES,
+                         ids=["common-6x6", "gilby-8x4", "own-6x6", "general-leftover-6x6"])
+def test_lazy_draws_agree_with_enumeration(model, R, C):
+    basis = basis_for_model(model, R, C)
     enumerated = {mv.entries for mv in basis} | {mv.negated().entries for mv in basis}
-    lazy = basis_for_model(common, 6, 6, enumerate_threshold=0)
+    lazy = basis_for_model(model, R, C, enumerate_threshold=0)
     assert isinstance(lazy, LazyMoveBasis)
-    cfg = build_configuration(common, 6, 6)
+    cfg = build_configuration(model, R, C)
     rng = random.Random(11)
+    types = set()
     for _ in range(400):
         mv = random_move(lazy, rng)
         assert mv.entries in enumerated
         assert is_kernel_move(cfg, mv)
+        types.add(mv.mtype)
+    assert types == set(basis.counts_by_type())
 
 
 def test_lazy_one_block_draws_are_kernel_moves():

@@ -5,7 +5,6 @@ import pytest
 import sympy
 
 from markovfiber.tables import (
-    CellSet,
     Configuration,
     Rectangle,
     Table,
@@ -82,15 +81,6 @@ def test_rectangle_basics():
         Rectangle(1, 1, 1, 1)
     with pytest.raises(TableError):
         Rectangle(2, 1, 1, 2)
-
-
-def test_cellset():
-    cs = CellSet.from_rectangle(Rectangle(1, 2, 1, 2))
-    assert len(cs) == 4 and (1, 2) in cs
-    cs.check_in_grid(2, 2)
-    with pytest.raises(TableError):
-        cs.check_in_grid(2, 1)
-    assert list(CellSet.of([(2, 1), (1, 1)])) == [(1, 1), (2, 1)]
 
 
 def test_configuration_row_layout():
