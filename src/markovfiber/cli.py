@@ -115,20 +115,6 @@ def _check_chain_args(args) -> None:
         raise CliError(f"--burn-in must be in [0, steps), got {args.burn_in}")
 
 
-def _observed_and_df(table, model, alt, stat, tol):
-    """Report-grade statistic and reference degrees of freedom."""
-    R, C = table.R, table.C
-    cfg = build_configuration(model, R, C)
-    if stat == "llr":
-        obs = llr_nested(table, model, alt, tol=tol)
-        df = degrees_of_freedom(cfg) - degrees_of_freedom(build_configuration(alt, R, C))
-    else:
-        fit = ipf_fit(table, model, tol=tol)
-        obs = (chi_square if stat == "chi2" else g_square)(table, fit.expected)
-        df = degrees_of_freedom(cfg)
-    return obs, df
-
-
 def _write_stream(path: str, k: int, n_chains: int, samples) -> str:
     out = path if n_chains == 1 else f"{path}.{k}"
     with open(out, "w") as fp:
@@ -148,8 +134,14 @@ def cmd_test(args) -> dict:
     cfg = build_configuration(model, R, C)
 
     t0 = time.perf_counter()
-    fit = ipf_fit(table, model, tol=args.tol)
-    observed, df = _observed_and_df(table, model, alt, args.stat, args.tol)
+    tracker = make_tracker(args.stat, table, model, alt=alt, tol=args.tol)
+    fit = tracker.fit
+    df = degrees_of_freedom(cfg)
+    if args.stat == "llr":
+        observed = llr_nested(table, model, alt, tol=args.tol)
+        df -= degrees_of_freedom(build_configuration(alt, R, C))
+    else:
+        observed = (chi_square if args.stat == "chi2" else g_square)(table, fit.expected)
     fit_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -159,7 +151,6 @@ def cmd_test(args) -> dict:
     chain = ChainConfig(steps=args.steps, burn_in=burn, thin=args.thin,
                         seed=args.seed, proposal=basis,
                         check_every=args.check_every)
-    tracker = make_tracker(args.stat, table, model, alt=alt)
     t0 = time.perf_counter()
     results = run_chains(table, cfg, chain, tracker, n_chains=args.chains)
     walk_s = time.perf_counter() - t0

@@ -189,6 +189,8 @@ def _move_graph(fiber: Fiber, basis, stop_when_connected: bool) -> UnionFind:
     The basis stores one sign per move, and applying +z from every member
     still finds each edge once: the edge x <-> x - z is found from x - z.
     """
+    if basis.kind != "enumerated":
+        raise ValueError("connectivity needs an enumerated basis")
     idx = fiber.index()
     uf = UnionFind(len(fiber))
     off, flat, coef = basis.move_arrays()

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models as _models
-from .tables import Table, build_configuration, flat_index
+from .tables import Table, build_configuration
 
 __all__ = [
     "FitResult",
@@ -47,13 +47,10 @@ class FitResult:
     converged: bool
 
 
-def _scaling_groups(model, R: int, C: int) -> list[list[int]]:
-    """Flat cell indices per constraint group: rows, columns, subtable terms."""
-    groups = [[flat_index(i, j, C) for j in range(1, C + 1)] for i in range(1, R + 1)]
-    groups += [[flat_index(i, j, C) for i in range(1, R + 1)] for j in range(1, C + 1)]
-    for _, cells in _models.terms(model, R, C):
-        groups.append(sorted(flat_index(i, j, C) for i, j in cells))
-    return groups
+def _scaling_groups(model, R: int, C: int) -> list[np.ndarray]:
+    """Flat cell indices per constraint group, one per row of the model's
+    configuration: rows, columns, subtable terms."""
+    return [np.flatnonzero(row) for row in build_configuration(model, R, C).matrix]
 
 
 def _ipf_core(n_cells: int, groups: list[np.ndarray], targets: list[float],
@@ -107,44 +104,56 @@ def ipf_fit(table: Table, model, tol: float = 1e-10, max_iter: int = 10_000) -> 
     R, C = table.R, table.C
     _models.require_valid(model, R, C)
     x = table.vec().astype(np.float64)
-    groups = [np.asarray(g, dtype=np.intp) for g in _scaling_groups(model, R, C)]
+    groups = _scaling_groups(model, R, C)
     targets = [float(x[g].sum()) for g in groups]
     res = _ipf_core(R * C, groups, targets, tol, max_iter, float(x.sum()), x_flat=x)
     return FitResult(res.expected.reshape(R, C), res.iterations,
                      res.max_discrepancy, res.converged)
 
 
-def chi_square(table: Table, expected: np.ndarray) -> float:
-    """Pearson chi-square; a cell with zero expectation and zero count
-    contributes 0, a zero expectation under a positive count gives inf."""
-    x = table.counts.astype(np.float64)
-    m = np.asarray(expected, dtype=np.float64)
-    if x.shape != m.shape:
-        raise ValueError("table and expected shapes differ")
+def _chi2_cell(x, m) -> float:
+    """Pearson term (x - m)^2 / m; a cell of zero mean contributes 0 when
+    empty and inf under a positive count."""
+    if m == 0.0:
+        return math.inf if x > 0 else 0.0
+    d = x - m
+    return d * d / m
+
+
+def _g2_cell(x, m) -> float:
+    """Likelihood-ratio term 2 x log(x/m); an empty cell contributes 0, a
+    positive count over a zero mean inf."""
+    if x <= 0:
+        return 0.0
+    if m == 0.0:
+        return math.inf
+    return 2.0 * x * math.log(x / m)
+
+
+def _total(cell, xs, ms) -> float:
+    """Sum of ``cell(x, m)`` over the cells, in cell order."""
     out = 0.0
-    for xv, mv in zip(x.ravel(), m.ravel()):
-        if mv == 0.0:
-            if xv != 0.0:
-                return math.inf
-            continue
-        d = xv - mv
-        out += d * d / mv
+    for xv, mv in zip(xs, ms):
+        out += cell(xv, mv)
     return out
+
+
+def _table_total(cell, table: Table, expected: np.ndarray) -> float:
+    m = np.asarray(expected, dtype=np.float64)
+    if table.counts.shape != m.shape:
+        raise ValueError("table and expected shapes differ")
+    return _total(cell, table.counts.ravel().tolist(), m.ravel().tolist())
+
+
+def chi_square(table: Table, expected: np.ndarray) -> float:
+    """Pearson chi-square; a cell of zero expectation contributes 0 when
+    empty, and a positive count over it gives inf."""
+    return _table_total(_chi2_cell, table, expected)
 
 
 def g_square(table: Table, expected: np.ndarray) -> float:
     """Likelihood-ratio statistic 2 sum x log(x/m); zero counts contribute 0."""
-    x = table.counts.astype(np.float64)
-    m = np.asarray(expected, dtype=np.float64)
-    if x.shape != m.shape:
-        raise ValueError("table and expected shapes differ")
-    out = 0.0
-    for xv, mv in zip(x.ravel(), m.ravel()):
-        if xv > 0.0:
-            if mv == 0.0:
-                return math.inf
-            out += xv * math.log(xv / mv)
-    return 2.0 * out
+    return _table_total(_g2_cell, table, expected)
 
 
 def llr_nested(table: Table, inner, outer, tol: float = 1e-10,
@@ -170,38 +179,36 @@ def llr_nested(table: Table, inner, outer, tol: float = 1e-10,
 # ---------------------------------------------------------------------------
 # statistic trackers for the sampler
 #
-# Contract with mcmc.walk: start(x) returns the statistic at the initial
-# state; value_after(x, flats, coefs) is called only for a proposal that is
-# about to be accepted (x is the state before the move); accept(x_new,
-# value) is called right after the state is updated.  Trackers are also
-# plain callables on (R, C) integer arrays, so the fiber oracle can reuse
-# them.  fork() yields an independent tracker for another chain.
+# Contract with mcmc.walk: start(x) resets every per-chain field and returns
+# the statistic at the initial state; value_after(x, flats, coefs) is called
+# only for a proposal that is about to be accepted (x is the state before
+# the move); accept(x_new, value) is called right after the state is
+# updated.  Chains run one after another, so one tracker serves them all;
+# what outlives a chain (the null fit, the LLR refit cache) depends only on
+# the fiber.  Trackers are also plain callables on (R, C) integer arrays, so
+# the fiber oracle can reuse them.  ``fit`` is the null model's FitResult.
 
 
 class _FixedExpectedTracker:
-    """Base for statistics against a fixed null fit (constant on the fiber)."""
+    """Base for statistics against a fixed null fit (constant on the fiber):
+    a subclass binds the statistic's cell function as ``_cell``."""
 
     RESET_EVERY = 4096  # full recompute cadence, kills float drift
 
     def __init__(self, table: Table, model, tol: float = 1e-10) -> None:
         self.R, self.C = table.R, table.C
         self.model = model
-        fit = ipf_fit(table, model, tol=tol)
-        if not fit.converged:
+        self.fit = ipf_fit(table, model, tol=tol)
+        if not self.fit.converged:
             raise FitError("null fit did not converge; cannot track a statistic against it")
-        self.expected = fit.expected
-        self._m = [float(v) for v in fit.expected.ravel()]
-        self._value = 0.0
-        self._n_accept = 0
+        self.expected = self.fit.expected
+        self._m = self.expected.ravel().tolist()
 
     def _full(self, x_flat) -> float:
-        raise NotImplementedError
-
-    def _cell_term(self, xv: float, mv: float) -> float:
-        raise NotImplementedError
+        return _total(self._cell, x_flat, self._m)
 
     def __call__(self, arr) -> float:
-        return self._full([int(v) for v in np.asarray(arr).ravel()])
+        return self._full(np.asarray(arr).ravel().tolist())
 
     def start(self, x_flat) -> float:
         self._value = self._full(x_flat)
@@ -211,9 +218,10 @@ class _FixedExpectedTracker:
     def value_after(self, x_flat, flats, coefs) -> float:
         v = self._value
         m = self._m
+        cell = self._cell
         for f, c in zip(flats, coefs):
             xv = x_flat[f]
-            v += self._cell_term(xv + c, m[f]) - self._cell_term(xv, m[f])
+            v += cell(xv + c, m[f]) - cell(xv, m[f])
         return v
 
     def accept(self, x_flat, value: float) -> None:
@@ -223,50 +231,19 @@ class _FixedExpectedTracker:
         else:
             self._value = value
 
-    def fork(self):
-        import copy
-
-        return copy.copy(self)
-
 
 class ChiSquareTracker(_FixedExpectedTracker):
-    """Pearson chi-square against the fixed null fit.
+    """Pearson chi-square against the fixed null fit.  Cells with zero
+    fitted mean keep zero counts on the whole fiber (their constraint group
+    sums to 0), so they contribute 0 and never blow up."""
 
-    Cells with zero fitted mean keep zero counts on the whole fiber (their
-    constraint group sums to 0), so they contribute 0 and never blow up.
-    """
-
-    def _cell_term(self, xv, mv) -> float:
-        if mv == 0.0:
-            return 0.0
-        d = xv - mv
-        return d * d / mv
-
-    def _full(self, x_flat) -> float:
-        m = self._m
-        out = 0.0
-        for xv, mv in zip(x_flat, m):
-            if mv != 0.0:
-                d = xv - mv
-                out += d * d / mv
-        return out
+    _cell = staticmethod(_chi2_cell)
 
 
 class GSquareTracker(_FixedExpectedTracker):
     """2 sum x log(x/m) against the fixed null fit."""
 
-    def _cell_term(self, xv, mv) -> float:
-        if xv <= 0 or mv == 0.0:
-            return 0.0
-        return 2.0 * xv * math.log(xv / mv)
-
-    def _full(self, x_flat) -> float:
-        m = self._m
-        out = 0.0
-        for xv, mv in zip(x_flat, m):
-            if xv > 0 and mv != 0.0:
-                out += xv * math.log(xv / mv)
-        return 2.0 * out
+    _cell = staticmethod(_g2_cell)
 
 
 class LLRTracker:
@@ -291,17 +268,15 @@ class LLRTracker:
         self.inner, self.outer = inner, outer
         self.chain_tol = chain_tol
 
-        fit1 = ipf_fit(table, inner, tol=tol)
-        if not fit1.converged:
+        self.fit = ipf_fit(table, inner, tol=tol)
+        if not self.fit.converged:
             raise FitError("inner fit did not converge")
-        self._log_m1 = [
-            math.log(v) if v > 0 else 0.0 for v in fit1.expected.ravel()
-        ]
-        self._m1_zero = [v <= 0 for v in fit1.expected.ravel()]
+        m1 = self.fit.expected.ravel()
+        self._log_m1 = [math.log(v) if v > 0 else 0.0 for v in m1]
+        self._m1_zero = [v <= 0 for v in m1]
 
         # outer-model scaling geometry, reused for every cached refit
-        self._groups = [np.asarray(g, dtype=np.intp)
-                        for g in _scaling_groups(outer, R, C)]
+        self._groups = _scaling_groups(outer, R, C)
         x = table.vec().astype(np.float64)
         self._fixed_targets = [float(x[g].sum()) for g in self._groups[:R + C]]
         term_groups = self._groups[R + C:]
@@ -311,12 +286,6 @@ class LLRTracker:
             for p in g:
                 self._cell_term_idx[p].append(q)
         self._cache: dict[tuple[float, ...], list[float]] = {}
-
-        b0 = tuple(float(x[g].sum()) for g in term_groups)
-        self._b = b0
-        self._L = self._log_ratio(b0)
-        self._value = self._eval(list(int(v) for v in x), self._L)
-        self._n_accept = 0
 
     def _log_ratio(self, b: tuple[float, ...]) -> list[float]:
         cached = self._cache.get(b)
@@ -340,14 +309,15 @@ class LLRTracker:
     def _eval(self, x_flat, L) -> float:
         return 2.0 * sum(xv * lv for xv, lv in zip(x_flat, L) if xv)
 
+    def _block_sums(self, x_flat) -> tuple[float, ...]:
+        return tuple(float(sum(x_flat[p] for p in g)) for g in self._term_groups)
+
     def __call__(self, arr) -> float:
         x = [int(v) for v in np.asarray(arr).ravel()]
-        b = tuple(float(sum(x[p] for p in g)) for g in self._term_groups)
-        return self._eval(x, self._log_ratio(b))
+        return self._eval(x, self._log_ratio(self._block_sums(x)))
 
     def start(self, x_flat) -> float:
-        b = tuple(float(sum(x_flat[p] for p in g)) for g in self._term_groups)
-        self._b = b
+        self._b = b = self._block_sums(x_flat)
         self._L = self._log_ratio(b)
         self._pending = (b, self._L)
         self._value = self._eval(x_flat, self._L)
@@ -383,13 +353,6 @@ class LLRTracker:
             self._value = self._eval(x_flat, self._L)
         else:
             self._value = value
-
-    def fork(self):
-        import copy
-
-        twin = copy.copy(self)
-        twin._cache = dict(self._cache)
-        return twin
 
 
 def make_tracker(stat: str, table: Table, model, alt=None, tol: float = 1e-10):

@@ -11,7 +11,8 @@ they cancel from every ratio once t is fixed.
 
 Statistics are streamed through a tracker protocol (see fit.py): plain
 callables work too and are wrapped, trackers avoid recomputing from scratch
-at every step.
+at every step.  A tracker's ``start`` resets its per-chain state, so the
+chains of ``run_chains``, which run one after another, share one tracker.
 """
 
 from __future__ import annotations
@@ -93,9 +94,6 @@ class _CallableTracker:
 
     def accept(self, x_flat, value: float) -> None:
         pass
-
-    def fork(self):
-        return _CallableTracker(self._fn, *self._shape)
 
 
 def _as_tracker(statistic, R: int, C: int):
@@ -211,8 +209,10 @@ def run_chains(start: Table, cfg_matrix: Configuration, chain: ChainConfig,
     """k independent chains seeded seed+0 .. seed+k-1, run one after another
     in the calling thread (threads only slow a walk that holds the GIL).
 
-    Each chain gets its own statistic tracker (via fork() when available),
-    so no tracker state passes from one chain to the next.
+    Every chain gets the same statistic: ``walk`` calls ``start`` at the
+    beginning of each chain, which resets the tracker's per-chain state, and
+    what a tracker keeps across chains (the LLR refit cache) depends only on
+    the fiber, so each chain's result is that of a freshly built tracker.
     """
     if n_chains < 1:
         raise ValueError("n_chains must be >= 1")
@@ -222,11 +222,7 @@ def run_chains(start: Table, cfg_matrix: Configuration, chain: ChainConfig,
                     check_every=chain.check_every)
         for k in range(n_chains)
     ]
-    return [
-        walk(start, cfg_matrix, cfg,
-             statistic.fork() if hasattr(statistic, "fork") else statistic)
-        for cfg in configs
-    ]
+    return [walk(start, cfg_matrix, cfg, statistic) for cfg in configs]
 
 
 def pooled_pvalue(results: list[ChainResult]) -> tuple[float, float]:

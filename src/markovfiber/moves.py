@@ -43,7 +43,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from . import models as _models
-from .tables import Configuration, flat_index
+from .tables import Configuration, build_configuration, flat_index
 
 __all__ = [
     "Move",
@@ -106,25 +106,28 @@ def format_move(move: Move) -> str:
     return f"{move.degree} {move.mtype}  {cells}"
 
 
-def _as_array(typecode: str, values) -> array:
-    out = array(typecode)
-    out.frombytes(np.ascontiguousarray(values, dtype=typecode).view(np.uint8))
-    return out
+def _zeros(typecode: str, n: int) -> tuple[array, np.ndarray]:
+    """An array.array of n zeros and a writable numpy view of its buffer."""
+    out = array(typecode, [0]) * n
+    return out, np.frombuffer(out, dtype=typecode)
 
 
 def _decode(keys: np.ndarray) -> tuple[array, array, array]:
-    """(offsets, flat cell ids, coefficients) of the moves with these keys."""
+    """(offsets, flat cell ids, coefficients) of the moves with these keys.
+    The results are written straight into the arrays' buffers: a 12x12
+    common-block basis has 2.5M entries, so every full-size temporary
+    costs 10 MB."""
     used = keys != _PAD
-    off = _as_array("i", np.concatenate(([0], np.cumsum(used.sum(axis=1)))))
+    off, off_view = _zeros("i", len(keys) + 1)
+    np.cumsum(used.sum(axis=1), out=off_view[1:])
     codes = keys[used]
-    # decode in place and free each temporary early: a 12x12 common-block
-    # basis has 2.5M entries
-    coef = codes % 5
-    coef -= 2
-    coefs = _as_array("b", coef)
-    del coef
-    codes //= 5
-    return off, _as_array("i", codes), coefs
+    del used
+    flat, flat_view = _zeros("i", len(codes))
+    coef, coef_view = _zeros("b", len(codes))
+    np.floor_divide(codes, 5, out=flat_view)
+    np.remainder(codes, 5, out=coef_view, casting="unsafe")
+    coef_view -= 2
+    return off, flat, coef
 
 
 def _move_at(store, k: int, C: int) -> Move:
@@ -190,12 +193,9 @@ def _bands(model, R: int, C: int) -> tuple[np.ndarray, np.ndarray, int]:
 
 
 def _term_matrix(model, R: int, C: int) -> np.ndarray:
-    """Terms x cells 0/1 matrix: row q marks the flat cells of term q."""
-    model_terms = _models.terms(model, R, C)
-    out = np.zeros((len(model_terms), R * C), dtype=np.int8)
-    for q, (_, cells) in enumerate(model_terms):
-        out[q, [flat_index(i, j, C) for i, j in cells]] = 1
-    return out
+    """Terms x cells 0/1 matrix, the subtable rows of the configuration:
+    row q marks the flat cells of term q."""
+    return build_configuration(model, R, C).matrix[R + C:].astype(np.int8)
 
 
 def _balanced(terms: np.ndarray, flats: np.ndarray, coefs: np.ndarray) -> np.ndarray:
@@ -475,20 +475,33 @@ def _pick_other(index, k: np.ndarray, l: np.ndarray, u: np.ndarray):
 _KERNEL_OF = np.array([0, 1, 1, 3, 4])
 
 
-def _pattern_space(t: str, R: int, C: int, N: int) -> float:
+def _pattern_space(t: str, R: int, C: int, bands) -> float:
+    """A type's raw pattern-space size, or 0 where the bands rule it out.
+    The six cells of a Type II/III loop lie in distinct blocks, and any two
+    of its rows share a column (any two columns a row), so it needs three
+    row bands and three column bands, a leftover band included; Type IV
+    needs two diagonal blocks and a third column band for j3, j4 (IVt a
+    third row band).  Without bands (change-point models) only Type I is
+    drawn."""
     if t == "I":
         return R * (R - 1) / 2 * C * (C - 1) / 2
+    if bands is None:
+        return 0
+    rband, cband, N = bands
+    n_rows, n_cols = rband.max(), cband.max()  # bands 1..N are never empty
     if t in ("II", "III"):
+        if min(n_rows, n_cols) < 3:
+            return 0
         return R * (R - 1) * (R - 2) * C * (C - 1) * (C - 2) / 3
-    if N < 2:
-        return 0  # Type IV needs two diagonal blocks
+    if N < 2 or (n_rows if t == "IVt" else n_cols) < 3:
+        return 0
     return R * R * C * C  # rough; only relative draw rates are affected
 
 
 class LazyMoveBasis:
     """The same move families, drawn instead of enumerated, for grids too
     large to enumerate.  A candidate draws a type with weight proportional
-    to its raw pattern-space size, then uniform distinct rows and columns
+    to its raw pattern-space size (0 for a type the bands rule out), then uniform distinct rows and columns
     and a shift of 1 or 2 (Types I-III), or a uniform ordered pair of
     diagonal blocks and uniform rows and columns of the bands the pattern
     needs (Type IV).  The kernels keep the candidates of the drawn type
@@ -504,11 +517,11 @@ class LazyMoveBasis:
         self.C = C
         self.types = types
         self._terms = _term_matrix(model, R, C)
-        N = 0
+        bands = None
         if model.family not in (_models.CHANGE_POINT, _models.INDEPENDENCE):
-            self._bands = rband, cband, N = _bands(model, R, C)
+            self._bands = bands = rband, cband, N = _bands(model, R, C)
             self._index = (_band_index(rband, N + 1), _band_index(cband, N + 1))
-        weights = np.array([_pattern_space(t, R, C, N) for t in types])
+        weights = np.array([_pattern_space(t, R, C, bands) for t in types])
         if weights.sum() <= 0:
             raise ValueError("lazy basis has empty pattern space")
         # types with an empty pattern space are never drawn

@@ -424,77 +424,53 @@ COMMON_SUITE_GEOMETRIES = (
 )
 
 
-def own_blocks_suite(max_total: int = 5, seed: int = 0) -> SuiteReport:
-    """Own-parameter block models, two and three blocks, grids up to 6x6:
-    the Type I(+II) basis connects every fiber of total <= max_total; with
-    three blocks, Type I alone must leave a disconnected witness fiber."""
+def _block_suite(name: str, family: str, geometries, controls,
+                 reduced: tuple[str, ...], max_total: int, seed: int) -> SuiteReport:
+    """The full basis must connect every fiber of total <= max_total on each
+    geometry; on each control geometry the reduced types must leave a
+    disconnected witness fiber at some total."""
     conn_fail: list[str] = []
     witnesses: list[str] = []
     fibers_checked = 0
-    checked = 0
-    for R, C, rb, cb in OWN_SUITE_GEOMETRIES:
-        model = _block_model(_models.OWN_BLOCKS, rb, cb)
+    for R, C, rb, cb in geometries:
+        model = _block_model(family, rb, cb)
         label = _describe(model, R, C)
         for rep in connectivity_range(model, R, C, max_total,
                                       cross_check=1, seed=seed):
             fibers_checked += rep.n_multi
             if not rep.ok:
                 conn_fail.append(f"{label} total={rep.total}")
-        checked += 1
-    # negative control: three blocks, minors only, must disconnect somewhere
-    for R, C, rb, cb in ((3, 3, (1, 2, 3, 4), (1, 2, 3, 4)),
-                         (4, 4, (1, 2, 3, 5), (1, 2, 3, 5))):
-        model = _block_model(_models.OWN_BLOCKS, rb, cb)
+    for R, C, rb, cb in controls:
+        model = _block_model(family, rb, cb)
         for total in range(2, max_total + 1):
-            rep = connectivity_sweep(model, R, C, total, types=("I",),
+            rep = connectivity_sweep(model, R, C, total, types=reduced,
                                      cross_check=0)
             if not rep.ok:
                 w = rep.witnesses[0]
                 witnesses.append(
-                    f"{_describe(model, R, C)} types=I total={total} "
-                    f"t={list(w.t)} size={w.size}")
+                    f"{_describe(model, R, C)} types={','.join(reduced)} "
+                    f"total={total} t={list(w.t)} size={w.size}")
                 break
     return SuiteReport(
-        name="own-blocks", models_raw=len(OWN_SUITE_GEOMETRIES),
-        models_checked=checked, raw_spot_checks=0,
-        connectivity_failures=tuple(conn_fail),
+        name=name, models_raw=len(geometries), models_checked=len(geometries),
+        raw_spot_checks=0, connectivity_failures=tuple(conn_fail),
         indispensability_failures=(), witnesses=tuple(witnesses),
         n_fibers_checked=fibers_checked,
     )
+
+
+def own_blocks_suite(max_total: int = 5, seed: int = 0) -> SuiteReport:
+    """Own-parameter block models, two and three blocks, grids up to 6x6:
+    the Type I(+II) basis connects every fiber of total <= max_total; with
+    three blocks, Type I alone must leave a disconnected witness fiber."""
+    three_block_3x3_4x4 = OWN_SUITE_GEOMETRIES[4:6]
+    return _block_suite("own-blocks", _models.OWN_BLOCKS, OWN_SUITE_GEOMETRIES,
+                        three_block_3x3_4x4, ("I",), max_total, seed)
 
 
 def common_blocks_suite(max_total: int = 5, seed: int = 0) -> SuiteReport:
     """Common-effect block models with three blocks, grids up to 6x6: the
     Type I-IV basis connects every fiber of total <= max_total; Types I-III
     alone must leave a disconnected witness fiber."""
-    conn_fail: list[str] = []
-    witnesses: list[str] = []
-    fibers_checked = 0
-    checked = 0
-    for R, C, rb, cb in COMMON_SUITE_GEOMETRIES:
-        model = _block_model(_models.COMMON_BLOCKS, rb, cb)
-        label = _describe(model, R, C)
-        for rep in connectivity_range(model, R, C, max_total,
-                                      cross_check=1, seed=seed):
-            fibers_checked += rep.n_multi
-            if not rep.ok:
-                conn_fail.append(f"{label} total={rep.total}")
-        checked += 1
-    for R, C, rb, cb in COMMON_SUITE_GEOMETRIES[:2]:
-        model = _block_model(_models.COMMON_BLOCKS, rb, cb)
-        for total in range(2, max_total + 1):
-            rep = connectivity_sweep(model, R, C, total,
-                                     types=("I", "II", "III"), cross_check=0)
-            if not rep.ok:
-                w = rep.witnesses[0]
-                witnesses.append(
-                    f"{_describe(model, R, C)} types=I,II,III total={total} "
-                    f"t={list(w.t)} size={w.size}")
-                break
-    return SuiteReport(
-        name="common-blocks", models_raw=len(COMMON_SUITE_GEOMETRIES),
-        models_checked=checked, raw_spot_checks=0,
-        connectivity_failures=tuple(conn_fail),
-        indispensability_failures=(), witnesses=tuple(witnesses),
-        n_fibers_checked=fibers_checked,
-    )
+    return _block_suite("common-blocks", _models.COMMON_BLOCKS, COMMON_SUITE_GEOMETRIES,
+                        COMMON_SUITE_GEOMETRIES[:2], ("I", "II", "III"), max_total, seed)

@@ -80,6 +80,25 @@ def test_identical_invocations_agree(capsys):
     assert rep1 == rep2
 
 
+def test_chi2_test_fits_the_null_model_once(capsys, monkeypatch):
+    import markovfiber.cli
+    import markovfiber.fit
+
+    calls = []
+    real = markovfiber.fit.ipf_fit
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(markovfiber.fit, "ipf_fit", counted)
+    monkeypatch.setattr(markovfiber.cli, "ipf_fit", counted)
+    code, rep = run_json(capsys, "test", "--dataset", "gilby", "--stat", "chi2",
+                         "--steps", "200", "--seed", "0")
+    assert code == 0 and rep["fit"]["converged"]
+    assert len(calls) == 1
+
+
 def test_llr_stat_end_to_end(capsys):
     code, rep = run_json(capsys, "test", "--dataset", "victoria",
                          "--model", "common-blocks", "--alt", "own-blocks",

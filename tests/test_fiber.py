@@ -134,6 +134,17 @@ def test_connectivity_and_components():
     assert [len(c) for c in components(fib, full)] == [2]
 
 
+def test_connectivity_needs_an_enumerated_basis():
+    model = ModelSpec(family=OWN_BLOCKS, row_bounds=(1, 2, 3, 4), col_bounds=(1, 2, 3, 4))
+    t, cfg = stat_of(model, Table.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]]))
+    fib = enumerate_fiber(t, cfg)
+    lazy = basis_for_model(model, 3, 3, enumerate_threshold=0)
+    assert lazy.kind == "lazy"
+    for query in (is_connected, components):
+        with pytest.raises(ValueError, match="enumerated basis"):
+            query(fib, lazy)
+
+
 def test_singleton_and_empty_fibers_count_as_connected():
     cfg = build_configuration(ModelSpec(family=INDEPENDENCE), 2, 2)
     basis = basis_for_model(ModelSpec(family=INDEPENDENCE), 2, 2)

@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from markovfiber.fit import (
     llr_nested,
     make_tracker,
 )
+from markovfiber.mcmc import ChainConfig, run_chains, walk
 from markovfiber.models import CHANGE_POINT, INDEPENDENCE, ModelSpec
 from markovfiber.moves import basis_for_model, random_move
 from markovfiber.tables import Rectangle, Table, build_configuration, sufficient_statistic
@@ -214,15 +216,29 @@ def test_llr_tracker_matches_full_refits():
         tracker.accept(x, new_val)
 
 
-def test_tracker_forks_are_independent():
-    table = gilby_table()
-    tracker = ChiSquareTracker(table, gilby_model())
-    x = [int(v) for v in table.vec()]
-    tracker.start(x)
-    twin = tracker.fork()
-    assert twin.start(x) == tracker._value
-    twin.accept(x, 123.0)
-    assert tracker._value != 123.0
+SHARED_TRACKER_CASES = {
+    "gilby-chi2": lambda: (gilby_table(), gilby_model(), None, "chi2", 4000),
+    "victoria-llr": lambda: (victoria_table(), *victoria_models(), "llr", 1500),
+}
+
+
+@pytest.mark.parametrize("case", SHARED_TRACKER_CASES)
+def test_one_tracker_serves_every_chain(case):
+    # start() resets the per-chain state, so chains that share one tracker
+    # (and, for llr, its refit cache) match chains with fresh trackers
+    table, model, alt, stat, steps = SHARED_TRACKER_CASES[case]()
+    cfg = build_configuration(model, table.R, table.C)
+    chain = ChainConfig(steps=steps, burn_in=steps // 10, seed=5,
+                        proposal=basis_for_model(model, table.R, table.C))
+    shared = run_chains(table, cfg, chain, make_tracker(stat, table, model, alt=alt),
+                        n_chains=3)
+    for k, res in enumerate(shared):
+        fresh = walk(table, cfg, replace(chain, seed=chain.seed + k),
+                     make_tracker(stat, table, model, alt=alt))
+        assert np.array_equal(res.samples, fresh.samples)
+        assert (res.accept_count, res.stay_count, res.reject_count) == (
+            fresh.accept_count, fresh.stay_count, fresh.reject_count)
+        assert (res.observed, res.pvalue) == (fresh.observed, fresh.pvalue)
 
 
 def test_make_tracker_dispatch():

@@ -256,17 +256,21 @@ def test_random_move_covers_a_small_basis():
 
 # the common case draws Types I-IVt; the change-point case balances its
 # rectangle terms; the own-blocks case draws Type II; the general case has a
-# leftover band that Type IV's third and fourth columns may use
+# leftover band that Type IV's third and fourth columns may use; the
+# two-block common case has too few bands for Types II-IVt, so it draws
+# Type I alone
 LAZY_CASES = [
     (_blocks(COMMON_BLOCKS, (1, 3, 5, 7), (1, 3, 5, 7)), 6, 6),
     (gilby_model(), 8, 4),
     (_blocks(OWN_BLOCKS, (1, 3, 5, 7), (1, 3, 5, 7)), 6, 6),
     (_blocks(GENERAL_BLOCKS, (1, 3, 5), (1, 3, 5), groups=((1, 2),)), 6, 6),
+    (_blocks(COMMON_BLOCKS, (1, 4, 7), (1, 4, 7)), 6, 6),
 ]
 
 
 @pytest.mark.parametrize("model,R,C", LAZY_CASES,
-                         ids=["common-6x6", "gilby-8x4", "own-6x6", "general-leftover-6x6"])
+                         ids=["common-6x6", "gilby-8x4", "own-6x6", "general-leftover-6x6",
+                              "common-two-blocks-6x6"])
 def test_lazy_draws_agree_with_enumeration(model, R, C):
     basis = basis_for_model(model, R, C)
     enumerated = {mv.entries for mv in basis} | {mv.negated().entries for mv in basis}
@@ -293,6 +297,13 @@ def test_lazy_one_block_draws_are_kernel_moves():
     for _ in range(50):
         mv = random_move(lazy, rng)
         assert mv.mtype in ("I", "II", "III") and is_kernel_move(cfg, mv)
+
+
+def test_lazy_types_the_bands_rule_out_are_an_empty_pattern_space():
+    # one block: a Type II loop needs three row and three column bands
+    model = _blocks(COMMON_BLOCKS, (1, 22), (1, 22))
+    with pytest.raises(ValueError, match="empty pattern space"):
+        basis_for_model(model, 21, 21, types=("II",))
 
 
 def test_lazy_one_block_draws_agree_with_enumeration():
