@@ -18,7 +18,7 @@ from . import __version__
 from . import models as _models
 from .datasets import DATASET_NAMES, dataset, dataset_models
 from .fiber import DEFAULT_CAP, FiberOverflow, enumerate_fiber, exact_pvalue, is_connected
-from .fit import FitError, chi_square, g_square, ipf_fit, llr_nested, make_tracker
+from .fit import FitError, chi_square, g_square, ipf_fit, make_tracker
 from .mcmc import ChainConfig, pooled_pvalue, run_chains
 from .models import ModelError, ModelSpec, load_model, model_to_dict, save_model
 from .moves import basis_for_model, dump_moves
@@ -138,7 +138,7 @@ def cmd_test(args) -> dict:
     fit = tracker.fit
     df = degrees_of_freedom(cfg)
     if args.stat == "llr":
-        observed = llr_nested(table, model, alt, tol=args.tol)
+        observed = tracker.observed
         df -= degrees_of_freedom(build_configuration(alt, R, C))
     else:
         observed = (chi_square if args.stat == "chi2" else g_square)(table, fit.expected)
@@ -189,6 +189,7 @@ def cmd_test(args) -> dict:
             "per_chain_pvalues": [r.pvalue for r in results],
             "acceptance_rates": [r.acceptance_rate for r in results],
             "stay_fractions": [r.stay_count / r.steps for r in results],
+            "llr_cache": tracker.cache_counts() if args.stat == "llr" else None,
         },
         "stats_out": streams or None,
         "timings": {

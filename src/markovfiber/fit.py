@@ -7,6 +7,12 @@ whole fiber.  For the nested likelihood-ratio statistic the alternative fit
 varies, but only through the diagonal block sums; those get cached per
 block-sum vector, which is what makes million-step sampling runs affordable.
 
+IPF scales one family at a time: a maximal run of consecutive configuration
+rows whose cell sets are disjoint (all rows, all columns, the diagonal-block
+terms).  Disjoint groups commute, since scaling one leaves the others' sums
+unchanged, so a family costs one bincount and one gathered multiply and the
+result equals group-by-group scaling up to the order of summation.
+
 Conventions: 0 * log(0/anything) := 0 by continuity; a group with observed
 sum 0 pins its cells to 0 and scaling continues.
 """
@@ -53,9 +59,57 @@ def _scaling_groups(model, R: int, C: int) -> list[np.ndarray]:
     return [np.flatnonzero(row) for row in build_configuration(model, R, C).matrix]
 
 
-def _ipf_core(n_cells: int, groups: list[np.ndarray], targets: list[float],
-              tol: float, max_iter: int, total: float, x_flat=None) -> FitResult:
-    """Cyclic proportional scaling toward the group targets.
+def _scaling_families(groups: list[np.ndarray], n_cells: int) -> list[tuple]:
+    """Split the groups into maximal runs of consecutive, pairwise disjoint
+    groups: all rows, all columns, the diagonal-block terms; nested
+    rectangles each form their own family.
+
+    A family is ``(start, stop, cells, labels)`` for ``groups[start:stop]``:
+    the run's cells in increasing order (None when that is every cell, so
+    no gather is needed) and, for each, its run-local group index.
+    """
+    families = []
+    start = 0
+    seen = np.zeros(n_cells, dtype=bool)
+    for q, g in enumerate(groups):
+        if seen[g].any():
+            families.append(_family(groups, start, q, n_cells))
+            seen[:] = False
+            start = q
+        seen[g] = True
+    families.append(_family(groups, start, len(groups), n_cells))
+    return families
+
+
+def _family(groups, start: int, stop: int, n_cells: int) -> tuple:
+    label = np.full(n_cells, -1)
+    for k, g in enumerate(groups[start:stop]):
+        label[g] = k
+    cells = np.flatnonzero(label >= 0)
+    if len(cells) == n_cells:
+        return start, stop, None, label
+    return start, stop, cells, label[cells]
+
+
+def _group_sums(families, v: np.ndarray) -> np.ndarray:
+    """Sum of ``v`` over every group, in configuration-row order."""
+    return np.concatenate([
+        np.bincount(labels, weights=v if cells is None else v[cells],
+                    minlength=stop - start)
+        for start, stop, cells, labels in families])
+
+
+def _ipf_core(n_cells: int, families, targets: np.ndarray, tol: float,
+              max_iter: int, total: float, x_flat=None) -> FitResult:
+    """Cyclic proportional scaling toward the group targets, one family at
+    a time.
+
+    The groups of a family share no cell, so scaling one leaves the sums of
+    the others unchanged and they commute: one bincount of the family's
+    means and one gathered multiply give exactly the group-by-group cycle in
+    configuration-row order, up to the order of summation.  A zero-target
+    group is zeroed at its turn; a positive-target group whose cells are
+    all zero already is a FitError.
 
     Starts at the uniform table (interior point).  When ``x_flat`` is given,
     the log-likelihood is asserted nondecreasing across cycles, in the
@@ -65,31 +119,36 @@ def _ipf_core(n_cells: int, groups: list[np.ndarray], targets: list[float],
     The in-sampler refits skip that bookkeeping.
     """
     m = np.full(n_cells, total / n_cells if total > 0 else 0.0, dtype=np.float64)
+    steps = [(targets[start:stop], cells, labels)
+             for start, stop, cells, labels in families]
+    # every mean stays positive unless a target is zero, so only then can a
+    # group sum vanish
+    pinned = not (total > 0 and targets.all())
 
-    pos_x = None
     last_ll = -math.inf
     if x_flat is not None:
-        pos_x = [(p, float(v)) for p, v in enumerate(x_flat) if v > 0]
+        pos = np.flatnonzero(x_flat > 0)
+        x_pos = x_flat[pos]
 
     disc = math.inf
     it = 0
     for it in range(1, max_iter + 1):
-        for g, tau in zip(groups, targets):
-            s = float(m[g].sum())
-            if tau == 0.0:
-                if s != 0.0:
-                    m[g] = 0.0
-                continue
-            if s == 0.0:
-                raise FitError("scaling group pinned to zero but its target is positive")
-            m[g] *= tau / s
-        disc = 0.0
-        for g, tau in zip(groups, targets):
-            d = abs(float(m[g].sum()) - tau)
-            if d > disc:
-                disc = d
-        if pos_x is not None:
-            ll = sum(v * math.log(m[p]) for p, v in pos_x) - float(m.sum())
+        for tau, cells, labels in steps:
+            mc = m if cells is None else m[cells]
+            s = np.bincount(labels, weights=mc, minlength=len(tau))
+            if pinned and not s.all():
+                if (tau[s == 0.0] > 0.0).any():
+                    raise FitError("scaling group pinned to zero but its target is positive")
+                f = np.divide(tau, s, out=np.zeros_like(s), where=s != 0.0)
+            else:
+                f = tau / s
+            if cells is None:
+                m *= f[labels]
+            else:
+                m[cells] = mc * f[labels]
+        disc = float(np.abs(_group_sums(families, m) - targets).max())
+        if x_flat is not None:
+            ll = float((x_pos * np.log(m[pos])).sum()) - float(m.sum())
             assert ll >= last_ll - 1e-9, f"log-likelihood decreased: {last_ll} -> {ll}"
             last_ll = ll
         if disc <= tol:
@@ -104,9 +163,9 @@ def ipf_fit(table: Table, model, tol: float = 1e-10, max_iter: int = 10_000) -> 
     R, C = table.R, table.C
     _models.require_valid(model, R, C)
     x = table.vec().astype(np.float64)
-    groups = _scaling_groups(model, R, C)
-    targets = [float(x[g].sum()) for g in groups]
-    res = _ipf_core(R * C, groups, targets, tol, max_iter, float(x.sum()), x_flat=x)
+    families = _scaling_families(_scaling_groups(model, R, C), R * C)
+    targets = _group_sums(families, x)
+    res = _ipf_core(R * C, families, targets, tol, max_iter, float(x.sum()), x_flat=x)
     return FitResult(res.expected.reshape(R, C), res.iterations,
                      res.max_discrepancy, res.converged)
 
@@ -164,6 +223,11 @@ def llr_nested(table: Table, inner, outer, tol: float = 1e-10,
         raise FitError("models are not nested: every inner constraint must lie in the outer row space")
     fit1 = ipf_fit(table, inner, tol=tol, max_iter=max_iter)
     fit2 = ipf_fit(table, outer, tol=tol, max_iter=max_iter)
+    return _llr_value(table, fit1, fit2)
+
+
+def _llr_value(table: Table, fit1: FitResult, fit2: FitResult) -> float:
+    """2 sum x log(m2/m1) from the inner and outer fits of ``table``."""
     out = 0.0
     for xv, m1, m2 in zip(table.counts.ravel(), fit1.expected.ravel(), fit2.expected.ravel()):
         if xv > 0:
@@ -254,7 +318,10 @@ class LLRTracker:
     the inner terms are fixed; refits are cached per block-sum vector.  The
     per-cell log-ratio is sanitized to 0 wherever a fitted mean vanishes,
     which is exact: a zero fitted group sum forces zero counts there on
-    every table sharing that statistic.
+    every table sharing that statistic.  ``observed`` is the statistic at
+    the table, from fits at ``tol``, exactly as ``llr_nested`` gives it;
+    ``refits`` and ``hits`` count the cache misses and hits over every
+    chain.
     """
 
     RESET_EVERY = 2048
@@ -271,40 +338,48 @@ class LLRTracker:
         self.fit = ipf_fit(table, inner, tol=tol)
         if not self.fit.converged:
             raise FitError("inner fit did not converge")
+        self.observed = _llr_value(table, self.fit, ipf_fit(table, outer, tol=tol))
         m1 = self.fit.expected.ravel()
-        self._log_m1 = [math.log(v) if v > 0 else 0.0 for v in m1]
-        self._m1_zero = [v <= 0 for v in m1]
+        self._m1_pos = m1 > 0
+        self._log_m1 = np.zeros_like(m1)
+        self._log_m1[self._m1_pos] = np.log(m1[self._m1_pos])
 
         # outer-model scaling geometry, reused for every cached refit
-        self._groups = _scaling_groups(outer, R, C)
+        groups = _scaling_groups(outer, R, C)
+        self._families = _scaling_families(groups, R * C)
         x = table.vec().astype(np.float64)
-        self._fixed_targets = [float(x[g].sum()) for g in self._groups[:R + C]]
-        term_groups = self._groups[R + C:]
+        self._fixed_targets = tuple(_group_sums(self._families, x)[:R + C].tolist())
+        term_groups = groups[R + C:]
         self._term_groups = term_groups
         self._cell_term_idx = [[] for _ in range(R * C)]
         for q, g in enumerate(term_groups):
             for p in g:
                 self._cell_term_idx[p].append(q)
         self._cache: dict[tuple[float, ...], list[float]] = {}
+        self.refits = self.hits = 0
 
     def _log_ratio(self, b: tuple[float, ...]) -> list[float]:
         cached = self._cache.get(b)
         if cached is not None:
+            self.hits += 1
             return cached
-        targets = self._fixed_targets + list(b)
+        self.refits += 1
+        targets = np.array(self._fixed_targets + b)
         total = sum(self._fixed_targets[:self.R])
-        res = _ipf_core(self.R * self.C, self._groups, targets,
+        res = _ipf_core(self.R * self.C, self._families, targets,
                         self.chain_tol, 10_000, total)
         if not res.converged:
             raise FitError("outer refit did not converge on a fiber state")
-        L = []
-        for p, m2 in enumerate(res.expected):
-            if m2 <= 0.0 or self._m1_zero[p]:
-                L.append(0.0)
-            else:
-                L.append(math.log(float(m2)) - self._log_m1[p])
+        m2 = res.expected
+        keep = (m2 > 0.0) & self._m1_pos
+        L = np.zeros_like(m2)
+        L[keep] = np.log(m2[keep]) - self._log_m1[keep]
+        L = L.tolist()
         self._cache[b] = L
         return L
+
+    def cache_counts(self) -> dict:
+        return {"refits": self.refits, "hits": self.hits, "size": len(self._cache)}
 
     def _eval(self, x_flat, L) -> float:
         return 2.0 * sum(xv * lv for xv, lv in zip(x_flat, L) if xv)

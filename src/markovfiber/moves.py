@@ -114,18 +114,19 @@ def _zeros(typecode: str, n: int) -> tuple[array, np.ndarray]:
 
 def _decode(keys: np.ndarray) -> tuple[array, array, array]:
     """(offsets, flat cell ids, coefficients) of the moves with these keys.
-    The results are written straight into the arrays' buffers: a 12x12
-    common-block basis has 2.5M entries, so every full-size temporary
-    costs 10 MB."""
-    used = keys != _PAD
+    The results are written straight into the arrays' buffers, ``_CHUNK``
+    keys at a time: a 12x12 common-block basis has 2.5M entries, so every
+    full-size temporary costs 10 MB."""
     off, off_view = _zeros("i", len(keys) + 1)
-    np.cumsum(used.sum(axis=1), out=off_view[1:])
-    codes = keys[used]
-    del used
-    flat, flat_view = _zeros("i", len(codes))
-    coef, coef_view = _zeros("b", len(codes))
-    np.floor_divide(codes, 5, out=flat_view)
-    np.remainder(codes, 5, out=coef_view, casting="unsafe")
+    np.cumsum((keys != _PAD).sum(axis=1), out=off_view[1:])
+    flat, flat_view = _zeros("i", int(off_view[-1]))
+    coef, coef_view = _zeros("b", int(off_view[-1]))
+    for lo in range(0, len(keys), _CHUNK):
+        chunk = keys[lo:lo + _CHUNK]
+        codes = chunk[chunk != _PAD]
+        entries = slice(off_view[lo], off_view[lo + len(chunk)])
+        np.floor_divide(codes, 5, out=flat_view[entries])
+        np.remainder(codes, 5, out=coef_view[entries], casting="unsafe")
     coef_view -= 2
     return off, flat, coef
 

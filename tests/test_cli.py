@@ -6,7 +6,8 @@ import math
 import pytest
 
 from markovfiber.cli import main
-from markovfiber.datasets import dataset, dataset_models
+from markovfiber.datasets import dataset, dataset_models, victoria_models, victoria_table
+from markovfiber.fit import llr_nested
 from markovfiber.models import CHANGE_POINT, COMMON_BLOCKS, ModelSpec, load_model, save_model
 from markovfiber.tables import Rectangle, read_table_csv
 
@@ -66,6 +67,7 @@ def test_test_command_report_shape(capsys):
     assert 0 < m["pvalue"] <= 1
     assert 0 <= m["acceptance_rates"][0] <= 1
     assert 0 <= m["stay_fractions"][0] <= 1
+    assert m["llr_cache"] is None
     timings = rep["timings"]
     assert set(timings) == {"fit_s", "basis_s", "n_moves", "walk_s"}
     assert timings["n_moves"] == 81  # Gilby's unsigned basic moves
@@ -97,6 +99,39 @@ def test_chi2_test_fits_the_null_model_once(capsys, monkeypatch):
                          "--steps", "200", "--seed", "0")
     assert code == 0 and rep["fit"]["converged"]
     assert len(calls) == 1
+
+
+def test_llr_test_fits_each_model_once(capsys, monkeypatch):
+    import markovfiber.cli
+    import markovfiber.fit
+    import markovfiber.models
+
+    fits, nests = [], []
+    real_fit, real_nested = markovfiber.fit.ipf_fit, markovfiber.models.is_nested
+
+    def counted_fit(*args, **kwargs):
+        fits.append(args[1])
+        return real_fit(*args, **kwargs)
+
+    def counted_nested(*args, **kwargs):
+        nests.append(args[:2])
+        return real_nested(*args, **kwargs)
+
+    monkeypatch.setattr(markovfiber.fit, "ipf_fit", counted_fit)
+    monkeypatch.setattr(markovfiber.cli, "ipf_fit", counted_fit)
+    monkeypatch.setattr(markovfiber.models, "is_nested", counted_nested)
+    code, rep = run_json(capsys, "test", "--dataset", "victoria",
+                         "--model", "common-blocks", "--alt", "own-blocks",
+                         "--stat", "llr", "--steps", "300", "--seed", "0")
+    assert code == 0 and rep["fit"]["converged"]
+    common, own = victoria_models()
+    assert fits == [common, own] and len(nests) == 1
+    monkeypatch.undo()
+    assert rep["observed"] == llr_nested(victoria_table(), common, own)
+    cache = rep["mcmc"]["llr_cache"]
+    assert set(cache) == {"refits", "hits", "size"}
+    # every refit is a new block-sum vector; the start state is one of them
+    assert cache["size"] == cache["refits"] >= 1
 
 
 def test_llr_stat_end_to_end(capsys):

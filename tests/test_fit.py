@@ -13,6 +13,10 @@ from markovfiber.fit import (
     FitError,
     GSquareTracker,
     LLRTracker,
+    _group_sums,
+    _ipf_core,
+    _scaling_families,
+    _scaling_groups,
     chi_square,
     g_square,
     ipf_fit,
@@ -20,10 +24,11 @@ from markovfiber.fit import (
     make_tracker,
 )
 from markovfiber.mcmc import ChainConfig, run_chains, walk
-from markovfiber.models import CHANGE_POINT, INDEPENDENCE, ModelSpec
+from markovfiber.models import COMMON_BLOCKS, CHANGE_POINT, GENERAL_BLOCKS, INDEPENDENCE, ModelSpec
 from markovfiber.moves import basis_for_model, random_move
 from markovfiber.tables import Rectangle, Table, build_configuration, sufficient_statistic
 from markovfiber.datasets import gilby_model, gilby_table, victoria_models, victoria_table
+from reference_ipf import reference_core, reference_fit
 
 GILBY_CHI2 = 153.66942307412367
 GILBY_G2 = 178.2393011182423
@@ -62,6 +67,75 @@ def test_fit_reproduces_the_sufficient_statistic(table, model):
     t_obs = sufficient_statistic(table, cfg).astype(np.float64)
     t_fit = cfg.matrix.astype(np.float64) @ fit.expected.ravel()
     assert np.allclose(t_fit, t_obs, atol=1e-8)
+
+
+def seeded_table(seed, R, C):
+    rng = np.random.default_rng(seed)
+    return Table(rng.poisson(6.0, (R, C)) + 1)
+
+
+FAMILY_CASES = {
+    "gilby": lambda: (gilby_table(), gilby_model()),
+    "victoria-common": lambda: (victoria_table(), victoria_models()[0]),
+    "victoria-own": lambda: (victoria_table(), victoria_models()[1]),
+    # bands 1-2 and 3-4, rows and columns 5-6 left over
+    "general-6x6-leftover": lambda: (
+        seeded_table(61, 6, 6),
+        ModelSpec(family=GENERAL_BLOCKS, row_bounds=(1, 3, 5), col_bounds=(1, 3, 5),
+                  groups=((1,), (2,)))),
+    "independence-zero-margin": lambda: (
+        Table.from_rows([[0, 0, 0, 0], [3, 1, 4, 1], [5, 0, 2, 6]]),
+        ModelSpec(family=INDEPENDENCE)),
+    "common-24x24": lambda: (
+        seeded_table(24, 24, 24),
+        ModelSpec(family=COMMON_BLOCKS, row_bounds=(1, 7, 13, 19, 25),
+                  col_bounds=(1, 7, 13, 19, 25))),
+}
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-8])
+@pytest.mark.parametrize("case", FAMILY_CASES)
+def test_family_scaling_matches_group_by_group(case, tol):
+    # disjoint groups commute, so scaling a family at once is the same
+    # cycle as scaling its groups one by one, up to summation order
+    table, model = FAMILY_CASES[case]()
+    fit = ipf_fit(table, model, tol=tol)
+    ref = reference_fit(table, model, tol=tol)
+    assert (fit.iterations, fit.converged) == (ref.iterations, ref.converged)
+    assert fit.converged
+    assert np.abs(fit.expected - ref.expected).max() <= 1e-12
+
+
+def test_families_are_maximal_disjoint_runs():
+    gilby = _scaling_families(_scaling_groups(gilby_model(), 8, 4), 32)
+    # rows, columns, then one family per nested rectangle
+    assert [(a, b) for a, b, _, _ in gilby] == [(0, 8), (8, 12)] + [
+        (12 + q, 13 + q) for q in range(len(gilby_model().rectangles))]
+    assert gilby[0][2] is None and gilby[1][2] is None
+    own = _scaling_families(_scaling_groups(victoria_models()[1], 12, 12), 144)
+    assert [(a, b) for a, b, _, _ in own] == [(0, 12), (12, 24), (24, 28)]
+    assert len(own[2][2]) == 36
+
+
+def test_positive_group_pinned_to_zero_is_an_error():
+    # inconsistent targets: the zero row sums pin every cell of the 2x2,
+    # so the first column, whose target is positive, has nothing to scale
+    model = ModelSpec(family=INDEPENDENCE)
+    families = _scaling_families(_scaling_groups(model, 2, 2), 4)
+    targets = np.array([0.0, 0.0, 1.0, 0.0])
+    with pytest.raises(FitError, match="pinned to zero"):
+        _ipf_core(4, families, targets, 1e-10, 100, 1.0)
+    with pytest.raises(FitError, match="pinned to zero"):
+        reference_core(4, _scaling_groups(model, 2, 2), targets.tolist(), 1e-10, 100, 1.0)
+
+
+def test_group_sums_are_the_sufficient_statistic():
+    table = gilby_table()
+    cfg = build_configuration(gilby_model(), table.R, table.C)
+    families = _scaling_families(_scaling_groups(gilby_model(), table.R, table.C),
+                                 table.R * table.C)
+    assert np.array_equal(_group_sums(families, table.vec().astype(np.float64)),
+                          sufficient_statistic(table, cfg).astype(np.float64))
 
 
 def test_gilby_fit_frozen_values():
