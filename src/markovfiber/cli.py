@@ -311,9 +311,15 @@ def cmd_verify(args) -> dict:
             "common-blocks": lambda: common_blocks_suite(max_total=args.max_total),
         }
         names = list(runners) if args.suite == "all" else [args.suite]
+        suites, sweep_s = [], {}
+        for n in names:
+            t0 = time.perf_counter()
+            suites.append(runners[n]().to_dict())
+            sweep_s[n] = time.perf_counter() - t0
         return {
             "command": "verify",
-            "suites": [runners[n]().to_dict() for n in names],
+            "suites": suites,
+            "timings": {"sweep_s": sweep_s},
         }
     ds = getattr(args, "dataset", None)
     table = dataset(ds) if ds else None
@@ -331,9 +337,13 @@ def cmd_verify(args) -> dict:
         "connectivity": [r.to_dict() for r in reports],
         "all_connected": all(r.ok for r in reports),
     }
+    timings = {"sweep_s": {str(r.total): r.sweep_s for r in reports}}
     if model.family == _models.CHANGE_POINT:
+        t0 = time.perf_counter()
         ind = indispensability_sweep(model, R, C)
+        timings["indispensability_s"] = time.perf_counter() - t0
         out["indispensability"] = ind.to_dict()
+    out["timings"] = timings
     return out
 
 
@@ -342,9 +352,11 @@ def cmd_grobner_check(args) -> dict:
     table = dataset(ds) if ds else None
     model = _resolve_model(args.model, ds)
     R, C = _grid(args, table)
+    t0 = time.perf_counter()
     report = verify_grobner(model, R, C, max_dim=args.max_dim or 5)
+    grobner_s = time.perf_counter() - t0
     return {"command": "grobner-check", "model": model_to_dict(model),
-            **report.to_dict()}
+            **report.to_dict(), "timings": {"grobner_s": grobner_s}}
 
 
 def cmd_datasets(args) -> dict:

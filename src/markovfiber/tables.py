@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -232,29 +231,32 @@ def sufficient_statistic(table: Table, cfg: Configuration) -> np.ndarray:
 
 
 def rational_rank(rows: Iterable[Sequence[int]]) -> int:
-    """Rank over Q by fraction-exact Gaussian elimination. No floating point."""
-    work = [[Fraction(v) for v in row] for row in rows]
+    """Rank over Q by fraction-free (Bareiss) integer elimination.
+
+    Each step replaces a row r below the pivot row p by
+    (p[col] * r - r[col] * p) / previous pivot; the division is exact, so
+    every entry stays an integer minor of the input.  No floating point.
+    """
+    work = [[int(v) for v in row] for row in rows]
     if not work:
         return 0
     ncols = len(work[0])
     rank = 0
-    col = 0
-    while rank < len(work) and col < ncols:
-        pivot = next((r for r in range(rank, len(work)) if work[r][col] != 0), None)
+    prev = 1
+    for col in range(ncols):
+        if rank == len(work):
+            break
+        pivot = next((r for r in range(rank, len(work)) if work[r][col]), None)
         if pivot is None:
-            col += 1
             continue
         work[rank], work[pivot] = work[pivot], work[rank]
         prow = work[rank]
-        inv = 1 / prow[col]
+        p = prow[col]
         for r in range(rank + 1, len(work)):
-            factor = work[r][col] * inv
-            if factor:
-                row_r = work[r]
-                for c in range(col, ncols):
-                    row_r[c] -= factor * prow[c]
+            a = work[r][col]
+            work[r] = [(p * x - a * y) // prev for x, y in zip(work[r], prow)]
+        prev = p
         rank += 1
-        col += 1
     return rank
 
 

@@ -13,6 +13,18 @@ smallest variable.  The certification needs the nested rectangles anchored
 at the upper-left corner; ``canonicalize`` relabels rows and columns to
 that form, and the report carries the permutations so results map back to
 the original coordinates.  No claim is made under any other order.
+
+Two things make the check cheap.  Buchberger's product criterion: when the
+leads of two generators share no variable, their S-polynomial reduces to
+zero against the pair itself, so the pair needs no division (Buchberger,
+EUROSAM 1979); the leads here are square-free, so about two pairs in three
+are skipped.  And the remaining divisions run on monomials packed into
+Python ints, 4 bits per variable with the largest variable in the most
+significant nibble.  Comparing two packed ints then compares the exponent
+of x_RC first, then x_{R,C-1}, and so on down, which is exactly the lex
+order; multiplying and dividing monomials become ``+`` and ``-``, and with
+every exponent below 8 the top bit of each nibble is a guard bit that
+tests divisibility and takes the lcm without a per-variable loop.
 """
 
 from __future__ import annotations
@@ -229,6 +241,53 @@ def s_poly_reduces(g1: Binomial, g2: Binomial, G: list[Binomial], order: LexOrde
     return divide(s_polynomial(g1, g2), G, order, max_steps=max_steps)
 
 
+def _pack(mon: tuple[int, ...]) -> int:
+    """Exponent vector -> int, variable k (flat index) in nibble k."""
+    return sum(e << (4 * k) for k, e in enumerate(mon))
+
+
+def _divide_packed(poly: dict[int, int], gens: list[tuple[int, int]],
+                   guard: int, max_steps: int) -> bool:
+    """``divide`` on packed monomials and (lead, trail) pairs: the same
+    steps, by the same rule.
+
+    ``guard`` has the top bit of every nibble set.  With every exponent
+    below 8, ``((m | guard) - l) & guard == guard`` holds exactly when no
+    exponent of l exceeds that of m: each nibble subtracts without a borrow
+    and keeps its guard bit iff it did not go below 8.
+    """
+    poly = dict(poly)
+    steps = 0
+    while poly:
+        steps += 1
+        if steps > max_steps:
+            raise ToricError(f"division exceeded {max_steps} steps")
+        mon = max(poly)
+        coef = poly.pop(mon)
+        guarded = mon | guard
+        for lead, trail in gens:
+            if (guarded - lead) & guard == guard:
+                t = mon - lead + trail
+                c0 = poly.get(t, 0) + coef
+                if c0:
+                    poly[t] = c0
+                else:
+                    poly.pop(t, None)
+                break
+        else:
+            return False
+    return True
+
+
+def _s_polynomial_packed(l1: int, t1: int, l2: int, t2: int, guard: int) -> dict[int, int]:
+    """``s_polynomial`` on packed monomials; the lcm is a nibble-wise max."""
+    ge = ((l1 | guard) - l2) & guard          # guard bits where l1 >= l2
+    take = (ge >> 3) * 0xF                    # whole nibbles where l1 >= l2
+    lcm = (l1 & take) | (l2 & ~take)
+    a, b = lcm - l1 + t1, lcm - l2 + t2
+    return {} if a == b else {a: -1, b: 1}
+
+
 @dataclass(frozen=True)
 class GrobnerReport:
     R: int
@@ -240,6 +299,9 @@ class GrobnerReport:
     order: str
     row_perm: tuple[int, ...]
     col_perm: tuple[int, ...]
+    # pairs settled by each criterion: "product" (coprime leads, no division
+    # needed) and "division" (S-polynomial divided to zero, or the failure)
+    pairs_by_criterion: dict[str, int]
 
     @property
     def certified(self) -> bool:
@@ -250,6 +312,7 @@ class GrobnerReport:
             "grid": [self.R, self.C],
             "n_generators": self.n_generators,
             "pairs_checked": self.pairs_checked,
+            "pairs_by_criterion": dict(self.pairs_by_criterion),
             "all_reduced": self.all_reduced,
             "initial_square_free": self.initial_square_free,
             "certified": self.certified,
@@ -264,18 +327,32 @@ def verify_grobner(model: ModelSpec, R: int, C: int, max_dim: int = 5,
     """Exhaustive Buchberger check: every S-pair of the binomial generators
     must reduce to zero, and every lead must be square-free.  Grids above
     ``max_dim`` on either side are refused; the check is quadratic in the
-    generator count and meant for desk-scale certificates."""
+    generator count and meant for desk-scale certificates.
+
+    Pairs with coprime leads pass by the product criterion; the rest are
+    divided on packed monomials, which is exact here because every
+    generator is a binomial of degree 2 with square-free terms, so every
+    monomial met has degree at most 4 and every exponent stays below 8.
+    """
     if R > max_dim or C > max_dim:
         raise ToricError(
             f"grid {R}x{C} exceeds the verification bound {max_dim}x{max_dim}"
         )
     gens, order, row_perm, col_perm = generators(model, R, C)
     sq_free = all(all(e <= 1 for e in g.lead) for g in gens)
+    guard = _pack((8,) * (R * C))
+    packed = [(_pack(g.lead), _pack(g.trail)) for g in gens]
+    by_criterion = {"product": 0, "division": 0}
     pairs = 0
     all_ok = True
-    for g1, g2 in combinations(gens, 2):
+    for (l1, t1), (l2, t2) in combinations(packed, 2):
         pairs += 1
-        if not s_poly_reduces(g1, g2, gens, order, max_steps=max_steps):
+        if sq_free and not l1 & l2:
+            by_criterion["product"] += 1
+            continue
+        by_criterion["division"] += 1
+        spoly = _s_polynomial_packed(l1, t1, l2, t2, guard)
+        if not _divide_packed(spoly, packed, guard, max_steps):
             all_ok = False
             break
     return GrobnerReport(
@@ -288,4 +365,5 @@ def verify_grobner(model: ModelSpec, R: int, C: int, max_dim: int = 5,
         order=order.describe(),
         row_perm=row_perm,
         col_perm=col_perm,
+        pairs_by_criterion=by_criterion,
     )

@@ -2,10 +2,11 @@
 
 Everything here is deliberately brute force: enumerate every table of a
 bounded grand total, group the tables into fibers by their sufficient
-statistic, and walk the move graph with union-find.  The point is to gate
-the structural claims behind the move generators (every fiber connected,
-every basic move indispensable) on instances small enough to check
-completely, cross-validated against the depth-first fiber oracle.
+statistic, join each table to its image under every applicable move, and
+label the connected components of that graph.  The point is to gate the
+structural claims behind the move generators (every fiber connected, every
+basic move indispensable) on instances small enough to check completely,
+cross-validated against the depth-first fiber oracle.
 
 Whole-family sweeps cut the model count down by symmetry: relabeling rows
 and columns is a bijection of tables that commutes with the statistic and
@@ -16,15 +17,16 @@ each run to keep that reduction honest.
 
 from __future__ import annotations
 
-import functools
+import math
 import random
-from dataclasses import dataclass
-from itertools import combinations_with_replacement
+import time
+from dataclasses import dataclass, field
+from itertools import chain, combinations_with_replacement
 
 import numpy as np
 
 from . import models as _models
-from .fiber import UnionFind, enumerate_fiber, indispensable, is_connected
+from .fiber import enumerate_fiber, indispensable, is_connected
 from .models import ModelSpec
 from .moves import basis_for_model, format_move
 from .tables import Rectangle, build_configuration
@@ -50,30 +52,124 @@ def _row_view(tables: np.ndarray) -> np.ndarray:
     return a.view(np.dtype((np.void, a.shape[1] * a.itemsize))).ravel()
 
 
-@functools.lru_cache(maxsize=64)
 def _universe(R: int, C: int, total: int):
     """All R x C tables with the given grand total, bytewise-sorted.
 
     Returns (tables, view): a (n, R*C) uint8 array and its void row view.
     Generated as multisets of cells, so every table appears exactly once.
+    The multisets come in lexicographic order, which lists their tables in
+    descending byte order (the first differing cell id is the cell where
+    the earlier multiset has more), so filling rows from the end sorts them.
     """
     n_cells = R * C
-    if total == 0:
-        tables = np.zeros((1, n_cells), dtype=np.uint8)
-        return tables, _row_view(tables)
+    n = math.comb(n_cells + total - 1, total)
     combos = combinations_with_replacement(range(n_cells), total)
-    idx = np.fromiter(
-        (c for comb in combos for c in comb), dtype=np.int64
-    ).reshape(-1, total)
+    idx = np.fromiter(chain.from_iterable(combos), dtype=np.uint16,
+                      count=n * total).reshape(n, total)
     # one pass per chosen cell fills the uint8 tables in place; a bincount
     # over every (table, cell) slot allocates eight times their size
-    tables = np.zeros((idx.shape[0], n_cells), dtype=np.uint8)
-    rows = np.arange(idx.shape[0])
+    tables = np.zeros((n, n_cells), dtype=np.uint8)
+    rows = np.arange(n - 1, -1, -1)
     for col in idx.T:
         tables[rows, col] += 1
-    order = np.argsort(_row_view(tables), kind="stable")
-    tables = np.ascontiguousarray(tables[order])
     return tables, _row_view(tables)
+
+
+# translated tables per lookup in ``_move_edges``: bounds its temporaries
+_CHUNK_BYTES = 1 << 22
+
+
+class _Universes(dict):
+    """Table universes by (R, C, total), each built on first use.
+
+    One lives for one suite or one ``connectivity_range`` call, so the
+    universes (24 MB for 6x6 at total 5) are freed when it returns.
+    """
+
+    def __missing__(self, key):
+        value = self[key] = _universe(*key)
+        return value
+
+
+def _fiber_ids(t_all: np.ndarray, total: int) -> np.ndarray:
+    """Each table's fiber: the rank of its statistic row among the distinct
+    rows, in lexicographic order.
+
+    Every coordinate lies in [0, total], so reading a row as a number in
+    radix total + 1, most significant first, keeps the lexicographic order,
+    and ``np.unique`` sorts one int64 per table.  Rows too long for 62 bits
+    fall back to sorting the rows themselves.
+    """
+    if (total + 1) ** t_all.shape[1] < 2 ** 62:
+        key = np.zeros(t_all.shape[0], dtype=np.int64)
+        for column in t_all.T:
+            key = key * (total + 1) + column
+        _, fiber_id = np.unique(key, return_inverse=True)
+    else:
+        _, fiber_id = np.unique(t_all, axis=0, return_inverse=True)
+    return fiber_id.ravel()
+
+
+def _lookup(tables: np.ndarray, view: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Index of each row of ``rows`` in the sorted universe (tables, view)."""
+    pos = np.minimum(np.searchsorted(view, _row_view(rows)), view.size - 1)
+    assert (tables[pos] == rows).all()  # each found row equals its key
+    return pos
+
+
+def _move_edges(basis, universes: _Universes, R: int, C: int, total: int):
+    """Both ends (src, dst) of every edge x -> x + z of the move graph on
+    the tables of the given total, as indices into its universe.
+
+    A move z applies to x exactly when x = y + z- for a table y of total
+    ``total - |z-|``, so running y over that smaller universe gives every
+    such x once, and x + z = y + z+.  Moves of one degree |z-| share that
+    universe and are translated a chunk at a time.
+    """
+    tables, view = universes[R, C, total]
+    off, flat, coef = (np.asarray(a) for a in basis.move_arrays())
+    z = np.zeros((off.size - 1, R * C), dtype=np.int16)
+    np.add.at(z, (np.repeat(np.arange(off.size - 1), np.diff(off)), flat), coef)
+    neg = np.maximum(-z, 0).astype(np.uint8)
+    pos = np.maximum(z, 0).astype(np.uint8)
+    degree = neg.sum(axis=1)
+    src, dst = [], []
+    for d in np.unique(degree[degree <= total]):
+        base = universes[R, C, total - int(d)][0]
+        moves = np.flatnonzero(degree == d)
+        step = max(1, _CHUNK_BYTES // base.nbytes)
+        for k in np.array_split(moves, -(-moves.size // step)):
+            src.append(_lookup(tables, view, (base + neg[k, None]).reshape(-1, R * C)))
+            dst.append(_lookup(tables, view, (base + pos[k, None]).reshape(-1, R * C)))
+    if not src:
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    return np.concatenate(src), np.concatenate(dst)
+
+
+def _components(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Component label of each of ``n`` nodes joined by the undirected edges
+    (u[k], v[k]): the smallest node of its component.
+
+    Min-label hooking with pointer jumping.  Each round hooks the larger of
+    the two roots an edge joins onto the smaller, then jumps every pointer
+    to its root; edges whose ends share a root drop out for good.  Labels
+    only decrease, so no cycle can form, and a node's label is never larger
+    than the node, so each component's root is its smallest node.
+    """
+    label = np.arange(n)
+    while True:
+        lu, lv = label[u], label[v]
+        live = lu != lv
+        if not live.any():
+            return label
+        u, v = u[live], v[live]
+        lu, lv = lu[live], lv[live]
+        np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
 
 
 @dataclass(frozen=True)
@@ -106,6 +202,9 @@ class ConnectivityReport:
     n_disconnected: int
     witnesses: tuple[FiberWitness, ...]
     cross_checks: int
+    # wall time of the sweep; outside equality and ``to_dict``, so reports
+    # of identical sweeps stay equal and serialise identically
+    sweep_s: float = field(default=0.0, compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -132,74 +231,58 @@ def connectivity_sweep(model: ModelSpec, R: int, C: int, total: int,
     """Check that the model's move basis connects every fiber of the given
     grand total, by exhausting all tables of that total.
 
+    The edges x -> x + z are found by translation: z applies to x exactly
+    when x = y + z- with y a table of total ``total - |z-|``, so each move
+    maps that smaller universe onto its sources (y + z-) and their images
+    (y + z+), and nothing is tested against tables a move cannot reach.
+
     ``types`` restricts block-model bases (witness hunting); ``cross_check``
     fibers are re-enumerated with the depth-first oracle and must agree,
     membership and connectivity both.
     """
+    return _sweep(_Universes(), model, R, C, total, types=types, basis=basis,
+                  max_witnesses=max_witnesses, cross_check=cross_check,
+                  seed=seed)
+
+
+def _sweep(universes: _Universes, model: ModelSpec, R: int, C: int, total: int,
+           types=None, basis=None, max_witnesses: int = 3, cross_check: int = 2,
+           seed: int = 0) -> ConnectivityReport:
+    t0 = time.perf_counter()
     _models.require_valid(model, R, C)
     cfg = build_configuration(model, R, C)
     if basis is None:
         basis = basis_for_model(model, R, C, types=types)
-    tables, view = _universe(R, C, total)
+    tables, _ = universes[R, C, total]
     n = tables.shape[0]
 
     # exact in uint8: a statistic is at most the total, which the uint8
     # tables already keep below 256; a float64 copy of the tables would be
     # the sweep's largest array
-    t_all = (tables @ np.asarray(cfg.matrix, dtype=np.uint8).T).astype(np.int32)
-    _, fiber_id = np.unique(t_all, axis=0, return_inverse=True)
-    fiber_id = fiber_id.ravel()
+    t_all = tables @ np.asarray(cfg.matrix, dtype=np.uint8).T
+    fiber_id = _fiber_ids(t_all, total)
     n_fibers = int(fiber_id.max()) + 1 if n else 0
     sizes = np.bincount(fiber_id, minlength=n_fibers)
-    multi_mask = sizes[fiber_id] >= 2
-    keep = np.flatnonzero(multi_mask)
     n_multi = int(np.count_nonzero(sizes >= 2))
 
-    dsu = UnionFind(keep.size)
-    if keep.size:
-        inv_keep = np.full(n, -1, dtype=np.int64)
-        inv_keep[keep] = np.arange(keep.size)
-        sub = tables[keep]
-        off, flat, coef = basis.move_arrays()
-        flat = np.asarray(flat, dtype=np.int64)
-        coef = np.asarray(coef, dtype=np.int16)
-        for lo, hi in zip(off, off[1:]):
-            flats, coefs = flat[lo:hi], coef[lo:hi]
-            valid = np.ones(keep.size, dtype=bool)
-            for c, v in zip(flats[coefs < 0], -coefs[coefs < 0]):
-                valid &= sub[:, c] >= v
-            src = np.flatnonzero(valid)
-            if not src.size:
-                continue
-            new = sub[src].astype(np.int16)
-            new[:, flats] += coefs
-            pos = np.searchsorted(view, _row_view(new.astype(np.uint8)))
-            dst = inv_keep[pos]
-            assert (dst >= 0).all()  # a move never leaves its fiber
-            for a, b in zip(src.tolist(), dst.tolist()):
-                dsu.union(a, b)
-
-    roots = np.fromiter((dsu.find(i) for i in range(keep.size)),
-                        dtype=np.int64, count=keep.size)
-    fib_sub = fiber_id[keep]
-    disconnected: list[int] = []
-    if keep.size:
-        enc = fib_sub.astype(np.int64) * (keep.size + 1) + roots
-        u_fib = np.unique(enc) // (keep.size + 1)
-        fib_ids, comp_counts = np.unique(u_fib, return_counts=True)
-        disconnected = [int(f) for f, c in zip(fib_ids, comp_counts) if c >= 2]
+    src, dst = _move_edges(basis, universes, R, C, total)
+    assert (fiber_id[src] == fiber_id[dst]).all()  # a move never leaves its fiber
+    label = _components(n, src, dst)
+    # each component has one root (label[x] == x) and lies in one fiber
+    roots = np.flatnonzero(label == np.arange(n))
+    n_components = np.bincount(fiber_id[roots], minlength=n_fibers)
+    disconnected = np.flatnonzero(n_components >= 2)
 
     witnesses = []
     for f in disconnected[:max_witnesses]:
-        members = np.flatnonzero(fib_sub == f)
-        r0 = roots[members[0]]
-        other = members[roots[members] != r0][0]
+        members = np.flatnonzero(fiber_id == f)
+        other = members[label[members] != label[members[0]]][0]
         witnesses.append(FiberWitness(
-            t=tuple(int(v) for v in t_all[keep[members[0]]]),
+            t=tuple(int(v) for v in t_all[members[0]]),
             size=int(sizes[f]),
-            n_components=int(np.unique(roots[members]).size),
-            members=(tuple(int(v) for v in sub[members[0]]),
-                     tuple(int(v) for v in sub[other])),
+            n_components=int(n_components[f]),
+            members=(tuple(int(v) for v in tables[members[0]]),
+                     tuple(int(v) for v in tables[other])),
         ))
 
     checks = 0
@@ -213,14 +296,14 @@ def connectivity_sweep(model: ModelSpec, R: int, C: int, total: int,
                           for row in tables[fiber_id == f])
             if sorted(fib.members) != mine:
                 raise AssertionError(f"fiber membership mismatch at t={t}")
-            if is_connected(fib, basis) != (int(f) not in disconnected):
+            if is_connected(fib, basis) != (n_components[f] == 1):
                 raise AssertionError(f"connectivity verdict mismatch at t={t}")
             checks += 1
 
     return ConnectivityReport(
         R=R, C=C, total=total, n_tables=n, n_fibers=n_fibers, n_multi=n_multi,
-        n_disconnected=len(disconnected), witnesses=tuple(witnesses),
-        cross_checks=checks,
+        n_disconnected=int(disconnected.size), witnesses=tuple(witnesses),
+        cross_checks=checks, sweep_s=time.perf_counter() - t0,
     )
 
 
@@ -228,11 +311,18 @@ def connectivity_range(model: ModelSpec, R: int, C: int, max_total: int,
                        types: tuple[str, ...] | None = None,
                        cross_check: int = 2, seed: int = 0):
     """Connectivity sweeps for totals 2..max_total (smaller fibers are
-    singletons, connected vacuously).  The basis is built once."""
+    singletons, connected vacuously).  The basis is built once, and the
+    table universes once each, freed on return."""
+    return _range(_Universes(), model, R, C, max_total, types=types,
+                  cross_check=cross_check, seed=seed)
+
+
+def _range(universes: _Universes, model: ModelSpec, R: int, C: int,
+           max_total: int, types=None, cross_check: int = 2, seed: int = 0):
     basis = basis_for_model(model, R, C, types=types)
     return [
-        connectivity_sweep(model, R, C, total, basis=basis,
-                           cross_check=cross_check, seed=seed + total)
+        _sweep(universes, model, R, C, total, basis=basis,
+               cross_check=cross_check, seed=seed + total)
         for total in range(2, max_total + 1)
     ]
 
@@ -353,6 +443,7 @@ def change_point_suite(max_dim: int = 4, max_total: int = 5,
     fully checked, plus sample_raw random unreduced models per grid.
     """
     rng = random.Random(seed)
+    universes = _Universes()
     conn_fail: list[str] = []
     ind_fail: list[str] = []
     raw_total = 0
@@ -371,8 +462,8 @@ def change_point_suite(max_dim: int = 4, max_total: int = 5,
     def run(model: ModelSpec, R: int, C: int) -> int:
         nonlocal fibers_checked
         label = _describe(model, R, C)
-        for rep in connectivity_range(model, R, C, max_total,
-                                      cross_check=1, seed=rng.randrange(10**6)):
+        for rep in _range(universes, model, R, C, max_total,
+                          cross_check=1, seed=rng.randrange(10**6)):
             fibers_checked += rep.n_multi
             if not rep.ok:
                 conn_fail.append(f"{label} total={rep.total}: "
@@ -429,22 +520,23 @@ def _block_suite(name: str, family: str, geometries, controls,
     """The full basis must connect every fiber of total <= max_total on each
     geometry; on each control geometry the reduced types must leave a
     disconnected witness fiber at some total."""
+    universes = _Universes()
     conn_fail: list[str] = []
     witnesses: list[str] = []
     fibers_checked = 0
     for R, C, rb, cb in geometries:
         model = _block_model(family, rb, cb)
         label = _describe(model, R, C)
-        for rep in connectivity_range(model, R, C, max_total,
-                                      cross_check=1, seed=seed):
+        for rep in _range(universes, model, R, C, max_total,
+                          cross_check=1, seed=seed):
             fibers_checked += rep.n_multi
             if not rep.ok:
                 conn_fail.append(f"{label} total={rep.total}")
     for R, C, rb, cb in controls:
         model = _block_model(family, rb, cb)
         for total in range(2, max_total + 1):
-            rep = connectivity_sweep(model, R, C, total, types=reduced,
-                                     cross_check=0)
+            rep = _sweep(universes, model, R, C, total, types=reduced,
+                         cross_check=0)
             if not rep.ok:
                 w = rep.witnesses[0]
                 witnesses.append(

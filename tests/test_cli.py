@@ -279,6 +279,11 @@ def test_verify_single_model(capsys, cp_model_path):
     assert rep["all_connected"] is True
     assert [r["total"] for r in rep["connectivity"]] == [2, 3]
     assert rep["indispensability"]["all_indispensable"] is True
+    timings = rep["timings"]
+    assert set(timings) == {"sweep_s", "indispensability_s"}
+    assert set(timings["sweep_s"]) == {"2", "3"}
+    assert all(v >= 0 for v in timings["sweep_s"].values())
+    assert timings["indispensability_s"] >= 0
 
 
 def test_verify_suite(capsys):
@@ -288,6 +293,9 @@ def test_verify_suite(capsys):
     assert len(rep["suites"]) == 1
     assert rep["suites"][0]["suite"] == "own-blocks"
     assert rep["suites"][0]["ok"] is True
+    assert set(rep["timings"]) == {"sweep_s"}
+    assert set(rep["timings"]["sweep_s"]) == {"own-blocks"}
+    assert rep["timings"]["sweep_s"]["own-blocks"] >= 0
 
 
 def test_grobner_check_command(capsys, tmp_path):
@@ -299,6 +307,8 @@ def test_grobner_check_command(capsys, tmp_path):
                          "--model", str(path))
     assert code == 0
     assert rep["certified"] is True and rep["n_generators"] == 15
+    assert rep["pairs_checked"] == sum(rep["pairs_by_criterion"].values()) == 105
+    assert set(rep["timings"]) == {"grobner_s"} and rep["timings"]["grobner_s"] >= 0
     code, rep = run_json(capsys, "grobner-check", "--rows", "6", "--cols", "6",
                          "--model", str(path))
     assert code == 1

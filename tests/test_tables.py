@@ -1,5 +1,7 @@
 """Tables, cell geometry, configurations and exact rank."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import sympy
@@ -162,6 +164,74 @@ def test_config_rank_against_sympy(model, R, C, expected):
     assert config_rank(cfg) == expected
     oracle = sympy.Matrix(cfg.matrix.tolist()).rank()
     assert oracle == expected
+
+
+def fraction_rank(rows):
+    """Gaussian elimination over Fraction: the reference for rational_rank."""
+    work = [[Fraction(v) for v in row] for row in rows]
+    if not work:
+        return 0
+    ncols = len(work[0])
+    rank = 0
+    col = 0
+    while rank < len(work) and col < ncols:
+        pivot = next((r for r in range(rank, len(work)) if work[r][col] != 0), None)
+        if pivot is None:
+            col += 1
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        prow = work[rank]
+        inv = 1 / prow[col]
+        for r in range(rank + 1, len(work)):
+            factor = work[r][col] * inv
+            if factor:
+                row_r = work[r]
+                for c in range(col, ncols):
+                    row_r[c] -= factor * prow[c]
+        rank += 1
+        col += 1
+    return rank
+
+
+def _suite_configurations():
+    from markovfiber.verify import COMMON_SUITE_GEOMETRIES, OWN_SUITE_GEOMETRIES
+
+    for family, geometries in ((OWN_BLOCKS, OWN_SUITE_GEOMETRIES),
+                               (COMMON_BLOCKS, COMMON_SUITE_GEOMETRIES)):
+        for R, C, rb, cb in geometries:
+            yield ModelSpec(family=family, row_bounds=rb, col_bounds=cb), R, C
+
+
+GRID_24 = ModelSpec(family=COMMON_BLOCKS, row_bounds=(1, 7, 13, 19, 25),
+                    col_bounds=(1, 7, 13, 19, 25))
+
+
+@pytest.mark.parametrize("model,R,C", [
+    (gilby_model(), 8, 4), *[(m, 12, 12) for m in victoria_models()],
+    (GRID_24, 24, 24), *_suite_configurations(),
+])
+def test_rational_rank_matches_fraction_elimination(model, R, C):
+    rows = build_configuration(model, R, C).matrix.tolist()
+    assert rational_rank(rows) == fraction_rank(rows)
+    # stacking two configurations, as row_space_contains does
+    common = build_configuration(victoria_models()[0], 12, 12).matrix.tolist()
+    if (R, C) == (12, 12):
+        assert rational_rank(common + rows) == fraction_rank(common + rows)
+
+
+def test_rational_rank_matches_fraction_elimination_on_random_matrices():
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        m, n = rng.integers(1, 8, size=2)
+        rows = rng.integers(-4, 5, size=(m, n))
+        # low-rank products and zero columns exercise the pivot search
+        if rng.random() < 0.5:
+            k = int(rng.integers(1, min(m, n) + 1))
+            rows = rng.integers(-3, 4, size=(m, k)) @ rng.integers(-3, 4, size=(k, n))
+        if rng.random() < 0.3:
+            rows[:, rng.integers(0, n)] = 0
+        rows = rows.tolist()
+        assert rational_rank(rows) == fraction_rank(rows)
 
 
 def test_degrees_of_freedom():

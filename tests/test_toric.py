@@ -5,10 +5,16 @@ import pytest
 
 from markovfiber.models import CHANGE_POINT, INDEPENDENCE, ModelError, ModelSpec
 from markovfiber.tables import Rectangle, build_configuration
+from itertools import combinations
+
 from markovfiber.toric import (
+    MAX_DIVISION_STEPS,
     Binomial,
     LexOrder,
     ToricError,
+    _divide_packed,
+    _pack,
+    _s_polynomial_packed,
     canonicalize,
     divide,
     generators,
@@ -18,6 +24,7 @@ from markovfiber.toric import (
 )
 from markovfiber.moves import basis_for_model
 from markovfiber.datasets import gilby_model
+from markovfiber.verify import change_point_models
 
 DOUBLY_STRICT = ModelSpec(
     family=CHANGE_POINT,
@@ -142,6 +149,8 @@ def test_verify_grobner_doubly_strict():
     assert report.all_reduced and report.initial_square_free
     assert report.n_generators == 15
     assert report.pairs_checked == 15 * 14 // 2
+    assert sum(report.pairs_by_criterion.values()) == report.pairs_checked
+    assert report.pairs_by_criterion["product"] > 0
     d = report.to_dict()
     assert d["certified"] is True
     assert d["order"].startswith("x_44 > ")
@@ -163,3 +172,55 @@ def test_verify_grobner_respects_the_size_bound():
         verify_grobner(model, 6, 6)
     report = verify_grobner(model, 5, 5, max_dim=5)
     assert report.certified
+
+
+def _packed(gens):
+    return [(_pack(g.lead), _pack(g.trail)) for g in gens]
+
+
+def test_packed_order_is_the_lex_order():
+    order = LexOrder(3, 3)
+    rng = np.random.default_rng(1)
+    mons = [tuple(int(e) for e in rng.integers(0, 5, size=9)) for _ in range(200)]
+    assert sorted(mons, key=order.key) == sorted(mons, key=_pack)
+
+
+def test_packed_division_agrees_with_tuple_division():
+    """Every S-pair of every 4x4 class of criterion 8, coprime leads
+    included: the same S-polynomial and the same verdict."""
+    classes = {canonicalize(m, 4, 4)[0] for m in change_point_models(4, 4)}
+    guard = _pack((8,) * 16)
+    n_pairs = 0
+    for model in classes:
+        gens, order, _, _ = generators(model, 4, 4)
+        packed = _packed(gens)
+        for (p1, g1), (p2, g2) in combinations(zip(packed, gens), 2):
+            spoly = _s_polynomial_packed(*p1, *p2, guard)
+            assert spoly == {_pack(m): c for m, c in s_polynomial(g1, g2).items()}
+            assert (_divide_packed(spoly, packed, guard, MAX_DIVISION_STEPS)
+                    == divide(s_polynomial(g1, g2), gens, order))
+            n_pairs += 1
+    assert n_pairs > 10_000
+    # the non-basis pair of test_s_pair_needing_a_third_generator
+    gens, order, _, _ = generators(ModelSpec(family=INDEPENDENCE), 3, 3)
+    g1, g2 = gens[0], gens[1]
+    pair = _packed([g1, g2])
+    guard = _pack((8,) * 9)
+    spoly = _s_polynomial_packed(*pair[0], *pair[1], guard)
+    assert not _divide_packed(spoly, pair, guard, MAX_DIVISION_STEPS)
+    assert not s_poly_reduces(g1, g2, [g1, g2], order)
+    with pytest.raises(ToricError):
+        _divide_packed(spoly, pair, guard, 0)
+
+
+@pytest.mark.parametrize("model,R,C", [(DOUBLY_STRICT, 4, 4), (gilby_model(), 8, 4)])
+def test_product_criterion_skips_only_reducing_pairs(model, R, C):
+    gens, order, _, _ = generators(model, R, C)
+    skipped = [(g1, g2) for g1, g2 in combinations(gens, 2)
+               if not any(a and b for a, b in zip(g1.lead, g2.lead))]
+    assert skipped
+    assert all(s_poly_reduces(g1, g2, gens, order) for g1, g2 in skipped)
+    report = verify_grobner(model, R, C, max_dim=max(R, C))
+    assert report.certified
+    assert report.pairs_by_criterion["product"] == len(skipped)
+    assert report.pairs_checked == len(gens) * (len(gens) - 1) // 2

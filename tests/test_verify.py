@@ -1,13 +1,15 @@
 """Exhaustive sweeps: connectivity, indispensability, and the suite drivers."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from markovfiber.fiber import enumerate_fiber, is_connected
+from markovfiber.fiber import UnionFind, enumerate_fiber, is_connected
 from markovfiber.models import (
     CHANGE_POINT,
+    COMMON_BLOCKS,
     INDEPENDENCE,
     OWN_BLOCKS,
     ModelSpec,
@@ -15,6 +17,11 @@ from markovfiber.models import (
 from markovfiber.moves import basis_for_model
 from markovfiber.tables import Rectangle, build_configuration
 from markovfiber.verify import (
+    COMMON_SUITE_GEOMETRIES,
+    OWN_SUITE_GEOMETRIES,
+    _components,
+    _fiber_ids,
+    _universe,
     change_point_models,
     change_point_suite,
     common_blocks_suite,
@@ -23,6 +30,7 @@ from markovfiber.verify import (
     indispensability_sweep,
     own_blocks_suite,
 )
+from reference_verify import reference_sweep
 
 OWN_3X3 = ModelSpec(family=OWN_BLOCKS, row_bounds=(1, 2, 3, 4),
                     col_bounds=(1, 2, 3, 4))
@@ -31,6 +39,15 @@ OWN_3X3 = ModelSpec(family=OWN_BLOCKS, row_bounds=(1, 2, 3, 4),
 def test_sweep_enumerates_every_table():
     rep = connectivity_sweep(ModelSpec(family=INDEPENDENCE), 2, 2, total=3)
     assert rep.n_tables == math.comb(4 + 3 - 1, 3)  # multisets of 4 cells
+
+
+@pytest.mark.parametrize("R,C,total", [(2, 2, 0), (2, 3, 1), (2, 3, 3), (3, 3, 4)])
+def test_universe_is_every_table_in_byte_order(R, C, total):
+    tables, view = _universe(R, C, total)
+    expected = sorted(t for t in itertools.product(range(total + 1), repeat=R * C)
+                      if sum(t) == total)
+    assert [tuple(row) for row in tables.tolist()] == expected
+    assert view.size == len(expected)
 
 
 def test_independence_sweep_is_connected():
@@ -126,3 +143,98 @@ def test_common_blocks_suite_small_scale():
     assert rep.ok
     assert rep.models_checked == 5
     assert rep.n_fibers_checked > 0
+
+
+# Every suite geometry, full and reduced types, against the mask-loop sweep,
+# at totals 2-5.  On the 6x6 grids only the reduced three-block bases go on
+# to total 5, where their disconnected fibers and witnesses are; the other
+# four 6x6 sweeps at total 5 are connected and would cost the reference
+# about 36 s more on a 2-vCPU machine.
+SWEEP_ORACLE_CASES = [
+    (family, (R, C, rb, cb), types,
+     5 if (R, C) != (6, 6) or (types and len(rb) == 4) else 4)
+    for family, geometries, reduced in (
+        (OWN_BLOCKS, OWN_SUITE_GEOMETRIES, ("I",)),
+        (COMMON_BLOCKS, COMMON_SUITE_GEOMETRIES, ("I", "II", "III")))
+    for R, C, rb, cb in geometries
+    for types in (None, reduced)
+]
+
+
+@pytest.mark.parametrize("family,geometry,types,max_total", SWEEP_ORACLE_CASES)
+def test_sweep_matches_mask_loop_reference(family, geometry, types, max_total):
+    R, C, rb, cb = geometry
+    model = ModelSpec(family=family, row_bounds=rb, col_bounds=cb)
+    basis = basis_for_model(model, R, C, types=types)
+    reports = connectivity_range(model, R, C, max_total, types=types)
+    for rep in reports:
+        ref = reference_sweep(model, R, C, rep.total, basis=basis,
+                              seed=rep.total)
+        assert rep == ref  # witnesses included
+
+
+CHANGE_POINT_4X4 = [
+    (Rectangle(1, 2, 1, 2),),
+    (Rectangle(1, 1, 1, 3),),
+    (Rectangle(2, 3, 2, 4),),
+    (Rectangle(1, 2, 1, 2), Rectangle(1, 3, 1, 3)),
+    (Rectangle(2, 3, 2, 3), Rectangle(2, 4, 1, 3)),
+]
+
+
+@pytest.mark.parametrize("rects", CHANGE_POINT_4X4)
+def test_change_point_sweeps_match_reference(rects):
+    model = ModelSpec(family=CHANGE_POINT, rectangles=rects)
+    for rep in connectivity_range(model, 4, 4, max_total=5):
+        assert rep == reference_sweep(model, 4, 4, rep.total, seed=rep.total)
+
+
+def _union_find_labels(n, u, v):
+    uf = UnionFind(n)
+    for a, b in zip(u.tolist(), v.tolist()):
+        uf.union(a, b)
+    roots = [uf.find(i) for i in range(n)]
+    smallest = {}
+    for i, r in enumerate(roots):
+        smallest.setdefault(r, i)
+    return np.array([smallest[r] for r in roots])
+
+
+@pytest.mark.parametrize("n,m,seed", [(1, 0, 0), (5, 0, 1), (50, 30, 2),
+                                      (200, 150, 3), (1000, 2000, 4)])
+def test_components_match_union_find(n, m, seed):
+    rng = np.random.default_rng(seed)
+    u = rng.integers(0, n, size=m)
+    v = rng.integers(0, n, size=m)
+    # the label is the smallest node of the component, as union-find says
+    assert (_components(n, u, v) == _union_find_labels(n, u, v)).all()
+
+
+def _shuffled_path(nodes, rng):
+    order = rng.permutation(nodes)
+    u, v = order[:-1], order[1:]
+    flip = rng.random(u.size) < 0.5
+    return np.where(flip, v, u), np.where(flip, u, v)
+
+
+def test_components_on_a_long_shuffled_path():
+    n = 200_000
+    rng = np.random.default_rng(0)
+    u, v = _shuffled_path(np.arange(n), rng)
+    assert (_components(n, u, v) == 0).all()
+    # two paths: every node is labelled with the smallest node of its own
+    half = n // 2
+    a, b = _shuffled_path(np.arange(half), rng)
+    c, d = _shuffled_path(np.arange(half, n), rng)
+    label = _components(n, np.concatenate([a, c]), np.concatenate([b, d]))
+    assert (label == np.where(np.arange(n) < half, 0, half)).all()
+
+
+def test_fiber_ids_fall_back_to_rows_beyond_62_bits():
+    rng = np.random.default_rng(5)
+    t_all = rng.integers(0, 4, size=(300, 8)).astype(np.uint8)
+    _, expected = np.unique(t_all, axis=0, return_inverse=True)
+    assert (_fiber_ids(t_all, 3) == expected.ravel()).all()   # 4**8 keys
+    wide = np.tile(t_all, 4)                                # 4**32 = 2**64
+    _, expected = np.unique(wide, axis=0, return_inverse=True)
+    assert (_fiber_ids(wide, 3) == expected.ravel()).all()
