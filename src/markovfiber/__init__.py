@@ -36,8 +36,7 @@ from .moves import (
     Move,
     MoveBasis,
     LazyMoveBasis,
-    basis_change_point,
-    basis_block,
+    enumerate_basis,
     basis_for_model,
     random_move,
     is_kernel_move,
@@ -64,7 +63,7 @@ __all__ = [
     "INDEPENDENCE", "CHANGE_POINT", "OWN_BLOCKS", "COMMON_BLOCKS", "GENERAL_BLOCKS",
     "load_model", "save_model", "model_from_dict", "model_to_dict",
     "Move", "MoveBasis", "LazyMoveBasis",
-    "basis_change_point", "basis_block", "basis_for_model",
+    "enumerate_basis", "basis_for_model",
     "random_move", "is_kernel_move",
     "Fiber", "FiberOverflow", "enumerate_fiber", "is_connected", "indispensable", "exact_pvalue",
     "ipf_fit", "chi_square", "g_square", "llr_nested", "FitResult", "make_tracker",

@@ -21,7 +21,7 @@ from .fiber import DEFAULT_CAP, FiberOverflow, enumerate_fiber, exact_pvalue, is
 from .fit import FitError, chi_square, g_square, ipf_fit, make_tracker
 from .mcmc import ChainConfig, pooled_pvalue, run_chains
 from .models import ModelError, ModelSpec, load_model, model_to_dict, save_model
-from .moves import basis_for_model, dump_moves
+from .moves import ENUMERATION_THRESHOLD, basis_for_model, dump_moves, enumerate_basis
 from .tables import (
     Table,
     TableError,
@@ -113,6 +113,12 @@ def _check_chain_args(args) -> None:
             raise CliError(f"{flag} must be >= 1, got {value}")
     if args.burn_in is not None and not 0 <= args.burn_in < args.steps:
         raise CliError(f"--burn-in must be in [0, steps), got {args.burn_in}")
+
+
+def _require_enumerable(what: str, R: int, C: int) -> None:
+    if R * C > ENUMERATION_THRESHOLD:
+        raise CliError(f"{what} needs an enumerated basis; the {R}x{C} grid is above "
+                       f"the enumeration threshold of {ENUMERATION_THRESHOLD} cells")
 
 
 def _write_stream(path: str, k: int, n_chains: int, samples) -> str:
@@ -245,7 +251,7 @@ def cmd_moves_dump(args) -> dict:
     model = _resolve_model(args.model, ds)
     R, C = _grid(args, table)
     _models.require_valid(model, R, C)
-    basis = basis_for_model(model, R, C, enumerate_threshold=R * C + 1_000_000)
+    basis = enumerate_basis(model, R, C)
     if not args.out:
         # the basis itself is the output; no JSON report in this mode
         dump_moves(basis, sys.stdout)
@@ -284,11 +290,8 @@ def cmd_fiber(args) -> dict:
         if fiber.overflowed:
             raise FiberOverflow(
                 f"fiber exceeded cap {args.cap}; cannot check connectivity")
-        basis = basis_for_model(model, R, C)
-        if basis.kind != "enumerated":
-            raise CliError(f"--check-connect needs an enumerated basis; the {R}x{C} "
-                           "grid is above the enumeration threshold")
-        report["connected"] = is_connected(fiber, basis)
+        _require_enumerable("--check-connect", R, C)
+        report["connected"] = is_connected(fiber, enumerate_basis(model, R, C))
     if args.exact_p:
         if fiber.overflowed:
             raise FiberOverflow(
@@ -326,6 +329,7 @@ def cmd_verify(args) -> dict:
     model = _resolve_model(args.model, ds)
     R, C = _grid(args, table)
     _models.require_valid(model, R, C)
+    _require_enumerable("verify", R, C)
     types = tuple(args.types.split(",")) if args.types else None
     reports = connectivity_range(model, R, C, args.max_total, types=types)
     out = {

@@ -79,10 +79,6 @@ class Fiber:
     def index(self) -> dict[tuple[int, ...], int]:
         return {m: k for k, m in enumerate(self.members)}
 
-    def tables(self):
-        for m in self.members:
-            yield Table(np.asarray(m, dtype=np.int64).reshape(self.R, self.C))
-
 
 def _log_weight(member) -> float:
     return -sum(math.lgamma(x + 1) for x in member)
@@ -183,12 +179,15 @@ def enumerate_fiber(t, cfg: Configuration, cap: int = DEFAULT_CAP,
     )
 
 
-def _move_graph(fiber: Fiber, basis, stop_when_connected: bool) -> UnionFind:
-    """Union-find over fiber members joined by the edges x <-> x + z.
+def is_connected(fiber: Fiber, basis) -> bool:
+    """Is the fiber graph (edges x <-> x + z, both ends nonnegative) one
+    component?  Singleton and empty fibers count as connected.
 
     The basis stores one sign per move, and applying +z from every member
     still finds each edge once: the edge x <-> x - z is found from x - z.
     """
+    if len(fiber) <= 1:
+        return True
     if basis.kind != "enumerated":
         raise ValueError("connectivity needs an enumerated basis")
     idx = fiber.index()
@@ -210,26 +209,9 @@ def _move_graph(fiber: Fiber, basis, stop_when_connected: bool) -> UnionFind:
             other = idx.get(tuple(target))
             if other is not None:
                 uf.union(k, other)
-        if stop_when_connected and uf.n_components == 1:
-            break
-    return uf
-
-
-def is_connected(fiber: Fiber, basis) -> bool:
-    """Is the fiber graph (edges x <-> x + z, both ends nonnegative) one
-    component?  Singleton and empty fibers count as connected."""
-    if len(fiber) <= 1:
-        return True
-    return _move_graph(fiber, basis, stop_when_connected=True).n_components == 1
-
-
-def components(fiber: Fiber, basis) -> list[list[int]]:
-    """Connected components as lists of member indices (for witnesses)."""
-    uf = _move_graph(fiber, basis, stop_when_connected=False)
-    groups: dict[int, list[int]] = {}
-    for k in range(len(fiber)):
-        groups.setdefault(uf.find(k), []).append(k)
-    return sorted(groups.values(), key=len, reverse=True)
+        if uf.n_components == 1:
+            return True
+    return False
 
 
 def indispensable(z, cfg: Configuration, cap: int = DEFAULT_CAP) -> bool:

@@ -325,15 +325,15 @@ class LLRTracker:
     """
 
     RESET_EVERY = 2048
+    # tolerance of the outer refits at chain states
+    CHAIN_TOL = 1e-8
 
-    def __init__(self, table: Table, inner, outer, tol: float = 1e-10,
-                 chain_tol: float = 1e-8) -> None:
+    def __init__(self, table: Table, inner, outer, tol: float = 1e-10) -> None:
         R, C = table.R, table.C
         if not _models.is_nested(inner, outer, R, C):
             raise FitError("models are not nested")
         self.R, self.C = R, C
         self.inner, self.outer = inner, outer
-        self.chain_tol = chain_tol
 
         self.fit = ipf_fit(table, inner, tol=tol)
         if not self.fit.converged:
@@ -367,7 +367,7 @@ class LLRTracker:
         targets = np.array(self._fixed_targets + b)
         total = sum(self._fixed_targets[:self.R])
         res = _ipf_core(self.R * self.C, self._families, targets,
-                        self.chain_tol, 10_000, total)
+                        self.CHAIN_TOL, 10_000, total)
         if not res.converged:
             raise FitError("outer refit did not converge on a fiber state")
         m2 = res.expected

@@ -24,13 +24,17 @@ Every move is canonicalized to a key (the sorted signed-cell codes, in the
 orientation whose lowest cell has a positive coefficient) and stored in
 that one sign, in flat arrays of offsets, cells and coefficients.
 
-Grids up to ``enumerate_threshold`` cells (default 400) are enumerated: the
-kernels get every index product, and duplicates are dropped on the key,
-keeping the first occurrence in the order I, II/III, IV, IVt.  Larger grids
-get a lazy basis, which feeds the kernels small batches of uniformly drawn
-index tuples and keeps the valid candidates in draw order.  Both bases give
-the walk the same sampler, and the walk draws the sign uniformly, which
-keeps the proposal symmetric (Diaconis & Sturmfels 1998).
+One rule, ``_move_types``, gives every family its types; a ``types``
+argument restricts them (the verification sweeps use this to exhibit
+disconnection witnesses), and a change-point model takes Type I alone.
+``enumerate_basis`` gives the kernels every index product and drops
+duplicates on the key, keeping the first occurrence in the order I, II/III,
+IV, IVt.  ``basis_for_model`` enumerates grids up to 400 cells
+(``ENUMERATION_THRESHOLD``); larger grids get a lazy basis, which feeds the
+kernels small batches of uniformly drawn index tuples and keeps the valid
+candidates in draw order.  Both bases give the walk the same sampler, and
+the walk draws the sign uniformly, which keeps the proposal symmetric
+(Diaconis & Sturmfels 1998).
 """
 
 from __future__ import annotations
@@ -49,8 +53,7 @@ __all__ = [
     "Move",
     "MoveBasis",
     "LazyMoveBasis",
-    "basis_change_point",
-    "basis_block",
+    "enumerate_basis",
     "basis_for_model",
     "random_move",
     "is_kernel_move",
@@ -59,6 +62,8 @@ __all__ = [
 ]
 
 TYPE_NAMES = ("I", "II", "III", "IV", "IVt")
+# grids of more cells get a lazy basis from ``basis_for_model``
+ENUMERATION_THRESHOLD = 400
 _TYPE_CODE = {name: k for k, name in enumerate(TYPE_NAMES)}
 
 # A canonical key holds the signed-cell codes flat * 5 + coef + 2 of one
@@ -151,10 +156,9 @@ class MoveBasis:
 
     kind = "enumerated"
 
-    def __init__(self, R: int, C: int, model, keys: np.ndarray, tcodes: np.ndarray) -> None:
+    def __init__(self, R: int, C: int, keys: np.ndarray, tcodes: np.ndarray) -> None:
         self.R = R
         self.C = C
-        self.model = model
         self._off, self._flat, self._coef = _decode(keys)
         self._tcode = bytes(np.asarray(tcodes, dtype=np.uint8))
 
@@ -299,11 +303,11 @@ class _Candidates:
         self.keys.append(_keys(flats[ok], coefs))
         self.tcodes.append(np.broadcast_to(tcodes, ok.shape)[ok])
 
-    def basis(self, R: int, C: int, model) -> MoveBasis:
+    def basis(self, R: int, C: int) -> MoveBasis:
         """Deduplicate on the key, keeping first occurrences in order."""
         if not self.keys:
             empty = np.empty((0, _KEY_WIDTH), dtype=np.int32)
-            return MoveBasis(R, C, model, empty, np.empty(0, dtype=np.uint8))
+            return MoveBasis(R, C, empty, np.empty(0, dtype=np.uint8))
         keys = np.concatenate(self.keys)
         tcodes = np.concatenate(self.tcodes)
         self.keys, self.tcodes = [], []
@@ -314,7 +318,7 @@ class _Candidates:
         del ranked
         keep = np.sort(order[first])
         keys = keys[keep]
-        return MoveBasis(R, C, model, keys, tcodes[keep])
+        return MoveBasis(R, C, keys, tcodes[keep])
 
 
 def _pairs(n: int, k: int) -> np.ndarray:
@@ -327,21 +331,6 @@ def _type_i(out: _Candidates, R: int, C: int) -> None:
     rows, cols = _pairs(R, 2), _pairs(C, 2)
     flats, coefs, tcode = _type_i_cells(rows[:, :1], rows[:, 1:], cols[:, 0], cols[:, 1], C)
     out.add(flats.reshape(-1, 4), coefs, tcode)
-
-
-def basis_change_point(model, R: int, C: int) -> MoveBasis:
-    """All basic moves whose 2x2 corner strata balance, one sign each.
-
-    Accepts change-point and independence specs (the latter has a single
-    stratum, so every minor qualifies).  With nested rectangles, balanced
-    strata are exactly balanced rectangle sums, so the term matrix decides.
-    """
-    if model.family not in (_models.CHANGE_POINT, _models.INDEPENDENCE):
-        raise _models.ModelError(f"change-point basis needs a change-point model, got {model.family}")
-    _models.require_valid(model, R, C)
-    out = _Candidates(_term_matrix(model, R, C))
-    _type_i(out, R, C)
-    return out.basis(R, C, model)
 
 
 def _type_ii_iii(out: _Candidates, bands, R: int, C: int, wanted: list[int]) -> None:
@@ -384,29 +373,33 @@ def _type_iv(out: _Candidates, bands, C: int, transposed: bool) -> None:
                                         C, transposed))
 
 
-def _block_types(model, types) -> tuple[str, ...]:
-    """Own-parameter models get Types I+II (the unique minimal basis; Type
-    II is vacuous for N = 2), common/general models Types I-IV with Type IV
-    transposes; ``types`` restricts the selection."""
+def _move_types(model, types) -> tuple[str, ...]:
+    """The move types of the model's basis, ``types`` if given: Type I for
+    change-point and independence models (their only type), I+II for
+    own-parameter blocks, I-IV and the Type IV transposes for common and
+    general blocks."""
+    change_point = model.family in (_models.CHANGE_POINT, _models.INDEPENDENCE)
     if types is None:
+        if change_point:
+            return ("I",)
         return ("I", "II") if model.family == _models.OWN_BLOCKS else TYPE_NAMES
     unknown = set(types) - set(TYPE_NAMES)
     if unknown:
-        raise ValueError(f"unknown move types {sorted(unknown)}")
+        raise _models.ModelError(f"unknown move types {sorted(unknown)}")
+    if change_point and set(types) - {"I"}:
+        raise _models.ModelError(f"a {model.family} model has Type I moves only, "
+                                 f"got types {list(types)}")
     return tuple(types)
 
 
-def basis_block(model, R: int, C: int, types: tuple[str, ...] | None = None) -> MoveBasis:
-    """Markov basis for a block-family model.
-
-    ``types`` restricts the default selection, which the verification sweeps
-    use to exhibit disconnection witnesses.
-    """
-    if model.family not in (_models.OWN_BLOCKS, _models.COMMON_BLOCKS, _models.GENERAL_BLOCKS):
-        raise _models.ModelError(f"block basis needs a block-family model, got {model.family}")
+def enumerate_basis(model, R: int, C: int, types: tuple[str, ...] | None = None) -> MoveBasis:
+    """Every move of the model's types (``_move_types``) on the R x C grid,
+    one sign each.  For change-point models these are the basic moves whose
+    corner strata balance: with nested rectangles, balanced strata are
+    exactly balanced rectangle sums, so the term matrix decides."""
     _models.require_valid(model, R, C)
-    types = _block_types(model, types)
-    bands = _bands(model, R, C)
+    types = _move_types(model, types)
+    bands = _bands(model, R, C) if set(types) - {"I"} else None
     out = _Candidates(_term_matrix(model, R, C))
     if "I" in types:
         _type_i(out, R, C)
@@ -416,7 +409,7 @@ def basis_block(model, R: int, C: int, types: tuple[str, ...] | None = None) -> 
         _type_iv(out, bands, C, transposed=False)
     if "IVt" in types:
         _type_iv(out, bands, C, transposed=True)
-    return out.basis(R, C, model)
+    return out.basis(R, C)
 
 
 # --- lazy draws: uniform index tuples --------------------------------------------
@@ -476,17 +469,27 @@ def _pick_other(index, k: np.ndarray, l: np.ndarray, u: np.ndarray):
 _KERNEL_OF = np.array([0, 1, 1, 3, 4])
 
 
-def _pattern_space(t: str, R: int, C: int, bands) -> float:
-    """A type's raw pattern-space size, or 0 where the bands rule it out.
-    The six cells of a Type II/III loop lie in distinct blocks, and any two
-    of its rows share a column (any two columns a row), so it needs three
-    row bands and three column bands, a leftover band included; Type IV
-    needs two diagonal blocks and a third column band for j3, j4 (IVt a
-    third row band).  Without bands (change-point models) only Type I is
-    drawn."""
+def _paired_diagonal(terms: np.ndarray, bands, C: int) -> bool:
+    """Do two diagonal blocks lie in the same terms?  Every cell of a block
+    lies in the same terms, so the first cell of each stands for it."""
+    rband, cband, N = bands
+    first = [np.argmax(rband == n) * C + np.argmax(cband == n) for n in range(1, N + 1)]
+    return len(np.unique(terms[:, first].T, axis=0)) < N
+
+
+def _pattern_space(t: str, R: int, C: int, bands, paired: bool) -> float:
+    """A type's raw pattern-space size, or 0 where no move of the type can
+    balance.  The six cells of a Type II/III loop lie in distinct blocks,
+    and any two of its rows share a column (any two columns a row), so it
+    needs three row bands and three column bands, a leftover band included;
+    Type IV needs two diagonal blocks and a third column band for j3, j4
+    (IVt a third row band).  Types III, IV and IVt have one +1 and one -1
+    cell in two different diagonal blocks and their other cells off the
+    diagonal, so they balance only where two diagonal blocks are
+    ``paired``: in the same terms."""
     if t == "I":
         return R * (R - 1) / 2 * C * (C - 1) / 2
-    if bands is None:
+    if t != "II" and not paired:
         return 0
     rband, cband, N = bands
     n_rows, n_cols = rband.max(), cband.max()  # bands 1..N are never empty
@@ -500,29 +503,30 @@ def _pattern_space(t: str, R: int, C: int, bands) -> float:
 
 
 class LazyMoveBasis:
-    """The same move families, drawn instead of enumerated, for grids too
-    large to enumerate.  A candidate draws a type with weight proportional
-    to its raw pattern-space size (0 for a type the bands rule out), then uniform distinct rows and columns
-    and a shift of 1 or 2 (Types I-III), or a uniform ordered pair of
-    diagonal blocks and uniform rows and columns of the bands the pattern
-    needs (Type IV).  The kernels keep the candidates of the drawn type
-    whose terms balance, so the selection is state-independent, and a
-    sampler walks through them one batch at a time."""
+    """The same move types (``_move_types``), drawn instead of enumerated,
+    for grids too large to enumerate.  A candidate draws a type with weight
+    proportional to its raw pattern-space size (0 for a type none of whose
+    moves can balance), then uniform distinct rows and columns and a shift
+    of 1 or 2 (Types I-III), or a uniform ordered pair of diagonal blocks
+    and uniform rows and columns of the bands the pattern needs (Type IV).
+    The kernels keep the candidates of the drawn type whose terms balance,
+    so the selection is state-independent, and a sampler walks through them
+    one batch at a time."""
 
     kind = "lazy"
 
-    def __init__(self, model, R: int, C: int, types: tuple[str, ...]) -> None:
+    def __init__(self, model, R: int, C: int, types: tuple[str, ...] | None = None) -> None:
         _models.require_valid(model, R, C)
-        self.model = model
+        types = _move_types(model, types)
         self.R = R
         self.C = C
-        self.types = types
         self._terms = _term_matrix(model, R, C)
-        bands = None
-        if model.family not in (_models.CHANGE_POINT, _models.INDEPENDENCE):
+        bands = paired = None
+        if set(types) - {"I"}:
             self._bands = bands = rband, cband, N = _bands(model, R, C)
             self._index = (_band_index(rband, N + 1), _band_index(cband, N + 1))
-        weights = np.array([_pattern_space(t, R, C, bands) for t in types])
+            paired = _paired_diagonal(self._terms, bands, C)
+        weights = np.array([_pattern_space(t, R, C, bands, paired) for t in types])
         if weights.sum() <= 0:
             raise ValueError("lazy basis has empty pattern space")
         # types with an empty pattern space are never drawn
@@ -599,16 +603,12 @@ class LazyMoveBasis:
         return draw, store
 
 
-def basis_for_model(model, R: int, C: int, types: tuple[str, ...] | None = None,
-                    enumerate_threshold: int = 400):
-    """Dispatch on family; enumerate up to ``enumerate_threshold`` cells,
-    return a lazy basis beyond it."""
-    change_point = model.family in (_models.CHANGE_POINT, _models.INDEPENDENCE)
-    if R * C > enumerate_threshold:
-        return LazyMoveBasis(model, R, C, ("I",) if change_point else _block_types(model, types))
-    if change_point:
-        return basis_change_point(model, R, C)
-    return basis_block(model, R, C, types)
+def basis_for_model(model, R: int, C: int, types: tuple[str, ...] | None = None):
+    """``enumerate_basis`` up to ``ENUMERATION_THRESHOLD`` cells, a
+    ``LazyMoveBasis`` beyond it."""
+    if R * C > ENUMERATION_THRESHOLD:
+        return LazyMoveBasis(model, R, C, types)
+    return enumerate_basis(model, R, C, types)
 
 
 def random_move(basis, rng) -> Move:

@@ -322,8 +322,7 @@ class GrobnerReport:
         }
 
 
-def verify_grobner(model: ModelSpec, R: int, C: int, max_dim: int = 5,
-                   max_steps: int = MAX_DIVISION_STEPS) -> GrobnerReport:
+def verify_grobner(model: ModelSpec, R: int, C: int, max_dim: int = 5) -> GrobnerReport:
     """Exhaustive Buchberger check: every S-pair of the binomial generators
     must reduce to zero, and every lead must be square-free.  Grids above
     ``max_dim`` on either side are refused; the check is quadratic in the
@@ -352,7 +351,7 @@ def verify_grobner(model: ModelSpec, R: int, C: int, max_dim: int = 5,
             continue
         by_criterion["division"] += 1
         spoly = _s_polynomial_packed(l1, t1, l2, t2, guard)
-        if not _divide_packed(spoly, packed, guard, max_steps):
+        if not _divide_packed(spoly, packed, guard, MAX_DIVISION_STEPS):
             all_ok = False
             break
     return GrobnerReport(

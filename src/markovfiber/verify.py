@@ -28,7 +28,7 @@ import numpy as np
 from . import models as _models
 from .fiber import enumerate_fiber, indispensable, is_connected
 from .models import ModelSpec
-from .moves import basis_for_model, format_move
+from .moves import ENUMERATION_THRESHOLD, enumerate_basis, format_move
 from .tables import Rectangle, build_configuration
 
 __all__ = [
@@ -224,9 +224,24 @@ class ConnectivityReport:
         }
 
 
+# witnesses kept per sweep, and the member cap of an indispensability fiber
+_MAX_WITNESSES = 3
+_INDISPENSABLE_CAP = 100_000
+
+
+def _built(model: ModelSpec, R: int, C: int, types=None):
+    """The configuration and the enumerated basis that every check of one
+    model shares.  A sweep needs every move, so grids above the enumeration
+    threshold are refused."""
+    if R * C > ENUMERATION_THRESHOLD:
+        raise ValueError(f"sweeps need an enumerated basis; the {R}x{C} grid is above "
+                         f"the enumeration threshold of {ENUMERATION_THRESHOLD} cells")
+    basis = enumerate_basis(model, R, C, types)
+    return build_configuration(model, R, C), basis
+
+
 def connectivity_sweep(model: ModelSpec, R: int, C: int, total: int,
-                       types: tuple[str, ...] | None = None, basis=None,
-                       max_witnesses: int = 3, cross_check: int = 2,
+                       types: tuple[str, ...] | None = None, cross_check: int = 2,
                        seed: int = 0) -> ConnectivityReport:
     """Check that the model's move basis connects every fiber of the given
     grand total, by exhausting all tables of that total.
@@ -236,23 +251,18 @@ def connectivity_sweep(model: ModelSpec, R: int, C: int, total: int,
     maps that smaller universe onto its sources (y + z-) and their images
     (y + z+), and nothing is tested against tables a move cannot reach.
 
-    ``types`` restricts block-model bases (witness hunting); ``cross_check``
+    ``types`` restricts the basis (witness hunting); ``cross_check``
     fibers are re-enumerated with the depth-first oracle and must agree,
     membership and connectivity both.
     """
-    return _sweep(_Universes(), model, R, C, total, types=types, basis=basis,
-                  max_witnesses=max_witnesses, cross_check=cross_check,
-                  seed=seed)
+    cfg, basis = _built(model, R, C, types)
+    return _sweep(_Universes(), cfg, basis, total, cross_check, seed)
 
 
-def _sweep(universes: _Universes, model: ModelSpec, R: int, C: int, total: int,
-           types=None, basis=None, max_witnesses: int = 3, cross_check: int = 2,
-           seed: int = 0) -> ConnectivityReport:
+def _sweep(universes: _Universes, cfg, basis, total: int, cross_check: int,
+           seed: int) -> ConnectivityReport:
     t0 = time.perf_counter()
-    _models.require_valid(model, R, C)
-    cfg = build_configuration(model, R, C)
-    if basis is None:
-        basis = basis_for_model(model, R, C, types=types)
+    R, C = cfg.R, cfg.C
     tables, _ = universes[R, C, total]
     n = tables.shape[0]
 
@@ -274,7 +284,7 @@ def _sweep(universes: _Universes, model: ModelSpec, R: int, C: int, total: int,
     disconnected = np.flatnonzero(n_components >= 2)
 
     witnesses = []
-    for f in disconnected[:max_witnesses]:
+    for f in disconnected[:_MAX_WITNESSES]:
         members = np.flatnonzero(fiber_id == f)
         other = members[label[members] != label[members[0]]][0]
         witnesses.append(FiberWitness(
@@ -313,18 +323,14 @@ def connectivity_range(model: ModelSpec, R: int, C: int, max_total: int,
     """Connectivity sweeps for totals 2..max_total (smaller fibers are
     singletons, connected vacuously).  The basis is built once, and the
     table universes once each, freed on return."""
-    return _range(_Universes(), model, R, C, max_total, types=types,
-                  cross_check=cross_check, seed=seed)
+    cfg, basis = _built(model, R, C, types)
+    return _range(_Universes(), cfg, basis, max_total, cross_check, seed)
 
 
-def _range(universes: _Universes, model: ModelSpec, R: int, C: int,
-           max_total: int, types=None, cross_check: int = 2, seed: int = 0):
-    basis = basis_for_model(model, R, C, types=types)
-    return [
-        _sweep(universes, model, R, C, total, basis=basis,
-               cross_check=cross_check, seed=seed + total)
-        for total in range(2, max_total + 1)
-    ]
+def _range(universes: _Universes, cfg, basis, max_total: int, cross_check: int,
+           seed: int):
+    return [_sweep(universes, cfg, basis, total, cross_check, seed + total)
+            for total in range(2, max_total + 1)]
 
 
 @dataclass(frozen=True)
@@ -347,14 +353,15 @@ class IndispensabilityReport:
         }
 
 
-def indispensability_sweep(model: ModelSpec, R: int, C: int,
-                           cap: int = 100_000) -> IndispensabilityReport:
+def indispensability_sweep(model: ModelSpec, R: int, C: int) -> IndispensabilityReport:
     """Every unsigned basis move must have the two-element fiber {z+, z-}."""
-    cfg = build_configuration(model, R, C)
-    basis = basis_for_model(model, R, C)
+    return _indispensability(*_built(model, R, C))
+
+
+def _indispensability(cfg, basis) -> IndispensabilityReport:
     failures = tuple(format_move(mv) for mv in basis
-                     if not indispensable(mv, cfg, cap=cap))
-    return IndispensabilityReport(R=R, C=C, n_moves=len(basis), failures=failures)
+                     if not indispensable(mv, cfg, cap=_INDISPENSABLE_CAP))
+    return IndispensabilityReport(R=cfg.R, C=cfg.C, n_moves=len(basis), failures=failures)
 
 
 def _rectangles(R: int, C: int):
@@ -462,13 +469,14 @@ def change_point_suite(max_dim: int = 4, max_total: int = 5,
     def run(model: ModelSpec, R: int, C: int) -> int:
         nonlocal fibers_checked
         label = _describe(model, R, C)
-        for rep in _range(universes, model, R, C, max_total,
-                          cross_check=1, seed=rng.randrange(10**6)):
+        cfg, basis = _built(model, R, C)
+        for rep in _range(universes, cfg, basis, max_total, cross_check=1,
+                          seed=rng.randrange(10**6)):
             fibers_checked += rep.n_multi
             if not rep.ok:
                 conn_fail.append(f"{label} total={rep.total}: "
                                  f"{rep.n_disconnected} disconnected")
-        ind = indispensability_sweep(model, R, C)
+        ind = _indispensability(cfg, basis)
         if not ind.ok:
             ind_fail.append(f"{label}: {len(ind.failures)} dispensable")
         return 1
@@ -527,16 +535,16 @@ def _block_suite(name: str, family: str, geometries, controls,
     for R, C, rb, cb in geometries:
         model = _block_model(family, rb, cb)
         label = _describe(model, R, C)
-        for rep in _range(universes, model, R, C, max_total,
+        for rep in _range(universes, *_built(model, R, C), max_total,
                           cross_check=1, seed=seed):
             fibers_checked += rep.n_multi
             if not rep.ok:
                 conn_fail.append(f"{label} total={rep.total}")
     for R, C, rb, cb in controls:
         model = _block_model(family, rb, cb)
+        cfg, basis = _built(model, R, C, reduced)
         for total in range(2, max_total + 1):
-            rep = _sweep(universes, model, R, C, total, types=reduced,
-                         cross_check=0)
+            rep = _sweep(universes, cfg, basis, total, cross_check=0, seed=0)
             if not rep.ok:
                 w = rep.witnesses[0]
                 witnesses.append(

@@ -272,6 +272,26 @@ def test_check_connect_above_the_enumeration_threshold(capsys, tmp_path):
     assert "enumerated basis" in rep["error"]["message"]
 
 
+def test_verify_above_the_enumeration_threshold(capsys, tmp_path):
+    # 420 cells: a sweep needs every move, and the basis would be lazy
+    path = tmp_path / "common.json"
+    save_model(ModelSpec(family=COMMON_BLOCKS, row_bounds=(1, 11, 22),
+                         col_bounds=(1, 11, 21)), path)
+    code, rep = run_json(capsys, "verify", "--rows", "21", "--cols", "20",
+                         "--model", str(path), "--max-total", "2")
+    assert code == 1
+    assert rep["error"]["type"] == "CliError"
+    assert "enumeration threshold" in rep["error"]["message"]
+
+
+@pytest.mark.parametrize("ds,types", [("gilby", "IV"), ("victoria", "bogus")])
+def test_verify_rejects_move_types_the_model_lacks(capsys, ds, types):
+    code, rep = run_json(capsys, "verify", "--dataset", ds, "--types", types,
+                         "--max-total", "2")
+    assert code == 1
+    assert rep["error"]["type"] == "ModelError"
+
+
 def test_verify_single_model(capsys, cp_model_path):
     code, rep = run_json(capsys, "verify", "--rows", "3", "--cols", "3",
                          "--model", cp_model_path, "--max-total", "3")

@@ -15,14 +15,13 @@ from markovfiber.fiber import (
     indispensable,
     is_connected,
 )
-from markovfiber.fiber import components
 from markovfiber.models import (
     CHANGE_POINT,
     INDEPENDENCE,
     OWN_BLOCKS,
     ModelSpec,
 )
-from markovfiber.moves import Move, basis_block, basis_for_model
+from markovfiber.moves import LazyMoveBasis, Move, basis_for_model, enumerate_basis
 from markovfiber.tables import Rectangle, Table, build_configuration, sufficient_statistic
 from markovfiber.datasets import gilby_model, gilby_table
 
@@ -118,31 +117,24 @@ def test_union_find():
     assert uf.find(2) == uf.find(1)
 
 
-def test_connectivity_and_components():
+def test_connectivity_under_restricted_and_full_bases():
     model = ModelSpec(family=OWN_BLOCKS, row_bounds=(1, 2, 3, 4), col_bounds=(1, 2, 3, 4))
     table = Table.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
     t, cfg = stat_of(model, table)
     fib = enumerate_fiber(t, cfg)
     assert len(fib) == 2  # the two off-diagonal 3-cycles
 
-    only_i = basis_block(model, 3, 3, types=("I",))
-    assert not is_connected(fib, only_i)
-    assert [len(c) for c in components(fib, only_i)] == [1, 1]
-
-    full = basis_block(model, 3, 3)
-    assert is_connected(fib, full)
-    assert [len(c) for c in components(fib, full)] == [2]
+    assert not is_connected(fib, enumerate_basis(model, 3, 3, types=("I",)))
+    assert is_connected(fib, enumerate_basis(model, 3, 3))
 
 
 def test_connectivity_needs_an_enumerated_basis():
     model = ModelSpec(family=OWN_BLOCKS, row_bounds=(1, 2, 3, 4), col_bounds=(1, 2, 3, 4))
     t, cfg = stat_of(model, Table.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]]))
     fib = enumerate_fiber(t, cfg)
-    lazy = basis_for_model(model, 3, 3, enumerate_threshold=0)
-    assert lazy.kind == "lazy"
-    for query in (is_connected, components):
-        with pytest.raises(ValueError, match="enumerated basis"):
-            query(fib, lazy)
+    lazy = LazyMoveBasis(model, 3, 3)
+    with pytest.raises(ValueError, match="enumerated basis"):
+        is_connected(fib, lazy)
 
 
 def test_singleton_and_empty_fibers_count_as_connected():

@@ -15,7 +15,7 @@ from markovfiber.mcmc import (
     walk,
 )
 from markovfiber.models import COMMON_BLOCKS, INDEPENDENCE, ModelSpec
-from markovfiber.moves import basis_for_model
+from markovfiber.moves import LazyMoveBasis, basis_for_model
 from markovfiber.tables import Table, build_configuration, sufficient_statistic
 from markovfiber.datasets import gilby_model, gilby_table
 
@@ -158,8 +158,7 @@ def test_lazy_sampler_pvalue_matches_exact_on_small_fiber():
     model = ModelSpec(family=COMMON_BLOCKS, row_bounds=(1, 2, 3, 5), col_bounds=(1, 2, 3, 5))
     table = Table.from_rows([[2, 1, 1, 0], [1, 2, 0, 1], [1, 0, 2, 1], [0, 1, 1, 2]])
     cfg = build_configuration(model, 4, 4)
-    lazy = basis_for_model(model, 4, 4, enumerate_threshold=0)
-    assert lazy.kind == "lazy"
+    lazy = LazyMoveBasis(model, 4, 4)
 
     def stat(arr):
         return float(arr[0, 2] + arr[2, 0])

@@ -19,12 +19,12 @@ from markovfiber.models import (
     terms,
 )
 from markovfiber.moves import (
+    TYPE_NAMES,
     LazyMoveBasis,
     Move,
     MoveBasis,
-    basis_block,
-    basis_change_point,
     basis_for_model,
+    enumerate_basis,
     dump_moves,
     format_move,
     is_kernel_move,
@@ -112,7 +112,7 @@ def test_move_accessors():
 
 def test_independence_basis_is_all_minors():
     model = ModelSpec(family=INDEPENDENCE)
-    basis = basis_change_point(model, 3, 4)
+    basis = enumerate_basis(model, 3, 4)
     assert len(basis) == 3 * 6  # C(3,2) * C(4,2) minors, one sign each
     cfg = build_configuration(model, 3, 4)
     assert all(is_kernel_move(cfg, mv) for mv in basis)
@@ -121,7 +121,7 @@ def test_independence_basis_is_all_minors():
 def test_change_point_basis_matches_strata_oracle():
     model = gilby_model()
     R, C = 8, 4
-    basis = basis_change_point(model, R, C)
+    basis = enumerate_basis(model, R, C)
 
     # independent re-derivation of the balance condition, cell by cell
     expect = set()
@@ -154,7 +154,7 @@ def test_no_move_is_stored_in_both_signs(model, R, C, types):
 
 
 def test_random_move_draws_both_orientations():
-    basis = basis_change_point(gilby_model(), 8, 4)
+    basis = enumerate_basis(gilby_model(), 8, 4)
     stored = {mv.entries for mv in basis}
     rng = random.Random(5)
     draws = [random_move(basis, rng).entries for _ in range(400)]
@@ -169,24 +169,34 @@ def test_unbalanced_minor_is_not_a_kernel_move():
     # corners (1,1),(1,2),(4,1),(4,2): strata (1,2),(2,2) are unbalanced
     bad = Move(((1, 1, 1), (1, 2, -1), (4, 1, -1), (4, 2, 1)), "I")
     assert not is_kernel_move(cfg, bad)
-    assert bad.entries not in {mv.entries for mv in basis_change_point(model, 8, 4)}
+    assert bad.entries not in {mv.entries for mv in enumerate_basis(model, 8, 4)}
 
 
-def test_change_point_basis_rejects_block_models():
-    with pytest.raises(ModelError):
-        basis_change_point(victoria_models()[0], 12, 12)
+def test_change_point_models_take_type_i_only():
+    model = gilby_model()
+    assert unsigned(enumerate_basis(model, 8, 4, types=("I",))) == unsigned(
+        enumerate_basis(model, 8, 4))
+    for types in (("IV",), ("bogus",), ("I", "II")):
+        for build in (enumerate_basis, basis_for_model, LazyMoveBasis):
+            with pytest.raises(ModelError):
+                build(model, 8, 4, types=types)
+
+
+def test_unknown_block_types_are_a_model_error():
+    with pytest.raises(ModelError, match="unknown move types"):
+        basis_for_model(victoria_models()[0], 12, 12, types=("bogus",))
 
 
 def test_block_type_i_matches_minor_oracle():
     own = ModelSpec(family=OWN_BLOCKS, row_bounds=(1, 3, 5, 7), col_bounds=(1, 3, 5, 7))
-    basis = basis_block(own, 6, 6, types=("I",))
+    basis = enumerate_basis(own, 6, 6, types=("I",))
     oracle = {unsigned_key(e) for e in balanced_minors(own, 6, 6)}
     assert unsigned(basis) == oracle
 
 
 def test_own_blocks_types():
     own = ModelSpec(family=OWN_BLOCKS, row_bounds=(1, 3, 5, 7), col_bounds=(1, 3, 5, 7))
-    basis = basis_block(own, 6, 6)
+    basis = enumerate_basis(own, 6, 6)
     counts = basis.counts_by_type()
     assert set(counts) == {"I", "II"}
     cfg = build_configuration(own, 6, 6)
@@ -198,13 +208,13 @@ def test_own_blocks_types():
 
 def test_own_two_blocks_has_no_type_ii():
     own = ModelSpec(family=OWN_BLOCKS, row_bounds=(1, 3, 5), col_bounds=(1, 3, 5))
-    counts = basis_block(own, 4, 4).counts_by_type()
+    counts = enumerate_basis(own, 4, 4).counts_by_type()
     assert set(counts) == {"I"}
 
 
 def test_common_blocks_types_and_kernel():
     common = ModelSpec(family=COMMON_BLOCKS, row_bounds=(1, 3, 5, 7), col_bounds=(1, 3, 5, 7))
-    basis = basis_block(common, 6, 6)
+    basis = enumerate_basis(common, 6, 6)
     counts = basis.counts_by_type()
     assert set(counts) == {"I", "II", "III", "IV", "IVt"}
     cfg = build_configuration(common, 6, 6)
@@ -222,7 +232,7 @@ def test_common_blocks_types_and_kernel():
 def test_general_blocks_basis_builds_and_stays_in_kernel():
     model = ModelSpec(family=GENERAL_BLOCKS, row_bounds=(1, 3, 5),
                       col_bounds=(1, 3, 5), groups=((1, 2),))
-    basis = basis_block(model, 6, 6)
+    basis = enumerate_basis(model, 6, 6)
     cfg = build_configuration(model, 6, 6)
     assert len(basis) > 0
     for mv in basis:
@@ -233,7 +243,7 @@ def test_two_block_common_equals_own_basis():
     # same row space at N = 2, and indeed the same move set
     own = ModelSpec(family=OWN_BLOCKS, row_bounds=(1, 3, 5), col_bounds=(1, 3, 5))
     common = ModelSpec(family=COMMON_BLOCKS, row_bounds=(1, 3, 5), col_bounds=(1, 3, 5))
-    assert unsigned(basis_block(own, 4, 4)) == unsigned(basis_block(common, 4, 4))
+    assert unsigned(enumerate_basis(own, 4, 4)) == unsigned(enumerate_basis(common, 4, 4))
 
 
 def test_basis_for_model_dispatch():
@@ -241,8 +251,10 @@ def test_basis_for_model_dispatch():
     common, own = victoria_models()
     assert isinstance(basis_for_model(common, 12, 12), MoveBasis)
     assert isinstance(basis_for_model(own, 12, 12), MoveBasis)
-    lazy = basis_for_model(common, 12, 12, enumerate_threshold=100)
-    assert isinstance(lazy, LazyMoveBasis)
+    # the threshold is 400 cells: 20x20 is enumerated, 21x20 drawn lazily
+    independence = ModelSpec(family=INDEPENDENCE)
+    assert isinstance(basis_for_model(independence, 20, 20), MoveBasis)
+    assert isinstance(basis_for_model(independence, 21, 20), LazyMoveBasis)
 
 
 def test_random_move_covers_a_small_basis():
@@ -274,8 +286,7 @@ LAZY_CASES = [
 def test_lazy_draws_agree_with_enumeration(model, R, C):
     basis = basis_for_model(model, R, C)
     enumerated = {mv.entries for mv in basis} | {mv.negated().entries for mv in basis}
-    lazy = basis_for_model(model, R, C, enumerate_threshold=0)
-    assert isinstance(lazy, LazyMoveBasis)
+    lazy = LazyMoveBasis(model, R, C)
     cfg = build_configuration(model, R, C)
     rng = random.Random(11)
     types = set()
@@ -308,17 +319,64 @@ def test_lazy_types_the_bands_rule_out_are_an_empty_pattern_space():
 
 def test_lazy_one_block_draws_agree_with_enumeration():
     model = _blocks(COMMON_BLOCKS, (1, 5), (1, 5))
-    basis = basis_block(model, 4, 4)
+    basis = enumerate_basis(model, 4, 4)
     enumerated = {mv.entries for mv in basis} | {mv.negated().entries for mv in basis}
-    lazy = basis_for_model(model, 4, 4, enumerate_threshold=0)
-    assert isinstance(lazy, LazyMoveBasis)
+    lazy = LazyMoveBasis(model, 4, 4)
     rng = random.Random(4)
     draws = {random_move(lazy, rng).entries for _ in range(600)}
     assert draws == enumerated
 
 
+def _type_rule_models():
+    """Own, common and general blocks with N = 2-4 (a first block of two
+    rows and columns, then blocks of one), general blocks with and without
+    a leftover band, under five groupings."""
+    out = []
+    for N in (2, 3, 4):
+        bounds = (1, 3) + tuple(range(4, N + 3))
+        for family in (OWN_BLOCKS, COMMON_BLOCKS):
+            out.append((_blocks(family, bounds, bounds), N + 1))
+        groupings = {((1,),), tuple((n,) for n in range(1, N + 1)),
+                     (tuple(range(1, N + 1)),), ((1, 2),), ((1,), (2,))}
+        for groups in sorted(groupings):
+            for R in (N + 1, N + 2):
+                out.append((_blocks(GENERAL_BLOCKS, bounds, bounds, groups), R))
+    return out
+
+
+TYPE_RULE_CASES = _type_rule_models()
+
+
+@pytest.mark.parametrize(
+    "model,R", TYPE_RULE_CASES,
+    ids=[f"{m.family}-N{len(m.row_bounds) - 1}-{R}x{R}-{m.groups}" for m, R in TYPE_RULE_CASES])
+def test_lazy_weights_match_enumeration(model, R):
+    # a type gets lazy weight exactly when the enumerated basis has moves of
+    # it; with groups ((1,),), blocks 2.. lie in no term, and they do carry
+    # Type III and IV moves between them
+    for t in TYPE_NAMES:
+        has_moves = len(enumerate_basis(model, R, R, types=(t,))) > 0
+        try:
+            LazyMoveBasis(model, R, R, types=(t,))
+            weighted = True
+        except ValueError:
+            weighted = False
+        assert has_moves == weighted, t
+
+
+def test_lazy_type_without_moves_is_refused_not_drawn():
+    # own blocks: each diagonal block is its own term, so the +1 and -1
+    # diagonal cells of a Type III loop never balance
+    model = _blocks(OWN_BLOCKS, (1, 8, 15, 22), (1, 8, 15, 22))
+    with pytest.raises(ValueError, match="empty pattern space"):
+        LazyMoveBasis(model, 21, 21, types=("III",))
+    lazy = LazyMoveBasis(model, 21, 21, types=("I", "III"))
+    rng = random.Random(1)
+    assert {random_move(lazy, rng).mtype for _ in range(200)} == {"I"}
+
+
 def test_dump_moves_format():
-    basis = basis_change_point(ModelSpec(family=INDEPENDENCE), 2, 2)
+    basis = enumerate_basis(ModelSpec(family=INDEPENDENCE), 2, 2)
     buf = io.StringIO()
     dump_moves(basis, buf)
     lines = buf.getvalue().strip().splitlines()

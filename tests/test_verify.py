@@ -130,6 +130,40 @@ def test_change_point_suite_small_scale():
     assert d["suite"] == "change-point" and d["ok"] is True
 
 
+def test_change_point_suite_builds_each_model_once(monkeypatch):
+    import markovfiber.verify as verify
+
+    bases, configs = [], []
+    real_basis, real_cfg = verify.enumerate_basis, verify.build_configuration
+
+    def counted_basis(*args, **kwargs):
+        bases.append(args[:3])
+        return real_basis(*args, **kwargs)
+
+    def counted_cfg(*args, **kwargs):
+        configs.append(args[:3])
+        return real_cfg(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "enumerate_basis", counted_basis)
+    monkeypatch.setattr(verify, "build_configuration", counted_cfg)
+    rep = change_point_suite(max_dim=3, max_total=3)
+    # one basis and one configuration for all totals and the
+    # indispensability check of each checked model
+    n_models = rep.models_checked + rep.raw_spot_checks
+    assert len(bases) == len(configs) == n_models
+
+
+def test_sweeps_refuse_grids_above_the_enumeration_threshold():
+    # 420 cells: a sweep needs every move, and such a grid is drawn lazily
+    model = ModelSpec(family=COMMON_BLOCKS, row_bounds=(1, 11, 22),
+                      col_bounds=(1, 11, 21))
+    for sweep in (lambda: connectivity_sweep(model, 21, 20, total=2),
+                  lambda: connectivity_range(model, 21, 20, max_total=2),
+                  lambda: indispensability_sweep(model, 21, 20)):
+        with pytest.raises(ValueError, match="enumeration threshold"):
+            sweep()
+
+
 def test_own_blocks_suite_small_scale():
     rep = own_blocks_suite(max_total=3)
     assert rep.ok
