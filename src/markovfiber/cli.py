@@ -202,6 +202,7 @@ def cmd_test(args) -> dict:
             "fit_s": fit_s,
             "basis_s": basis_s,
             "n_moves": len(basis) if basis.kind == "enumerated" else None,
+            "basis_mb": basis.nbytes / 2**20 if basis.kind == "enumerated" else None,
             "walk_s": walk_s,
         },
     }

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -315,18 +316,23 @@ class LLRTracker:
 
     m1 (inner fit) is constant on the fiber.  m2 (outer fit) depends on the
     table only through the diagonal block sums, because rows, columns, and
-    the inner terms are fixed; refits are cached per block-sum vector.  The
+    the inner terms are fixed; refits are cached per block-sum vector, the
+    ``CACHE_SIZE`` most recently used ones (a refit starts from the uniform
+    table, so an evicted vector refits to the same values).  The
     per-cell log-ratio is sanitized to 0 wherever a fitted mean vanishes,
     which is exact: a zero fitted group sum forces zero counts there on
     every table sharing that statistic.  ``observed`` is the statistic at
     the table, from fits at ``tol``, exactly as ``llr_nested`` gives it;
-    ``refits`` and ``hits`` count the cache misses and hits over every
-    chain.
+    ``cache_counts`` gives the cache misses (refits), hits and size over
+    every chain.
     """
 
     RESET_EVERY = 2048
     # tolerance of the outer refits at chain states
     CHAIN_TOL = 1e-8
+    # block-sum vectors whose refits are kept: about 5 MB on a 12x12 grid,
+    # three times the 340 vectors a 1M-step Victoria chain visits
+    CACHE_SIZE = 1024
 
     def __init__(self, table: Table, inner, outer, tol: float = 1e-10) -> None:
         R, C = table.R, table.C
@@ -355,15 +361,9 @@ class LLRTracker:
         for q, g in enumerate(term_groups):
             for p in g:
                 self._cell_term_idx[p].append(q)
-        self._cache: dict[tuple[float, ...], list[float]] = {}
-        self.refits = self.hits = 0
+        self._log_ratio = lru_cache(self.CACHE_SIZE)(self._refit)
 
-    def _log_ratio(self, b: tuple[float, ...]) -> list[float]:
-        cached = self._cache.get(b)
-        if cached is not None:
-            self.hits += 1
-            return cached
-        self.refits += 1
+    def _refit(self, b: tuple[float, ...]) -> list[float]:
         targets = np.array(self._fixed_targets + b)
         total = sum(self._fixed_targets[:self.R])
         res = _ipf_core(self.R * self.C, self._families, targets,
@@ -374,12 +374,11 @@ class LLRTracker:
         keep = (m2 > 0.0) & self._m1_pos
         L = np.zeros_like(m2)
         L[keep] = np.log(m2[keep]) - self._log_m1[keep]
-        L = L.tolist()
-        self._cache[b] = L
-        return L
+        return L.tolist()
 
     def cache_counts(self) -> dict:
-        return {"refits": self.refits, "hits": self.hits, "size": len(self._cache)}
+        info = self._log_ratio.cache_info()
+        return {"refits": info.misses, "hits": info.hits, "size": info.currsize}
 
     def _eval(self, x_flat, L) -> float:
         return 2.0 * sum(xv * lv for xv, lv in zip(x_flat, L) if xv)

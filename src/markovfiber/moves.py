@@ -22,17 +22,21 @@ arrays of flat cells, the type's coefficients and a type code; the term
 balance, one terms x cells matrix product, is checked after the kernel.
 Every move is canonicalized to a key (the sorted signed-cell codes, in the
 orientation whose lowest cell has a positive coefficient) and stored in
-that one sign, in flat arrays of offsets, cells and coefficients.
+that one sign, in flat arrays of int32 offsets, int16 cells and int8
+coefficients, with one type code byte per move.
 
 One rule, ``_move_types``, gives every family its types; a ``types``
 argument restricts them (the verification sweeps use this to exhibit
 disconnection witnesses), and a change-point model takes Type I alone.
-``enumerate_basis`` gives the kernels every index product and drops
-duplicates on the key, keeping the first occurrence in the order I, II/III,
-IV, IVt.  ``basis_for_model`` enumerates grids up to 400 cells
-(``ENUMERATION_THRESHOLD``); larger grids get a lazy basis, which feeds the
-kernels small batches of uniformly drawn index tuples and keeps the valid
-candidates in draw order.  Both bases give the walk the same sampler, and
+``enumerate_basis`` skips the types whose bands rule out every move and
+gives the other kernels every index product, a few thousand tuples per
+pass, appending each pass's balanced moves to the store in the order I,
+II/III, IV, IVt.  Only coincident Type IV indices can repeat a move, and
+their repeats are never generated, so nothing is deduplicated and the
+build holds the store and one pass.  ``basis_for_model`` enumerates grids
+up to 400 cells (``ENUMERATION_THRESHOLD``); larger grids get a lazy basis,
+which feeds the kernels small batches of uniformly drawn index tuples and
+keeps the valid candidates in draw order.  Both bases give the walk the same sampler, and
 the walk draws the sign uniformly, which keeps the proposal symmetric
 (Diaconis & Sturmfels 1998).
 """
@@ -43,6 +47,7 @@ from array import array
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations, permutations
+from math import prod
 
 import numpy as np
 
@@ -68,11 +73,13 @@ _TYPE_CODE = {name: k for k, name in enumerate(TYPE_NAMES)}
 
 # A canonical key holds the signed-cell codes flat * 5 + coef + 2 of one
 # move (coefficients are +-1 or +-2), sorted and padded to the widest move,
-# Type IV with eight cells.
+# Type IV with eight cells, with the largest value of the key dtype.  Codes
+# and flat cell ids are int16 up to 6,553 cells, so on every enumerated grid
+# (``ENUMERATION_THRESHOLD``), and int32 beyond.
 _KEY_WIDTH = 8
-_PAD = np.iinfo(np.int32).max
-# Candidates handled per numpy pass, which bounds the build's working memory.
-_CHUNK = 1 << 16
+# Candidates generated per numpy pass; the build's working memory is a few
+# times this many candidates, whatever the size of the basis.
+_CHUNK = 1 << 13
 # Candidates drawn per lazy batch: enough to spread the fixed cost of the
 # numpy calls over about 45 valid moves on a 24x24 four-block grid, few
 # enough that a batch's arrays (tens of kB) leave the resident high-water
@@ -111,29 +118,22 @@ def format_move(move: Move) -> str:
     return f"{move.degree} {move.mtype}  {cells}"
 
 
-def _zeros(typecode: str, n: int) -> tuple[array, np.ndarray]:
-    """An array.array of n zeros and a writable numpy view of its buffer."""
-    out = array(typecode, [0]) * n
-    return out, np.frombuffer(out, dtype=typecode)
+def _code_type(cells: int) -> str:
+    """Typecode of the signed-cell codes and flat cell ids on a grid of this
+    many cells: int16 while every code and the pad fit, int32 beyond."""
+    return "h" if 5 * cells < np.iinfo(np.int16).max else "i"
 
 
-def _decode(keys: np.ndarray) -> tuple[array, array, array]:
-    """(offsets, flat cell ids, coefficients) of the moves with these keys.
-    The results are written straight into the arrays' buffers, ``_CHUNK``
-    keys at a time: a 12x12 common-block basis has 2.5M entries, so every
-    full-size temporary costs 10 MB."""
-    off, off_view = _zeros("i", len(keys) + 1)
-    np.cumsum((keys != _PAD).sum(axis=1), out=off_view[1:])
-    flat, flat_view = _zeros("i", int(off_view[-1]))
-    coef, coef_view = _zeros("b", int(off_view[-1]))
-    for lo in range(0, len(keys), _CHUNK):
-        chunk = keys[lo:lo + _CHUNK]
-        codes = chunk[chunk != _PAD]
-        entries = slice(off_view[lo], off_view[lo + len(chunk)])
-        np.floor_divide(codes, 5, out=flat_view[entries])
-        np.remainder(codes, 5, out=coef_view[entries], casting="unsafe")
-    coef_view -= 2
-    return off, flat, coef
+def _append(store, keys: np.ndarray) -> None:
+    """Append the moves with these keys to a store's (offsets, flat cell ids,
+    coefficients), whose flat cell ids have the keys' dtype; each key
+    decodes to its cells in ascending order."""
+    off, flat, coef = store
+    live = keys != np.iinfo(keys.dtype).max
+    codes = keys[live]
+    off.frombytes((np.cumsum(live.sum(axis=1), dtype=np.int32) + off[-1]).tobytes())
+    flat.frombytes((codes // 5).tobytes())
+    coef.frombytes((codes % 5 - 2).astype(np.int8).tobytes())
 
 
 def _move_at(store, k: int, C: int) -> Move:
@@ -149,18 +149,20 @@ def _move_at(store, k: int, C: int) -> Move:
 class MoveBasis:
     """Enumerated move set, one sign per move, in compact flat-array storage.
 
-    ``_flat``/``_coef`` hold the concatenated sparse entries of all moves,
-    ``_off`` the per-move offsets; this keeps a 331k-move basis (a 12x12
-    common-block grid) at about 15 MB.  ``len`` counts unsigned moves.
+    ``_flat``/``_coef`` hold the concatenated sparse entries of all moves
+    (int16 cell ids, int8 coefficients), ``_off`` the per-move int32
+    offsets and ``_tcode`` one type code byte per move; this keeps a
+    331k-move basis (a 12x12 common-block grid) at about 9 MB.  ``len``
+    counts unsigned moves.
     """
 
     kind = "enumerated"
 
-    def __init__(self, R: int, C: int, keys: np.ndarray, tcodes: np.ndarray) -> None:
+    def __init__(self, R: int, C: int, off: array, flat: array, coef: array,
+                 tcode: bytes) -> None:
         self.R = R
         self.C = C
-        self._off, self._flat, self._coef = _decode(keys)
-        self._tcode = bytes(np.asarray(tcodes, dtype=np.uint8))
+        self._off, self._flat, self._coef, self._tcode = off, flat, coef, tcode
 
     def __len__(self) -> int:
         return len(self._tcode)
@@ -175,6 +177,12 @@ class MoveBasis:
         counts = np.bincount(np.frombuffer(self._tcode, dtype=np.uint8),
                              minlength=len(TYPE_NAMES))
         return {name: int(n) for name, n in zip(TYPE_NAMES, counts) if n}
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the store's four arrays."""
+        arrays = self._off, self._flat, self._coef
+        return sum(len(a) * a.itemsize for a in arrays) + len(self._tcode)
 
     def move_arrays(self) -> tuple[array, array, array]:
         """(offsets, flat cell ids, coefficients) of every stored move."""
@@ -192,8 +200,8 @@ def _bands(model, R: int, C: int) -> tuple[np.ndarray, np.ndarray, int]:
     """0-based arrays of the 1-based row and column band ids, and N;
     leftover rows/cols (general model) get band N+1 so the complement is
     still carved into blocks."""
-    rband = np.array([_models.row_band(model, i) for i in range(1, R + 1)])
-    cband = np.array([_models.col_band(model, j) for j in range(1, C + 1)])
+    rband = np.array([_models.row_band(model, i) for i in range(1, R + 1)], dtype=np.int32)
+    cband = np.array([_models.col_band(model, j) for j in range(1, C + 1)], dtype=np.int32)
     return rband, cband, _models.n_blocks(model)
 
 
@@ -208,26 +216,27 @@ def _balanced(terms: np.ndarray, flats: np.ndarray, coefs: np.ndarray) -> np.nda
     return ~(terms[:, flats] * coefs).sum(axis=2).any(axis=0)
 
 
-def _keys(flats: np.ndarray, coefs: np.ndarray) -> np.ndarray:
-    """Canonical keys of (n, k) candidate moves: coincident cells merged,
-    the orientation whose lowest cell is positive, signed-cell codes sorted
-    and padded to ``_KEY_WIDTH``."""
+def _keys(flats: np.ndarray, coefs: np.ndarray, code: str) -> np.ndarray:
+    """Canonical keys of (n, k) candidate moves, of typecode ``code``:
+    coincident cells merged, the orientation whose lowest cell is positive,
+    signed-cell codes sorted and padded to ``_KEY_WIDTH``.  Every temporary
+    has the key dtype, so a pass costs a few bytes per cell."""
     n, k = flats.shape
-    order = np.argsort(flats, axis=1, kind="stable")
-    flats = np.take_along_axis(flats, order, axis=1)
-    coefs = np.take_along_axis(np.broadcast_to(coefs, (n, k)), order, axis=1)
-    head = np.ones((n, k), dtype=bool)
-    head[:, 1:] = flats[:, 1:] != flats[:, :-1]
-    if not head.all():
-        # sum each run of one cell into its first slot, zero the rest
-        starts = np.flatnonzero(head)
-        merged = np.zeros((n, k), dtype=coefs.dtype)
-        merged[head] = np.add.reduceat(coefs.ravel(), starts)
-        coefs = merged
+    pad = np.iinfo(code).max
+    keys = np.full((n, _KEY_WIDTH), pad, dtype=code)
+    cells = keys[:, :k]
+    np.multiply(flats, 5, out=cells, casting="unsafe")
+    cells += coefs + 2
+    cells.sort(axis=1)  # by cell, then coefficient
+    flats, coefs = np.divmod(cells, 5)
+    coefs -= 2
+    for p in range(1, k):  # sum each run of one cell into its last slot
+        run = flats[:, p] == flats[:, p - 1]
+        coefs[run, p] += coefs[run, p - 1]
+        coefs[run, p - 1] = 0
     live = coefs != 0
-    sign = np.sign(coefs[np.arange(n), np.argmax(live, axis=1)]).astype(coefs.dtype)
-    keys = np.full((n, _KEY_WIDTH), _PAD, dtype=np.int32)
-    keys[:, :k] = np.where(live, flats * 5 + coefs * sign[:, None] + 2, _PAD)
+    sign = np.sign(coefs[np.arange(n), np.argmax(live, axis=1)])
+    cells[...] = np.where(live, flats * 5 + coefs * sign[:, None] + 2, pad)
     keys.sort(axis=1)
     return keys
 
@@ -237,7 +246,7 @@ def _keys(flats: np.ndarray, coefs: np.ndarray) -> np.ndarray:
 _I_COEFS = np.array([1, -1, -1, 1], dtype=np.int8)
 _LOOP_COEFS = np.array([1, 1, 1, -1, -1, -1], dtype=np.int8)
 _IV_COEFS = np.array([1, 1, 1, 1, -1, -1, -1, -1], dtype=np.int8)
-_UNIQUE_SLOT = -1 - np.arange(6)
+_UNIQUE_SLOT = -1 - np.arange(6, dtype=np.int32)
 
 
 def _type_i_cells(i1, i2, j1, j2, C: int):
@@ -286,91 +295,83 @@ def _type_iv_cells(i1, i2, i3, i4, j1, j2, j3, j4, C: int, transposed: bool):
     return rows * C + cols, _IV_COEFS, _TYPE_CODE["IVt" if transposed else "IV"]
 
 
-# --- enumeration: every index product ---------------------------------------------
+# --- enumeration: every index product, streamed into the store ---------------
 
-class _Candidates:
-    """Canonical keys and type codes of generated moves, in generation order."""
+class _Store:
+    """A basis store filled in generation order: each pass's balanced
+    candidates are keyed and appended, so the build holds the store and one
+    pass's arrays, never every candidate."""
 
-    def __init__(self, terms: np.ndarray) -> None:
+    def __init__(self, terms: np.ndarray, cells: int) -> None:
         self.terms = terms
-        self.keys: list[np.ndarray] = []
-        self.tcodes: list[np.ndarray] = []
+        self.code = _code_type(cells)
+        self.arrays = array("i", [0]), array(self.code), array("b")
+        self.tcode = bytearray()
 
     def add(self, flats: np.ndarray, coefs: np.ndarray, tcodes) -> None:
         ok = _balanced(self.terms, flats, coefs)
-        if not ok.any():
-            return
-        self.keys.append(_keys(flats[ok], coefs))
-        self.tcodes.append(np.broadcast_to(tcodes, ok.shape)[ok])
+        if ok.any():
+            _append(self.arrays, _keys(flats[ok], coefs, self.code))
+            self.tcode += np.broadcast_to(tcodes, ok.shape)[ok].astype(np.uint8).tobytes()
 
     def basis(self, R: int, C: int) -> MoveBasis:
-        """Deduplicate on the key, keeping first occurrences in order."""
-        if not self.keys:
-            empty = np.empty((0, _KEY_WIDTH), dtype=np.int32)
-            return MoveBasis(R, C, empty, np.empty(0, dtype=np.uint8))
-        keys = np.concatenate(self.keys)
-        tcodes = np.concatenate(self.tcodes)
-        self.keys, self.tcodes = [], []
-        order = np.lexsort(keys.T)  # stable: equal keys keep generation order
-        ranked = keys[order]
-        first = np.ones(len(keys), dtype=bool)
-        first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-        del ranked
-        keep = np.sort(order[first])
-        keys = keys[keep]
-        return MoveBasis(R, C, keys, tcodes[keep])
+        return MoveBasis(R, C, *self.arrays, bytes(self.tcode))
 
 
-def _pairs(n: int, k: int) -> np.ndarray:
+def _product(*axes: np.ndarray):
+    """The Cartesian product of the index arrays in C order (the last axis
+    fastest), ``_CHUNK`` tuples at a time, as one array per axis."""
+    dims = tuple(len(a) for a in axes)
+    n = prod(dims)
+    for lo in range(0, n, _CHUNK):
+        at = np.arange(lo, min(lo + _CHUNK, n))
+        yield [a[i] for a, i in zip(axes, np.unravel_index(at, dims))]
+
+
+def _pairs(n: int, k: int, code: str) -> np.ndarray:
     """(m, k) array of the k-subsets of range(n), in lexicographic order."""
-    return np.array(list(combinations(range(n), k)), dtype=np.int32).reshape(-1, k)
+    return np.array(list(combinations(range(n), k)), dtype=code).reshape(-1, k)
 
 
-def _type_i(out: _Candidates, R: int, C: int) -> None:
+def _type_i(out: _Store, R: int, C: int) -> None:
     """Every basic move with i1 < i2, j1 < j2."""
-    rows, cols = _pairs(R, 2), _pairs(C, 2)
-    flats, coefs, tcode = _type_i_cells(rows[:, :1], rows[:, 1:], cols[:, 0], cols[:, 1], C)
-    out.add(flats.reshape(-1, 4), coefs, tcode)
+    for rows, cols in _product(_pairs(R, 2, out.code), _pairs(C, 2, out.code)):
+        out.add(*_type_i_cells(rows[:, 0], rows[:, 1], cols[:, 0], cols[:, 1], C))
 
 
-def _type_ii_iii(out: _Candidates, bands, R: int, C: int, wanted: list[int]) -> None:
+def _type_ii_iii(out: _Store, bands, R: int, C: int, wanted: list[int]) -> None:
     """Every degree-3 loop of the wanted codes.  A loop on rows r and
     columns c has +1 at (r[k], c[p[k]]) and -1 at (r[k], c[p[k+1 mod 3]])
     for a permutation p; the shift by one alone gives every loop once up to
-    sign.  Row triples are handled in chunks."""
+    sign."""
     perms = np.array(list(permutations(range(3))))
-    col3 = _pairs(C, 3)
+    col3 = _pairs(C, 3, out.code)
     # (column triple, permutation) -> the columns of the +1, then the -1 cells
-    cols = np.concatenate([col3[:, perms], col3[:, perms[:, [1, 2, 0]]]], axis=2).reshape(-1, 6)
-    row3 = _pairs(R, 3)
-    rows = np.concatenate([row3, row3], axis=1)
-    if not len(cols) or not len(rows):
-        return
-    step = max(1, _CHUNK // len(cols))
-    for lo in range(0, len(rows), step):
-        flats, coefs, tcode = _loop_cells(bands, rows[lo:lo + step, None, :], cols, C)
+    col6 = np.concatenate([col3[:, perms], col3[:, perms[:, [1, 2, 0]]]], axis=2).reshape(-1, 6)
+    row3 = _pairs(R, 3, out.code)
+    for rows, cols in _product(np.concatenate([row3, row3], axis=1), col6):
+        flats, coefs, tcode = _loop_cells(bands, rows, cols, C)
         keep = np.isin(tcode, wanted)
         out.add(flats[keep], coefs, tcode[keep])
 
 
-def _type_iv(out: _Candidates, bands, C: int, transposed: bool) -> None:
+def _type_iv(out: _Store, bands, C: int, transposed: bool) -> None:
     """Every Type IV move.  The pattern of blocks (l, k) is the negation of
-    that of (k, l), so only k < l is generated, one block pair at a time."""
+    that of (k, l), so only k < l is generated, one block pair at a time.
+    The index tuples of a pair give each move once, except that with i1 =
+    i2 and i3 = i4 swapping j3 and j4 gives the same move; only the first
+    of the two in generation order, j3 < j4, is kept."""
     rband, cband, N = bands
     if transposed:
         rband, cband = cband, rband
     for k in range(1, N + 1):
         for l in range(k + 1, N + 1):
-            rk, rl = np.flatnonzero(rband == k), np.flatnonzero(rband == l)
-            ck, cl = np.flatnonzero(cband == k), np.flatnonzero(cband == l)
-            other = np.flatnonzero((cband != k) & (cband != l))
-            if not (len(rk) and len(rl) and len(ck) and len(cl) and len(other)):
-                continue
-            for first in rk:  # one first row at a time bounds the working set
-                grid = np.meshgrid(rk, rl, rl, ck, cl, other, other, indexing="ij")
-                i2, i3, i4, j1, j2, j3, j4 = (g.ravel().astype(np.int32) for g in grid)
-                out.add(*_type_iv_cells(np.int32(first), i2, i3, i4, j1, j2, j3, j4,
-                                        C, transposed))
+            rk, rl, ck, cl, other = (np.flatnonzero(b).astype(out.code) for b in (
+                rband == k, rband == l, cband == k, cband == l, (cband != k) & (cband != l)))
+            for idx in _product(rk, rk, rl, rl, ck, cl, other, other):
+                i1, i2, i3, i4, _, _, j3, j4 = idx
+                once = (i1 != i2) | (i3 != i4) | (j3 <= j4)
+                out.add(*_type_iv_cells(*(a[once] for a in idx), C, transposed))
 
 
 def _move_types(model, types) -> tuple[str, ...]:
@@ -392,15 +393,63 @@ def _move_types(model, types) -> tuple[str, ...]:
     return tuple(types)
 
 
+# --- which types can balance -----------------------------------------------------
+
+def _paired_diagonal(terms: np.ndarray, bands, C: int) -> bool:
+    """Do two diagonal blocks lie in the same terms?  Every cell of a block
+    lies in the same terms, so the first cell of each stands for it.  (A set
+    of tuples, not ``np.unique(axis=0)``, which imports ``numpy.ma``.)"""
+    rband, cband, N = bands
+    first = [np.argmax(rband == n) * C + np.argmax(cband == n) for n in range(1, N + 1)]
+    return len(set(map(tuple, terms[:, first].T.tolist()))) < N
+
+
+def _pattern_space(t: str, R: int, C: int, bands, paired: bool) -> float:
+    """A type's raw pattern-space size, or 0 where no move of the type can
+    balance.  The six cells of a Type II/III loop lie in distinct blocks,
+    and any two of its rows share a column (any two columns a row), so it
+    needs three row bands and three column bands, a leftover band included;
+    Type IV needs two diagonal blocks and a third column band for j3, j4
+    (IVt a third row band).  Types III, IV and IVt have one +1 and one -1
+    cell in two different diagonal blocks and their other cells off the
+    diagonal, so they balance only where two diagonal blocks are
+    ``paired``: in the same terms."""
+    if t == "I":
+        return R * (R - 1) / 2 * C * (C - 1) / 2
+    if t != "II" and not paired:
+        return 0
+    rband, cband, N = bands
+    n_rows, n_cols = rband.max(), cband.max()  # bands 1..N are never empty
+    if t in ("II", "III"):
+        if min(n_rows, n_cols) < 3:
+            return 0
+        return R * (R - 1) * (R - 2) * C * (C - 1) * (C - 2) / 3
+    if N < 2 or (n_rows if t == "IVt" else n_cols) < 3:
+        return 0
+    return R * R * C * C  # rough; only relative draw rates are affected
+
+
+def _type_weights(model, R: int, C: int, terms: np.ndarray, types) -> tuple:
+    """The model's bands (``None`` for Type I alone) and each type's
+    pattern-space size, 0 for a type none of whose moves can balance."""
+    bands = paired = None
+    if set(types) - {"I"}:
+        bands = _bands(model, R, C)
+        paired = _paired_diagonal(terms, bands, C)
+    return bands, {t: _pattern_space(t, R, C, bands, paired) for t in types}
+
+
 def enumerate_basis(model, R: int, C: int, types: tuple[str, ...] | None = None) -> MoveBasis:
     """Every move of the model's types (``_move_types``) on the R x C grid,
     one sign each.  For change-point models these are the basic moves whose
     corner strata balance: with nested rectangles, balanced strata are
     exactly balanced rectangle sums, so the term matrix decides."""
     _models.require_valid(model, R, C)
-    types = _move_types(model, types)
-    bands = _bands(model, R, C) if set(types) - {"I"} else None
-    out = _Candidates(_term_matrix(model, R, C))
+    terms = _term_matrix(model, R, C)
+    bands, weights = _type_weights(model, R, C, terms, _move_types(model, types))
+    # a type with an empty pattern space has no balanced move: its kernel is skipped
+    types = [t for t, w in weights.items() if w > 0]
+    out = _Store(terms, R * C)
     if "I" in types:
         _type_i(out, R, C)
     if "II" in types or "III" in types:
@@ -469,39 +518,6 @@ def _pick_other(index, k: np.ndarray, l: np.ndarray, u: np.ndarray):
 _KERNEL_OF = np.array([0, 1, 1, 3, 4])
 
 
-def _paired_diagonal(terms: np.ndarray, bands, C: int) -> bool:
-    """Do two diagonal blocks lie in the same terms?  Every cell of a block
-    lies in the same terms, so the first cell of each stands for it."""
-    rband, cband, N = bands
-    first = [np.argmax(rband == n) * C + np.argmax(cband == n) for n in range(1, N + 1)]
-    return len(np.unique(terms[:, first].T, axis=0)) < N
-
-
-def _pattern_space(t: str, R: int, C: int, bands, paired: bool) -> float:
-    """A type's raw pattern-space size, or 0 where no move of the type can
-    balance.  The six cells of a Type II/III loop lie in distinct blocks,
-    and any two of its rows share a column (any two columns a row), so it
-    needs three row bands and three column bands, a leftover band included;
-    Type IV needs two diagonal blocks and a third column band for j3, j4
-    (IVt a third row band).  Types III, IV and IVt have one +1 and one -1
-    cell in two different diagonal blocks and their other cells off the
-    diagonal, so they balance only where two diagonal blocks are
-    ``paired``: in the same terms."""
-    if t == "I":
-        return R * (R - 1) / 2 * C * (C - 1) / 2
-    if t != "II" and not paired:
-        return 0
-    rband, cband, N = bands
-    n_rows, n_cols = rband.max(), cband.max()  # bands 1..N are never empty
-    if t in ("II", "III"):
-        if min(n_rows, n_cols) < 3:
-            return 0
-        return R * (R - 1) * (R - 2) * C * (C - 1) * (C - 2) / 3
-    if N < 2 or (n_rows if t == "IVt" else n_cols) < 3:
-        return 0
-    return R * R * C * C  # rough; only relative draw rates are affected
-
-
 class LazyMoveBasis:
     """The same move types (``_move_types``), drawn instead of enumerated,
     for grids too large to enumerate.  A candidate draws a type with weight
@@ -521,12 +537,12 @@ class LazyMoveBasis:
         self.R = R
         self.C = C
         self._terms = _term_matrix(model, R, C)
-        bands = paired = None
-        if set(types) - {"I"}:
-            self._bands = bands = rband, cband, N = _bands(model, R, C)
+        self._code = _code_type(R * C)
+        self._bands, weights = _type_weights(model, R, C, self._terms, types)
+        if self._bands is not None:
+            rband, cband, N = self._bands
             self._index = (_band_index(rband, N + 1), _band_index(cband, N + 1))
-            paired = _paired_diagonal(self._terms, bands, C)
-        weights = np.array([_pattern_space(t, R, C, bands, paired) for t in types])
+        weights = np.array(list(weights.values()))
         if weights.sum() <= 0:
             raise ValueError("lazy basis has empty pattern space")
         # types with an empty pattern space are never drawn
@@ -579,13 +595,14 @@ class LazyMoveBasis:
             coefs[mine, :f.shape[1]] = c
             ok[mine] = got == drawn[mine]
         ok &= _balanced(self._terms, flats, coefs)
-        return _keys(flats[ok], coefs[ok]), drawn[ok].astype(np.uint8)
+        return _keys(flats[ok], coefs[ok], self._code), drawn[ok].astype(np.uint8)
 
     def sampler(self, rng):
         """``(draw, store)`` like ``MoveBasis.sampler``; the store holds one
         batch of drawn moves, and ``draw()`` refills it in place when the
         batch is spent, so the returned arrays stay current."""
-        store = off, flat, coef, tcode = array("i"), array("i"), array("b"), bytearray()
+        store = off, flat, coef, tcode = (array("i", [0]), array(self._code), array("b"),
+                                          bytearray())
         pos = n = 0
 
         def draw() -> int:
@@ -594,7 +611,8 @@ class LazyMoveBasis:
                 keys, codes = self._batch(rng)
                 while not len(codes):
                     keys, codes = self._batch(rng)
-                off[:], flat[:], coef[:] = _decode(keys)
+                del off[1:], flat[:], coef[:]
+                _append(store[:3], keys)
                 tcode[:] = codes.tobytes()
                 pos, n = 0, len(codes)
             pos += 1

@@ -69,8 +69,10 @@ def test_test_command_report_shape(capsys):
     assert 0 <= m["stay_fractions"][0] <= 1
     assert m["llr_cache"] is None
     timings = rep["timings"]
-    assert set(timings) == {"fit_s", "basis_s", "n_moves", "walk_s"}
+    assert set(timings) == {"fit_s", "basis_s", "n_moves", "basis_mb", "walk_s"}
     assert timings["n_moves"] == 81  # Gilby's unsigned basic moves
+    # int32 offsets, int16 cells, int8 coefficients, a type byte per move
+    assert timings["basis_mb"] == (82 * 4 + 324 * 3 + 81) / 2**20
     assert all(timings[k] >= 0 for k in ("fit_s", "basis_s", "walk_s"))
 
 
@@ -270,6 +272,19 @@ def test_check_connect_above_the_enumeration_threshold(capsys, tmp_path):
     assert code == 1
     assert rep["error"]["type"] == "CliError"
     assert "enumerated basis" in rep["error"]["message"]
+
+
+def test_lazy_basis_reports_no_store(capsys, tmp_path):
+    # 420 cells: the walk draws a lazy basis, which stores no move set
+    path = tmp_path / "indep.json"
+    save_model(ModelSpec(family="independence"), path)
+    table = tmp_path / "t.csv"
+    rows = [[1] * 20 for _ in range(21)]
+    table.write_text("".join(",".join(map(str, r)) + "\n" for r in rows))
+    code, rep = run_json(capsys, "test", "--table", str(table), "--model", str(path),
+                         "--steps", "200", "--seed", "1")
+    assert code == 0
+    assert rep["timings"]["n_moves"] is None and rep["timings"]["basis_mb"] is None
 
 
 def test_verify_above_the_enumeration_threshold(capsys, tmp_path):

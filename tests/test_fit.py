@@ -315,6 +315,39 @@ def test_one_tracker_serves_every_chain(case):
         assert (res.observed, res.pvalue) == (fresh.observed, fresh.pvalue)
 
 
+def test_llr_refit_cache_is_bounded(monkeypatch):
+    # an evicted block-sum vector refits to the same log-ratios, so a cache
+    # of two gives the same chains as the default one, with more refits
+    table = victoria_table()
+    common, own = victoria_models()
+    cfg = build_configuration(common, 12, 12)
+    chain = ChainConfig(steps=3000, burn_in=300, seed=5,
+                        proposal=basis_for_model(common, 12, 12))
+    full = make_tracker("llr", table, common, alt=own)
+    want = run_chains(table, cfg, chain, full, n_chains=2)
+
+    sizes = []
+    refit = LLRTracker._refit
+
+    def counted(self, b):
+        sizes.append(self.cache_counts()["size"])
+        return refit(self, b)
+
+    monkeypatch.setattr(LLRTracker, "CACHE_SIZE", 2)
+    monkeypatch.setattr(LLRTracker, "_refit", counted)
+    small = make_tracker("llr", table, common, alt=own)
+    got = run_chains(table, cfg, chain, small, n_chains=2)
+    for a, b in zip(want, got):
+        assert np.array_equal(a.samples, b.samples)
+        assert (a.accept_count, a.stay_count, a.observed) == (
+            b.accept_count, b.stay_count, b.observed)
+    counts = small.cache_counts()
+    assert full.cache_counts()["size"] > 2
+    assert counts["refits"] > full.cache_counts()["refits"] == full.cache_counts()["size"]
+    assert max(sizes) <= 2 and counts["size"] == 2
+    assert counts["refits"] == len(sizes)
+
+
 def test_make_tracker_dispatch():
     table = gilby_table()
     model = gilby_model()

@@ -1,7 +1,9 @@
 """Move bases: membership oracles, kernel checks, sampling, dump format."""
 
+import hashlib
 import io
 import random
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -98,6 +100,74 @@ def test_victoria_common_basis_counts():
     assert basis.counts_by_type() == {"I": 1926, "II": 11664, "III": 17496,
                                       "IV": 150174, "IVt": 150174}
     assert len(basis) == 331434
+
+
+def _store(basis):
+    """The basis store: (offsets, flat cell ids, coefficients, type codes)."""
+    return basis.sampler(random.Random(0))[1]
+
+
+def _store_digest(basis) -> str:
+    """sha256 of the store's four arrays as int64 sequences: a narrower or
+    wider dtype keeps it, any change of order or orientation does not."""
+    h = hashlib.sha256()
+    for a in _store(basis):
+        ints = np.frombuffer(a, dtype=np.uint8) if isinstance(a, bytes) else np.asarray(a)
+        h.update(ints.astype(np.int64).tobytes() + b"|")
+    return h.hexdigest()[:16]
+
+
+# (model, R, C, stored moves, digest), recorded from the int32 builder that
+# kept every candidate's key and deduplicated them with one global sort
+PINNED_STORES = {
+    "victoria-common": (victoria_models()[0], 12, 12, 331434, "a8c2cfe8397c1014"),
+    "victoria-own": (victoria_models()[1], 12, 12, 13590, "fb8dae9a5235f19c"),
+    "gilby": (gilby_model(), 8, 4, 81, "102f99b31f0c198e"),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_STORES)
+def test_store_is_pinned(name):
+    model, R, C, n_moves, digest = PINNED_STORES[name]
+    basis = enumerate_basis(model, R, C)
+    assert len(basis) == n_moves
+    assert _store_digest(basis) == digest
+
+
+def test_store_dtypes_and_bytes():
+    basis = enumerate_basis(gilby_model(), 8, 4)
+    off, flat, coef, tcode = _store(basis)
+    assert (off.typecode, flat.typecode, coef.typecode) == ("i", "h", "b")
+    # 81 moves of four cells: int32 offsets, int16 cells, int8 coefficients
+    # and one type byte per move
+    assert basis.nbytes == 82 * 4 + 324 * 2 + 324 + 81
+
+
+def test_build_memory_is_bounded_by_the_store():
+    # each pass's balanced candidates go straight into the store, so the
+    # build's traced peak is the store plus one pass's arrays: 1.65x the
+    # store's bytes when measured, against 7.5x for the builder that kept
+    # every candidate's key until one global sort
+    model = _blocks(COMMON_BLOCKS, (1, 3, 6, 10), (1, 4, 6, 11))
+    enumerate_basis(model, 9, 10)  # imports of a first call stay out of the trace
+    tracemalloc.start()
+    try:
+        basis = enumerate_basis(model, 9, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(basis) == 48814
+    assert peak < 3 * basis.nbytes
+
+
+def test_types_the_bands_rule_out_are_not_enumerated():
+    # two blocks leave no third row or column band, so no move of Types
+    # II-IV balances; the default build skips their kernels and stores
+    # exactly the Type I build
+    model = _blocks(COMMON_BLOCKS, (1, 11, 21), (1, 11, 21))
+    basis = enumerate_basis(model, 20, 20)
+    assert len(basis) == 26100
+    assert _store(basis) == _store(enumerate_basis(model, 20, 20, types=("I",)))
 
 
 def test_move_accessors():
@@ -351,11 +421,13 @@ TYPE_RULE_CASES = _type_rule_models()
     "model,R", TYPE_RULE_CASES,
     ids=[f"{m.family}-N{len(m.row_bounds) - 1}-{R}x{R}-{m.groups}" for m, R in TYPE_RULE_CASES])
 def test_lazy_weights_match_enumeration(model, R):
-    # a type gets lazy weight exactly when the enumerated basis has moves of
-    # it; with groups ((1,),), blocks 2.. lie in no term, and they do carry
-    # Type III and IV moves between them
+    # a type gets lazy weight exactly when the loop reference has moves of
+    # it (enumeration skips the kernels of types without weight, so it is
+    # no independent check); with groups ((1,),), blocks 2.. lie in no
+    # term, and they do carry Type III and IV moves between them
     for t in TYPE_NAMES:
-        has_moves = len(enumerate_basis(model, R, R, types=(t,))) > 0
+        has_moves = len(reference_unsigned(model, R, R, (t,))) > 0
+        assert (len(enumerate_basis(model, R, R, types=(t,))) > 0) == has_moves, t
         try:
             LazyMoveBasis(model, R, R, types=(t,))
             weighted = True
