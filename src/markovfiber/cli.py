@@ -201,7 +201,7 @@ def cmd_test(args) -> dict:
         "timings": {
             "fit_s": fit_s,
             "basis_s": basis_s,
-            "n_moves": len(basis) if basis.kind == "enumerated" else None,
+            "n_moves": sum(basis.counts_by_type().values()),
             "basis_mb": basis.nbytes / 2**20 if basis.kind == "enumerated" else None,
             "walk_s": walk_s,
         },

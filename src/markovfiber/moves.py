@@ -16,29 +16,39 @@ tables in the same fiber.  The bases constructed here are:
   +-2 (those non-square-free moves are required: dropping them disconnects
   small fibers, which the brute-force oracle demonstrates).
 
-Each type has one numpy kernel, which maps arrays of index tuples (rows and
-columns, or the rows and columns of two diagonal blocks) to ``(n, k)``
-arrays of flat cells, the type's coefficients and a type code; the term
-balance, one terms x cells matrix product, is checked after the kernel.
-Every move is canonicalized to a key (the sorted signed-cell codes, in the
-orientation whose lowest cell has a positive coefficient) and stored in
-that one sign, in flat arrays of int32 offsets, int16 cells and int8
-coefficients, with one type code byte per move.
+Each type has one numpy kernel, which maps (n, slots) arrays of index
+tuples (rows and columns) to ``(n, k)`` arrays of flat cells with the
+type's coefficients; Types II and III share the loop kernel.  Whether a
+tuple's move balances, and which type it has, depends only on the bands its
+indices fall in: blocks for the block families, and for change-point and
+independence models the runs of rows or columns whose cells lie in the same
+terms.  So moves are generated by band configuration, one band per index
+slot: ``_configurations`` decides each configuration once, on one
+representative tuple, and keeps those that balance and have a wanted type,
+with their tuple counts.  Two tuples of one configuration can give one move
+up to sign, and a Type I tuple with i1 = i2 or j1 = j2 gives none; one
+rule, ``_once``, keeps one tuple per move (Type I: i1 < i2 and j1 < j2;
+Type IV with i1 = i2 and i3 = i4: j3 <= j4), and it is the only filter of
+either basis.  Every move is canonicalized to a key (the sorted signed-cell
+codes, in the orientation whose lowest cell has a positive coefficient) and
+stored in that one sign, in flat arrays of int32 offsets, int16 cells and
+int8 coefficients, with one type code byte per move.
 
 One rule, ``_move_types``, gives every family its types; a ``types``
 argument restricts them (the verification sweeps use this to exhibit
 disconnection witnesses), and a change-point model takes Type I alone.
-``enumerate_basis`` skips the types whose bands rule out every move and
-gives the other kernels every index product, a few thousand tuples per
-pass, appending each pass's balanced moves to the store in the order I,
-II/III, IV, IVt.  Only coincident Type IV indices can repeat a move, and
-their repeats are never generated, so nothing is deduplicated and the
-build holds the store and one pass.  ``basis_for_model`` enumerates grids
-up to 400 cells (``ENUMERATION_THRESHOLD``); larger grids get a lazy basis,
-which feeds the kernels small batches of uniformly drawn index tuples and
-keeps the valid candidates in draw order.  Both bases give the walk the same sampler, and
-the walk draws the sign uniformly, which keeps the proposal symmetric
-(Diaconis & Sturmfels 1998).
+``enumerate_basis`` streams every configuration's band product through its
+kernel, a few thousand tuples per pass, into the store in configuration
+order (I, II/III, IV, IVt), so the build holds the store and one pass and
+stores every tuple that ``_once`` keeps.
+``basis_for_model`` enumerates grids up to 400 cells
+(``ENUMERATION_THRESHOLD``); larger grids get a lazy basis, which draws a
+uniform type, one of its configurations in proportion to its tuple count
+and uniform indices in its bands: every type has the same share of the
+draws before ``_once`` drops the repeats, and the kept draws of a type are
+uniform over its moves.  Both bases give the walk the
+same sampler, and the walk draws the sign uniformly, which keeps the
+proposal symmetric (Diaconis & Sturmfels 1998).
 """
 
 from __future__ import annotations
@@ -46,8 +56,8 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations, permutations
-from math import prod
+from itertools import combinations, combinations_with_replacement, permutations, product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,13 +87,13 @@ _TYPE_CODE = {name: k for k, name in enumerate(TYPE_NAMES)}
 # and flat cell ids are int16 up to 6,553 cells, so on every enumerated grid
 # (``ENUMERATION_THRESHOLD``), and int32 beyond.
 _KEY_WIDTH = 8
-# Candidates generated per numpy pass; the build's working memory is a few
-# times this many candidates, whatever the size of the basis.
+# Index tuples generated per numpy pass; the build's working memory is a
+# few times this many tuples, whatever the size of the basis.
 _CHUNK = 1 << 13
-# Candidates drawn per lazy batch: enough to spread the fixed cost of the
-# numpy calls over about 45 valid moves on a 24x24 four-block grid, few
-# enough that a batch's arrays (tens of kB) leave the resident high-water
-# mark where it is.
+# Index tuples drawn per lazy batch: enough to spread the fixed cost of the
+# numpy calls over about 900 moves on a 24x24 four-block grid (``_once``
+# drops 12% of the draws there), few enough that a batch's arrays (tens of
+# kB) leave the resident high-water mark where it is.
 _LAZY_BATCH = 1024
 
 
@@ -196,15 +206,6 @@ class MoveBasis:
         return partial(rng.randrange, len(self)), (self._off, self._flat, self._coef, self._tcode)
 
 
-def _bands(model, R: int, C: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """0-based arrays of the 1-based row and column band ids, and N;
-    leftover rows/cols (general model) get band N+1 so the complement is
-    still carved into blocks."""
-    rband = np.array([_models.row_band(model, i) for i in range(1, R + 1)], dtype=np.int32)
-    cband = np.array([_models.col_band(model, j) for j in range(1, C + 1)], dtype=np.int32)
-    return rband, cband, _models.n_blocks(model)
-
-
 def _term_matrix(model, R: int, C: int) -> np.ndarray:
     """Terms x cells 0/1 matrix, the subtable rows of the configuration:
     row q marks the flat cells of term q."""
@@ -241,137 +242,171 @@ def _keys(flats: np.ndarray, coefs: np.ndarray, code: str) -> np.ndarray:
     return keys
 
 
-# --- the kernels: index arrays -> (flat cells, coefficients, type code) ---------
+# --- the kernels: index tuples -> flat cells ---------------------------------------
 
-_I_COEFS = np.array([1, -1, -1, 1], dtype=np.int8)
+class _Kernel(NamedTuple):
+    """Cell q of the move of index tuple ``idx`` is (idx[rows[q]],
+    idx[cols[q]]), with coefficient coefs[q]; the kernel yields moves of
+    ``types``."""
+
+    rows: list[int]
+    cols: list[int]
+    coefs: np.ndarray
+    types: tuple[str, ...]
+
+    def cells(self, idx: np.ndarray, C: int) -> np.ndarray:
+        """(n, k) flat cells of the moves of (n, slots) index tuples."""
+        return idx[:, self.rows] * C + idx[:, self.cols]
+
+    def axes(self) -> list[int]:
+        """Each slot's axis: 0 for a row index, 1 for a column index."""
+        return [int(s in self.cols) for s in range(len(set(self.rows + self.cols)))]
+
+
 _LOOP_COEFS = np.array([1, 1, 1, -1, -1, -1], dtype=np.int8)
+_IV_ROWS, _IV_COLS = [0, 1, 2, 3, 0, 1, 2, 3], [4, 5, 6, 7, 6, 7, 5, 4]
 _IV_COEFS = np.array([1, 1, 1, 1, -1, -1, -1, -1], dtype=np.int8)
-_UNIQUE_SLOT = -1 - np.arange(6, dtype=np.int32)
+# Type I, slots (i1, i2, j1, j2): +1 at (i1,j1) (i2,j2), -1 at (i1,j2) (i2,j1).
+# Types II/III, slots (r1, r2, r3, x1, x2, x3): the degree-3 loop with +1 at
+# (r_q, x_q) and -1 at (r_q, x_q+1), cyclically.  Type IV, slots (i1..i4,
+# j1..j4): +1 at (i1,j1) (i2,j2) (i3,j3) (i4,j4) and -1 at (i1,j3) (i2,j4)
+# (i3,j2) (i4,j1); coincident indices stack into +-2 entries once the move is
+# keyed.  IVt takes the same slots in the transposed grid.
+_KERNELS = {
+    "I": _Kernel([0, 0, 1, 1], [2, 3, 2, 3], np.array([1, -1, -1, 1], dtype=np.int8), ("I",)),
+    "loop": _Kernel([0, 1, 2, 0, 1, 2], [3, 4, 5, 4, 5, 3], _LOOP_COEFS, ("II", "III")),
+    "IV": _Kernel(_IV_ROWS, _IV_COLS, _IV_COEFS, ("IV",)),
+    "IVt": _Kernel(_IV_COLS, _IV_ROWS, _IV_COEFS, ("IVt",)),
+}
 
 
-def _type_i_cells(i1, i2, j1, j2, C: int):
-    """Type I: the basic move (i1,j1) + (i2,j2) - (i1,j2) - (i2,j1)."""
-    i1, i2 = i1 * C, i2 * C
-    flats = np.stack([i1 + j1, i1 + j2, i2 + j1, i2 + j2], axis=-1)
-    return flats, _I_COEFS, _TYPE_CODE["I"]
+def _once(kernel: str, idx: np.ndarray) -> np.ndarray:
+    """Mask of the index tuples that stand for their move.  A Type I move
+    takes i1 < i2 and j1 < j2.  A Type IV move with i1 = i2 and i3 = i4 is
+    the same for (j3, j4) and (j4, j3), and takes j3 <= j4.  Every other
+    tuple of a configuration is a move of its own."""
+    if kernel == "I":
+        return (idx[:, 0] < idx[:, 1]) & (idx[:, 2] < idx[:, 3])
+    if kernel == "loop":
+        return np.ones(len(idx), dtype=bool)
+    return (idx[:, 0] != idx[:, 1]) | (idx[:, 2] != idx[:, 3]) | (idx[:, 6] <= idx[:, 7])
 
 
-def _all_distinct(codes: np.ndarray) -> np.ndarray:
-    s = np.sort(codes, axis=-1)
-    return (s[..., 1:] != s[..., :-1]).all(axis=-1)
+# --- band configurations ---------------------------------------------------------
+
+def _runs(x: np.ndarray) -> np.ndarray:
+    """Lengths of the runs of equal consecutive entries of x along axis 0."""
+    new = (x[1:] != x[:-1]).reshape(len(x) - 1, -1).any(axis=1)
+    return np.diff(np.flatnonzero(np.r_[True, new, True]))
 
 
-def _loop_cells(bands, rows: np.ndarray, cols: np.ndarray, C: int):
-    """Types II and III: the degree-3 loop with +1 at (rows[q], cols[q]) and
-    -1 at (rows[q + 3], cols[q + 3]), q < 3, typed by block geometry.  Type
-    II has its six cells in distinct off-diagonal blocks; Type III has one
-    +1 and one -1 cell in distinct diagonal blocks and its other four cells
-    in distinct off-diagonal blocks.  Other loops get code -1."""
-    rband, cband, N = bands
-    rb, cb = rband[rows], cband[cols]
-    blocks = rb * (N + 2) + cb
-    in_s = (rb == cb) & (rb <= N)
-    n_s = in_s.sum(axis=-1)
-    tcode = np.full(n_s.shape, -1, dtype=np.int8)
-    tcode[(n_s == 0) & _all_distinct(blocks)] = _TYPE_CODE["II"]
-    iii = ((n_s == 2) & ((_LOOP_COEFS * in_s).sum(axis=-1) == 0)
-           & _all_distinct(np.where(in_s, blocks, _UNIQUE_SLOT))
-           & _all_distinct(np.where(in_s, _UNIQUE_SLOT, blocks)))
-    tcode[iii] = _TYPE_CODE["III"]
-    return rows * C + cols, _LOOP_COEFS, tcode
+def _band_sizes(model, R: int, C: int, terms: np.ndarray):
+    """The sizes of the row bands and of the column bands, which are runs of
+    rows or columns in index order, and N.  A block model's bands 0..N-1 are
+    its blocks' and band N holds the leftover rows or columns, which only a
+    general model can have.  A change-point or independence model has no blocks
+    (N = 0); its bands are the runs of rows or columns whose cells lie in
+    the same terms."""
+    if model.family in (_models.CHANGE_POINT, _models.INDEPENDENCE):
+        grid = terms.reshape(-1, R, C)
+        return _runs(grid.transpose(1, 0, 2)), _runs(grid.transpose(2, 0, 1)), 0
+    return (np.diff([*model.row_bounds, R + 1]), np.diff([*model.col_bounds, C + 1]),
+            _models.n_blocks(model))
 
 
-def _type_iv_cells(i1, i2, i3, i4, j1, j2, j3, j4, C: int, transposed: bool):
-    """Type IV between diagonal blocks k and l: +1 at (i1,j1) (i2,j2)
-    (i3,j3) (i4,j4) and -1 at (i1,j3) (i2,j4) (i3,j2) (i4,j1), with i1, i2
-    in row band k, i3, i4 in row band l, j1 in column band k, j2 in column
-    band l and j3, j4 in neither; coincident indices stack into +-2 entries
-    once the move is keyed.  The transpose takes the indices in the
-    transposed grid and swaps rows and columns."""
-    rows = np.stack(np.broadcast_arrays(i1, i2, i3, i4, i1, i2, i3, i4), axis=-1)
-    cols = np.stack(np.broadcast_arrays(j1, j2, j3, j4, j3, j4, j2, j1), axis=-1)
-    if transposed:
-        rows, cols = cols, rows
-    return rows * C + cols, _IV_COEFS, _TYPE_CODE["IVt" if transposed else "IV"]
+def _band_tuples(kernel: str, n_rows: int, n_cols: int, N: int) -> list[tuple[int, ...]]:
+    """The band of each slot, for every configuration of a kernel that can
+    hold a move.  Type I takes row bands a <= b and column bands c <= d.
+    The rows of a Type II/III loop lie in three bands, and so do its
+    columns: two rows of one band would put the two cells of a column they
+    share in one block.  So a loop takes row bands a < b < c, and three
+    column bands in any order, one per loop form.  Type IV takes diagonal
+    blocks k < l (the moves of (l, k) negate those of (k, l)) and any bands
+    but k and l for j3 and j4."""
+    if kernel == "I":
+        return [r + c for r in combinations_with_replacement(range(n_rows), 2)
+                for c in combinations_with_replacement(range(n_cols), 2)]
+    if kernel == "loop":
+        return [r + c for r in combinations(range(n_rows), 3)
+                for c in permutations(range(n_cols), 3)]
+    n_other = n_cols if kernel == "IV" else n_rows
+    return [(k, k, l, l, k, l, m, n) for k, l in combinations(range(N), 2)
+            for m, n in product(range(n_other), repeat=2) if not {m, n} & {k, l}]
 
 
-# --- enumeration: every index product, streamed into the store ---------------
-
-class _Store:
-    """A basis store filled in generation order: each pass's balanced
-    candidates are keyed and appended, so the build holds the store and one
-    pass's arrays, never every candidate."""
-
-    def __init__(self, terms: np.ndarray, cells: int) -> None:
-        self.terms = terms
-        self.code = _code_type(cells)
-        self.arrays = array("i", [0]), array(self.code), array("b")
-        self.tcode = bytearray()
-
-    def add(self, flats: np.ndarray, coefs: np.ndarray, tcodes) -> None:
-        ok = _balanced(self.terms, flats, coefs)
-        if ok.any():
-            _append(self.arrays, _keys(flats[ok], coefs, self.code))
-            self.tcode += np.broadcast_to(tcodes, ok.shape)[ok].astype(np.uint8).tobytes()
-
-    def basis(self, R: int, C: int) -> MoveBasis:
-        return MoveBasis(R, C, *self.arrays, bytes(self.tcode))
+def _loop_type(rb: np.ndarray, cb: np.ndarray, N: int) -> np.ndarray:
+    """Type codes of the loops whose cells (the +1 cells first) lie in row
+    bands rb and column bands cb, (n, 6) arrays.  A loop's three row bands
+    differ, as do its column bands, so its six cells lie in distinct blocks:
+    Type II has none of them in a diagonal block, Type III one +1 and one -1
+    cell, and any other loop gets code -1."""
+    diag = (rb == cb) & (rb < N)
+    n_diag = diag.sum(axis=1)
+    tcode = np.full(len(rb), -1, dtype=np.int8)
+    tcode[n_diag == 0] = _TYPE_CODE["II"]
+    tcode[(n_diag == 2) & ((diag * _LOOP_COEFS).sum(axis=1) == 0)] = _TYPE_CODE["III"]
+    return tcode
 
 
-def _product(*axes: np.ndarray):
-    """The Cartesian product of the index arrays in C order (the last axis
-    fastest), ``_CHUNK`` tuples at a time, as one array per axis."""
-    dims = tuple(len(a) for a in axes)
-    n = prod(dims)
-    for lo in range(0, n, _CHUNK):
-        at = np.arange(lo, min(lo + _CHUNK, n))
-        yield [a[i] for a, i in zip(axes, np.unravel_index(at, dims))]
+def _kept(kernel: str, first: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """The number of tuples of each configuration that ``_once`` keeps."""
+    def ordered(x, y):  # pairs p < q, p in slot x's band and q in slot y's,
+        # bands being runs in index order
+        nx, ny = size[:, x], size[:, y]
+        return np.where(first[:, x] == first[:, y], nx * (nx - 1) // 2,
+                        (first[:, x] < first[:, y]) * nx * ny)
+    if kernel == "I":
+        return ordered(0, 1) * ordered(2, 3)
+    raw = size.prod(axis=1)
+    if kernel == "loop":
+        return raw
+    return raw - size[:, [0, 2, 4, 5]].prod(axis=1) * ordered(7, 6)
 
 
-def _pairs(n: int, k: int, code: str) -> np.ndarray:
-    """(m, k) array of the k-subsets of range(n), in lexicographic order."""
-    return np.array(list(combinations(range(n), k)), dtype=code).reshape(-1, k)
+class _Configs(NamedTuple):
+    """The configurations of one kernel that hold moves of the wanted types:
+    the first index and size of each slot's band, (n, slots) arrays, and
+    each configuration's type code and number of moves."""
+
+    kernel: str
+    first: np.ndarray
+    size: np.ndarray
+    tcode: np.ndarray
+    kept: np.ndarray
 
 
-def _type_i(out: _Store, R: int, C: int) -> None:
-    """Every basic move with i1 < i2, j1 < j2."""
-    for rows, cols in _product(_pairs(R, 2, out.code), _pairs(C, 2, out.code)):
-        out.add(*_type_i_cells(rows[:, 0], rows[:, 1], cols[:, 0], cols[:, 1], C))
-
-
-def _type_ii_iii(out: _Store, bands, R: int, C: int, wanted: list[int]) -> None:
-    """Every degree-3 loop of the wanted codes.  A loop on rows r and
-    columns c has +1 at (r[k], c[p[k]]) and -1 at (r[k], c[p[k+1 mod 3]])
-    for a permutation p; the shift by one alone gives every loop once up to
-    sign."""
-    perms = np.array(list(permutations(range(3))))
-    col3 = _pairs(C, 3, out.code)
-    # (column triple, permutation) -> the columns of the +1, then the -1 cells
-    col6 = np.concatenate([col3[:, perms], col3[:, perms[:, [1, 2, 0]]]], axis=2).reshape(-1, 6)
-    row3 = _pairs(R, 3, out.code)
-    for rows, cols in _product(np.concatenate([row3, row3], axis=1), col6):
-        flats, coefs, tcode = _loop_cells(bands, rows, cols, C)
-        keep = np.isin(tcode, wanted)
-        out.add(flats[keep], coefs, tcode[keep])
-
-
-def _type_iv(out: _Store, bands, C: int, transposed: bool) -> None:
-    """Every Type IV move.  The pattern of blocks (l, k) is the negation of
-    that of (k, l), so only k < l is generated, one block pair at a time.
-    The index tuples of a pair give each move once, except that with i1 =
-    i2 and i3 = i4 swapping j3 and j4 gives the same move; only the first
-    of the two in generation order, j3 < j4, is kept."""
-    rband, cband, N = bands
-    if transposed:
-        rband, cband = cband, rband
-    for k in range(1, N + 1):
-        for l in range(k + 1, N + 1):
-            rk, rl, ck, cl, other = (np.flatnonzero(b).astype(out.code) for b in (
-                rband == k, rband == l, cband == k, cband == l, (cband != k) & (cband != l)))
-            for idx in _product(rk, rk, rl, rl, ck, cl, other, other):
-                i1, i2, i3, i4, _, _, j3, j4 = idx
-                once = (i1 != i2) | (i3 != i4) | (j3 <= j4)
-                out.add(*_type_iv_cells(*(a[once] for a in idx), C, transposed))
+def _configurations(model, R: int, C: int, types) -> list[_Configs]:
+    """The configurations of the kernels of ``types`` whose moves balance
+    and have those types.  Every cell of a block (row band x column band)
+    lies in the same terms, so the bands of a tuple's indices decide whether
+    its move balances (coincident indices leave every term sum as it is) and
+    which type it has: one representative tuple per configuration, the
+    first index of each band, decides for all of its tuples."""
+    terms = _term_matrix(model, R, C)
+    rows, cols, N = _band_sizes(model, R, C, terms)
+    # one lookup for both axes: column band b is entry len(rows) + b
+    sizes = np.concatenate([rows, cols])
+    firsts = np.concatenate([np.cumsum(rows) - rows, np.cumsum(cols) - cols])
+    out = []
+    for name, kernel in _KERNELS.items():
+        wanted = [_TYPE_CODE[t] for t in kernel.types if t in types]
+        if not wanted:
+            continue
+        axes = kernel.axes()
+        bands = np.array(_band_tuples(name, len(rows), len(cols), N),
+                         dtype=np.intp).reshape(-1, len(axes))
+        at = bands + len(rows) * np.array(axes)
+        full = sizes[at].all(axis=1)  # no slot in an empty leftover band
+        bands, size, first = bands[full], sizes[at[full]], firsts[at[full]]
+        if name == "loop":
+            tcode = _loop_type(bands[:, kernel.rows], bands[:, kernel.cols], N)
+        else:
+            tcode = np.full(len(bands), wanted[0], dtype=np.int8)
+        kept = _kept(name, first, size)
+        ok = ((tcode[:, None] == wanted).any(axis=1) & (kept > 0)
+              & _balanced(terms, kernel.cells(first, C), kernel.coefs))
+        out.append(_Configs(name, first[ok], size[ok], tcode[ok].astype(np.uint8), kept[ok]))
+    return out
 
 
 def _move_types(model, types) -> tuple[str, ...]:
@@ -393,50 +428,26 @@ def _move_types(model, types) -> tuple[str, ...]:
     return tuple(types)
 
 
-# --- which types can balance -----------------------------------------------------
+# --- enumeration: every kept tuple, streamed into the store -------------------------
 
-def _paired_diagonal(terms: np.ndarray, bands, C: int) -> bool:
-    """Do two diagonal blocks lie in the same terms?  Every cell of a block
-    lies in the same terms, so the first cell of each stands for it.  (A set
-    of tuples, not ``np.unique(axis=0)``, which imports ``numpy.ma``.)"""
-    rband, cband, N = bands
-    first = [np.argmax(rband == n) * C + np.argmax(cband == n) for n in range(1, N + 1)]
-    return len(set(map(tuple, terms[:, first].T.tolist()))) < N
-
-
-def _pattern_space(t: str, R: int, C: int, bands, paired: bool) -> float:
-    """A type's raw pattern-space size, or 0 where no move of the type can
-    balance.  The six cells of a Type II/III loop lie in distinct blocks,
-    and any two of its rows share a column (any two columns a row), so it
-    needs three row bands and three column bands, a leftover band included;
-    Type IV needs two diagonal blocks and a third column band for j3, j4
-    (IVt a third row band).  Types III, IV and IVt have one +1 and one -1
-    cell in two different diagonal blocks and their other cells off the
-    diagonal, so they balance only where two diagonal blocks are
-    ``paired``: in the same terms."""
-    if t == "I":
-        return R * (R - 1) / 2 * C * (C - 1) / 2
-    if t != "II" and not paired:
-        return 0
-    rband, cband, N = bands
-    n_rows, n_cols = rband.max(), cband.max()  # bands 1..N are never empty
-    if t in ("II", "III"):
-        if min(n_rows, n_cols) < 3:
-            return 0
-        return R * (R - 1) * (R - 2) * C * (C - 1) * (C - 2) / 3
-    if N < 2 or (n_rows if t == "IVt" else n_cols) < 3:
-        return 0
-    return R * R * C * C  # rough; only relative draw rates are affected
-
-
-def _type_weights(model, R: int, C: int, terms: np.ndarray, types) -> tuple:
-    """The model's bands (``None`` for Type I alone) and each type's
-    pattern-space size, 0 for a type none of whose moves can balance."""
-    bands = paired = None
-    if set(types) - {"I"}:
-        bands = _bands(model, R, C)
-        paired = _paired_diagonal(terms, bands, C)
-    return bands, {t: _pattern_space(t, R, C, bands, paired) for t in types}
+def _tuples(configs: _Configs, code: str):
+    """Every index tuple of the configurations, as (n, slots) arrays of
+    typecode ``code``, with each tuple's type code: configuration by
+    configuration, each band product in C order (the last slot fastest),
+    ``_CHUNK`` tuples at a time."""
+    raw = configs.size.prod(axis=1)
+    end = np.cumsum(raw)
+    total = int(end[-1]) if len(end) else 0
+    for lo in range(0, total, _CHUNK):
+        at = np.arange(lo, min(lo + _CHUNK, total))
+        k = np.searchsorted(end, at, side="right")
+        rest = at - (end[k] - raw[k])
+        idx = np.empty((len(at), configs.size.shape[1]), dtype=code)
+        for s in reversed(range(idx.shape[1])):
+            n = configs.size[k, s]
+            idx[:, s] = configs.first[k, s] + rest % n
+            rest //= n
+        yield idx, configs.tcode[k]
 
 
 def enumerate_basis(model, R: int, C: int, types: tuple[str, ...] | None = None) -> MoveBasis:
@@ -445,23 +456,19 @@ def enumerate_basis(model, R: int, C: int, types: tuple[str, ...] | None = None)
     corner strata balance: with nested rectangles, balanced strata are
     exactly balanced rectangle sums, so the term matrix decides."""
     _models.require_valid(model, R, C)
-    terms = _term_matrix(model, R, C)
-    bands, weights = _type_weights(model, R, C, terms, _move_types(model, types))
-    # a type with an empty pattern space has no balanced move: its kernel is skipped
-    types = [t for t, w in weights.items() if w > 0]
-    out = _Store(terms, R * C)
-    if "I" in types:
-        _type_i(out, R, C)
-    if "II" in types or "III" in types:
-        _type_ii_iii(out, bands, R, C, [_TYPE_CODE[t] for t in ("II", "III") if t in types])
-    if "IV" in types:
-        _type_iv(out, bands, C, transposed=False)
-    if "IVt" in types:
-        _type_iv(out, bands, C, transposed=True)
-    return out.basis(R, C)
+    code = _code_type(R * C)
+    store = array("i", [0]), array(code), array("b")
+    tcode = bytearray()
+    for configs in _configurations(model, R, C, _move_types(model, types)):
+        kernel = _KERNELS[configs.kernel]
+        for idx, codes in _tuples(configs, code):
+            keep = _once(configs.kernel, idx)
+            _append(store, _keys(kernel.cells(idx[keep], C), kernel.coefs, code))
+            tcode += codes[keep].tobytes()
+    return MoveBasis(R, C, *store, bytes(tcode))
 
 
-# --- lazy draws: uniform index tuples --------------------------------------------
+# --- lazy draws: uniform index tuples of the configurations -----------------------
 
 def _words(rng, n: int, k: int) -> np.ndarray:
     """(n, k) uniform 32-bit words, from one ``getrandbits`` call."""
@@ -476,126 +483,64 @@ def _below(u: np.ndarray, n) -> np.ndarray:
     return (u * np.asarray(n, dtype=np.uint64) >> np.uint64(32)).astype(np.intp)
 
 
-def _distinct(u: np.ndarray, n: int) -> np.ndarray:
-    """(m, k) uniform ordered draws without replacement from range(n), k <= 3,
-    from (m, k) words: each draw skips the earlier ones in ascending order."""
-    a = _below(u[:, 0], n)
-    b = _below(u[:, 1], n - 1)
-    b += b >= a
-    if u.shape[1] == 2:
-        return np.stack([a, b], axis=1)
-    c = _below(u[:, 2], n - 2)
-    c += c >= np.minimum(a, b)
-    c += c >= np.maximum(a, b)
-    return np.stack([a, b, c], axis=1)
-
-
-def _band_index(band: np.ndarray, n_bands: int):
-    """Indices sorted by band, and each band's start and count in that order."""
-    count = np.bincount(band, minlength=n_bands + 1)
-    return np.argsort(band, kind="stable"), np.cumsum(count) - count, count
-
-
-def _pick(index, band: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """A uniform index of each given band (every band 1..N is nonempty)."""
-    order, start, count = index
-    return order[start[band] + _below(u, count[band])]
-
-
-def _pick_other(index, k: np.ndarray, l: np.ndarray, u: np.ndarray):
-    """A uniform index outside bands k and l, and whether there is one: the
-    u-th of the others skips the two bands' runs in the sorted order."""
-    order, start, count = index
-    n_other = len(order) - count[k] - count[l]
-    lo, hi = np.minimum(k, l), np.maximum(k, l)
-    p = _below(u, n_other)
-    p += count[lo] * (p >= start[lo])
-    p += count[hi] * (p >= start[hi])
-    return order[np.minimum(p, len(order) - 1)], n_other > 0
-
-
-# the type code whose kernel draws each type: II and III share the loops
-_KERNEL_OF = np.array([0, 1, 1, 3, 4])
-
-
 class LazyMoveBasis:
-    """The same move types (``_move_types``), drawn instead of enumerated,
-    for grids too large to enumerate.  A candidate draws a type with weight
-    proportional to its raw pattern-space size (0 for a type none of whose
-    moves can balance), then uniform distinct rows and columns and a shift
-    of 1 or 2 (Types I-III), or a uniform ordered pair of diagonal blocks
-    and uniform rows and columns of the bands the pattern needs (Type IV).
-    The kernels keep the candidates of the drawn type whose terms balance,
-    so the selection is state-independent, and a sampler walks through them
-    one batch at a time."""
+    """The same moves (``_move_types``), drawn instead of enumerated, for
+    grids too large to enumerate.  A draw takes a uniform type among those
+    with moves, one of its configurations with probability proportional to
+    the configuration's raw tuple count (the product of its band sizes),
+    and a uniform index in each slot's band, so every tuple of the type is
+    equally likely.  ``_once`` then drops the tuples that repeat a move or
+    give none; each move of a type is one kept tuple, so the kept draws of
+    a type are uniform over its moves.  Types are not weighted by their
+    move counts, which would starve Type I on large grids.  The law is
+    state-independent, and a sampler walks through the kept draws one batch
+    at a time, in draw order."""
 
     kind = "lazy"
 
     def __init__(self, model, R: int, C: int, types: tuple[str, ...] | None = None) -> None:
         _models.require_valid(model, R, C)
-        types = _move_types(model, types)
         self.R = R
         self.C = C
-        self._terms = _term_matrix(model, R, C)
         self._code = _code_type(R * C)
-        self._bands, weights = _type_weights(model, R, C, self._terms, types)
-        if self._bands is not None:
-            rband, cband, N = self._bands
-            self._index = (_band_index(rband, N + 1), _band_index(cband, N + 1))
-        weights = np.array(list(weights.values()))
-        if weights.sum() <= 0:
+        self._configs = _configurations(model, R, C, _move_types(model, types))
+        if not any(len(c.tcode) for c in self._configs):
             raise ValueError("lazy basis has empty pattern space")
-        # types with an empty pattern space are never drawn
-        self._drawn = np.array([_TYPE_CODE[t] for t, w in zip(types, weights) if w > 0])
-        self._kernels = sorted(set(_KERNEL_OF[self._drawn].tolist()))
-        self._cum = np.cumsum(weights[weights > 0]) / weights.sum()
+        self._tcode = np.concatenate([c.tcode for c in self._configs])
+        raw = np.concatenate([c.size.prod(axis=1) for c in self._configs]).astype(float)
+        # a configuration's share: its type's, 1 / types, times its share of the type's tuples
+        per_type = np.bincount(self._tcode, weights=raw)
+        self._cum = np.cumsum(raw / per_type[self._tcode] / np.count_nonzero(per_type))
         self._cum[-1] = 1.0
 
-    def _candidates(self, code: int, rng, m: int):
-        """Kernel output for m candidates of one type's kernel."""
-        R, C = self.R, self.C
-        if code == _TYPE_CODE["I"]:
-            u = _words(rng, m, 4)
-            rows, cols = _distinct(u[:, 0:2], R), _distinct(u[:, 2:4], C)
-            return _type_i_cells(rows[:, 0], rows[:, 1], cols[:, 0], cols[:, 1], C)
-        if code == _TYPE_CODE["II"]:
-            u = _words(rng, m, 7)
-            rows, cols = _distinct(u[:, 0:3], R), _distinct(u[:, 3:6], C)
-            minus = np.where(u[:, 6:] >> np.uint64(31), cols[:, [2, 0, 1]], cols[:, [1, 2, 0]])
-            return _loop_cells(self._bands, np.concatenate([rows, rows], axis=1),
-                               np.concatenate([cols, minus], axis=1), C)
-        u = _words(rng, m, 10)
-        transposed = code == _TYPE_CODE["IVt"]
-        rows, cols = self._index[::-1] if transposed else self._index
-        k, l = (_distinct(u[:, 0:2], self._bands[2]) + 1).T
-        j3, ok = _pick_other(cols, k, l, u[:, 2])
-        j4, _ = _pick_other(cols, k, l, u[:, 3])
-        flats, coefs, tcode = _type_iv_cells(
-            _pick(rows, k, u[:, 4]), _pick(rows, k, u[:, 5]),
-            _pick(rows, l, u[:, 6]), _pick(rows, l, u[:, 7]),
-            _pick(cols, k, u[:, 8]), _pick(cols, l, u[:, 9]), j3, j4, C, transposed)
-        return flats, coefs, np.where(ok, tcode, -1)
+    def counts_by_type(self) -> dict[str, int]:
+        """Moves per type: the kept tuples of its configurations."""
+        kept = np.concatenate([c.kept for c in self._configs])
+        return {TYPE_NAMES[t]: int(kept[self._tcode == t].sum()) for t in np.unique(self._tcode)}
 
     def _batch(self, rng) -> tuple[np.ndarray, np.ndarray]:
-        """Keys and type codes of one batch's valid candidates, in draw order.
-        Candidates are padded to eight cells with zero coefficients, so the
-        term balance and the keys take one numpy pass for the whole batch."""
-        u = _words(rng, _LAZY_BATCH, 1)[:, 0]
-        drawn = self._drawn[np.searchsorted(self._cum, u * 2.0 ** -32)]
+        """Keys and type codes of one batch's kept draws, in draw order.
+        Draws are padded to eight cells with zero coefficients, so the keys
+        take one numpy pass for the whole batch."""
+        # one word picks the configuration, the others the indices of up to eight slots
+        u = _words(rng, _LAZY_BATCH, 1 + _KEY_WIDTH)
+        at = np.searchsorted(self._cum, u[:, 0] * 2.0 ** -32, side="right")
         flats = np.zeros((_LAZY_BATCH, _KEY_WIDTH), dtype=np.intp)
         coefs = np.zeros((_LAZY_BATCH, _KEY_WIDTH), dtype=np.int8)
         ok = np.zeros(_LAZY_BATCH, dtype=bool)
-        kernel = _KERNEL_OF[drawn]
-        for code in self._kernels:
-            mine = np.flatnonzero(kernel == code)
-            if not len(mine):
-                continue
-            f, c, got = self._candidates(code, rng, len(mine))
-            flats[mine, :f.shape[1]] = f
-            coefs[mine, :f.shape[1]] = c
-            ok[mine] = got == drawn[mine]
-        ok &= _balanced(self._terms, flats, coefs)
-        return _keys(flats[ok], coefs[ok], self._code), drawn[ok].astype(np.uint8)
+        lo = 0
+        for configs in self._configs:
+            mine = np.flatnonzero((at >= lo) & (at < lo + len(configs.tcode)))
+            k = at[mine] - lo
+            lo += len(configs.tcode)
+            kernel = _KERNELS[configs.kernel]
+            size = configs.size[k]
+            idx = configs.first[k] + _below(u[mine, 1:1 + size.shape[1]], size)
+            cells = kernel.cells(idx, self.C)
+            flats[mine, :cells.shape[1]] = cells
+            coefs[mine, :cells.shape[1]] = kernel.coefs
+            ok[mine] = _once(configs.kernel, idx)
+        return _keys(flats[ok], coefs[ok], self._code), self._tcode[at[ok]]
 
     def sampler(self, rng):
         """``(draw, store)`` like ``MoveBasis.sampler``; the store holds one

@@ -275,7 +275,8 @@ def test_check_connect_above_the_enumeration_threshold(capsys, tmp_path):
 
 
 def test_lazy_basis_reports_no_store(capsys, tmp_path):
-    # 420 cells: the walk draws a lazy basis, which stores no move set
+    # 420 cells: the walk draws a lazy basis, which stores no move set but
+    # counts its moves, C(21, 2) * C(20, 2) minors
     path = tmp_path / "indep.json"
     save_model(ModelSpec(family="independence"), path)
     table = tmp_path / "t.csv"
@@ -284,7 +285,7 @@ def test_lazy_basis_reports_no_store(capsys, tmp_path):
     code, rep = run_json(capsys, "test", "--table", str(table), "--model", str(path),
                          "--steps", "200", "--seed", "1")
     assert code == 0
-    assert rep["timings"]["n_moves"] is None and rep["timings"]["basis_mb"] is None
+    assert rep["timings"]["n_moves"] == 210 * 190 and rep["timings"]["basis_mb"] is None
 
 
 def test_verify_above_the_enumeration_threshold(capsys, tmp_path):

@@ -8,6 +8,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from scipy.stats import chisquare
 
 from markovfiber.models import (
     CHANGE_POINT,
@@ -117,12 +118,14 @@ def _store_digest(basis) -> str:
     return h.hexdigest()[:16]
 
 
-# (model, R, C, stored moves, digest), recorded from the int32 builder that
-# kept every candidate's key and deduplicated them with one global sort
+# (model, R, C, stored moves, digest): the moves of the earlier builder that
+# deduplicated every candidate's key with one global sort, stored in band
+# configuration order (kernel by kernel, each configuration's band product
+# in turn)
 PINNED_STORES = {
-    "victoria-common": (victoria_models()[0], 12, 12, 331434, "a8c2cfe8397c1014"),
-    "victoria-own": (victoria_models()[1], 12, 12, 13590, "fb8dae9a5235f19c"),
-    "gilby": (gilby_model(), 8, 4, 81, "102f99b31f0c198e"),
+    "victoria-common": (victoria_models()[0], 12, 12, 331434, "5d65026c5ab3b1be"),
+    "victoria-own": (victoria_models()[1], 12, 12, 13590, "f9b4bc0bf66ce5cb"),
+    "gilby": (gilby_model(), 8, 4, 81, "6a6a49595c1abdb9"),
 }
 
 
@@ -144,10 +147,10 @@ def test_store_dtypes_and_bytes():
 
 
 def test_build_memory_is_bounded_by_the_store():
-    # each pass's balanced candidates go straight into the store, so the
-    # build's traced peak is the store plus one pass's arrays: 1.65x the
-    # store's bytes when measured, against 7.5x for the builder that kept
-    # every candidate's key until one global sort
+    # each pass's kept tuples go straight into the store, so the build's
+    # traced peak is the store plus one pass's arrays: 1.8x the store's
+    # bytes when measured, against 7.5x for the builder that kept every
+    # candidate's key until one global sort
     model = _blocks(COMMON_BLOCKS, (1, 3, 6, 10), (1, 4, 6, 11))
     enumerate_basis(model, 9, 10)  # imports of a first call stay out of the trace
     tracemalloc.start()
@@ -162,8 +165,8 @@ def test_build_memory_is_bounded_by_the_store():
 
 def test_types_the_bands_rule_out_are_not_enumerated():
     # two blocks leave no third row or column band, so no move of Types
-    # II-IV balances; the default build skips their kernels and stores
-    # exactly the Type I build
+    # II-IV balances; the default build has no configuration of theirs and
+    # stores exactly the Type I build
     model = _blocks(COMMON_BLOCKS, (1, 11, 21), (1, 11, 21))
     basis = enumerate_basis(model, 20, 20)
     assert len(basis) == 26100
@@ -354,18 +357,42 @@ LAZY_CASES = [
                          ids=["common-6x6", "gilby-8x4", "own-6x6", "general-leftover-6x6",
                               "common-two-blocks-6x6"])
 def test_lazy_draws_agree_with_enumeration(model, R, C):
+    # every draw is a move of the enumerated basis, every type is drawn, and
+    # within each type the draws are uniform over its moves: a chi-square
+    # over the per-move counts, one type at a time
     basis = basis_for_model(model, R, C)
-    enumerated = {mv.entries for mv in basis} | {mv.negated().entries for mv in basis}
+    counts = {mv.entries: 0 for mv in basis}
+    type_of = {mv.entries: mv.mtype for mv in basis}
     lazy = LazyMoveBasis(model, R, C)
     cfg = build_configuration(model, R, C)
     rng = random.Random(11)
-    types = set()
-    for _ in range(400):
+    for _ in range(30_000):
         mv = random_move(lazy, rng)
-        assert mv.entries in enumerated
-        assert is_kernel_move(cfg, mv)
-        types.add(mv.mtype)
-    assert types == set(basis.counts_by_type())
+        stored = mv if mv.entries[0][2] > 0 else mv.negated()  # the stored sign
+        assert stored.entries in counts
+        counts[stored.entries] += 1
+        assert type_of[stored.entries] == mv.mtype
+    assert all(is_kernel_move(cfg, Move(e, type_of[e])) for e, n in counts.items() if n)
+    for t in basis.counts_by_type():
+        per_move = [n for e, n in counts.items() if type_of[e] == t]
+        assert sum(per_move) > 0, t
+        assert chisquare(per_move).pvalue > 1e-3, t
+
+
+@pytest.mark.parametrize("model,R,C,types", ORACLE_CASES, ids=ORACLE_IDS)
+def test_lazy_counts_match_enumeration(model, R, C, types):
+    lazy = LazyMoveBasis(model, R, C, types)
+    assert lazy.counts_by_type() == enumerate_basis(model, R, C, types).counts_by_type()
+
+
+def test_lazy_counts_of_victoria_and_a_grid_too_large_to_enumerate():
+    for model in victoria_models():
+        assert (LazyMoveBasis(model, 12, 12).counts_by_type()
+                == enumerate_basis(model, 12, 12).counts_by_type())
+    # 24x24, four 6x6 common blocks: the benchmark's lazy grid
+    grid = _blocks(COMMON_BLOCKS, (1, 7, 13, 19, 25), (1, 7, 13, 19, 25))
+    assert LazyMoveBasis(grid, 24, 24).counts_by_type() == {
+        "I": 37296, "II": 746496, "III": 1119744, "IV": 39797568, "IVt": 39797568}
 
 
 def test_lazy_one_block_draws_are_kernel_moves():
@@ -421,10 +448,10 @@ TYPE_RULE_CASES = _type_rule_models()
     "model,R", TYPE_RULE_CASES,
     ids=[f"{m.family}-N{len(m.row_bounds) - 1}-{R}x{R}-{m.groups}" for m, R in TYPE_RULE_CASES])
 def test_lazy_weights_match_enumeration(model, R):
-    # a type gets lazy weight exactly when the loop reference has moves of
-    # it (enumeration skips the kernels of types without weight, so it is
-    # no independent check); with groups ((1,),), blocks 2.. lie in no
-    # term, and they do carry Type III and IV moves between them
+    # a type gets lazy draws exactly when the loop reference has moves of
+    # it (enumeration draws on the same band configurations, so it is no
+    # independent check); with groups ((1,),), blocks 2.. lie in no term,
+    # and they do carry Type III and IV moves between them
     for t in TYPE_NAMES:
         has_moves = len(reference_unsigned(model, R, R, (t,))) > 0
         assert (len(enumerate_basis(model, R, R, types=(t,))) > 0) == has_moves, t
