@@ -23,31 +23,36 @@ tuple's move balances, and which type it has, depends only on the bands its
 indices fall in: blocks for the block families, and for change-point and
 independence models the runs of rows or columns whose cells lie in the same
 terms.  So moves are generated by band configuration, one band per index
-slot: ``_configurations`` decides each configuration once, on one
-representative tuple, and keeps those that balance and have a wanted type,
-with their tuple counts.  Two tuples of one configuration can give one move
-up to sign, and a Type I tuple with i1 = i2 or j1 = j2 gives none; one
-rule, ``_once``, keeps one tuple per move (Type I: i1 < i2 and j1 < j2;
-Type IV with i1 = i2 and i3 = i4: j3 <= j4), and it is the only filter of
-either basis.  Every move is canonicalized to a key (the sorted signed-cell
-codes, in the orientation whose lowest cell has a positive coefficient) and
-stored in that one sign, in flat arrays of int32 offsets, int16 cells and
-int8 coefficients, with one type code byte per move.
+slot: ``_configurations`` streams each kernel's configurations, the product
+of a table of row-band tuples and one of column-band tuples, a few thousand
+at a time, decides each on one representative tuple and keeps those that
+balance and have a wanted type, with their tuple counts.  Two tuples of one
+configuration can give one move up to sign, and a Type I tuple with i1 = i2
+or j1 = j2 gives none; one rule, ``_once``, keeps one tuple per move (Type
+I: i1 < i2 and j1 < j2; Type IV with i1 = i2 and i3 = i4: j3 <= j4), and it
+is the only filter of either basis.  Every move is canonicalized to a key
+(the sorted signed-cell codes, in the orientation whose lowest cell has a
+positive coefficient) and stored in that one sign, in flat arrays of int32
+offsets, int16 cells and int8 coefficients, with one type code byte per
+move.  The loops have about (bands per axis)^6 configurations, Types I
+and IV ^4: this saves most where bands are few and wide, and with bands one
+row wide each configuration holds one tuple and costs what one tuple does.
 
 One rule, ``_move_types``, gives every family its types; a ``types``
 argument restricts them (the verification sweeps use this to exhibit
 disconnection witnesses), and a change-point model takes Type I alone.
-``enumerate_basis`` streams every configuration's band product through its
-kernel, a few thousand tuples per pass, into the store in configuration
-order (I, II/III, IV, IVt), so the build holds the store and one pass and
+``enumerate_basis`` streams every kept configuration's band product through
+its kernel, a few thousand tuples per pass, into the store in configuration
+order (I, II/III, IV, IVt), so the build holds the store and one pass, and
 stores every tuple that ``_once`` keeps.
 ``basis_for_model`` enumerates grids up to 400 cells
-(``ENUMERATION_THRESHOLD``); larger grids get a lazy basis, which draws a
-uniform type, one of its configurations in proportion to its tuple count
-and uniform indices in its bands: every type has the same share of the
-draws before ``_once`` drops the repeats, and the kept draws of a type are
-uniform over its moves.  Both bases give the walk the
-same sampler, and the walk draws the sign uniformly, which keeps the
+(``ENUMERATION_THRESHOLD``); larger grids get a lazy basis, which holds the
+kept configurations in a table and draws a uniform type, one of its
+configurations in proportion to its tuple count and uniform indices in its
+bands (Type I draws two indices of one band as an ordered pair): every type
+has the same share of the draws before ``_once`` drops the repeats, and the
+kept draws of a type are uniform over its moves.  Both bases give the walk
+the same sampler, and the walk draws the sign uniformly, which keeps the
 proposal symmetric (Diaconis & Sturmfels 1998).
 """
 
@@ -56,7 +61,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations, combinations_with_replacement, permutations, product
+from itertools import combinations, combinations_with_replacement, groupby, permutations, product
 from typing import NamedTuple
 
 import numpy as np
@@ -87,14 +92,19 @@ _TYPE_CODE = {name: k for k, name in enumerate(TYPE_NAMES)}
 # and flat cell ids are int16 up to 6,553 cells, so on every enumerated grid
 # (``ENUMERATION_THRESHOLD``), and int32 beyond.
 _KEY_WIDTH = 8
-# Index tuples generated per numpy pass; the build's working memory is a
-# few times this many tuples, whatever the size of the basis.
+# Index tuples, and band configurations, generated per numpy pass; the
+# build's working memory is a few times this many, whatever the size of the
+# basis.
 _CHUNK = 1 << 13
 # Index tuples drawn per lazy batch: enough to spread the fixed cost of the
-# numpy calls over about 900 moves on a 24x24 four-block grid (``_once``
-# drops 12% of the draws there), few enough that a batch's arrays (tens of
+# numpy calls over about 1,000 moves on a 24x24 four-block grid (``_once``
+# drops 0.5% of the draws there), few enough that a batch's arrays (tens of
 # kB) leave the resident high-water mark where it is.
 _LAZY_BATCH = 1024
+# Band configurations a lazy basis may hold: every block model up to 14
+# bands per axis, in a table of about 50 bytes per configuration that
+# balances (27 MB for 14 common blocks, twice that while it is built).
+_LAZY_CONFIGS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -303,35 +313,38 @@ def _runs(x: np.ndarray) -> np.ndarray:
 def _band_sizes(model, R: int, C: int, terms: np.ndarray):
     """The sizes of the row bands and of the column bands, which are runs of
     rows or columns in index order, and N.  A block model's bands 0..N-1 are
-    its blocks' and band N holds the leftover rows or columns, which only a
-    general model can have.  A change-point or independence model has no blocks
-    (N = 0); its bands are the runs of rows or columns whose cells lie in
-    the same terms."""
+    its blocks' and band N, if any, holds the leftover rows or columns,
+    which only a general model can have.  A change-point or independence
+    model has no blocks (N = 0); its bands are the runs of rows or columns
+    whose cells lie in the same terms."""
     if model.family in (_models.CHANGE_POINT, _models.INDEPENDENCE):
         grid = terms.reshape(-1, R, C)
         return _runs(grid.transpose(1, 0, 2)), _runs(grid.transpose(2, 0, 1)), 0
-    return (np.diff([*model.row_bounds, R + 1]), np.diff([*model.col_bounds, C + 1]),
-            _models.n_blocks(model))
+    rows, cols = np.diff([*model.row_bounds, R + 1]), np.diff([*model.col_bounds, C + 1])
+    return rows[rows > 0], cols[cols > 0], _models.n_blocks(model)
 
 
-def _band_tuples(kernel: str, n_rows: int, n_cols: int, N: int) -> list[tuple[int, ...]]:
-    """The band of each slot, for every configuration of a kernel that can
-    hold a move.  Type I takes row bands a <= b and column bands c <= d.
-    The rows of a Type II/III loop lie in three bands, and so do its
-    columns: two rows of one band would put the two cells of a column they
-    share in one block.  So a loop takes row bands a < b < c, and three
-    column bands in any order, one per loop form.  Type IV takes diagonal
-    blocks k < l (the moves of (l, k) negate those of (k, l)) and any bands
-    but k and l for j3 and j4."""
+def _parts(kernel: str, n_rows: int, n_cols: int, N: int):
+    """A kernel's configurations as the product of two tables of band
+    tuples, and the entry of a concatenated pair of rows that gives each
+    slot its band.  Type I takes row bands a <= b and column bands c <= d.  The rows
+    of a Type II/III loop lie in three bands, and so do its columns: two
+    rows of one band would put the two cells of a column they share in one
+    block.  So a loop takes row bands a < b < c, and three column bands in
+    any order, one per loop form.  Type IV takes diagonal blocks k < l (the
+    moves of (l, k) negate those of (k, l)) and bands m, n for j3 and j4,
+    which must be neither k nor l."""
     if kernel == "I":
-        return [r + c for r in combinations_with_replacement(range(n_rows), 2)
-                for c in combinations_with_replacement(range(n_cols), 2)]
-    if kernel == "loop":
-        return [r + c for r in combinations(range(n_rows), 3)
-                for c in permutations(range(n_cols), 3)]
-    n_other = n_cols if kernel == "IV" else n_rows
-    return [(k, k, l, l, k, l, m, n) for k, l in combinations(range(N), 2)
-            for m, n in product(range(n_other), repeat=2) if not {m, n} & {k, l}]
+        head, tail = (combinations_with_replacement(range(n), 2) for n in (n_rows, n_cols))
+        slots = [0, 1, 2, 3]
+    elif kernel == "loop":
+        head, tail = combinations(range(n_rows), 3), permutations(range(n_cols), 3)
+        slots = [0, 1, 2, 3, 4, 5]
+    else:
+        head = combinations(range(N), 2)
+        tail = product(range(n_cols if kernel == "IV" else n_rows), repeat=2)
+        slots = [0, 0, 1, 1, 0, 1, 2, 3]
+    return np.array(list(head), dtype=np.intp), np.array(list(tail), dtype=np.intp), slots
 
 
 def _loop_type(rb: np.ndarray, cb: np.ndarray, N: int) -> np.ndarray:
@@ -364,9 +377,10 @@ def _kept(kernel: str, first: np.ndarray, size: np.ndarray) -> np.ndarray:
 
 
 class _Configs(NamedTuple):
-    """The configurations of one kernel that hold moves of the wanted types:
-    the first index and size of each slot's band, (n, slots) arrays, and
-    each configuration's type code and number of moves."""
+    """Configurations of one kernel that hold moves of the wanted types:
+    the first index and size of each slot's band, (n, slots) arrays of the
+    grid's index dtype, and each configuration's type code and number of
+    moves."""
 
     kernel: str
     first: np.ndarray
@@ -375,38 +389,48 @@ class _Configs(NamedTuple):
     kept: np.ndarray
 
 
-def _configurations(model, R: int, C: int, types) -> list[_Configs]:
+def _configurations(model, R: int, C: int, types, limit: float = np.inf):
     """The configurations of the kernels of ``types`` whose moves balance
-    and have those types.  Every cell of a block (row band x column band)
-    lies in the same terms, so the bands of a tuple's indices decide whether
-    its move balances (coincident indices leave every term sum as it is) and
-    which type it has: one representative tuple per configuration, the
-    first index of each band, decides for all of its tuples."""
+    and have those types, kernel by kernel, in the order of ``_parts``'s
+    product, ``_CHUNK`` configurations at a time; more than ``limit``
+    configurations in all are refused before any is decided.  Every cell of
+    a block (row band x column band) lies in the same terms, so the bands
+    of a tuple's indices decide whether its move balances (coincident
+    indices leave every term sum as it is) and which type it has: one
+    representative tuple per configuration, the first index of each band,
+    decides for all of its tuples."""
     terms = _term_matrix(model, R, C)
     rows, cols, N = _band_sizes(model, R, C, terms)
+    code = _code_type(R * C)
     # one lookup for both axes: column band b is entry len(rows) + b
     sizes = np.concatenate([rows, cols])
     firsts = np.concatenate([np.cumsum(rows) - rows, np.cumsum(cols) - cols])
-    out = []
-    for name, kernel in _KERNELS.items():
+    plan = [(name, *_parts(name, len(rows), len(cols), N))
+            for name, kernel in _KERNELS.items() if set(kernel.types) & set(types)]
+    total = sum(len(head) * len(tail) for _, head, tail, _ in plan)
+    if total > limit:
+        raise _models.ModelError(f"{total} band configurations ({len(rows)} row and {len(cols)} "
+                                 f"column bands) exceed the {limit} a lazy basis holds")
+    for name, head, tail, slots in plan:
+        kernel = _KERNELS[name]
         wanted = [_TYPE_CODE[t] for t in kernel.types if t in types]
-        if not wanted:
-            continue
-        axes = kernel.axes()
-        bands = np.array(_band_tuples(name, len(rows), len(cols), N),
-                         dtype=np.intp).reshape(-1, len(axes))
-        at = bands + len(rows) * np.array(axes)
-        full = sizes[at].all(axis=1)  # no slot in an empty leftover band
-        bands, size, first = bands[full], sizes[at[full]], firsts[at[full]]
-        if name == "loop":
-            tcode = _loop_type(bands[:, kernel.rows], bands[:, kernel.cols], N)
-        else:
-            tcode = np.full(len(bands), wanted[0], dtype=np.int8)
-        kept = _kept(name, first, size)
-        ok = ((tcode[:, None] == wanted).any(axis=1) & (kept > 0)
-              & _balanced(terms, kernel.cells(first, C), kernel.coefs))
-        out.append(_Configs(name, first[ok], size[ok], tcode[ok].astype(np.uint8), kept[ok]))
-    return out
+        axis = len(rows) * np.array(kernel.axes())
+        for lo in range(0, len(head) * len(tail), _CHUNK):
+            at = np.arange(lo, min(lo + _CHUNK, len(head) * len(tail)))
+            band = np.concatenate([head[at // len(tail)], tail[at % len(tail)]], axis=1)[:, slots]
+            first, size = firsts[band + axis], sizes[band + axis]
+            if name == "loop":
+                tcode = _loop_type(band[:, kernel.rows], band[:, kernel.cols], N)
+            else:
+                tcode = np.full(len(band), wanted[0], dtype=np.int8)
+            kept = _kept(name, first, size)
+            ok = np.isin(tcode, wanted) & (kept > 0)
+            if name in ("IV", "IVt"):  # j3 and j4 in neither diagonal block
+                ok &= ~(band[:, 6:, None] == band[:, None, [0, 2]]).any(axis=(1, 2))
+            ok[ok] = _balanced(terms, kernel.cells(first[ok], C), kernel.coefs)
+            if ok.any():
+                yield _Configs(name, first[ok].astype(code), size[ok].astype(code),
+                               tcode[ok].astype(np.uint8), kept[ok])
 
 
 def _move_types(model, types) -> tuple[str, ...]:
@@ -483,34 +507,55 @@ def _below(u: np.ndarray, n) -> np.ndarray:
     return (u * np.asarray(n, dtype=np.uint64) >> np.uint64(32)).astype(np.intp)
 
 
+def _draw(kernel: str, first: np.ndarray, size: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Index tuples of configurations from (n, slots) 32-bit words: a
+    uniform index in each slot's band, except that Type I draws two slots
+    in one band as a uniform pair of distinct indices in increasing order,
+    so that it draws only tuples ``_once`` keeps."""
+    off = _below(u, size)
+    for x, y in ((0, 1), (2, 3)) if kernel == "I" else ():
+        same = first[:, x] == first[:, y]
+        p, q = off[:, x], _below(u[:, y], size[:, y] - same)
+        q += same & (q >= p)
+        off[:, x], off[:, y] = (np.where(same, np.minimum(p, q), p),
+                                np.where(same, np.maximum(p, q), q))
+    return first + off
+
+
 class LazyMoveBasis:
     """The same moves (``_move_types``), drawn instead of enumerated, for
     grids too large to enumerate.  A draw takes a uniform type among those
-    with moves, one of its configurations with probability proportional to
-    the configuration's raw tuple count (the product of its band sizes),
-    and a uniform index in each slot's band, so every tuple of the type is
-    equally likely.  ``_once`` then drops the tuples that repeat a move or
-    give none; each move of a type is one kept tuple, so the kept draws of
-    a type are uniform over its moves.  Types are not weighted by their
-    move counts, which would starve Type I on large grids.  The law is
+    with moves, one of its configurations in proportion to the tuples
+    ``_draw`` gives it (its raw tuples; Type I, which draws a same-band pair
+    in order, its kept tuples) and one of those tuples uniformly.  ``_once``
+    drops the Type IV tuples that repeat a move, so the kept draws of a
+    type are uniform over its moves.  Types are not weighted by their move
+    counts, which would starve Type I on large grids.  The law is
     state-independent, and a sampler walks through the kept draws one batch
-    at a time, in draw order."""
+    at a time, in draw order.  The configurations are held in a table, so
+    a model of more than ``_LAZY_CONFIGS`` (a block model of 15 bands per
+    axis) is refused."""
 
     kind = "lazy"
 
     def __init__(self, model, R: int, C: int, types: tuple[str, ...] | None = None) -> None:
         _models.require_valid(model, R, C)
+        types = _move_types(model, types)
         self.R = R
         self.C = C
         self._code = _code_type(R * C)
-        self._configs = _configurations(model, R, C, _move_types(model, types))
-        if not any(len(c.tcode) for c in self._configs):
+        self._configs = [  # one table per kernel
+            _Configs(name, *map(np.concatenate, zip(*(c[1:] for c in chunks))))
+            for name, chunks in groupby(_configurations(model, R, C, types, _LAZY_CONFIGS),
+                                        key=lambda c: c.kernel)]
+        if not self._configs:
             raise ValueError("lazy basis has empty pattern space")
         self._tcode = np.concatenate([c.tcode for c in self._configs])
-        raw = np.concatenate([c.size.prod(axis=1) for c in self._configs]).astype(float)
-        # a configuration's share: its type's, 1 / types, times its share of the type's tuples
-        per_type = np.bincount(self._tcode, weights=raw)
-        self._cum = np.cumsum(raw / per_type[self._tcode] / np.count_nonzero(per_type))
+        drawn = np.concatenate([c.kept if c.kernel == "I" else c.size.prod(axis=1)
+                                for c in self._configs]).astype(float)
+        # a configuration's share: its type's, 1 / types, times its share of the type's draws
+        per_type = np.bincount(self._tcode, weights=drawn)
+        self._cum = np.cumsum(drawn / per_type[self._tcode] / np.count_nonzero(per_type))
         self._cum[-1] = 1.0
 
     def counts_by_type(self) -> dict[str, int]:
@@ -534,8 +579,8 @@ class LazyMoveBasis:
             k = at[mine] - lo
             lo += len(configs.tcode)
             kernel = _KERNELS[configs.kernel]
-            size = configs.size[k]
-            idx = configs.first[k] + _below(u[mine, 1:1 + size.shape[1]], size)
+            first, size = configs.first[k], configs.size[k]
+            idx = _draw(configs.kernel, first, size, u[mine, 1:1 + size.shape[1]])
             cells = kernel.cells(idx, self.C)
             flats[mine, :cells.shape[1]] = cells
             coefs[mine, :cells.shape[1]] = kernel.coefs

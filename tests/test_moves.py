@@ -163,6 +163,23 @@ def test_build_memory_is_bounded_by_the_store():
     assert peak < 3 * basis.nbytes
 
 
+def test_build_memory_with_many_narrow_bands_is_bounded_by_the_store():
+    # twelve 1x1 own blocks: each band configuration holds one tuple, so
+    # the 290,400 loop configurations are streamed a pass at a time, like
+    # the tuples; 1.7x the store's bytes when measured
+    bounds = tuple(range(1, 14))
+    model = _blocks(OWN_BLOCKS, bounds, bounds)
+    enumerate_basis(_blocks(OWN_BLOCKS, (1, 2, 3, 4), (1, 2, 3, 4)), 3, 3)
+    tracemalloc.start()
+    try:
+        basis = enumerate_basis(model, 12, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(basis) == 167530
+    assert peak < 3 * basis.nbytes
+
+
 def test_types_the_bands_rule_out_are_not_enumerated():
     # two blocks leave no third row or column band, so no move of Types
     # II-IV balances; the default build has no configuration of theirs and
@@ -366,7 +383,7 @@ def test_lazy_draws_agree_with_enumeration(model, R, C):
     lazy = LazyMoveBasis(model, R, C)
     cfg = build_configuration(model, R, C)
     rng = random.Random(11)
-    for _ in range(30_000):
+    for _ in range(100_000):
         mv = random_move(lazy, rng)
         stored = mv if mv.entries[0][2] > 0 else mv.negated()  # the stored sign
         assert stored.entries in counts
@@ -393,6 +410,23 @@ def test_lazy_counts_of_victoria_and_a_grid_too_large_to_enumerate():
     grid = _blocks(COMMON_BLOCKS, (1, 7, 13, 19, 25), (1, 7, 13, 19, 25))
     assert LazyMoveBasis(grid, 24, 24).counts_by_type() == {
         "I": 37296, "II": 746496, "III": 1119744, "IV": 39797568, "IVt": 39797568}
+
+
+def test_lazy_type_i_draws_are_all_kept():
+    # one band per axis: Type I draws its two rows, and its two columns, as
+    # ordered pairs of one band, so no draw repeats a move
+    lazy = LazyMoveBasis(ModelSpec(family=INDEPENDENCE), 21, 20)
+    keys, codes = lazy._batch(random.Random(0))
+    assert len(codes) == len(keys) == 1024
+
+
+def test_lazy_basis_refuses_more_band_configurations_than_it_holds():
+    # fifteen own blocks: C(15, 3) * P(15, 3) = 1,242,150 loop configurations
+    bounds = tuple(range(1, 32, 2))
+    with pytest.raises(ModelError, match="band configurations"):
+        LazyMoveBasis(_blocks(OWN_BLOCKS, bounds, bounds), 30, 30)
+    assert set(LazyMoveBasis(_blocks(OWN_BLOCKS, bounds, bounds), 30, 30,
+                             types=("I",)).counts_by_type()) == {"I"}
 
 
 def test_lazy_one_block_draws_are_kernel_moves():
