@@ -307,7 +307,7 @@ def _once(kernel: str, idx: np.ndarray) -> np.ndarray:
 def _runs(x: np.ndarray) -> np.ndarray:
     """Lengths of the runs of equal consecutive entries of x along axis 0."""
     new = (x[1:] != x[:-1]).reshape(len(x) - 1, -1).any(axis=1)
-    return np.diff(np.flatnonzero(np.r_[True, new, True]))
+    return np.diff(np.flatnonzero(np.concatenate([[True], new, [True]])))
 
 
 def _band_sizes(model, R: int, C: int, terms: np.ndarray):
@@ -424,7 +424,7 @@ def _configurations(model, R: int, C: int, types, limit: float = np.inf):
             else:
                 tcode = np.full(len(band), wanted[0], dtype=np.int8)
             kept = _kept(name, first, size)
-            ok = np.isin(tcode, wanted) & (kept > 0)
+            ok = (tcode[:, None] == wanted).any(axis=1) & (kept > 0)
             if name in ("IV", "IVt"):  # j3 and j4 in neither diagonal block
                 ok &= ~(band[:, 6:, None] == band[:, None, [0, 2]]).any(axis=(1, 2))
             ok[ok] = _balanced(terms, kernel.cells(first[ok], C), kernel.coefs)
