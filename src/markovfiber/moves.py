@@ -533,8 +533,8 @@ class LazyMoveBasis:
     counts, which would starve Type I on large grids.  The law is
     state-independent, and a sampler walks through the kept draws one batch
     at a time, in draw order.  The configurations are held in a table, so
-    a model of more than ``_LAZY_CONFIGS`` (a block model of 15 bands per
-    axis) is refused."""
+    a model of more than ``_LAZY_CONFIGS`` (a block model of 15 or more
+    bands per axis) is refused."""
 
     kind = "lazy"
 
