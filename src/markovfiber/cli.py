@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -99,11 +100,29 @@ def _stat_pair(args, ds) -> tuple[ModelSpec, ModelSpec | None]:
 
 
 def _chi2_sf(x: float, df: int) -> float:
-    """Asymptotic chi-square tail; scipy is imported here because it
-    dominates the import time of this module."""
-    from scipy.stats import chi2
+    """Asymptotic chi-square tail Q(df/2, x/2) for an integer df >= 1.
 
-    return float(chi2.sf(x, df))
+    With h = x/2 the series is finite: e^-h sum_{i<df/2} h^i / i! for even
+    df, and erfc(sqrt h) + e^-h sum_{i<(df-1)/2} h^(i+1/2) / Gamma(i+3/2)
+    for odd df.  The terms are summed in log space, so a large x or df does
+    not underflow before the total does.
+    """
+    if not df >= 1 or math.isnan(x):
+        return math.nan
+    if x <= 0.0:
+        return 1.0
+    if math.isinf(x):
+        return 0.0
+    h = 0.5 * x
+    log_h = math.log(h)
+    half = 0.0 if df % 2 == 0 else 0.5
+    logs = [(i + half) * log_h - h - math.lgamma(i + half + 1.0)
+            for i in range(df // 2)]
+    head = math.erfc(math.sqrt(h)) if half else 0.0
+    if not logs:
+        return head
+    top = max(logs)
+    return head + math.exp(top + math.log(sum(math.exp(v - top) for v in logs)))
 
 
 def _check_chain_args(args) -> None:

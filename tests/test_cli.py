@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from markovfiber.cli import main
+import markovfiber
+from markovfiber.cli import _chi2_sf, main
 from markovfiber.datasets import dataset, dataset_models, victoria_models, victoria_table
 from markovfiber.fit import llr_nested
 from markovfiber.models import CHANGE_POINT, COMMON_BLOCKS, ModelSpec, load_model, save_model
@@ -45,6 +50,38 @@ def test_fit_gilby(capsys):
     assert len(rep["expected"]) == 8 and len(rep["expected"][0]) == 4
     # expected counts reproduce the margins
     assert sum(rep["expected"][0]) == pytest.approx(146.0, abs=1e-6)
+
+
+def test_chi2_tail_matches_scipy():
+    from scipy.stats import chi2
+
+    deepest = 1.0
+    for df in range(1, 501):
+        for x in (1e-3, 0.5 * df, df, df + 3 * math.sqrt(2 * df), 4 * df + 100, 8 * df + 300):
+            ref = float(chi2.sf(x, df))
+            if ref < 1e-300:  # scipy's tail has left the normal range
+                assert _chi2_sf(x, df) < 1e-300, (x, df)
+                continue
+            assert _chi2_sf(x, df) == pytest.approx(ref, rel=1e-12, abs=0.0), (x, df)
+            deepest = min(deepest, ref)
+    assert deepest < 1e-200
+    assert _chi2_sf(0.0, 3) == 1.0 and _chi2_sf(math.inf, 3) == 0.0
+
+
+def test_common_cli_path_does_not_import_scipy():
+    src = str(Path(markovfiber.__file__).resolve().parents[1])
+    script = "\n".join([
+        "import sys",
+        "from markovfiber.cli import main",
+        "assert main(['fit', '--dataset', 'gilby']) == 0",
+        "assert main(['test', '--dataset', 'gilby', '--steps', '2000']) == 0",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+    ])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip().splitlines()[-1] == "[]"
 
 
 def test_fit_accepts_the_model_alias(capsys):

@@ -9,6 +9,7 @@ from markovfiber.fiber import enumerate_fiber, exact_pvalue
 from markovfiber.mcmc import (
     ChainConfig,
     ChainResult,
+    _CallableTracker,
     estimate_pvalue,
     pooled_pvalue,
     run_chains,
@@ -18,6 +19,7 @@ from markovfiber.models import COMMON_BLOCKS, INDEPENDENCE, ModelSpec
 from markovfiber.moves import LazyMoveBasis, basis_for_model
 from markovfiber.tables import Table, build_configuration, sufficient_statistic
 from markovfiber.datasets import gilby_model, gilby_table
+from test_acceptance import SAMPLER_CASES
 
 
 def indep_setup(rows):
@@ -185,3 +187,76 @@ def test_gilby_chain_leaves_the_observed_statistic_behind():
                ChainConfig(steps=20_000, burn_in=2_000, proposal=basis), tracker)
     assert res.pvalue < 0.01
     assert res.observed == pytest.approx(153.66942307412367, abs=1e-8)
+
+
+def indep_chi2(arr):
+    x = np.asarray(arr, dtype=np.float64)
+    m = np.outer(x.sum(axis=1), x.sum(axis=0)) / x.sum()
+    nz = m > 0
+    return float((((x - m) ** 2)[nz] / m[nz]).sum())
+
+
+class RecomputingTracker:
+    """Tracker protocol around a plain callable that evaluates it at every
+    call, with no cache: the reference the cached adapter must match."""
+
+    def __init__(self, fn, R, C):
+        self.fn, self.shape = fn, (R, C)
+
+    def start(self, x_flat):
+        return float(self.fn(np.asarray(x_flat, dtype=np.int64).reshape(self.shape)))
+
+    def value_after(self, x_flat, flats, coefs):
+        x = list(x_flat)
+        for f, c in zip(flats, coefs):
+            x[f] += c
+        return self.start(x)
+
+    def accept(self, x_flat, value):
+        pass
+
+
+def assert_same_chain(a, b):
+    assert a.samples.tobytes() == b.samples.tobytes()
+    assert (a.accept_count, a.stay_count, a.reject_count) == \
+        (b.accept_count, b.stay_count, b.reject_count)
+    assert (a.observed, a.pvalue) == (b.observed, b.pvalue)
+
+
+@pytest.mark.parametrize("name,model,rows", SAMPLER_CASES, ids=[c[0] for c in SAMPLER_CASES])
+def test_callable_is_evaluated_once_per_fiber_state(name, model, rows):
+    table = Table(np.asarray(rows, dtype=np.int64))
+    cfg = build_configuration(model, table.R, table.C)
+    size = len(enumerate_fiber(sufficient_statistic(table, cfg), cfg, cap=200))
+    chain = ChainConfig(steps=30_000, burn_in=3_000, seed=4,
+                        proposal=basis_for_model(model, table.R, table.C))
+    seen = []
+
+    def counting(arr):
+        seen.append(tuple(int(v) for v in arr.ravel()))
+        return indep_chi2(arr)
+
+    res = walk(table, cfg, chain, counting)
+    assert len(seen) == len(set(seen)) <= size
+    assert_same_chain(res, walk(table, cfg, chain,
+                                RecomputingTracker(indep_chi2, table.R, table.C)))
+
+
+def test_callable_cache_stays_bounded_on_a_large_fiber():
+    table = gilby_table()
+    model = gilby_model()
+    cfg = build_configuration(model, 8, 4)
+    chain = ChainConfig(steps=30_000, burn_in=3_000, seed=1,
+                        proposal=basis_for_model(model, 8, 4))
+    calls = []
+
+    def counting(arr):
+        calls.append(1)
+        return indep_chi2(arr)
+
+    tracker = _CallableTracker(counting, 8, 4)
+    res = walk(table, cfg, chain, tracker)
+    info = tracker._value.cache_info()
+    assert info.currsize <= _CallableTracker.CACHE_SIZE
+    assert info.misses == len(calls) > _CallableTracker.CACHE_SIZE  # states were evicted
+    assert_same_chain(res, walk(table, cfg, chain, RecomputingTracker(indep_chi2, 8, 4)))
