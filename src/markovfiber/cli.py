@@ -157,16 +157,18 @@ def cmd_test(args) -> dict:
     if alt is not None:
         _models.require_valid(alt, R, C)
     cfg = build_configuration(model, R, C)
+    df = degrees_of_freedom(cfg)
+    if df == 0:
+        raise CliError("the model is saturated (df 0): the fiber is the observed table "
+                       "alone, so there is nothing to sample; `fiber --exact-p` gives "
+                       "its exact p-value")
 
     t0 = time.perf_counter()
     tracker = make_tracker(args.stat, table, model, alt=alt, tol=args.tol)
     fit = tracker.fit
-    df = degrees_of_freedom(cfg)
+    observed = tracker.observed
     if args.stat == "llr":
-        observed = tracker.observed
         df -= degrees_of_freedom(build_configuration(alt, R, C))
-    else:
-        observed = (chi_square if args.stat == "chi2" else g_square)(table, fit.expected)
     fit_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -197,7 +199,7 @@ def cmd_test(args) -> dict:
         "stat": args.stat,
         "observed": observed,
         "df": df,
-        "asymptotic_pvalue": _chi2_sf(observed, df),
+        "asymptotic_pvalue": _chi2_sf(observed, df) if df else None,
         "fit": {
             "iterations": fit.iterations,
             "max_discrepancy": fit.max_discrepancy,
@@ -251,8 +253,9 @@ def cmd_fit(args) -> dict:
         "chi2": chi2,
         "g2": g2,
         "df": df,
-        "asymptotic_pvalue_chi2": _chi2_sf(chi2, df),
-        "asymptotic_pvalue_g2": _chi2_sf(g2, df),
+        # a saturated model (df 0) has no asymptotic test
+        "asymptotic_pvalue_chi2": _chi2_sf(chi2, df) if df else None,
+        "asymptotic_pvalue_g2": _chi2_sf(g2, df) if df else None,
         "timings": {"fit_s": fit_s},
     }
 

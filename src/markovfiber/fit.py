@@ -245,29 +245,29 @@ def _llr_value(table: Table, fit1: FitResult, fit2: FitResult) -> float:
 # statistic trackers for the sampler
 #
 # Contract with mcmc.walk: start(x) resets every per-chain field and returns
-# the statistic at the initial state; value_after(x, flats, coefs) is called
-# only for a proposal that is about to be accepted (x is the state before
-# the move); accept(x_new, value) is called right after the state is
-# updated.  Chains run one after another, so one tracker serves them all;
-# what outlives a chain (the null fit, the LLR refit cache) depends only on
-# the fiber.  Trackers are also plain callables on (R, C) integer arrays, so
-# the fiber oracle can reuse them.  ``fit`` is the null model's FitResult.
+# the statistic at x; value_after(x, flats, coefs) is called only for an
+# accepted move, after the walk has applied it (x is the state after the
+# move, x - coefs at flats the state before), and returns and keeps the new
+# value.  The walk calls start again every few thousand accepts to shed the
+# float drift of the increments.  Chains run one after another, so one
+# tracker serves them all; what outlives a chain (the null fit, the LLR
+# refit cache) depends only on the fiber.  Trackers are also plain callables
+# on (R, C) integer arrays, so the fiber oracle can reuse them.  ``fit`` is
+# the null model's FitResult and ``observed`` the statistic at the table.
 
 
 class _FixedExpectedTracker:
     """Base for statistics against a fixed null fit (constant on the fiber):
     a subclass binds the statistic's cell function as ``_cell``."""
 
-    RESET_EVERY = 4096  # full recompute cadence, kills float drift
-
     def __init__(self, table: Table, model, tol: float = 1e-10) -> None:
         self.R, self.C = table.R, table.C
-        self.model = model
         self.fit = ipf_fit(table, model, tol=tol)
         if not self.fit.converged:
             raise FitError("null fit did not converge; cannot track a statistic against it")
         self.expected = self.fit.expected
         self._m = self.expected.ravel().tolist()
+        self.observed = self._full(table.counts.ravel().tolist())
 
     def _full(self, x_flat) -> float:
         return _total(self._cell, x_flat, self._m)
@@ -277,7 +277,6 @@ class _FixedExpectedTracker:
 
     def start(self, x_flat) -> float:
         self._value = self._full(x_flat)
-        self._n_accept = 0
         return self._value
 
     def value_after(self, x_flat, flats, coefs) -> float:
@@ -286,15 +285,9 @@ class _FixedExpectedTracker:
         cell = self._cell
         for f, c in zip(flats, coefs):
             xv = x_flat[f]
-            v += cell(xv + c, m[f]) - cell(xv, m[f])
+            v += cell(xv, m[f]) - cell(xv - c, m[f])
+        self._value = v
         return v
-
-    def accept(self, x_flat, value: float) -> None:
-        self._n_accept += 1
-        if self._n_accept % self.RESET_EVERY == 0:
-            self._value = self._full(x_flat)
-        else:
-            self._value = value
 
 
 class ChiSquareTracker(_FixedExpectedTracker):
@@ -327,7 +320,6 @@ class LLRTracker:
     every chain.
     """
 
-    RESET_EVERY = 2048
     # tolerance of the outer refits at chain states
     CHAIN_TOL = 1e-8
     # block-sum vectors whose refits are kept: about 5 MB on a 12x12 grid,
@@ -339,7 +331,6 @@ class LLRTracker:
         if not _models.is_nested(inner, outer, R, C):
             raise FitError("models are not nested")
         self.R, self.C = R, C
-        self.inner, self.outer = inner, outer
 
         self.fit = ipf_fit(table, inner, tol=tol)
         if not self.fit.converged:
@@ -393,9 +384,7 @@ class LLRTracker:
     def start(self, x_flat) -> float:
         self._b = b = self._block_sums(x_flat)
         self._L = self._log_ratio(b)
-        self._pending = (b, self._L)
         self._value = self._eval(x_flat, self._L)
-        self._n_accept = 0
         return self._value
 
     def value_after(self, x_flat, flats, coefs) -> float:
@@ -405,28 +394,12 @@ class LLRTracker:
                 db[q] = db.get(q, 0) + c
         if not any(db.values()):
             L = self._L
-            self._pending = (self._b, L)
-            return self._value + 2.0 * sum(c * L[f] for f, c in zip(flats, coefs))
-        b_new = tuple(
-            bv + db.get(q, 0) for q, bv in enumerate(self._b)
-        )
-        L_new = self._log_ratio(b_new)
-        self._pending = (b_new, L_new)
-        delta = dict(zip(flats, coefs))
-        val = 2.0 * sum(
-            (xv + delta.get(p, 0)) * lv
-            for p, (xv, lv) in enumerate(zip(x_flat, L_new))
-            if xv or p in delta
-        )
-        return val
-
-    def accept(self, x_flat, value: float) -> None:
-        self._b, self._L = self._pending
-        self._n_accept += 1
-        if self._n_accept % self.RESET_EVERY == 0:
-            self._value = self._eval(x_flat, self._L)
+            self._value += 2.0 * sum(c * L[f] for f, c in zip(flats, coefs))
         else:
-            self._value = value
+            self._b = tuple(bv + db.get(q, 0) for q, bv in enumerate(self._b))
+            self._L = self._log_ratio(self._b)
+            self._value = self._eval(x_flat, self._L)
+        return self._value
 
 
 def make_tracker(stat: str, table: Table, model, alt=None, tol: float = 1e-10):

@@ -9,19 +9,25 @@ proportional to 1/prod x_ij! on the fiber of the starting table: the
 model's parameter terms are functions of the sufficient statistic alone, so
 they cancel from every ratio once t is fixed.
 
-Statistics are streamed through a tracker protocol (see fit.py): plain
-callables work too and are wrapped, trackers avoid recomputing from scratch
-at every step.  A plain callable must be a pure function of the table: it is
-evaluated once per distinct state among the 1,024 most recently used, keyed
-by the tuple of the flat cells (about 8*R*C bytes a key, 1.2 MB in all on a
-12x12 grid).  A tracker's ``start`` resets its per-chain state, so the
-chains of ``run_chains``, which run one after another, share one tracker.
+Statistics are streamed through a tracker, an object with two methods (see
+fit.py): ``start(x)`` returns the statistic at x and resets the tracker's
+per-chain state; ``value_after(x, flats, coefs)`` is called once per
+accepted move, on the state after the move, and returns the new value from
+the few cells the move changed.  Every ``RESYNC_EVERY`` accepts the walk
+calls ``start`` on the current state, so float drift in the increments
+cannot build up; the sample at that step is still the incremental value.
+Plain callables work too and are wrapped.  A plain callable must be a pure
+function of the table: it is evaluated once per distinct state among the
+1,024 most recently used, keyed by the tuple of the flat cells (about
+8*R*C bytes a key, 1.2 MB in all on a 12x12 grid).  Since ``start`` resets
+the per-chain state, the chains of ``run_chains``, which run one after
+another, share one tracker.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -38,6 +44,8 @@ __all__ = [
 ]
 
 PV_TOL = 1e-12
+# accepts between two full recomputations of a tracker's value
+RESYNC_EVERY = 4096
 
 
 @dataclass(frozen=True)
@@ -97,13 +105,7 @@ class _CallableTracker:
         return self._value(tuple(x_flat))
 
     def value_after(self, x_flat, flats, coefs) -> float:
-        x = list(x_flat)
-        for f, c in zip(flats, coefs):
-            x[f] += c
-        return self._value(tuple(x))
-
-    def accept(self, x_flat, value: float) -> None:
-        pass
+        return self._value(tuple(x_flat))
 
 
 def _as_tracker(statistic, R: int, C: int):
@@ -122,9 +124,12 @@ def walk(start: Table, cfg_matrix: Configuration, chain: ChainConfig, statistic)
     sample, so the chain is counted per step.
 
     ``statistic`` is a tracker or a plain callable on the (R, C) table.  A
-    plain callable must be a pure function of the table: it is evaluated
-    once per distinct state among the 1,024 most recently used (about
-    8*R*C bytes a state, 1.2 MB on 12x12), not once per accepted step.
+    tracker's ``value_after`` sees each accepted state once, after the move
+    is applied; every ``RESYNC_EVERY`` accepts the walk calls ``start`` on
+    the current state to reset float drift.  A plain callable must be a pure
+    function of the table: it is evaluated once per distinct state among the
+    1,024 most recently used (about 8*R*C bytes a state, 1.2 MB on 12x12),
+    not once per accepted step.
     """
     import random as _random
 
@@ -179,14 +184,14 @@ def walk(start: Table, cfg_matrix: Configuration, chain: ChainConfig, statistic)
         elif lr >= 0.0 or rnd() < exp(lr):
             fl = flat[lo:hi]
             co = [s * c for c in coef[lo:hi]]
-            new_val = tracker.value_after(x, fl, co)
-            if not math.isfinite(new_val):
-                raise ValueError(f"statistic became non-finite at step {step}: {new_val}")
             for f, c in zip(fl, co):
                 x[f] += c
-            tracker.accept(x, new_val)
-            cur = new_val
+            cur = tracker.value_after(x, fl, co)
+            if not math.isfinite(cur):
+                raise ValueError(f"statistic became non-finite at step {step}: {cur}")
             accepts += 1
+            if accepts % RESYNC_EVERY == 0:
+                tracker.start(x)
         else:
             rejects += 1
 
@@ -232,13 +237,8 @@ def run_chains(start: Table, cfg_matrix: Configuration, chain: ChainConfig,
     """
     if n_chains < 1:
         raise ValueError("n_chains must be >= 1")
-    configs = [
-        ChainConfig(steps=chain.steps, burn_in=chain.burn_in, thin=chain.thin,
-                    seed=chain.seed + k, proposal=chain.proposal,
-                    check_every=chain.check_every)
-        for k in range(n_chains)
-    ]
-    return [walk(start, cfg_matrix, cfg, statistic) for cfg in configs]
+    return [walk(start, cfg_matrix, replace(chain, seed=chain.seed + k), statistic)
+            for k in range(n_chains)]
 
 
 def pooled_pvalue(results: list[ChainResult]) -> tuple[float, float]:

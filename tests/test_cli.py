@@ -13,7 +13,8 @@ import markovfiber
 from markovfiber.cli import _chi2_sf, main
 from markovfiber.datasets import dataset, dataset_models, victoria_models, victoria_table
 from markovfiber.fit import llr_nested
-from markovfiber.models import CHANGE_POINT, COMMON_BLOCKS, ModelSpec, load_model, save_model
+from markovfiber.models import (CHANGE_POINT, COMMON_BLOCKS, OWN_BLOCKS, ModelSpec, load_model,
+                                save_model)
 from markovfiber.tables import Rectangle, read_table_csv
 
 GILBY_CHI2 = 153.66942307412367
@@ -293,6 +294,46 @@ def test_fiber_cap_overflow(capsys, tmp_path, cp_model_path):
     code, rep = run_json(capsys, "fiber", "--table", str(table),
                          "--model", cp_model_path, "--cap", "3")
     assert code == 0 and rep["overflowed"] is True
+
+
+@pytest.fixture
+def saturated(tmp_path):
+    """[[3,1],[1,3]] under two 1x1 own blocks: df 0, so the fiber is the
+    table alone."""
+    table = tmp_path / "t.csv"
+    table.write_text("3,1\n1,3\n")
+    model = tmp_path / "own.json"
+    save_model(ModelSpec(family=OWN_BLOCKS, row_bounds=(1, 2, 3),
+                         col_bounds=(1, 2, 3)), model)
+    return "--table", str(table), "--model", str(model)
+
+
+def test_fit_on_a_saturated_model_reports_no_asymptotic_pvalue(capsys, saturated):
+    code, rep = run_json(capsys, "fit", *saturated)
+    assert code == 0
+    assert rep["df"] == 0 and rep["converged"] is True
+    assert rep["asymptotic_pvalue_chi2"] is None
+    assert rep["asymptotic_pvalue_g2"] is None
+
+
+@pytest.mark.parametrize("command", ["test", "sample"])
+def test_sampling_a_saturated_model_is_an_error(capsys, tmp_path, saturated, command):
+    code, rep = run_json(capsys, command, *saturated, "--steps", "100",
+                         "--stats-out", str(tmp_path / "stream.csv"))
+    assert code == 1
+    assert rep["error"]["type"] == "CliError"
+    assert "fiber --exact-p" in rep["error"]["message"]
+    code, rep = run_json(capsys, "fiber", *saturated, "--exact-p")
+    assert code == 0 and rep["size"] == 1 and rep["exact_pvalue"] == 1.0
+
+
+def test_llr_of_a_model_against_itself_has_no_asymptotic_pvalue(capsys):
+    code, rep = run_json(capsys, "test", "--dataset", "victoria",
+                         "--model", "common-blocks", "--alt", "common-blocks",
+                         "--stat", "llr", "--steps", "200", "--seed", "0")
+    assert code == 0
+    assert rep["df"] == 0 and rep["observed"] == 0.0
+    assert rep["asymptotic_pvalue"] is None
 
 
 def test_check_connect_above_the_enumeration_threshold(capsys, tmp_path):

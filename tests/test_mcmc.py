@@ -1,12 +1,16 @@
 """Metropolis fiber walk: chain mechanics, estimators, stationarity."""
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from markovfiber.fiber import enumerate_fiber, exact_pvalue
+from markovfiber.fit import make_tracker
 from markovfiber.mcmc import (
+    RESYNC_EVERY,
     ChainConfig,
     ChainResult,
     _CallableTracker,
@@ -18,7 +22,7 @@ from markovfiber.mcmc import (
 from markovfiber.models import COMMON_BLOCKS, INDEPENDENCE, ModelSpec
 from markovfiber.moves import LazyMoveBasis, basis_for_model
 from markovfiber.tables import Table, build_configuration, sufficient_statistic
-from markovfiber.datasets import gilby_model, gilby_table
+from markovfiber.datasets import gilby_model, gilby_table, victoria_models, victoria_table
 from test_acceptance import SAMPLER_CASES
 
 
@@ -180,8 +184,6 @@ def test_gilby_chain_leaves_the_observed_statistic_behind():
     model = gilby_model()
     cfg = build_configuration(model, 8, 4)
     basis = basis_for_model(model, 8, 4)
-    from markovfiber.fit import make_tracker
-
     tracker = make_tracker("chi2", table, model)
     res = walk(table, cfg,
                ChainConfig(steps=20_000, burn_in=2_000, proposal=basis), tracker)
@@ -207,13 +209,7 @@ class RecomputingTracker:
         return float(self.fn(np.asarray(x_flat, dtype=np.int64).reshape(self.shape)))
 
     def value_after(self, x_flat, flats, coefs):
-        x = list(x_flat)
-        for f, c in zip(flats, coefs):
-            x[f] += c
-        return self.start(x)
-
-    def accept(self, x_flat, value):
-        pass
+        return self.start(x_flat)
 
 
 def assert_same_chain(a, b):
@@ -260,3 +256,71 @@ def test_callable_cache_stays_bounded_on_a_large_fiber():
     assert info.currsize <= _CallableTracker.CACHE_SIZE
     assert info.misses == len(calls) > _CallableTracker.CACHE_SIZE  # states were evicted
     assert_same_chain(res, walk(table, cfg, chain, RecomputingTracker(indep_chi2, 8, 4)))
+
+
+class CountingTracker:
+    """Tracker around another that logs each call and the state it saw."""
+
+    def __init__(self, inner):
+        self.inner, self.calls = inner, []
+
+    def start(self, x_flat):
+        self.calls.append(("start", tuple(x_flat)))
+        return self.inner.start(x_flat)
+
+    def value_after(self, x_flat, flats, coefs):
+        self.calls.append(("value_after", tuple(x_flat)))
+        return self.inner.value_after(x_flat, flats, coefs)
+
+
+RESYNC_CASES = {
+    "gilby-chi2": lambda: (gilby_table(), gilby_model(), None, "chi2", 20_000),
+    "gilby-g2": lambda: (gilby_table(), gilby_model(), None, "g2", 20_000),
+    "victoria-llr": lambda: (victoria_table(), *victoria_models(), "llr", 250_000),
+}
+
+
+@pytest.mark.parametrize("case", RESYNC_CASES)
+def test_walk_resyncs_the_tracker_every_4096_accepts(case):
+    # the walk, not the tracker, owns the drift reset: start() once per
+    # chain and once more after every RESYNC_EVERY-th accept
+    assert RESYNC_EVERY == 4096
+    table, model, alt, stat, steps = RESYNC_CASES[case]()
+    cfg = build_configuration(model, table.R, table.C)
+    chain = ChainConfig(steps=steps, burn_in=steps // 10, seed=2,
+                        proposal=basis_for_model(model, table.R, table.C))
+    inner = make_tracker(stat, table, model, alt=alt)
+    tracker = CountingTracker(inner)
+    results = run_chains(table, cfg, chain, tracker, n_chains=2)
+    want = []
+    for res in results:
+        assert res.accept_count > RESYNC_EVERY
+        want.append("start")
+        for n in range(1, res.accept_count + 1):
+            want.append("value_after")
+            if n % RESYNC_EVERY == 0:
+                want.append("start")
+    assert [kind for kind, _ in tracker.calls] == want
+    end = 0
+    for res in results:
+        end += 1 + res.accept_count + res.accept_count // RESYNC_EVERY
+        x_final = np.asarray(tracker.calls[end - 1][1]).reshape(table.R, table.C)
+        assert abs(res.samples[-1] - inner(x_final)) <= 1e-9
+
+
+def test_bench_constant_tracker_walks_like_the_chi2_tracker():
+    # the benchmark's traced rounds time the bare walk with this tracker;
+    # it must keep fitting the tracker protocol and visit the same states
+    path = Path(__file__).resolve().parents[1] / "bench" / "worker.py"
+    spec = importlib.util.spec_from_file_location("bench_worker", path)
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    table = gilby_table()
+    model = gilby_model()
+    cfg = build_configuration(model, 8, 4)
+    chain = ChainConfig(steps=5_000, seed=7, proposal=basis_for_model(model, 8, 4))
+    const = walk(table, cfg, chain, worker.ConstantTracker())
+    chi2 = walk(table, cfg, chain, make_tracker("chi2", table, model))
+    assert not const.samples.any() and len(const.samples) == 5_000
+    assert (const.accept_count, const.stay_count, const.reject_count) == (
+        chi2.accept_count, chi2.stay_count, chi2.reject_count)
