@@ -132,6 +132,9 @@ def _check_chain_args(args) -> None:
             raise CliError(f"{flag} must be >= 1, got {value}")
     if args.burn_in is not None and not 0 <= args.burn_in < args.steps:
         raise CliError(f"--burn-in must be in [0, steps), got {args.burn_in}")
+    if args.check_every < 0:
+        raise CliError(f"--check-every must be >= 0; 0 turns the audit off, got "
+                       f"{args.check_every}")
 
 
 def _require_enumerable(what: str, R: int, C: int) -> None:

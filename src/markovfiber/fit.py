@@ -190,11 +190,13 @@ def _g2_cell(x, m) -> float:
     return 2.0 * x * math.log(x / m)
 
 
-def _total(cell, xs, ms) -> float:
-    """Sum of ``cell(x, m)`` over the cells, in cell order."""
+def _total(terms) -> float:
+    """Sum of the cell terms, one float addition at a time in cell order
+    (the built-in ``sum`` compensates from Python 3.12 on, which would
+    change the floats)."""
     out = 0.0
-    for xv, mv in zip(xs, ms):
-        out += cell(xv, mv)
+    for term in terms:
+        out += term
     return out
 
 
@@ -202,7 +204,7 @@ def _table_total(cell, table: Table, expected: np.ndarray) -> float:
     m = np.asarray(expected, dtype=np.float64)
     if table.counts.shape != m.shape:
         raise ValueError("table and expected shapes differ")
-    return _total(cell, table.counts.ravel().tolist(), m.ravel().tolist())
+    return _total(map(cell, table.counts.ravel().tolist(), m.ravel().tolist()))
 
 
 def chi_square(table: Table, expected: np.ndarray) -> float:
@@ -248,8 +250,10 @@ def _llr_value(table: Table, fit1: FitResult, fit2: FitResult) -> float:
 # the statistic at x; value_after(x, flats, coefs) is called only for an
 # accepted move, after the walk has applied it (x is the state after the
 # move, x - coefs at flats the state before), and returns and keeps the new
-# value.  The walk calls start again every few thousand accepts to shed the
-# float drift of the increments.  Chains run one after another, so one
+# value.  flats and coefs are integer sequences, possibly slices of the
+# basis's arrays, valid only during the call; a cell appears at most once
+# per move.  The walk calls start again every few thousand accepts to shed
+# the float drift of the increments.  Chains run one after another, so one
 # tracker serves them all; what outlives a chain (the null fit, the LLR
 # refit cache) depends only on the fiber.  Trackers are also plain callables
 # on (R, C) integer arrays, so the fiber oracle can reuse them.  ``fit`` is
@@ -258,7 +262,11 @@ def _llr_value(table: Table, fit1: FitResult, fit2: FitResult) -> float:
 
 class _FixedExpectedTracker:
     """Base for statistics against a fixed null fit (constant on the fiber):
-    a subclass binds the statistic's cell function as ``_cell``."""
+    a subclass binds the statistic's cell function as ``_cell``.
+
+    ``start`` keeps every cell's term, so an accepted move costs one term
+    per changed cell: the kept term is exactly the cell's term before the
+    move, since a move changes each cell at most once."""
 
     def __init__(self, table: Table, model, tol: float = 1e-10) -> None:
         self.R, self.C = table.R, table.C
@@ -270,22 +278,24 @@ class _FixedExpectedTracker:
         self.observed = self._full(table.counts.ravel().tolist())
 
     def _full(self, x_flat) -> float:
-        return _total(self._cell, x_flat, self._m)
+        return _total(map(self._cell, x_flat, self._m))
 
     def __call__(self, arr) -> float:
         return self._full(np.asarray(arr).ravel().tolist())
 
     def start(self, x_flat) -> float:
-        self._value = self._full(x_flat)
+        self._terms = list(map(self._cell, x_flat, self._m))
+        self._value = _total(self._terms)
         return self._value
 
     def value_after(self, x_flat, flats, coefs) -> float:
         v = self._value
-        m = self._m
+        m, terms = self._m, self._terms
         cell = self._cell
-        for f, c in zip(flats, coefs):
-            xv = x_flat[f]
-            v += cell(xv, m[f]) - cell(xv - c, m[f])
+        for f in flats:
+            new = cell(x_flat[f], m[f])
+            v += new - terms[f]
+            terms[f] = new
         self._value = v
         return v
 

@@ -13,9 +13,12 @@ Statistics are streamed through a tracker, an object with two methods (see
 fit.py): ``start(x)`` returns the statistic at x and resets the tracker's
 per-chain state; ``value_after(x, flats, coefs)`` is called once per
 accepted move, on the state after the move, and returns the new value from
-the few cells the move changed.  Every ``RESYNC_EVERY`` accepts the walk
-calls ``start`` on the current state, so float drift in the increments
-cannot build up; the sample at that step is still the incremental value.
+the few cells the move changed.  ``flats`` and ``coefs`` are integer
+sequences, possibly slices of the basis's arrays, valid only during the
+call, and a cell appears at most once per move.  Every ``RESYNC_EVERY``
+accepts the walk calls ``start`` on the current state, so float drift in
+the increments cannot build up; the sample at that step is still the
+incremental value.
 Plain callables work too and are wrapped.  A plain callable must be a pure
 function of the table: it is evaluated once per distinct state among the
 1,024 most recently used, keyed by the tuple of the flat cells (about
@@ -55,7 +58,7 @@ class ChainConfig:
     thin: int = 1
     seed: int = 0
     proposal: object = None
-    check_every: int = 1000  # fiber-invariant audit cadence
+    check_every: int = 1000  # fiber-invariant audit cadence in steps; 0: no audit
 
     def __post_init__(self) -> None:
         if self.steps <= 0:
@@ -64,6 +67,8 @@ class ChainConfig:
             raise ValueError("need 0 <= burn_in < steps")
         if self.thin < 1:
             raise ValueError("thin must be >= 1")
+        if self.check_every < 0:
+            raise ValueError("check_every must be >= 0; 0 turns the audit off")
         if self.proposal is None:
             raise ValueError("a proposal basis is required")
 
@@ -125,11 +130,13 @@ def walk(start: Table, cfg_matrix: Configuration, chain: ChainConfig, statistic)
 
     ``statistic`` is a tracker or a plain callable on the (R, C) table.  A
     tracker's ``value_after`` sees each accepted state once, after the move
-    is applied; every ``RESYNC_EVERY`` accepts the walk calls ``start`` on
-    the current state to reset float drift.  A plain callable must be a pure
-    function of the table: it is evaluated once per distinct state among the
-    1,024 most recently used (about 8*R*C bytes a state, 1.2 MB on 12x12),
-    not once per accepted step.
+    is applied, with the move's cells and signed coefficients as integer
+    sequences (possibly slices of the basis's arrays, valid only during the
+    call; each cell at most once); every ``RESYNC_EVERY`` accepts the walk
+    calls ``start`` on the current state to reset float drift.  A plain
+    callable must be a pure function of the table: it is evaluated once per
+    distinct state among the 1,024 most recently used (about 8*R*C bytes a
+    state, 1.2 MB on 12x12), not once per accepted step.
     """
     import random as _random
 
@@ -153,57 +160,64 @@ def walk(start: Table, cfg_matrix: Configuration, chain: ChainConfig, statistic)
 
     draw, (off, flat, coef, _) = basis.sampler(rng)
 
-    n_keep = (chain.steps - chain.burn_in + chain.thin - 1) // chain.thin
-    samples = np.empty(n_keep, dtype=np.float64)
+    steps, burn, thin, check_every = chain.steps, chain.burn_in, chain.thin, chain.check_every
+    samples = np.empty((steps - burn + thin - 1) // thin, dtype=np.float64)
+    out = memoryview(samples)  # a float write without numpy's item assignment
     n_samp = 0
+    keep = burn  # the next step whose value is a sample
     accepts = stays = rejects = 0
-    burn, thin, check_every = chain.burn_in, chain.thin, chain.check_every
+    resync = RESYNC_EVERY  # the accept count of the next resync
     rnd = rng.random
     exp = math.exp
+    isfinite = math.isfinite
+    value_after = tracker.value_after
 
-    for step in range(chain.steps):
-        k = draw()
-        lo, hi = off[k], off[k + 1]
-        s = 1 if rnd() < 0.5 else -1
+    # blocks of check_every steps, each full one followed by the fiber
+    # audit; check_every = 0 runs every step in one block, unaudited
+    block = check_every or steps
+    for begin in range(0, steps, block):
+        end = min(begin + block, steps)
+        for step in range(begin, end):
+            k = draw()
+            lo, hi = off[k], off[k + 1]
+            s = 1 if rnd() < 0.5 else -1
 
-        lr = 0.0
-        ok = True
-        p = lo
-        while p < hi:
-            f, c = flat[p], s * coef[p]
-            xv = x[f]
-            nv = xv + c
-            if nv < 0:
-                ok = False
-                break
-            lr += lf[xv] - lf[nv]
-            p += 1
+            lr = 0.0
+            p = lo
+            while p < hi:
+                xv = x[flat[p]]
+                nv = xv + s * coef[p]
+                if nv < 0:
+                    stays += 1
+                    break
+                lr += lf[xv] - lf[nv]
+                p += 1
+            else:
+                if lr >= 0.0 or rnd() < exp(lr):
+                    fl = flat[lo:hi]
+                    co = coef[lo:hi] if s == 1 else [-c for c in coef[lo:hi]]
+                    for f, c in zip(fl, co):
+                        x[f] += c
+                    cur = value_after(x, fl, co)
+                    if not isfinite(cur):
+                        raise ValueError(f"statistic became non-finite at step {step}: {cur}")
+                    accepts += 1
+                    if accepts == resync:
+                        tracker.start(x)
+                        resync += RESYNC_EVERY
+                else:
+                    rejects += 1
 
-        if not ok:
-            stays += 1
-        elif lr >= 0.0 or rnd() < exp(lr):
-            fl = flat[lo:hi]
-            co = [s * c for c in coef[lo:hi]]
-            for f, c in zip(fl, co):
-                x[f] += c
-            cur = tracker.value_after(x, fl, co)
-            if not math.isfinite(cur):
-                raise ValueError(f"statistic became non-finite at step {step}: {cur}")
-            accepts += 1
-            if accepts % RESYNC_EVERY == 0:
-                tracker.start(x)
-        else:
-            rejects += 1
-
-        if step >= burn and (step - burn) % thin == 0:
-            samples[n_samp] = cur
-            n_samp += 1
-        if check_every and (step + 1) % check_every == 0:
+            if step == keep:
+                out[n_samp] = cur
+                n_samp += 1
+                keep += thin
+        if end - begin == check_every:
             now = A @ np.asarray(x, dtype=np.int64)
             if not np.array_equal(now, t0):
-                raise AssertionError(f"fiber invariant broken at step {step}")
+                raise AssertionError(f"fiber invariant broken at step {end - 1}")
 
-    assert n_samp == n_keep
+    assert n_samp == len(samples)
     return ChainResult(
         samples=samples,
         accept_count=accepts,

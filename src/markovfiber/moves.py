@@ -60,7 +60,6 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from functools import partial
 from itertools import combinations, combinations_with_replacement, groupby, permutations, product
 from typing import NamedTuple
 
@@ -210,10 +209,24 @@ class MoveBasis:
 
     def sampler(self, rng):
         """``(draw, store)``: ``draw()`` returns a uniform move index into the
-        store (offsets, flat cell ids, coefficients, type codes)."""
-        if not len(self):
+        store (offsets, flat cell ids, coefficients, type codes).
+
+        A draw equals ``rng.randrange(len(self))`` and leaves ``rng`` in the
+        same state: it runs the rejection loop that ``randrange`` runs
+        (``k``-bit words until one falls below n), without its three Python
+        frames."""
+        n = len(self)
+        if not n:
             raise ValueError("basis is empty")
-        return partial(rng.randrange, len(self)), (self._off, self._flat, self._coef, self._tcode)
+        getrandbits, k = rng.getrandbits, n.bit_length()
+
+        def draw() -> int:
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            return r
+
+        return draw, (self._off, self._flat, self._coef, self._tcode)
 
 
 def _term_matrix(model, R: int, C: int) -> np.ndarray:

@@ -216,7 +216,8 @@ def test_missing_inputs_are_errors(capsys):
 
 
 @pytest.mark.parametrize("flag,value", [("--steps", "0"), ("--chains", "0"),
-                                        ("--thin", "0"), ("--burn-in", "100000")])
+                                        ("--thin", "0"), ("--burn-in", "100000"),
+                                        ("--check-every", "-7")])
 def test_bad_chain_flags_are_errors(capsys, flag, value):
     code, rep = run_json(capsys, "test", "--dataset", "gilby", flag, value)
     assert code == 1

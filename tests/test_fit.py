@@ -261,6 +261,45 @@ def test_g_square_tracker_increments_match_recompute():
         assert new_val == pytest.approx(g_square(moved, tracker.expected), abs=1e-9)
 
 
+# independence with an empty row and column: the fitted means there are 0
+STRUCTURAL_ZERO = [[3, 1, 0, 2], [0, 0, 0, 0], [1, 2, 0, 4], [2, 0, 0, 1]]
+
+
+@pytest.mark.parametrize("stat", ["chi2", "g2"])
+@pytest.mark.parametrize("case", ["gilby", "structural-zero"])
+def test_kept_terms_do_not_outlive_a_restart(case, stat):
+    if case == "gilby":
+        table, model = gilby_table(), gilby_model()
+    else:
+        table, model = Table.from_rows(STRUCTURAL_ZERO), ModelSpec(family=INDEPENDENCE)
+    tracker = make_tracker(stat, table, model)
+    full = chi_square if stat == "chi2" else g_square
+    zero = [f for f, m in enumerate(tracker.expected.ravel()) if m == 0.0]
+    assert bool(zero) == (case == "structural-zero")
+    basis = basis_for_model(model, table.R, table.C)
+    rng = random.Random(12)
+    x = [int(v) for v in table.vec()]
+    tracker.start(x)
+    for tracked in (True, False):  # walk on with the tracker, then without it
+        for _ in range(30):
+            flats, coefs = valid_targets(x, basis, rng, 1)[0]
+            for f, c in zip(flats, coefs):
+                x[f] += c
+            if tracked:
+                tracker.value_after(x, flats, coefs)
+    assert x != [int(v) for v in table.vec()]
+    tracker.start(x)
+    for _ in range(60):
+        flats, coefs = valid_targets(x, basis, rng, 1)[0]
+        for f, c in zip(flats, coefs):
+            x[f] += c
+        new_val = tracker.value_after(x, flats, coefs)
+        moved = Table(np.asarray(x, dtype=np.int64).reshape(table.R, table.C))
+        assert math.isfinite(new_val)
+        assert new_val == pytest.approx(full(moved, tracker.expected), abs=1e-9)
+        assert all(tracker._terms[f] == 0.0 for f in zero)
+
+
 def llr_oracle(table, inner, outer):
     """Two fresh fits and the ratio formula, skipping the nesting recheck."""
     m1 = ipf_fit(table, inner).expected.ravel()

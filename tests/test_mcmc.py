@@ -2,6 +2,9 @@
 
 import importlib.util
 import math
+from array import array
+from functools import lru_cache
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -20,10 +23,11 @@ from markovfiber.mcmc import (
     walk,
 )
 from markovfiber.models import COMMON_BLOCKS, INDEPENDENCE, ModelSpec
-from markovfiber.moves import LazyMoveBasis, basis_for_model
+from markovfiber.moves import LazyMoveBasis, MoveBasis, basis_for_model
 from markovfiber.tables import Table, build_configuration, sufficient_statistic
 from markovfiber.datasets import gilby_model, gilby_table, victoria_models, victoria_table
 from test_acceptance import SAMPLER_CASES
+import reference_walk
 
 
 def indep_setup(rows):
@@ -44,6 +48,13 @@ def test_chain_config_validation():
         ChainConfig(steps=10, thin=0, proposal=basis)
     with pytest.raises(ValueError):
         ChainConfig(steps=10)  # no proposal
+
+
+def test_chain_config_rejects_a_negative_audit_cadence():
+    basis = basis_for_model(ModelSpec(family=INDEPENDENCE), 2, 2)
+    with pytest.raises(ValueError, match="check_every must be >= 0"):
+        ChainConfig(steps=10, check_every=-3, proposal=basis)
+    assert ChainConfig(steps=10, check_every=0, proposal=basis).check_every == 0
 
 
 def test_walk_rejects_mismatched_basis():
@@ -324,3 +335,70 @@ def test_bench_constant_tracker_walks_like_the_chi2_tracker():
     assert not const.samples.any() and len(const.samples) == 5_000
     assert (const.accept_count, const.stay_count, const.reject_count) == (
         chi2.accept_count, chi2.stay_count, chi2.reject_count)
+
+
+def grid_setup():
+    """A 24x24 table with four 6x6 common diagonal blocks: above the
+    enumeration threshold, so its basis is lazy."""
+    model = ModelSpec(family=COMMON_BLOCKS, row_bounds=(1, 7, 13, 19, 25),
+                      col_bounds=(1, 7, 13, 19, 25))
+    rng = np.random.default_rng(24)
+    band = np.arange(24) // 6
+    p = np.where(band[:, None] == band[None, :], math.exp(0.5), 1.0)
+    counts = rng.multinomial(10_000, (p / p.sum()).ravel()).reshape(24, 24)
+    return Table(np.maximum(counts, 1)), model
+
+
+# case -> (table, model, alt, statistic, steps); statistic None is the plain
+# callable indep_chi2
+ORACLE_CASES = {
+    "gilby-chi2": lambda: (gilby_table(), gilby_model(), None, "chi2", 10_007),
+    "gilby-g2": lambda: (gilby_table(), gilby_model(), None, "g2", 10_007),
+    "victoria-llr": lambda: (victoria_table(), *victoria_models(), "llr", 2_000),
+    "grid-chi2": lambda: (*grid_setup(), None, "chi2", 10_007),
+    "indep-3x3-a": lambda: (Table.from_rows(SAMPLER_CASES[0][2]), SAMPLER_CASES[0][1],
+                            None, None, 10_007),
+}
+
+
+@lru_cache(maxsize=None)
+def oracle_case(case):
+    table, model, alt, stat, steps = ORACLE_CASES[case]()
+    cfg = build_configuration(model, table.R, table.C)
+    basis = basis_for_model(model, table.R, table.C)
+    statistic = indep_chi2 if stat is None else make_tracker(stat, table, model, alt=alt)
+    return table, cfg, basis, statistic, steps
+
+
+@pytest.mark.parametrize("burn_in,thin,check_every",
+                         list(product((0, 1, 999), (1, 3, 7), (0, 1, 7, 1000))))
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_walk_matches_the_reference_loop(case, burn_in, thin, check_every):
+    # the block loop, the next-sample counter and the unnegated coefficients
+    # change no draw, decision or float of the step-by-step loop
+    table, cfg, basis, statistic, steps = oracle_case(case)
+    assert basis.kind == ("lazy" if case == "grid-chi2" else "enumerated")
+    chain = ChainConfig(steps=steps, burn_in=burn_in, thin=thin, seed=5,
+                        check_every=check_every, proposal=basis)
+    assert_same_chain(walk(table, cfg, chain, statistic),
+                      reference_walk.walk(table, cfg, chain, statistic))
+
+
+@pytest.mark.parametrize("check_every", (0, 1, 7, 1000))
+def test_audit_raises_at_the_reference_step(check_every):
+    # a broken "move" shifts a count along row 1, so its first accept
+    # changes two column sums and leaves the fiber
+    table, cfg, _ = indep_setup([[2, 2], [2, 2]])
+    broken = MoveBasis(2, 2, array("i", [0, 2]), array("h", [0, 1]), array("b", [1, -1]),
+                       bytes(1))
+    chain = ChainConfig(steps=10_007, seed=3, check_every=check_every, proposal=broken)
+    stat = lambda a: float(a[0, 0])
+    if not check_every:  # unaudited: both loops walk on off the fiber alike
+        assert_same_chain(walk(table, cfg, chain, stat),
+                          reference_walk.walk(table, cfg, chain, stat))
+        return
+    with pytest.raises(AssertionError, match="fiber invariant broken at step") as want:
+        reference_walk.walk(table, cfg, chain, stat)
+    with pytest.raises(AssertionError) as got:
+        walk(table, cfg, chain, stat)
+    assert str(got.value) == str(want.value)

@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+from array import array
 import random
 import tracemalloc
 from itertools import combinations
@@ -251,6 +252,16 @@ def test_random_move_draws_both_orientations():
     flipped = [e for e in draws if e not in stored]
     assert flipped and len(flipped) < len(draws)
     assert all(Move(e, "I").negated().entries in stored for e in flipped)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 81, 2**19, 2**19 + 1, 331_434])
+def test_enumerated_draws_equal_randrange(n):
+    # a store of n empty moves: the sampler reads only the move count
+    basis = MoveBasis(1, 1, array("i", bytes(4 * (n + 1))), array("h"), array("b"), bytes(n))
+    rng, ref = random.Random(n), random.Random(n)
+    draw, _ = basis.sampler(rng)
+    assert [draw() for _ in range(10_000)] == [ref.randrange(n) for _ in range(10_000)]
+    assert rng.getstate() == ref.getstate()
 
 
 def test_unbalanced_minor_is_not_a_kernel_move():
