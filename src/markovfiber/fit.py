@@ -4,8 +4,10 @@ test statistics evaluated on fiber samples.
 The fitted cell means under any model here depend on a table only through
 its sufficient statistic, so the null fit is a single constant table on the
 whole fiber.  For the nested likelihood-ratio statistic the alternative fit
-varies, but only through the diagonal block sums; those get cached per
-block-sum vector, which is what makes million-step sampling runs affordable.
+varies, but only through the outer model's term sums (the diagonal block
+sums on block models), and so does the statistic itself: it is one number
+per block-sum vector, computed from the vector alone and cached, which is
+what makes million-step sampling runs affordable.
 
 IPF scales one family at a time: a maximal run of consecutive configuration
 rows whose cell sets are disjoint (all rows, all columns, the diagonal-block
@@ -92,12 +94,21 @@ def _family(groups, start: int, stop: int, n_cells: int) -> tuple:
     return start, stop, cells, label[cells]
 
 
+def _group_index(families) -> tuple[np.ndarray, np.ndarray]:
+    """Every family's cells, one family after another, and each cell's
+    group in configuration-row order: one bincount over them sums every
+    group, each over its cells in increasing order, as a bincount per
+    family does."""
+    cells = np.concatenate([np.arange(len(labels)) if cells is None else cells
+                            for _, _, cells, labels in families])
+    labels = np.concatenate([labels + start for start, _, _, labels in families])
+    return cells, labels
+
+
 def _group_sums(families, v: np.ndarray) -> np.ndarray:
     """Sum of ``v`` over every group, in configuration-row order."""
-    return np.concatenate([
-        np.bincount(labels, weights=v if cells is None else v[cells],
-                    minlength=stop - start)
-        for start, stop, cells, labels in families])
+    cells, labels = _group_index(families)
+    return np.bincount(labels, weights=v[cells], minlength=families[-1][1])
 
 
 def _ipf_core(n_cells: int, families, targets: np.ndarray, tol: float,
@@ -125,6 +136,8 @@ def _ipf_core(n_cells: int, families, targets: np.ndarray, tol: float,
     # every mean stays positive unless a target is zero, so only then can a
     # group sum vanish
     pinned = not (total > 0 and targets.all())
+    # the convergence check sums every group in one bincount
+    all_cells, all_labels = _group_index(families)
 
     last_ll = -math.inf
     if x_flat is not None:
@@ -147,7 +160,8 @@ def _ipf_core(n_cells: int, families, targets: np.ndarray, tol: float,
                 m *= f[labels]
             else:
                 m[cells] = mc * f[labels]
-        disc = float(np.abs(_group_sums(families, m) - targets).max())
+        sums = np.bincount(all_labels, weights=m[all_cells], minlength=len(targets))
+        disc = float(np.abs(sums - targets).max())
         if x_flat is not None:
             ll = float((x_pos * np.log(m[pos])).sum()) - float(m.sum())
             assert ll >= last_ll - 1e-9, f"log-likelihood decreased: {last_ll} -> {ll}"
@@ -255,7 +269,7 @@ def _llr_value(table: Table, fit1: FitResult, fit2: FitResult) -> float:
 # per move.  The walk calls start again every few thousand accepts to shed
 # the float drift of the increments.  Chains run one after another, so one
 # tracker serves them all; what outlives a chain (the null fit, the LLR
-# refit cache) depends only on the fiber.  Trackers are also plain callables
+# value cache) depends only on the fiber.  Trackers are also plain callables
 # on (R, C) integer arrays, so the fiber oracle can reuse them.  ``fit`` is
 # the null model's FitResult and ``observed`` the statistic at the table.
 
@@ -315,26 +329,44 @@ class GSquareTracker(_FixedExpectedTracker):
 
 
 class LLRTracker:
-    """Nested log-likelihood ratio 2 sum x log(m2/m1).
+    """Nested log-likelihood ratio 2 sum x log(m2/m1), one number V(b) per
+    vector b of the outer model's term sums (the diagonal block sums on
+    block models).
 
     m1 (inner fit) is constant on the fiber.  m2 (outer fit) depends on the
-    table only through the diagonal block sums, because rows, columns, and
-    the inner terms are fixed; refits are cached per block-sum vector, the
-    ``CACHE_SIZE`` most recently used ones (a refit starts from the uniform
-    table, so an evicted vector refits to the same values).  The
-    per-cell log-ratio is sanitized to 0 wherever a fitted mean vanishes,
-    which is exact: a zero fitted group sum forces zero counts there on
-    every table sharing that statistic.  ``observed`` is the statistic at
-    the table, from fits at ``tol``, exactly as ``llr_nested`` gives it;
-    ``cache_counts`` gives the cache misses (refits), hits and size over
-    every chain.
+    table only through b, because rows, columns, and the inner terms are
+    fixed; so does the statistic.  The log-ratio L = log(m2/m1) is
+    sanitized to 0 wherever a fitted mean vanishes, and every table with
+    sums b is 0 there too (a zero fitted group sum forces zero counts).  On
+    the other, kept cells L lies in the row space of the outer
+    configuration A (log m2 is a sum of IPF scaling factors, log m1 one of
+    inner terms, which the outer rows span), so sum x L is the same for
+    every real table x with A_keep x = t(b) on the kept cells and 0
+    elsewhere.  V(b) = 2 x^ . L takes it at one such table fixed by b
+    alone: x^ is m2 on the kept cells, moved onto t(b) by the least-norm
+    correction pinv(A_keep) (t(b) - A_keep m2).  It lies near the tables
+    with sums b, so the rounding of L off the row space does not add up.
+    The pseudo-inverse is kept per pattern of kept cells.
+
+    V is refitted at ``CHAIN_TOL`` from the uniform table and cached for
+    the ``CACHE_SIZE`` most recently used vectors; an evicted vector refits
+    to the same value.  The observed table's vector is pinned to
+    ``observed``, the statistic at the table from fits at ``tol``, exactly
+    as ``llr_nested`` gives it, so a chain counts its ties at the observed
+    block sums against that value.  ``start`` computes b and looks V(b) up;
+    ``value_after`` moves b by the changed cells' terms and looks V up only
+    when b changed, so a value never drifts.  ``cache_counts`` gives the
+    cache misses (refits), hits and size over every chain.
     """
 
     # tolerance of the outer refits at chain states
     CHAIN_TOL = 1e-8
-    # block-sum vectors whose refits are kept: about 5 MB on a 12x12 grid,
-    # three times the 340 vectors a 1M-step Victoria chain visits
+    # block-sum vectors whose values are kept, one float each: three times
+    # the 340 vectors a 1M-step Victoria chain visits
     CACHE_SIZE = 1024
+    # patterns of kept cells whose pseudo-inverses are kept, cells x groups
+    # floats each (32 KB on Victoria, whose chains visit four or five)
+    PATTERN_CACHE_SIZE = 32
 
     def __init__(self, table: Table, inner, outer, tol: float = 1e-10) -> None:
         R, C = table.R, table.C
@@ -351,64 +383,72 @@ class LLRTracker:
         self._log_m1 = np.zeros_like(m1)
         self._log_m1[self._m1_pos] = np.log(m1[self._m1_pos])
 
-        # outer-model scaling geometry, reused for every cached refit
+        # outer-model scaling geometry, reused for every refit
         groups = _scaling_groups(outer, R, C)
         self._families = _scaling_families(groups, R * C)
-        x = table.vec().astype(np.float64)
-        self._fixed_targets = tuple(_group_sums(self._families, x)[:R + C].tolist())
-        term_groups = groups[R + C:]
-        self._term_groups = term_groups
-        self._cell_term_idx = [[] for _ in range(R * C)]
-        for q, g in enumerate(term_groups):
+        self._config = np.zeros((len(groups), R * C))
+        for q, g in enumerate(groups):
+            self._config[q, g] = 1.0
+        self._pinv = lru_cache(self.PATTERN_CACHE_SIZE)(self._least_norm)
+        x = table.vec().tolist()
+        self._fixed_targets = tuple(float(sum(x[p] for p in g)) for g in groups[:R + C])
+        self._total = float(sum(x))
+        self._term_groups = [g.tolist() for g in groups[R + C:]]
+        cell_terms = [[] for _ in range(R * C)]
+        for q, g in enumerate(self._term_groups):
             for p in g:
-                self._cell_term_idx[p].append(q)
-        self._log_ratio = lru_cache(self.CACHE_SIZE)(self._refit)
+                cell_terms[p].append(q)
+        self._cell_terms = [tuple(t) for t in cell_terms]
+        self._observed_b = self._block_sums(x)
+        self._llr = lru_cache(self.CACHE_SIZE)(self._refit)
 
-    def _refit(self, b: tuple[float, ...]) -> list[float]:
+    def _refit(self, b: tuple[int, ...]) -> float:
+        if b == self._observed_b:
+            return self.observed
         targets = np.array(self._fixed_targets + b)
-        total = sum(self._fixed_targets[:self.R])
         res = _ipf_core(self.R * self.C, self._families, targets,
-                        self.CHAIN_TOL, 10_000, total)
+                        self.CHAIN_TOL, 10_000, self._total)
         if not res.converged:
             raise FitError("outer refit did not converge on a fiber state")
         m2 = res.expected
         keep = (m2 > 0.0) & self._m1_pos
-        L = np.zeros_like(m2)
-        L[keep] = np.log(m2[keep]) - self._log_m1[keep]
-        return L.tolist()
+        log_ratio = np.log(m2[keep]) - self._log_m1[keep]
+        # x^ by elementwise products and pairwise sums, whose floats do not
+        # depend on where numpy placed the arrays
+        kept = np.where(keep, m2, 0.0)
+        residual = targets - _group_sums(self._families, kept)
+        x_hat = kept[keep] + (self._pinv(keep.tobytes()) * residual).sum(axis=1)
+        return 2.0 * float((x_hat * log_ratio).sum())
+
+    def _least_norm(self, keep: bytes) -> np.ndarray:
+        """pinv of the outer configuration on the kept cells."""
+        return np.linalg.pinv(self._config[:, np.frombuffer(keep, dtype=bool)])
 
     def cache_counts(self) -> dict:
-        info = self._log_ratio.cache_info()
+        info = self._llr.cache_info()
         return {"refits": info.misses, "hits": info.hits, "size": info.currsize}
 
-    def _eval(self, x_flat, L) -> float:
-        return 2.0 * sum(xv * lv for xv, lv in zip(x_flat, L) if xv)
-
-    def _block_sums(self, x_flat) -> tuple[float, ...]:
-        return tuple(float(sum(x_flat[p] for p in g)) for g in self._term_groups)
+    def _block_sums(self, x_flat) -> tuple[int, ...]:
+        return tuple(sum(x_flat[p] for p in g) for g in self._term_groups)
 
     def __call__(self, arr) -> float:
-        x = [int(v) for v in np.asarray(arr).ravel()]
-        return self._eval(x, self._log_ratio(self._block_sums(x)))
+        return self._llr(self._block_sums(np.asarray(arr).ravel().tolist()))
 
     def start(self, x_flat) -> float:
         self._b = b = self._block_sums(x_flat)
-        self._L = self._log_ratio(b)
-        self._value = self._eval(x_flat, self._L)
+        self._value = self._llr(b)
         return self._value
 
     def value_after(self, x_flat, flats, coefs) -> float:
-        db = {}
+        b = list(self._b)
+        cell_terms = self._cell_terms
         for f, c in zip(flats, coefs):
-            for q in self._cell_term_idx[f]:
-                db[q] = db.get(q, 0) + c
-        if not any(db.values()):
-            L = self._L
-            self._value += 2.0 * sum(c * L[f] for f, c in zip(flats, coefs))
-        else:
-            self._b = tuple(bv + db.get(q, 0) for q, bv in enumerate(self._b))
-            self._L = self._log_ratio(self._b)
-            self._value = self._eval(x_flat, self._L)
+            for q in cell_terms[f]:
+                b[q] += c
+        b = tuple(b)
+        if b != self._b:
+            self._b = b
+            self._value = self._llr(b)
         return self._value
 
 

@@ -185,6 +185,23 @@ def test_llr_stat_end_to_end(capsys):
     assert 0.3 < rep["asymptotic_pvalue"] < 0.5
 
 
+def test_llr_streams_reproduce_the_reported_pvalues(capsys, tmp_path):
+    # the chains revisit the observed block sums, whose samples must count
+    # against the reported observed value, not one a few ulps away from it
+    out = tmp_path / "llr.csv"
+    code, rep = run_json(capsys, "test", "--dataset", "victoria",
+                         "--model", "common-blocks", "--alt", "own-blocks",
+                         "--stat", "llr", "--steps", "20000", "--chains", "2",
+                         "--seed", "3", "--stats-out", str(out))
+    assert code == 0 and len(rep["stats_out"]) == 2
+    observed = rep["observed"]
+    for path, p in zip(rep["stats_out"], rep["mcmc"]["per_chain_pvalues"]):
+        values = [float(line) for line in Path(path).read_text().splitlines()]
+        assert observed in values
+        n_ge = sum(v >= observed - 1e-12 for v in values)
+        assert (n_ge + 1) / (len(values) + 1) == p
+
+
 def test_llr_needs_alt(capsys):
     code, rep = run_json(capsys, "test", "--dataset", "victoria",
                          "--stat", "llr", "--steps", "100")

@@ -23,7 +23,7 @@ from markovfiber.fit import (
     llr_nested,
     make_tracker,
 )
-from markovfiber.mcmc import ChainConfig, run_chains, walk
+from markovfiber.mcmc import RESYNC_EVERY, ChainConfig, run_chains, walk
 from markovfiber.models import COMMON_BLOCKS, CHANGE_POINT, GENERAL_BLOCKS, INDEPENDENCE, ModelSpec
 from markovfiber.moves import basis_for_model, random_move
 from markovfiber.tables import Rectangle, Table, build_configuration, sufficient_statistic
@@ -352,8 +352,8 @@ def test_one_tracker_serves_every_chain(case):
 
 
 def test_llr_refit_cache_is_bounded(monkeypatch):
-    # an evicted block-sum vector refits to the same log-ratios, so a cache
-    # of two gives the same chains as the default one, with more refits
+    # an evicted block-sum vector refits to the same value, so a cache of
+    # two gives the same chains as the default one, with more refits
     table = victoria_table()
     common, own = victoria_models()
     cfg = build_configuration(common, 12, 12)
@@ -382,6 +382,152 @@ def test_llr_refit_cache_is_bounded(monkeypatch):
     assert counts["refits"] > full.cache_counts()["refits"] == full.cache_counts()["size"]
     assert max(sizes) <= 2 and counts["size"] == 2
     assert counts["refits"] == len(sizes)
+
+
+class LLRSumOracle:
+    """The LLR as the tracker computed it before it was a function of the
+    block sums: 2 sum x L(b) over the state's cells, with L(b) the
+    sanitized log(m2/m1) of a refit at ``CHAIN_TOL`` from the uniform
+    table."""
+
+    def __init__(self, table, inner, outer):
+        R, C = table.R, table.C
+        self.m1 = ipf_fit(table, inner).expected.ravel()
+        self.groups = [g.tolist() for g in _scaling_groups(outer, R, C)]
+        self.families = _scaling_families(_scaling_groups(outer, R, C), R * C)
+        self.terms = R + C  # the groups before the terms are rows and columns
+        self.log_ratios = {}
+
+    def block_sums(self, x):
+        return tuple(sum(x[p] for p in g) for g in self.groups[self.terms:])
+
+    def __call__(self, x):
+        targets = [float(sum(x[p] for p in g)) for g in self.groups]
+        b = self.block_sums(x)
+        if b not in self.log_ratios:
+            m2 = _ipf_core(len(x), self.families, np.array(targets), LLRTracker.CHAIN_TOL,
+                           10_000, float(sum(x))).expected
+            keep = (m2 > 0.0) & (self.m1 > 0.0)
+            L = np.zeros_like(m2)
+            L[keep] = np.log(m2[keep]) - np.log(self.m1[keep])
+            self.log_ratios[b] = L.tolist()
+        return 2.0 * sum(xv * lv for xv, lv in zip(x, self.log_ratios[b]) if xv)
+
+
+class PurityCheck:
+    """Wraps an LLR tracker and checks each value it returns: the oracle's
+    value within 1e-12 (relative above 1), ``observed`` at the observed
+    block sums, one value per block-sum vector over every chain checked,
+    the previous value itself when a move leaves the sums alone, and at a
+    resync the value the accepts reached."""
+
+    def __init__(self, tracker, oracle, observed_b, values):
+        self.tracker, self.oracle = tracker, oracle
+        self.observed_b, self.values = observed_b, values
+        self.seen = set()
+        self.b = self.value = None
+
+    def check(self, x, value):
+        b = self.oracle.block_sums(x)
+        if b == self.observed_b:
+            assert value == self.tracker.observed
+        else:
+            want = self.oracle(x)
+            assert abs(value - want) <= 1e-12 * max(1.0, abs(want))
+        assert self.values.setdefault(b, value) == value
+        self.seen.add(b)
+        self.b = b
+        self.value = value
+
+    def start(self, x_flat):
+        value = self.tracker.start(x_flat)
+        if self.value is not None:  # a resync
+            assert value == self.value
+        self.check(x_flat, value)
+        return value
+
+    def value_after(self, x_flat, flats, coefs):
+        b, before = self.b, self.value
+        value = self.tracker.value_after(x_flat, flats, coefs)
+        self.check(x_flat, value)
+        if self.b == b:
+            assert value == before
+        return value
+
+
+LLR_PURITY_CASES = {
+    # the seeds visit vectors with a zero block sum
+    "victoria": lambda: (victoria_table(), *victoria_models(), 600_000, (11, 12), None),
+    # Gilby's nested rectangles put a cell in two term groups
+    "gilby-change-point": lambda: (
+        gilby_table(), ModelSpec(family=CHANGE_POINT, rectangles=(Rectangle(1, 5, 1, 2),)),
+        gilby_model(), 50_000, (11, 12), None),
+    # more vectors than the cache holds, so values are evicted and refitted
+    # (a Gilby refit takes about 2.4 ms, so one chain runs on a cache cut to
+    # 256 vectors instead of walking the 3,000 refits that overflow the
+    # full one)
+    "gilby-independence": lambda: (
+        gilby_table(), ModelSpec(family=INDEPENDENCE), gilby_model(), 5_500, (11,), 256),
+}
+
+
+@pytest.mark.parametrize("case", LLR_PURITY_CASES)
+def test_llr_is_a_pure_function_of_the_block_sums(case, monkeypatch):
+    table, inner, outer, steps, seeds, cache_size = LLR_PURITY_CASES[case]()
+    if cache_size:
+        monkeypatch.setattr(LLRTracker, "CACHE_SIZE", cache_size)
+    R, C = table.R, table.C
+    oracle = LLRSumOracle(table, inner, outer)
+    observed_b = oracle.block_sums(table.vec().tolist())
+    cfg = build_configuration(inner, R, C)
+    basis = basis_for_model(inner, R, C)
+    values = {}
+    for seed in seeds:
+        # a fresh tracker per chain, so a shared vector is computed twice
+        tracker = LLRTracker(table, inner, outer)
+        chain = ChainConfig(steps=steps, burn_in=steps // 10, seed=seed, proposal=basis)
+        check = PurityCheck(tracker, oracle, observed_b, values)
+        res = walk(table, cfg, chain, check)
+        assert res.observed == tracker.observed
+        assert res.accept_count > RESYNC_EVERY
+        counts = tracker.cache_counts()
+        if cache_size:
+            assert counts["refits"] > len(check.seen) > cache_size == counts["size"]
+    assert len(values) > 50
+    if case == "victoria":
+        assert any(0 in b for b in values)
+
+
+def family_group_sums(families, v):
+    """Group sums as one bincount per family, in configuration-row order."""
+    return np.concatenate([
+        np.bincount(labels, weights=v if cells is None else v[cells],
+                    minlength=stop - start)
+        for start, stop, cells, labels in families])
+
+
+DISCREPANCY_CASES = {
+    "gilby": lambda: (gilby_model(), 8, 4),
+    "victoria-common": lambda: (victoria_models()[0], 12, 12),
+    "victoria-own": lambda: (victoria_models()[1], 12, 12),
+    "common-24x24": lambda: (FAMILY_CASES["common-24x24"]()[1], 24, 24),
+}
+
+
+@pytest.mark.parametrize("case", DISCREPANCY_CASES)
+def test_one_bincount_discrepancy_matches_the_family_sums(case):
+    model, R, C = DISCREPANCY_CASES[case]()
+    families = _scaling_families(_scaling_groups(model, R, C), R * C)
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        m = rng.gamma(2.0, 3.0, R * C)
+        targets = rng.gamma(2.0, 3.0, families[-1][1])
+        want = family_group_sums(families, m)
+        assert np.array_equal(_group_sums(families, m), want)
+        # one cycle of the fit, then its discrepancy against the family sums
+        res = _ipf_core(R * C, families, targets, 0.0, 1, float(m.sum()))
+        assert res.max_discrepancy == float(
+            np.abs(family_group_sums(families, res.expected) - targets).max())
 
 
 def test_make_tracker_dispatch():
