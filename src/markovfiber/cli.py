@@ -451,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_chain_flags(p)
     p.set_defaults(func=cmd_test)
 
-    p = sub.add_parser("fit", help="IPF fit and asymptotic test only")
+    p = sub.add_parser("fit", help="maximum-likelihood fit and asymptotic test only")
     _add_table_flags(p)
     _add_model_flags(p, with_alt=False)
     p.add_argument("--tol", type=float, default=1e-10)

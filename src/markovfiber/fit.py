@@ -1,34 +1,45 @@
-"""Maximum-likelihood fitting by iterative proportional scaling, and the
-test statistics evaluated on fiber samples.
+"""Maximum-likelihood fitting by Newton's method, and the test statistics
+evaluated on fiber samples.
 
-The fitted cell means under any model here depend on a table only through
-its sufficient statistic, so the null fit is a single constant table on the
-whole fiber.  For the nested likelihood-ratio statistic the alternative fit
-varies, but only through the outer model's term sums (the diagonal block
-sums on block models), and so does the statistic itself: it is one number
-per block-sum vector, computed from the vector alone and cached, which is
-what makes million-step sampling runs affordable.
+A model's configuration A maps a table x to its sufficient statistic
+t = A x.  The fit maximizes the Poisson log-likelihood t . theta - sum m
+over log-means log m = log m0 + c + A_S^T theta, where m0 is a start whose
+logs lie in the row space of A (the uniform table) and S an exactly
+independent subset of the positive-target rows, picked by exact
+elimination on the integer Gram matrix A A^T.  The Hessian
+A_S diag(m) A_S^T is then nonsingular, and each step is one small linear
+solve (Haberman, *The Analysis of Frequency Data*, 1974).  A step is halved
+until the objective does not fall beyond its rounding; the objective is
+concave, so this converges from any start, and it reaches an MLE on the
+boundary of the model (a cell whose mean tends to 0) as a limit (Fienberg
+& Rinaldo, *Ann. Statist.* 2012).  A m and the Hessian are formed by
+bincount over the 0-1 incidence, whose floats do not depend on where numpy
+placed the arrays.
 
-IPF scales one family at a time: a maximal run of consecutive configuration
-rows whose cell sets are disjoint (all rows, all columns, the diagonal-block
-terms).  Disjoint groups commute, since scaling one leaves the others' sums
-unchanged, so a family costs one bincount and one gathered multiply and the
-result equals group-by-group scaling up to the order of summation.
+The fitted means depend on a table only through t, so the null fit is a
+single constant table on the whole fiber.  The kernel sum x log m does
+too: sum x log(m / m0) = N c + t_S . theta for every table with sums t.
+The nested likelihood-ratio statistic 2 sum x log(m2/m1) is the gain of
+the outer kernel over the inner one, 2 (l_outer(b) - l_inner), which the
+outer fit started from the inner fit m1 returns directly: one number per
+vector b of the outer model's term sums (the diagonal block sums on block
+models), computed from the vector alone and cached, which is what makes
+million-step sampling runs affordable.
 
-Conventions: 0 * log(0/anything) := 0 by continuity; a group with observed
-sum 0 pins its cells to 0 and scaling continues.
+Conventions: 0 * log(0/anything) := 0 by continuity; a row with target 0
+pins its cells to exactly 0 and leaves the fit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
 from . import models as _models
-from .tables import Table, build_configuration
+from .tables import Table, build_configuration, gram, pivot_rows
 
 __all__ = [
     "FitResult",
@@ -43,6 +54,8 @@ __all__ = [
     "make_tracker",
 ]
 
+_EPS = float(np.finfo(np.float64).eps)
+
 
 class FitError(ValueError):
     pass
@@ -56,133 +69,107 @@ class FitResult:
     converged: bool
 
 
-def _scaling_groups(model, R: int, C: int) -> list[np.ndarray]:
-    """Flat cell indices per constraint group, one per row of the model's
-    configuration: rows, columns, subtable terms."""
-    return [np.flatnonzero(row) for row in build_configuration(model, R, C).matrix]
+class _Support:
+    """What a fit of configuration ``A`` needs for one pattern of zero
+    targets: the live cells (those in no zero-target row), an exactly
+    independent subset S of the positive-target rows on them, and the
+    incidences that form A m, A_S^T theta and the Hessian by bincount."""
+
+    def __init__(self, A: np.ndarray, zero: np.ndarray) -> None:
+        self.n_rows, self.n_cells = A.shape
+        self.row_of, self.cell_of = np.nonzero(A)
+        self.live = np.flatnonzero(~A[zero].any(axis=0))
+        pos = np.flatnonzero(~zero)
+        B = A[np.ix_(pos, self.live)]
+        if not B.any(axis=1).all():
+            raise FitError("a row with a positive target has every cell pinned to zero")
+        independent = pivot_rows(gram(B))
+        self.rows = pos[independent]
+        B = B[independent]
+        # (live cell, row) of every 1 of A_S, in cell order, and (row pair,
+        # cell) for every two rows of S that share a cell: H[i, j] sums m
+        # over those cells
+        self.s_cell, self.s_row = np.nonzero(B.T)
+        degree = np.bincount(self.s_cell, minlength=len(self.live))
+        reps = degree[self.s_cell]
+        first = np.repeat(np.arange(len(reps)), reps)
+        offset = np.arange(len(first)) - np.repeat(np.cumsum(reps) - reps, reps)
+        second = (np.cumsum(degree) - degree)[self.s_cell[first]] + offset
+        self.pair = self.s_row[first] * len(self.rows) + self.s_row[second]
+        self.pair_cell = self.s_cell[first]
 
 
-def _scaling_families(groups: list[np.ndarray], n_cells: int) -> list[tuple]:
-    """Split the groups into maximal runs of consecutive, pairwise disjoint
-    groups: all rows, all columns, the diagonal-block terms; nested
-    rectangles each form their own family.
+def _newton(sup: _Support, t: np.ndarray, total: float, tol: float, max_iter: int,
+            start: np.ndarray | None = None) -> tuple[FitResult, float]:
+    """Newton's method for the Poisson log-likelihood with sums ``t`` and
+    grand total ``total``, from the uniform table on the live cells or from
+    the means ``start`` on them, whose logs lie in the row space of A.
 
-    A family is ``(start, stop, cells, labels)`` for ``groups[start:stop]``:
-    the run's cells in increasing order (None when that is every cell, so
-    no gather is needed) and, for each, its run-local group index.
+    The means are m = start * exp(c + A_S^T theta) on the live cells, 0
+    elsewhere.  A step in theta is halved until the objective
+    t_S . theta - sum m does not fall by more than the rounding of its
+    sums, so it never decreases beyond rounding across accepted steps.  The
+    accepted table is then scaled to the grand total (c moves), which is
+    the optimum along the constant direction, so sum m = N holds
+    throughout, as at the MLE.
+
+    Returns the fit, with the flat means and ``iterations`` counting Newton
+    steps, and the kernel's gain over the start, sum x log(m / start)
+    = N c + t_S . theta, the same for every table x with sums t.  The fit
+    has converged when max |A m - t| <= tol.
     """
-    families = []
-    start = 0
-    seen = np.zeros(n_cells, dtype=bool)
-    for q, g in enumerate(groups):
-        if seen[g].any():
-            families.append(_family(groups, start, q, n_cells))
-            seen[:] = False
-            start = q
-        seen[g] = True
-    families.append(_family(groups, start, len(groups), n_cells))
-    return families
-
-
-def _family(groups, start: int, stop: int, n_cells: int) -> tuple:
-    label = np.full(n_cells, -1)
-    for k, g in enumerate(groups[start:stop]):
-        label[g] = k
-    cells = np.flatnonzero(label >= 0)
-    if len(cells) == n_cells:
-        return start, stop, None, label
-    return start, stop, cells, label[cells]
-
-
-def _group_index(families) -> tuple[np.ndarray, np.ndarray]:
-    """Every family's cells, one family after another, and each cell's
-    group in configuration-row order: one bincount over them sums every
-    group, each over its cells in increasing order, as a bincount per
-    family does."""
-    cells = np.concatenate([np.arange(len(labels)) if cells is None else cells
-                            for _, _, cells, labels in families])
-    labels = np.concatenate([labels + start for start, _, _, labels in families])
-    return cells, labels
-
-
-def _group_sums(families, v: np.ndarray) -> np.ndarray:
-    """Sum of ``v`` over every group, in configuration-row order."""
-    cells, labels = _group_index(families)
-    return np.bincount(labels, weights=v[cells], minlength=families[-1][1])
-
-
-def _ipf_core(n_cells: int, families, targets: np.ndarray, tol: float,
-              max_iter: int, total: float, x_flat=None) -> FitResult:
-    """Cyclic proportional scaling toward the group targets, one family at
-    a time.
-
-    The groups of a family share no cell, so scaling one leaves the sums of
-    the others unchanged and they commute: one bincount of the family's
-    means and one gathered multiply give exactly the group-by-group cycle in
-    configuration-row order, up to the order of summation.  A zero-target
-    group is zeroed at its turn; a positive-target group whose cells are
-    all zero already is a FitError.
-
-    Starts at the uniform table (interior point).  When ``x_flat`` is given,
-    the log-likelihood is asserted nondecreasing across cycles, in the
-    Poisson form sum(x log m) - sum(m): each scaling step maximizes it along
-    its own multiplicative direction, so the cycle composition must ascend
-    (the multinomial form agrees once sum(m) is back at the grand total).
-    The in-sampler refits skip that bookkeeping.
-    """
-    m = np.full(n_cells, total / n_cells if total > 0 else 0.0, dtype=np.float64)
-    steps = [(targets[start:stop], cells, labels)
-             for start, stop, cells, labels in families]
-    # every mean stays positive unless a target is zero, so only then can a
-    # group sum vanish
-    pinned = not (total > 0 and targets.all())
-    # the convergence check sums every group in one bincount
-    all_cells, all_labels = _group_index(families)
-
-    last_ll = -math.inf
-    if x_flat is not None:
-        pos = np.flatnonzero(x_flat > 0)
-        x_pos = x_flat[pos]
-
-    disc = math.inf
+    m = np.zeros(sup.n_cells)
+    n, k = len(sup.live), len(sup.rows)
+    if n == 0:  # every target is 0
+        return FitResult(m, 0, 0.0, True), 0.0
+    if start is None:
+        start = np.full(n, total / n)
+    t_s = t[sup.rows]
+    c = 0.0
+    theta = np.zeros(k)
+    m_live = start
     it = 0
-    for it in range(1, max_iter + 1):
-        for tau, cells, labels in steps:
-            mc = m if cells is None else m[cells]
-            s = np.bincount(labels, weights=mc, minlength=len(tau))
-            if pinned and not s.all():
-                if (tau[s == 0.0] > 0.0).any():
-                    raise FitError("scaling group pinned to zero but its target is positive")
-                f = np.divide(tau, s, out=np.zeros_like(s), where=s != 0.0)
-            else:
-                f = tau / s
-            if cells is None:
-                m *= f[labels]
-            else:
-                m[cells] = mc * f[labels]
-        sums = np.bincount(all_labels, weights=m[all_cells], minlength=len(targets))
-        disc = float(np.abs(sums - targets).max())
-        if x_flat is not None:
-            ll = float((x_pos * np.log(m[pos])).sum()) - float(m.sum())
-            assert ll >= last_ll - 1e-9, f"log-likelihood decreased: {last_ll} -> {ll}"
-            last_ll = ll
-        if disc <= tol:
-            return FitResult(m, it, disc, True)
-    return FitResult(m, it, disc, False)
+    while True:
+        m[sup.live] = m_live
+        sums = np.bincount(sup.row_of, weights=m[sup.cell_of], minlength=sup.n_rows)
+        disc = float(np.abs(sums - t).max())
+        if disc <= tol or it == max_iter:
+            break
+        it += 1
+        hess = np.bincount(sup.pair, weights=m_live[sup.pair_cell], minlength=k * k)
+        try:
+            delta = np.linalg.solve(hess.reshape(k, k), t_s - sums[sup.rows])
+        except np.linalg.LinAlgError:  # a mean on the boundary underflowed to 0
+            break
+        # the objective here, less a bound on the rounding of its sums
+        terms = t_s * theta
+        floor = float(terms.sum()) - float(m_live.sum()) - (n + k) * _EPS * (
+            float(np.abs(terms).sum()) + float(m_live.sum()))
+        step = 1.0
+        while step:
+            trial = theta + step * delta
+            m_trial = start * np.exp(c + np.bincount(
+                sup.s_cell, weights=trial[sup.s_row], minlength=n))
+            if float((t_s * trial).sum()) - float(m_trial.sum()) >= floor:
+                break
+            step *= 0.5
+        else:  # halved to 0 (a step of inf or nan): no step ascends
+            break
+        scale = total / float(m_trial.sum())
+        theta, c, m_live = trial, c + math.log(scale), m_trial * scale
+    return FitResult(m, it, disc, disc <= tol), total * c + float((t_s * theta).sum())
 
 
 def ipf_fit(table: Table, model, tol: float = 1e-10, max_iter: int = 10_000) -> FitResult:
-    """Fit the model's expected cell means to the table by cycling over
-    rows, columns, and subtable terms; convergence is measured on the
-    sufficient-statistic coordinates."""
+    """Maximum-likelihood expected cell means of the model for the table,
+    by Newton's method; ``iterations`` counts Newton steps, and convergence
+    is max |A m - t| <= tol on the sufficient-statistic coordinates."""
     R, C = table.R, table.C
-    _models.require_valid(model, R, C)
-    x = table.vec().astype(np.float64)
-    families = _scaling_families(_scaling_groups(model, R, C), R * C)
-    targets = _group_sums(families, x)
-    res = _ipf_core(R * C, families, targets, tol, max_iter, float(x.sum()), x_flat=x)
-    return FitResult(res.expected.reshape(R, C), res.iterations,
-                     res.max_discrepancy, res.converged)
+    A = build_configuration(model, R, C).matrix
+    x = table.vec()
+    t = (A.astype(np.int64) @ x).astype(np.float64)
+    fit, _ = _newton(_Support(A, t == 0), t, float(x.sum()), tol, max_iter)
+    return replace(fit, expected=fit.expected.reshape(R, C))
 
 
 def _chi2_cell(x, m) -> float:
@@ -240,21 +227,17 @@ def llr_nested(table: Table, inner, outer, tol: float = 1e-10,
         raise FitError("models are not nested: every inner constraint must lie in the outer row space")
     fit1 = ipf_fit(table, inner, tol=tol, max_iter=max_iter)
     fit2 = ipf_fit(table, outer, tol=tol, max_iter=max_iter)
-    return _llr_value(table, fit1, fit2)
+    return _llr(table, fit1, fit2)
 
 
-def _llr_value(table: Table, fit1: FitResult, fit2: FitResult) -> float:
-    """2 sum x log(m2/m1) from the inner and outer fits of ``table``."""
-    out = 0.0
-    for xv, m1, m2 in zip(table.counts.ravel(), fit1.expected.ravel(), fit2.expected.ravel()):
-        if xv > 0:
-            if m2 <= 0.0 or m1 <= 0.0:
-                raise FitError("positive count over a zero fitted mean; fit is on the boundary")
-            out += float(xv) * math.log(m2 / m1)
-    val = 2.0 * out
-    if val < -1e-9:
-        raise FitError(f"nested LLR came out negative ({val}); fits did not converge")
-    return val
+def _llr(table: Table, fit1: FitResult, fit2: FitResult) -> float:
+    """2 sum x log(m2/m1) over the table's positive cells."""
+    if not (fit1.converged and fit2.converged):
+        raise FitError("a fit of the nested LLR did not converge")
+    x = table.vec()
+    pos = x > 0
+    return 2.0 * float((x[pos] * np.log(fit2.expected.ravel()[pos]
+                                        / fit1.expected.ravel()[pos])).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -333,30 +316,26 @@ class LLRTracker:
     vector b of the outer model's term sums (the diagonal block sums on
     block models).
 
-    m1 (inner fit) is constant on the fiber.  m2 (outer fit) depends on the
-    table only through b, because rows, columns, and the inner terms are
-    fixed; so does the statistic.  The log-ratio L = log(m2/m1) is
-    sanitized to 0 wherever a fitted mean vanishes, and every table with
-    sums b is 0 there too (a zero fitted group sum forces zero counts).  On
-    the other, kept cells L lies in the row space of the outer
-    configuration A (log m2 is a sum of IPF scaling factors, log m1 one of
-    inner terms, which the outer rows span), so sum x L is the same for
-    every real table x with A_keep x = t(b) on the kept cells and 0
-    elsewhere.  V(b) = 2 x^ . L takes it at one such table fixed by b
-    alone: x^ is m2 on the kept cells, moved onto t(b) by the least-norm
-    correction pinv(A_keep) (t(b) - A_keep m2).  It lies near the tables
-    with sums b, so the rounding of L off the row space does not add up.
-    The pseudo-inverse is kept per pattern of kept cells.
+    m1 (inner fit) is constant on the fiber.  Rows, columns and the inner
+    terms are fixed, so the outer sums are fixed by b, and so is m2.  Both
+    log m1 and log m2 lie in the outer row space, so sum x log(m2/m1) is
+    the same for every table x with sums b: V(b) = 2 (l_outer(b) -
+    l_inner), the difference of the maximized kernels.  The outer refit
+    starts from m1 and returns that gain directly, from small coordinates,
+    so no large kernels cancel.  The cells where m1 = 0 are 0 on the whole
+    fiber; the refit pins them with one extra zero-target row.
 
-    V is refitted at ``CHAIN_TOL`` from the uniform table and cached for
-    the ``CACHE_SIZE`` most recently used vectors; an evicted vector refits
-    to the same value.  The observed table's vector is pinned to
-    ``observed``, the statistic at the table from fits at ``tol``, exactly
-    as ``llr_nested`` gives it, so a chain counts its ties at the observed
-    block sums against that value.  ``start`` computes b and looks V(b) up;
-    ``value_after`` moves b by the changed cells' terms and looks V up only
-    when b changed, so a value never drifts.  ``cache_counts`` gives the
-    cache misses (refits), hits and size over every chain.
+    V is refitted at ``CHAIN_TOL`` and cached for the ``CACHE_SIZE`` most
+    recently used vectors; an evicted vector refits to the same value.  The
+    fit's live cells and independent rows are chosen once per pattern of
+    zero targets and kept for the ``PATTERN_CACHE_SIZE`` most recently used
+    patterns.  The observed table's vector is pinned to ``observed``, the
+    statistic at the table from fits at ``tol``, exactly as ``llr_nested``
+    gives it, so a chain counts its ties at the observed block sums against
+    that value.  ``start`` computes b and looks V(b) up; ``value_after``
+    moves b by the changed cells' terms and looks V up only when b changed,
+    so a value never drifts.  ``cache_counts`` gives the cache misses
+    (refits), hits and size over every chain.
     """
 
     # tolerance of the outer refits at chain states
@@ -364,8 +343,8 @@ class LLRTracker:
     # block-sum vectors whose values are kept, one float each: three times
     # the 340 vectors a 1M-step Victoria chain visits
     CACHE_SIZE = 1024
-    # patterns of kept cells whose pseudo-inverses are kept, cells x groups
-    # floats each (32 KB on Victoria, whose chains visit four or five)
+    # patterns of zero targets whose fit supports are kept (Victoria's
+    # chains visit four or five)
     PATTERN_CACHE_SIZE = 32
 
     def __init__(self, table: Table, inner, outer, tol: float = 1e-10) -> None:
@@ -375,25 +354,19 @@ class LLRTracker:
         self.R, self.C = R, C
 
         self.fit = ipf_fit(table, inner, tol=tol)
-        if not self.fit.converged:
-            raise FitError("inner fit did not converge")
-        self.observed = _llr_value(table, self.fit, ipf_fit(table, outer, tol=tol))
-        m1 = self.fit.expected.ravel()
-        self._m1_pos = m1 > 0
-        self._log_m1 = np.zeros_like(m1)
-        self._log_m1[self._m1_pos] = np.log(m1[self._m1_pos])
+        self.observed = _llr(table, self.fit, ipf_fit(table, outer, tol=tol))
+        self._m1 = self.fit.expected.ravel()
 
-        # outer-model scaling geometry, reused for every refit
-        groups = _scaling_groups(outer, R, C)
-        self._families = _scaling_families(groups, R * C)
-        self._config = np.zeros((len(groups), R * C))
-        for q, g in enumerate(groups):
-            self._config[q, g] = 1.0
-        self._pinv = lru_cache(self.PATTERN_CACHE_SIZE)(self._least_norm)
+        # the outer rows and the cells where m1 = 0, a row whose target is 0
+        outer_rows = build_configuration(outer, R, C).matrix
+        A = np.vstack([outer_rows, self._m1 == 0.0])
+        self._support = lru_cache(self.PATTERN_CACHE_SIZE)(
+            lambda zero: _Support(A, np.frombuffer(zero, dtype=bool)))
+        groups = [np.flatnonzero(row).tolist() for row in outer_rows]
         x = table.vec().tolist()
         self._fixed_targets = tuple(float(sum(x[p] for p in g)) for g in groups[:R + C])
         self._total = float(sum(x))
-        self._term_groups = [g.tolist() for g in groups[R + C:]]
+        self._term_groups = groups[R + C:]
         cell_terms = [[] for _ in range(R * C)]
         for q, g in enumerate(self._term_groups):
             for p in g:
@@ -405,24 +378,13 @@ class LLRTracker:
     def _refit(self, b: tuple[int, ...]) -> float:
         if b == self._observed_b:
             return self.observed
-        targets = np.array(self._fixed_targets + b)
-        res = _ipf_core(self.R * self.C, self._families, targets,
-                        self.CHAIN_TOL, 10_000, self._total)
+        t = np.array(self._fixed_targets + b + (0.0,))
+        sup = self._support((t == 0).tobytes())
+        res, gain = _newton(sup, t, self._total, self.CHAIN_TOL, 10_000,
+                            self._m1[sup.live])
         if not res.converged:
             raise FitError("outer refit did not converge on a fiber state")
-        m2 = res.expected
-        keep = (m2 > 0.0) & self._m1_pos
-        log_ratio = np.log(m2[keep]) - self._log_m1[keep]
-        # x^ by elementwise products and pairwise sums, whose floats do not
-        # depend on where numpy placed the arrays
-        kept = np.where(keep, m2, 0.0)
-        residual = targets - _group_sums(self._families, kept)
-        x_hat = kept[keep] + (self._pinv(keep.tobytes()) * residual).sum(axis=1)
-        return 2.0 * float((x_hat * log_ratio).sum())
-
-    def _least_norm(self, keep: bytes) -> np.ndarray:
-        """pinv of the outer configuration on the kept cells."""
-        return np.linalg.pinv(self._config[:, np.frombuffer(keep, dtype=bool)])
+        return 2.0 * gain
 
     def cache_counts(self) -> dict:
         info = self._llr.cache_info()

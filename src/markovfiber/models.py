@@ -12,7 +12,8 @@ Five families over an R x C grid:
   effects sit on disjoint unions of diagonal blocks.
 
 A model spec carries geometry only; the log-linear parameters it implies are
-never materialized (fitting goes through iterative proportional scaling).
+never materialized (the fit works in the coordinates of independent
+configuration rows).
 Nesting between two models is decided by exact rational row-space containment
 of their configurations, so any pair of families can be compared.
 """

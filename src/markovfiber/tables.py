@@ -33,6 +33,8 @@ __all__ = [
     "config_rank",
     "degrees_of_freedom",
     "rational_rank",
+    "pivot_rows",
+    "gram",
     "row_space_contains",
     "read_table_csv",
     "write_table_csv",
@@ -230,16 +232,21 @@ def sufficient_statistic(table: Table, cfg: Configuration) -> np.ndarray:
     return cfg.apply(table.vec())
 
 
-def rational_rank(rows: Iterable[Sequence[int]]) -> int:
-    """Rank over Q by fraction-free (Bareiss) integer elimination.
+def pivot_rows(rows: Iterable[Sequence[int]]) -> list[int]:
+    """Indices, in increasing order, of rows that are linearly independent
+    over Q and span the row space, by fraction-free (Bareiss) integer
+    elimination.
 
     Each step replaces a row r below the pivot row p by
     (p[col] * r - r[col] * p) / previous pivot; the division is exact, so
     every entry stays an integer minor of the input.  No floating point.
+    A worked row is its input row plus a combination of the pivot rows
+    above it, so the input rows of the pivots are independent.
     """
     work = [[int(v) for v in row] for row in rows]
+    order = list(range(len(work)))
     if not work:
-        return 0
+        return []
     ncols = len(work[0])
     rank = 0
     prev = 1
@@ -250,26 +257,43 @@ def rational_rank(rows: Iterable[Sequence[int]]) -> int:
         if pivot is None:
             continue
         work[rank], work[pivot] = work[pivot], work[rank]
-        prow = work[rank]
-        p = prow[col]
+        order[rank], order[pivot] = order[pivot], order[rank]
+        prow = work[rank][col:]
+        p = prow[0]
+        # the rows below are 0 left of col, so only the rest changes
         for r in range(rank + 1, len(work)):
-            a = work[r][col]
-            work[r] = [(p * x - a * y) // prev for x, y in zip(work[r], prow)]
+            row = work[r]
+            a = row[col]
+            row[col:] = [(p * x - a * y) // prev for x, y in zip(row[col:], prow)]
         prev = p
         rank += 1
-    return rank
+    return sorted(order[:rank])
+
+
+def rational_rank(rows: Iterable[Sequence[int]]) -> int:
+    """Rank over Q: the number of pivot rows of the exact elimination."""
+    return len(pivot_rows(rows))
+
+
+def gram(matrix) -> list[list[int]]:
+    """The Gram matrix M M^T of an integer matrix, as lists.  Its rank is
+    that of M, and its pivot rows are independent rows of M (a relation
+    c^T M = 0 among rows of M gives c^T M M^T = 0), so the exact routines
+    run on T x T entries instead of T x cells."""
+    m = np.asarray(matrix, dtype=np.int64)
+    return (m @ m.T).tolist()
 
 
 def row_space_contains(outer_rows: Sequence[Sequence[int]], inner_rows: Sequence[Sequence[int]]) -> bool:
     """True iff every inner row lies in the rational row space of the outer rows."""
     outer = [list(r) for r in outer_rows]
     stacked = outer + [list(r) for r in inner_rows]
-    return rational_rank(outer) == rational_rank(stacked)
+    return rational_rank(gram(outer)) == rational_rank(gram(stacked))
 
 
 def config_rank(cfg: Configuration) -> int:
     """Exact rank of the configuration over the rationals."""
-    return rational_rank(cfg.matrix.tolist())
+    return rational_rank(gram(cfg.matrix))
 
 
 def degrees_of_freedom(cfg: Configuration) -> int:

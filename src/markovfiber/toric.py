@@ -42,9 +42,6 @@ __all__ = [
     "ToricError",
     "canonicalize",
     "generators",
-    "s_polynomial",
-    "divide",
-    "s_poly_reduces",
     "verify_grobner",
     "GrobnerReport",
 ]
@@ -91,31 +88,12 @@ class Binomial:
     lead: tuple[int, ...]
     trail: tuple[int, ...]
 
-    def as_poly(self) -> dict[tuple[int, ...], int]:
-        return {self.lead: 1, self.trail: -1}
-
 
 def _mon(R: int, C: int, cells) -> tuple[int, ...]:
     out = [0] * (R * C)
     for i, j in cells:
         out[flat_index(i, j, C)] += 1
     return tuple(out)
-
-
-def _mon_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _mon_divides(a, b) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
-def _mon_quot(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _mon_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
 
 
 def canonicalize(model: ModelSpec, R: int, C: int) -> tuple[ModelSpec, tuple[int, ...], tuple[int, ...]]:
@@ -189,58 +167,6 @@ def generators(model: ModelSpec, R: int, C: int):
     return gens, order, row_perm, col_perm
 
 
-def s_polynomial(g1: Binomial, g2: Binomial) -> dict[tuple[int, ...], int]:
-    """S(g1, g2) = (lcm/lead1) g1 - (lcm/lead2) g2; the lcm terms cancel."""
-    lcm = _mon_lcm(g1.lead, g2.lead)
-    m1 = _mon_quot(lcm, g1.lead)
-    m2 = _mon_quot(lcm, g2.lead)
-    poly: dict[tuple[int, ...], int] = {}
-    for mon, c in ((_mon_mul(m1, g1.trail), -1), (_mon_mul(m2, g2.trail), 1)):
-        c0 = poly.get(mon, 0) + c
-        if c0:
-            poly[mon] = c0
-        else:
-            poly.pop(mon, None)
-    return poly
-
-
-def divide(poly: dict[tuple[int, ...], int], G: list[Binomial], order: LexOrder,
-           max_steps: int = MAX_DIVISION_STEPS) -> bool:
-    """Multivariate division; True iff the remainder is zero.
-
-    Each step rewrites the order-largest term by the first generator whose
-    lead divides it; a term no generator divides is a nonzero remainder
-    term, which settles the answer immediately.
-    """
-    poly = dict(poly)
-    steps = 0
-    while poly:
-        steps += 1
-        if steps > max_steps:
-            raise ToricError(f"division exceeded {max_steps} steps")
-        mon = max(poly, key=order.key)
-        coef = poly[mon]
-        for g in G:
-            if _mon_divides(g.lead, mon):
-                q = _mon_quot(mon, g.lead)
-                del poly[mon]
-                t = _mon_mul(q, g.trail)
-                c0 = poly.get(t, 0) + coef
-                if c0:
-                    poly[t] = c0
-                else:
-                    poly.pop(t, None)
-                break
-        else:
-            return False
-    return True
-
-
-def s_poly_reduces(g1: Binomial, g2: Binomial, G: list[Binomial], order: LexOrder,
-                   max_steps: int = MAX_DIVISION_STEPS) -> bool:
-    return divide(s_polynomial(g1, g2), G, order, max_steps=max_steps)
-
-
 def _pack(mon: tuple[int, ...]) -> int:
     """Exponent vector -> int, variable k (flat index) in nibble k."""
     return sum(e << (4 * k) for k, e in enumerate(mon))
@@ -248,8 +174,10 @@ def _pack(mon: tuple[int, ...]) -> int:
 
 def _divide_packed(poly: dict[int, int], gens: list[tuple[int, int]],
                    guard: int, max_steps: int) -> bool:
-    """``divide`` on packed monomials and (lead, trail) pairs: the same
-    steps, by the same rule.
+    """Multivariate division of a packed polynomial by packed (lead, trail)
+    binomials; True iff the remainder is zero.  Each step rewrites the
+    largest term by the first generator whose lead divides it; a term no
+    generator divides is a nonzero remainder term, which settles the answer.
 
     ``guard`` has the top bit of every nibble set.  With every exponent
     below 8, ``((m | guard) - l) & guard == guard`` holds exactly when no
@@ -280,7 +208,8 @@ def _divide_packed(poly: dict[int, int], gens: list[tuple[int, int]],
 
 
 def _s_polynomial_packed(l1: int, t1: int, l2: int, t2: int, guard: int) -> dict[int, int]:
-    """``s_polynomial`` on packed monomials; the lcm is a nibble-wise max."""
+    """S(g1, g2) = (lcm/l1) g1 - (lcm/l2) g2 on packed monomials, whose lcm
+    terms cancel; the lcm is a nibble-wise max."""
     ge = ((l1 | guard) - l2) & guard          # guard bits where l1 >= l2
     take = (ge >> 3) * 0xF                    # whole nibbles where l1 >= l2
     lcm = (l1 & take) | (l2 & ~take)

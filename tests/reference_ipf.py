@@ -1,10 +1,11 @@
-"""Group-by-group reference for the IPF fit.
+"""Iterative proportional fitting, group by group: the oracle for the
+package's maximum-likelihood fit.
 
-This is the plain cyclic scaling that ``markovfiber.fit`` must reproduce: one
-constraint group at a time, in configuration-row order, with a fancy-indexed
-sum and multiply per group and a per-group discrepancy.  The package scales a
-whole family of disjoint groups at once instead, which changes only the order
-of summation.  It is kept only as a test oracle.
+This is plain cyclic scaling (Deming & Stephan 1940): one constraint group
+at a time, in configuration-row order, with a fancy-indexed sum and multiply
+per group and a per-group discrepancy.  It converges to the same MLE as the
+package's Newton fitter by an entirely different route, so agreement of the
+two fitted means is a check of both.  It is kept only as a test oracle.
 """
 
 import math
@@ -12,7 +13,14 @@ import math
 import numpy as np
 
 from markovfiber import models as _models
-from markovfiber.fit import FitError, FitResult, _scaling_groups
+from markovfiber.fit import FitError, FitResult
+from markovfiber.tables import build_configuration
+
+
+def constraint_groups(model, R, C):
+    """Flat cell indices per constraint group, one per row of the model's
+    configuration: rows, columns, subtable terms."""
+    return [np.flatnonzero(row) for row in build_configuration(model, R, C).matrix]
 
 
 def reference_core(n_cells, groups, targets, tol, max_iter, total, x_flat=None):
@@ -53,11 +61,11 @@ def reference_core(n_cells, groups, targets, tol, max_iter, total, x_flat=None):
 
 
 def reference_fit(table, model, tol=1e-10, max_iter=10_000):
-    """``ipf_fit`` with the group-by-group core."""
+    """A fit of ``table`` under ``model`` by the group-by-group core."""
     R, C = table.R, table.C
     _models.require_valid(model, R, C)
     x = table.vec().astype(np.float64)
-    groups = _scaling_groups(model, R, C)
+    groups = constraint_groups(model, R, C)
     targets = [float(x[g].sum()) for g in groups]
     res = reference_core(R * C, groups, targets, tol, max_iter, float(x.sum()), x_flat=x)
     return FitResult(res.expected.reshape(R, C), res.iterations,

@@ -314,6 +314,26 @@ def test_fiber_cap_overflow(capsys, tmp_path, cp_model_path):
     assert code == 0 and rep["overflowed"] is True
 
 
+def test_boundary_mle_table_is_tested(capsys, tmp_path):
+    # column 1 and the rectangle both sum to 2, so cell (3, 1) is 0 on the
+    # whole fiber: the null MLE lies on the boundary, and the chain's p
+    # must agree with the exact one (the observed chi2 is the fiber's least,
+    # so both are 1 and the chains' spread is 0)
+    table = tmp_path / "t.csv"
+    table.write_text("1,0,1\n1,1,0\n0,1,1\n")
+    model = tmp_path / "cp.json"
+    save_model(ModelSpec(family=CHANGE_POINT, rectangles=(Rectangle(1, 2, 1, 1),)), model)
+    args = ("--table", str(table), "--model", str(model))
+    code, rep = run_json(capsys, "test", *args, "--steps", "20000", "--chains", "4",
+                         "--seed", "0")
+    assert code == 0 and rep["fit"]["converged"] is True
+    assert rep["fit"]["max_discrepancy"] <= 1e-10
+    code, exact = run_json(capsys, "fiber", *args, "--exact-p")
+    assert code == 0
+    mcmc = rep["mcmc"]
+    assert abs(mcmc["pvalue"] - exact["exact_pvalue"]) <= 3 * mcmc["std_error"]
+
+
 @pytest.fixture
 def saturated(tmp_path):
     """[[3,1],[1,3]] under two 1x1 own blocks: df 0, so the fiber is the

@@ -16,6 +16,8 @@ from markovfiber.tables import (
     config_rank,
     degrees_of_freedom,
     flat_index,
+    gram,
+    pivot_rows,
     rational_rank,
     read_table_csv,
     row_space_contains,
@@ -232,6 +234,27 @@ def test_rational_rank_matches_fraction_elimination_on_random_matrices():
             rows[:, rng.integers(0, n)] = 0
         rows = rows.tolist()
         assert rational_rank(rows) == fraction_rank(rows)
+
+
+def test_pivot_rows_are_independent_and_span_the_rows():
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        m, n = rng.integers(1, 8, size=2)
+        k = int(rng.integers(1, min(m, n) + 1))
+        rows = (rng.integers(-3, 4, size=(m, k)) @ rng.integers(-3, 4, size=(k, n))).tolist()
+        piv = pivot_rows(rows)
+        assert piv == sorted(set(piv))
+        assert len(piv) == fraction_rank([rows[i] for i in piv]) == fraction_rank(rows)
+
+
+@pytest.mark.parametrize("model,R,C", [
+    (gilby_model(), 8, 4), *[(m, 12, 12) for m in victoria_models()], (GRID_24, 24, 24),
+])
+def test_gram_pivots_are_independent_configuration_rows(model, R, C):
+    A = build_configuration(model, R, C).matrix
+    piv = pivot_rows(gram(A))
+    assert len(piv) == rational_rank(A.tolist())
+    assert rational_rank(A[piv].tolist()) == len(piv)
 
 
 def test_degrees_of_freedom():
