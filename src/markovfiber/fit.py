@@ -12,9 +12,9 @@ solve (Haberman, *The Analysis of Frequency Data*, 1974).  A step is halved
 until the objective does not fall beyond its rounding; the objective is
 concave, so this converges from any start, and it reaches an MLE on the
 boundary of the model (a cell whose mean tends to 0) as a limit (Fienberg
-& Rinaldo, *Ann. Statist.* 2012).  A m and the Hessian are formed by
-bincount over the 0-1 incidence, whose floats do not depend on where numpy
-placed the arrays.
+& Rinaldo, *Ann. Statist.* 2012).  A fit has converged when
+max |A m - t| <= tol, or, where tol lies below the rounding of sums above
+about 1e6, when it is within a few ulps of the largest sum.
 
 The fitted means depend on a table only through t, so the null fit is a
 single constant table on the whole fiber.  The kernel sum x log m does
@@ -71,32 +71,22 @@ class FitResult:
 
 class _Support:
     """What a fit of configuration ``A`` needs for one pattern of zero
-    targets: the live cells (those in no zero-target row), an exactly
-    independent subset S of the positive-target rows on them, and the
-    incidences that form A m, A_S^T theta and the Hessian by bincount."""
+    targets: the live cells (those in no zero-target row), the columns of A
+    on them, and an exactly independent subset S of the positive-target
+    rows on them, ``B`` = A_S restricted to the live cells."""
 
     def __init__(self, A: np.ndarray, zero: np.ndarray) -> None:
-        self.n_rows, self.n_cells = A.shape
-        self.row_of, self.cell_of = np.nonzero(A)
+        self.n_cells = A.shape[1]
         self.live = np.flatnonzero(~A[zero].any(axis=0))
+        # the layout fixes the order of the products' sums, so their floats
+        self.A = A[:, self.live].astype(np.float64, order="C")
         pos = np.flatnonzero(~zero)
         B = A[np.ix_(pos, self.live)]
         if not B.any(axis=1).all():
             raise FitError("a row with a positive target has every cell pinned to zero")
         independent = pivot_rows(gram(B))
         self.rows = pos[independent]
-        B = B[independent]
-        # (live cell, row) of every 1 of A_S, in cell order, and (row pair,
-        # cell) for every two rows of S that share a cell: H[i, j] sums m
-        # over those cells
-        self.s_cell, self.s_row = np.nonzero(B.T)
-        degree = np.bincount(self.s_cell, minlength=len(self.live))
-        reps = degree[self.s_cell]
-        first = np.repeat(np.arange(len(reps)), reps)
-        offset = np.arange(len(first)) - np.repeat(np.cumsum(reps) - reps, reps)
-        second = (np.cumsum(degree) - degree)[self.s_cell[first]] + offset
-        self.pair = self.s_row[first] * len(self.rows) + self.s_row[second]
-        self.pair_cell = self.s_cell[first]
+        self.B = B[independent].astype(np.float64)
 
 
 def _newton(sup: _Support, t: np.ndarray, total: float, tol: float, max_iter: int,
@@ -116,7 +106,7 @@ def _newton(sup: _Support, t: np.ndarray, total: float, tol: float, max_iter: in
     Returns the fit, with the flat means and ``iterations`` counting Newton
     steps, and the kernel's gain over the start, sum x log(m / start)
     = N c + t_S . theta, the same for every table x with sums t.  The fit
-    has converged when max |A m - t| <= tol.
+    has converged when max |A m - t| <= max(tol, 4 eps max t).
     """
     m = np.zeros(sup.n_cells)
     n, k = len(sup.live), len(sup.rows)
@@ -124,21 +114,22 @@ def _newton(sup: _Support, t: np.ndarray, total: float, tol: float, max_iter: in
         return FitResult(m, 0, 0.0, True), 0.0
     if start is None:
         start = np.full(n, total / n)
+    # sums above about 1e6 have no float within tol of their targets: a few
+    # ulps of the largest is as close as their rounding lets a fit come
+    reach = max(tol, 4 * _EPS * float(t.max()))
     t_s = t[sup.rows]
     c = 0.0
     theta = np.zeros(k)
     m_live = start
     it = 0
     while True:
-        m[sup.live] = m_live
-        sums = np.bincount(sup.row_of, weights=m[sup.cell_of], minlength=sup.n_rows)
+        sums = sup.A @ m_live
         disc = float(np.abs(sums - t).max())
-        if disc <= tol or it == max_iter:
+        if disc <= reach or it == max_iter:
             break
         it += 1
-        hess = np.bincount(sup.pair, weights=m_live[sup.pair_cell], minlength=k * k)
         try:
-            delta = np.linalg.solve(hess.reshape(k, k), t_s - sums[sup.rows])
+            delta = np.linalg.solve((sup.B * m_live) @ sup.B.T, t_s - sums[sup.rows])
         except np.linalg.LinAlgError:  # a mean on the boundary underflowed to 0
             break
         # the objective here, less a bound on the rounding of its sums
@@ -148,8 +139,7 @@ def _newton(sup: _Support, t: np.ndarray, total: float, tol: float, max_iter: in
         step = 1.0
         while step:
             trial = theta + step * delta
-            m_trial = start * np.exp(c + np.bincount(
-                sup.s_cell, weights=trial[sup.s_row], minlength=n))
+            m_trial = start * np.exp(c + trial @ sup.B)
             if float((t_s * trial).sum()) - float(m_trial.sum()) >= floor:
                 break
             step *= 0.5
@@ -157,13 +147,15 @@ def _newton(sup: _Support, t: np.ndarray, total: float, tol: float, max_iter: in
             break
         scale = total / float(m_trial.sum())
         theta, c, m_live = trial, c + math.log(scale), m_trial * scale
-    return FitResult(m, it, disc, disc <= tol), total * c + float((t_s * theta).sum())
+    m[sup.live] = m_live
+    return FitResult(m, it, disc, disc <= reach), total * c + float((t_s * theta).sum())
 
 
 def ipf_fit(table: Table, model, tol: float = 1e-10, max_iter: int = 10_000) -> FitResult:
     """Maximum-likelihood expected cell means of the model for the table,
     by Newton's method; ``iterations`` counts Newton steps, and convergence
-    is max |A m - t| <= tol on the sufficient-statistic coordinates."""
+    is max |A m - t| <= tol on the sufficient-statistic coordinates, or
+    within 4 ulps (4 eps max t) of the largest sum t where that is more."""
     R, C = table.R, table.C
     A = build_configuration(model, R, C).matrix
     x = table.vec()

@@ -33,8 +33,6 @@ __all__ = [
     "config_rank",
     "degrees_of_freedom",
     "rational_rank",
-    "pivot_rows",
-    "gram",
     "row_space_contains",
     "read_table_csv",
     "write_table_csv",

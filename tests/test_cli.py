@@ -334,6 +334,19 @@ def test_boundary_mle_table_is_tested(capsys, tmp_path):
     assert abs(mcmc["pvalue"] - exact["exact_pvalue"]) <= 3 * mcmc["std_error"]
 
 
+def test_table_of_large_counts_is_tested(capsys, tmp_path):
+    # sums near 1e7 have no float within 1e-10 of them: the null fit must
+    # still converge, at the rounding of the sums
+    table = tmp_path / "t.csv"
+    table.write_text("10000000,0,3\n0,1,0\n5,0,100000\n")
+    model = tmp_path / "cp.json"
+    save_model(ModelSpec(family=CHANGE_POINT, rectangles=(Rectangle(1, 2, 1, 1),)), model)
+    code, rep = run_json(capsys, "test", "--table", str(table), "--model", str(model),
+                         "--steps", "2000", "--chains", "2", "--seed", "0")
+    assert code == 0 and rep["fit"]["converged"] is True
+    assert rep["fit"]["max_discrepancy"] <= 1e-8
+
+
 @pytest.fixture
 def saturated(tmp_path):
     """[[3,1],[1,3]] under two 1x1 own blocks: df 0, so the fiber is the

@@ -121,14 +121,13 @@ def test_positive_group_pinned_to_zero_is_an_error():
 
 
 def test_group_sums_are_the_sufficient_statistic():
-    # the fit's one bincount over the incidence of A sums every group
+    # the fit's product of A over the live cells sums every group
     table = gilby_table()
     cfg = build_configuration(gilby_model(), table.R, table.C)
     t = sufficient_statistic(table, cfg)
     sup = _Support(cfg.matrix, t == 0)
     x = table.vec().astype(np.float64)
-    assert np.array_equal(np.bincount(sup.row_of, weights=x[sup.cell_of], minlength=cfg.T),
-                          t.astype(np.float64))
+    assert np.array_equal(sup.A @ x[sup.live], t.astype(np.float64))
 
 
 @pytest.mark.parametrize("case", ["gilby", "victoria-common", "victoria-own"])
@@ -155,6 +154,23 @@ def test_fit_converges_to_a_boundary_mle():
     # singular, and the fit stops unconverged instead of raising
     exact = ipf_fit(table, model, tol=0.0)
     assert not exact.converged and np.isfinite(exact.expected).all()
+
+
+def test_fit_of_large_counts_converges_at_their_rounding():
+    # no float lies within 1e-10 of a sum near 1e7 (one ulp is 1.9e-9), so
+    # the fit converges once it is within a few ulps of the largest sum
+    table = Table.from_rows([[10**7, 0, 3], [0, 1, 0], [5, 0, 10**5]])
+    model = ModelSpec(family=CHANGE_POINT, rectangles=(Rectangle(1, 2, 1, 1),))
+    fit = ipf_fit(table, model)
+    assert fit.converged and fit.iterations <= 40
+    A = build_configuration(model, table.R, table.C).matrix.astype(np.float64)
+    t = A @ table.vec()
+    assert fit.max_discrepancy == np.abs(A @ fit.expected.ravel() - t).max()
+    assert fit.max_discrepancy <= 4 * np.finfo(np.float64).eps * t.max()
+    assert make_tracker("chi2", table, model).fit.converged
+    # small sums keep the absolute test
+    small = ipf_fit(Table.from_rows([[9, 0, 3], [0, 1, 0], [5, 0, 7]]), model)
+    assert small.converged and small.max_discrepancy <= 1e-10
 
 
 def test_gilby_fit_frozen_values():
