@@ -332,9 +332,12 @@ class LLRTracker:
 
     # tolerance of the outer refits at chain states
     CHAIN_TOL = 1e-8
-    # block-sum vectors whose values are kept, one float each: three times
-    # the 340 vectors a 1M-step Victoria chain visits
-    CACHE_SIZE = 1024
+    # block-sum vectors whose values are kept, one float each (about 250
+    # bytes an entry with its key, so 1 MB full on Gilby): twelve times the
+    # 340 vectors a 1M-step Victoria chain visits, and enough that a
+    # 100k-step walk of independence inside the Gilby model refits 2,002
+    # vectors instead of the 3,288 it refits at 1,024
+    CACHE_SIZE = 4096
     # patterns of zero targets whose fit supports are kept (Victoria's
     # chains visit four or five)
     PATTERN_CACHE_SIZE = 32

@@ -1,13 +1,21 @@
 """Metropolis walk over a fiber.
 
 Proposal: a move z from the basis's sampler (uniform over an enumerated
-basis, drawn in batches by a lazy one), uniform sign s; x' = x + s z.
+basis, drawn in batches by a lazy one), uniform sign s; x' = x + s z.  The
+sampler's store holds every move's coefficients in both signs, so the sign
+picks one of two byte arrays and nothing is multiplied or negated per step.
 A negative cell means the chain stays put (the stay still yields a sample);
 otherwise accept with probability min(1, prod x! / prod x'!), evaluated in
 log-factorial space.  The stationary law is the conditional distribution
 proportional to 1/prod x_ij! on the fiber of the starting table: the
 model's parameter terms are functions of the sufficient statistic alone, so
 they cancel from every ratio once t is fixed.
+
+The walk counts accepts and rejects; stays are the rest of the steps.  Each
+step's value goes to a buffer of at most ``PIECE`` steps, an audit block or
+a piece of one, and the kept steps of each piece are copied to the samples
+in one numpy slice, so a long thinned chain holds its samples and 32 kB,
+not a value per step.
 
 Statistics are streamed through a tracker, an object with two methods (see
 fit.py): ``start(x)`` returns the statistic at x and resets the tracker's
@@ -49,6 +57,9 @@ __all__ = [
 PV_TOL = 1e-12
 # accepts between two full recomputations of a tracker's value
 RESYNC_EVERY = 4096
+# steps whose values the walk buffers before it copies the kept ones to the
+# samples: 32 kB, whatever the chain's length
+PIECE = 4096
 
 
 @dataclass(frozen=True)
@@ -126,7 +137,11 @@ def walk(start: Table, cfg_matrix: Configuration, chain: ChainConfig, statistic)
 
     Every visited state satisfies A x = t (audited every ``check_every``
     steps).  Stays and rejections both contribute the current state as a
-    sample, so the chain is counted per step.
+    sample, so the chain is counted per step; the stays are the steps that
+    neither accept nor reject.  The sign's draw picks the store's
+    coefficients or their negation (``store.neg``), and each step writes
+    its value to a buffer of at most ``PIECE`` steps whose kept steps are
+    copied to the samples a piece at a time.
 
     ``statistic`` is a tracker or a plain callable on the (R, C) table.  A
     tracker's ``value_after`` sees each accepted state once, after the move
@@ -158,14 +173,18 @@ def walk(start: Table, cfg_matrix: Configuration, chain: ChainConfig, statistic)
         raise ValueError(f"statistic is not finite at the starting table: {cur}")
     observed = cur
 
-    draw, (off, flat, coef, _) = basis.sampler(rng)
+    draw, store = basis.sampler(rng)
+    off, flat, coef, _ = store
+    neg = store.neg
 
     steps, burn, thin, check_every = chain.steps, chain.burn_in, chain.thin, chain.check_every
     samples = np.empty((steps - burn + thin - 1) // thin, dtype=np.float64)
-    out = memoryview(samples)  # a float write without numpy's item assignment
     n_samp = 0
     keep = burn  # the next step whose value is a sample
-    accepts = stays = rejects = 0
+    piece = min(check_every or PIECE, PIECE, steps)
+    values = np.empty(piece, dtype=np.float64)
+    out = memoryview(values)  # a float write without numpy's item assignment
+    accepts = rejects = 0
     resync = RESYNC_EVERY  # the accept count of the next resync
     rnd = rng.random
     exp = math.exp
@@ -177,41 +196,44 @@ def walk(start: Table, cfg_matrix: Configuration, chain: ChainConfig, statistic)
     block = check_every or steps
     for begin in range(0, steps, block):
         end = min(begin + block, steps)
-        for step in range(begin, end):
-            k = draw()
-            lo, hi = off[k], off[k + 1]
-            s = 1 if rnd() < 0.5 else -1
+        for first in range(begin, end, piece):
+            n = min(piece, end - first)
+            for i in range(n):
+                k = draw()
+                lo, hi = off[k], off[k + 1]
+                cf = coef if rnd() < 0.5 else neg
 
-            lr = 0.0
-            p = lo
-            while p < hi:
-                xv = x[flat[p]]
-                nv = xv + s * coef[p]
-                if nv < 0:
-                    stays += 1
-                    break
-                lr += lf[xv] - lf[nv]
-                p += 1
-            else:
-                if lr >= 0.0 or rnd() < exp(lr):
-                    fl = flat[lo:hi]
-                    co = coef[lo:hi] if s == 1 else [-c for c in coef[lo:hi]]
-                    for f, c in zip(fl, co):
-                        x[f] += c
-                    cur = value_after(x, fl, co)
-                    if not isfinite(cur):
-                        raise ValueError(f"statistic became non-finite at step {step}: {cur}")
-                    accepts += 1
-                    if accepts == resync:
-                        tracker.start(x)
-                        resync += RESYNC_EVERY
+                lr = 0.0
+                p = lo
+                while p < hi:
+                    xv = x[flat[p]]
+                    nv = xv + cf[p]
+                    if nv < 0:  # a stay
+                        break
+                    lr += lf[xv] - lf[nv]
+                    p += 1
                 else:
-                    rejects += 1
-
-            if step == keep:
-                out[n_samp] = cur
-                n_samp += 1
-                keep += thin
+                    if lr >= 0.0 or rnd() < exp(lr):
+                        fl = flat[lo:hi]
+                        co = cf[lo:hi]
+                        for f, c in zip(fl, co):
+                            x[f] += c
+                        cur = value_after(x, fl, co)
+                        if not isfinite(cur):
+                            raise ValueError(f"statistic became non-finite at step "
+                                             f"{first + i}: {cur}")
+                        accepts += 1
+                        if accepts == resync:
+                            tracker.start(x)
+                            resync += RESYNC_EVERY
+                    else:
+                        rejects += 1
+                out[i] = cur
+            if keep < first + n:
+                kept = values[keep - first:n:thin]
+                samples[n_samp:n_samp + len(kept)] = kept
+                n_samp += len(kept)
+                keep += len(kept) * thin
         if end - begin == check_every:
             now = A @ np.asarray(x, dtype=np.int64)
             if not np.array_equal(now, t0):
@@ -221,7 +243,7 @@ def walk(start: Table, cfg_matrix: Configuration, chain: ChainConfig, statistic)
     return ChainResult(
         samples=samples,
         accept_count=accepts,
-        stay_count=stays,
+        stay_count=steps - accepts - rejects,
         reject_count=rejects,
         observed=observed,
         pvalue=estimate_pvalue(samples, observed),
@@ -268,11 +290,12 @@ def pooled_pvalue(results: list[ChainResult]) -> tuple[float, float]:
         se = float(np.std(ps, ddof=1) / math.sqrt(k))
         return p, se
     r = results[0]
-    ind = (r.samples >= r.observed - PV_TOL).astype(np.float64)
+    ind = r.samples >= r.observed - PV_TOL
     n_batches = min(20, ind.size)
     if n_batches < 2:
         return p, float("nan")
-    batches = np.array_split(ind, n_batches)
-    means = np.array([b.mean() for b in batches])
+    # exact counts over views of the boolean indicator: no float copy of it
+    # (nor the int64 one that np.add.reduceat with an int64 dtype makes)
+    means = np.array([np.count_nonzero(b) / len(b) for b in np.array_split(ind, n_batches)])
     se = float(np.std(means, ddof=1) / math.sqrt(n_batches))
     return p, se

@@ -52,8 +52,9 @@ configurations in proportion to its tuple count and uniform indices in its
 bands (Type I draws two indices of one band as an ordered pair): every type
 has the same share of the draws before ``_once`` drops the repeats, and the
 kept draws of a type are uniform over its moves.  Both bases give the walk
-the same sampler, and the walk draws the sign uniformly, which keeps the
-proposal symmetric (Diaconis & Sturmfels 1998).
+the same sampler, whose store holds each move's coefficients in both signs,
+and the walk draws the sign uniformly, which keeps the proposal symmetric
+(Diaconis & Sturmfels 1998).
 """
 
 from __future__ import annotations
@@ -102,7 +103,8 @@ _CHUNK = 1 << 13
 _LAZY_BATCH = 1024
 # Band configurations a lazy basis may hold: every block model up to 14
 # bands per axis, in a table of about 50 bytes per configuration that
-# balances (27 MB for 14 common blocks, twice that while it is built).
+# balances (27 MB for 14 common blocks, about 1.4 times that while it is
+# built: ``_joined``).
 _LAZY_CONFIGS = 1 << 20
 
 
@@ -143,16 +145,32 @@ def _code_type(cells: int) -> str:
     return "h" if 5 * cells < np.iinfo(np.int16).max else "i"
 
 
-def _append(store, keys: np.ndarray) -> None:
+def _append(store, keys: np.ndarray, neg: array | None = None) -> None:
     """Append the moves with these keys to a store's (offsets, flat cell ids,
-    coefficients), whose flat cell ids have the keys' dtype; each key
-    decodes to its cells in ascending order."""
+    coefficients), whose flat cell ids have the keys' dtype, and their
+    negated coefficients to ``neg`` if given; each key decodes to its cells
+    in ascending order."""
     off, flat, coef = store
     live = keys != np.iinfo(keys.dtype).max
     codes = keys[live]
     off.frombytes((np.cumsum(live.sum(axis=1), dtype=np.int32) + off[-1]).tobytes())
     flat.frombytes((codes // 5).tobytes())
-    coef.frombytes((codes % 5 - 2).astype(np.int8).tobytes())
+    coefs = (codes % 5 - 2).astype(np.int8)
+    coef.frombytes(coefs.tobytes())
+    if neg is not None:
+        neg.frombytes(np.negative(coefs, out=coefs).tobytes())
+
+
+class _Store(tuple):
+    """A sampler's store: the tuple (offsets, flat cell ids, coefficients,
+    type codes) of the moves it draws, and ``neg``, the coefficients
+    negated, one byte per entry, so that a walk takes either sign of a
+    move without multiplying."""
+
+    def __new__(cls, off: array, flat: array, coef: array, tcode, neg: array) -> "_Store":
+        store = super().__new__(cls, (off, flat, coef, tcode))
+        store.neg = neg
+        return store
 
 
 def _move_at(store, k: int, C: int) -> Move:
@@ -171,8 +189,10 @@ class MoveBasis:
     ``_flat``/``_coef`` hold the concatenated sparse entries of all moves
     (int16 cell ids, int8 coefficients), ``_off`` the per-move int32
     offsets and ``_tcode`` one type code byte per move; this keeps a
-    331k-move basis (a 12x12 common-block grid) at about 9 MB.  ``len``
-    counts unsigned moves.
+    331k-move basis (a 12x12 common-block grid) at about 9 MB.  The first
+    ``sampler`` call adds ``_neg``, the coefficients negated (one more byte
+    per entry, 2.5 MB on that grid), which the basis keeps for later
+    samplers.  ``len`` counts unsigned moves.
     """
 
     kind = "enumerated"
@@ -182,6 +202,7 @@ class MoveBasis:
         self.R = R
         self.C = C
         self._off, self._flat, self._coef, self._tcode = off, flat, coef, tcode
+        self._neg = array("b")
 
     def __len__(self) -> int:
         return len(self._tcode)
@@ -199,8 +220,9 @@ class MoveBasis:
 
     @property
     def nbytes(self) -> int:
-        """Bytes held by the store's four arrays."""
-        arrays = self._off, self._flat, self._coef
+        """Bytes held by the store's four arrays, and by the negated
+        coefficients once a sampler has made them."""
+        arrays = self._off, self._flat, self._coef, self._neg
         return sum(len(a) * a.itemsize for a in arrays) + len(self._tcode)
 
     def move_arrays(self) -> tuple[array, array, array]:
@@ -209,7 +231,9 @@ class MoveBasis:
 
     def sampler(self, rng):
         """``(draw, store)``: ``draw()`` returns a uniform move index into the
-        store (offsets, flat cell ids, coefficients, type codes).
+        store, the tuple (offsets, flat cell ids, coefficients, type codes)
+        whose ``neg`` holds the coefficients negated.  The first call
+        negates a copy of the coefficients in place and the basis keeps it.
 
         A draw equals ``rng.randrange(len(self))`` and leaves ``rng`` in the
         same state: it runs the rejection loop that ``randrange`` runs
@@ -218,6 +242,10 @@ class MoveBasis:
         n = len(self)
         if not n:
             raise ValueError("basis is empty")
+        if len(self._neg) != len(self._coef):
+            self._neg = array("b", self._coef)
+            view = np.frombuffer(self._neg, dtype=np.int8)
+            np.negative(view, out=view)
         getrandbits, k = rng.getrandbits, n.bit_length()
 
         def draw() -> int:
@@ -226,7 +254,7 @@ class MoveBasis:
                 r = getrandbits(k)
             return r
 
-        return draw, (self._off, self._flat, self._coef, self._tcode)
+        return draw, _Store(self._off, self._flat, self._coef, self._tcode, self._neg)
 
 
 def _term_matrix(model, R: int, C: int) -> np.ndarray:
@@ -535,6 +563,17 @@ def _draw(kernel: str, first: np.ndarray, size: np.ndarray, u: np.ndarray) -> np
     return first + off
 
 
+def _joined(kernel: str, chunks) -> _Configs:
+    """One kernel's configuration chunks as one table, joined field by field:
+    each field's chunks are dropped as soon as they are joined, so the
+    build holds the table about once, not the chunks and the table."""
+    fields = [list(f) for f in zip(*(c[1:] for c in chunks))]
+    joined = []
+    while fields:
+        joined.append(np.concatenate(fields.pop(0)))
+    return _Configs(kernel, *joined)
+
+
 class LazyMoveBasis:
     """The same moves (``_move_types``), drawn instead of enumerated, for
     grids too large to enumerate.  A draw takes a uniform type among those
@@ -557,18 +596,34 @@ class LazyMoveBasis:
         self.R = R
         self.C = C
         self._code = _code_type(R * C)
-        self._configs = [  # one table per kernel
-            _Configs(name, *map(np.concatenate, zip(*(c[1:] for c in chunks))))
-            for name, chunks in groupby(_configurations(model, R, C, types, _LAZY_CONFIGS),
-                                        key=lambda c: c.kernel)]
+        self._configs = [_joined(name, chunks)  # one table per kernel
+                         for name, chunks in groupby(
+                             _configurations(model, R, C, types, _LAZY_CONFIGS),
+                             key=lambda c: c.kernel)]
         if not self._configs:
             raise ValueError("lazy basis has empty pattern space")
         self._tcode = np.concatenate([c.tcode for c in self._configs])
-        drawn = np.concatenate([c.kept if c.kernel == "I" else c.size.prod(axis=1)
-                                for c in self._configs]).astype(float)
-        # a configuration's share: its type's, 1 / types, times its share of the type's draws
-        per_type = np.bincount(self._tcode, weights=drawn)
-        self._cum = np.cumsum(drawn / per_type[self._tcode] / np.count_nonzero(per_type))
+        # a configuration's share: its type's, 1 / types, times its share of
+        # the type's draws; formed in place in one float array, a kernel or
+        # a pass at a time, so the build makes no second copy of it
+        share = np.empty(len(self._tcode))
+        lo = 0
+        for c in self._configs:
+            drawn = share[lo:lo + len(c.tcode)]
+            if c.kernel == "I":
+                drawn[:] = c.kept
+            else:
+                np.multiply.reduce(c.size, axis=1, dtype=float, out=drawn)
+            lo += len(c.tcode)
+        passes = range(0, len(share), _CHUNK)
+        # sums of integers below 2**53, so exact in any order
+        per_type = sum(np.bincount(self._tcode[lo:lo + _CHUNK], share[lo:lo + _CHUNK],
+                                   len(TYPE_NAMES)) for lo in passes)
+        for lo in passes:
+            part = share[lo:lo + _CHUNK]
+            part /= per_type[self._tcode[lo:lo + _CHUNK]]
+            part /= np.count_nonzero(per_type)
+        self._cum = np.cumsum(share, out=share)
         self._cum[-1] = 1.0
 
     def counts_by_type(self) -> dict[str, int]:
@@ -602,10 +657,12 @@ class LazyMoveBasis:
 
     def sampler(self, rng):
         """``(draw, store)`` like ``MoveBasis.sampler``; the store holds one
-        batch of drawn moves, and ``draw()`` refills it in place when the
-        batch is spent, so the returned arrays stay current."""
-        store = off, flat, coef, tcode = (array("i", [0]), array(self._code), array("b"),
-                                          bytearray())
+        batch of drawn moves, negated coefficients included, and ``draw()``
+        refills it in place when the batch is spent, so the returned arrays
+        stay current."""
+        store = _Store(array("i", [0]), array(self._code), array("b"), bytearray(), array("b"))
+        off, flat, coef, tcode = store
+        neg = store.neg
         pos = n = 0
 
         def draw() -> int:
@@ -614,8 +671,8 @@ class LazyMoveBasis:
                 keys, codes = self._batch(rng)
                 while not len(codes):
                     keys, codes = self._batch(rng)
-                del off[1:], flat[:], coef[:]
-                _append(store[:3], keys)
+                del off[1:], flat[:], coef[:], neg[:]
+                _append(store[:3], keys, neg)
                 tcode[:] = codes.tobytes()
                 pos, n = 0, len(codes)
             pos += 1

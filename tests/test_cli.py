@@ -109,8 +109,9 @@ def test_test_command_report_shape(capsys):
     timings = rep["timings"]
     assert set(timings) == {"fit_s", "basis_s", "n_moves", "basis_mb", "walk_s"}
     assert timings["n_moves"] == 81  # Gilby's unsigned basic moves
-    # int32 offsets, int16 cells, int8 coefficients, a type byte per move
-    assert timings["basis_mb"] == (82 * 4 + 324 * 3 + 81) / 2**20
+    # int32 offsets, int16 cells, int8 coefficients and their negation
+    # (kept once the walk's sampler makes it), a type byte per move
+    assert timings["basis_mb"] == (82 * 4 + 324 * 4 + 81) / 2**20
     assert all(timings[k] >= 0 for k in ("fit_s", "basis_s", "walk_s"))
 
 

@@ -2,7 +2,9 @@
 
 import importlib.util
 import math
+import tracemalloc
 from array import array
+from dataclasses import replace
 from functools import lru_cache
 from itertools import product
 from pathlib import Path
@@ -13,6 +15,7 @@ import pytest
 from markovfiber.fiber import enumerate_fiber, exact_pvalue
 from markovfiber.fit import make_tracker
 from markovfiber.mcmc import (
+    PV_TOL,
     RESYNC_EVERY,
     ChainConfig,
     ChainResult,
@@ -81,6 +84,32 @@ def test_step_accounting_and_sample_length():
     assert 0.0 <= res.acceptance_rate <= 1.0
 
 
+class ConstantTracker:
+    def start(self, x_flat) -> float:
+        return 0.0
+
+    def value_after(self, x_flat, flats, coefs) -> float:
+        return 0.0
+
+
+def test_walk_memory_is_the_samples_and_one_buffer():
+    # unaudited, the steps still pass through a buffer of PIECE values, so
+    # a thinned chain holds its samples and 32 kB; a buffer of the chain's
+    # length would add 1.6 MB here
+    table, cfg, basis = indep_setup([[2, 1], [1, 2]])
+    tracker = ConstantTracker()
+    chain = ChainConfig(steps=200_000, thin=100, check_every=0, seed=3, proposal=basis)
+    walk(table, cfg, replace(chain, steps=10), tracker)
+    tracemalloc.start()
+    try:
+        res = walk(table, cfg, chain, tracker)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(res.samples) == 2_000 and res.accept_count > 0
+    assert peak <= res.samples.nbytes + 256 * 1024
+
+
 def test_walk_is_deterministic_per_seed():
     table, cfg, basis = indep_setup([[2, 1], [1, 2]])
     stat = lambda a: float(a[0, 0])
@@ -139,6 +168,22 @@ def test_pooled_pvalue_single_chain_batches():
     assert se == pytest.approx(np.std(means, ddof=1) / math.sqrt(20))
     with pytest.raises(ValueError):
         pooled_pvalue([])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 19, 20, 21, 80, 1_001, 123_457])
+def test_pooled_pvalue_batch_means_are_those_of_the_float_indicator(n):
+    # exact counts of the boolean indicator over np.array_split's batches
+    # give the floats of the float64 indicator's batch means
+    samples = np.random.default_rng(n).integers(0, 4, n).astype(float)
+    r = fake_result(samples, observed=2.0)
+    _, se = pooled_pvalue([r])
+    ind = (samples >= 2.0 - PV_TOL).astype(np.float64)
+    n_batches = min(20, n)
+    if n_batches < 2:
+        assert math.isnan(se)
+        return
+    means = np.array([b.mean() for b in np.array_split(ind, n_batches)])
+    assert se == float(np.std(means, ddof=1) / math.sqrt(n_batches))
 
 
 def test_two_state_fiber_occupancy_is_even():
