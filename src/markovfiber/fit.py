@@ -24,7 +24,9 @@ the outer kernel over the inner one, 2 (l_outer(b) - l_inner), which the
 outer fit started from the inner fit m1 returns directly: one number per
 vector b of the outer model's term sums (the diagonal block sums on block
 models), computed from the vector alone and cached, which is what makes
-million-step sampling runs affordable.
+million-step sampling runs affordable.  The observed table's value is the
+same function at the table's own vector, so ``llr_nested`` is
+``LLRTracker(...).observed``.
 
 Conventions: 0 * log(0/anything) := 0 by continuity; a row with target 0
 pins its cells to exactly 0 and leaves the fit.
@@ -55,6 +57,8 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(np.float64).eps)
+# Newton steps a fit may take before it reports itself unconverged
+MAX_ITER = 10_000
 
 
 class FitError(ValueError):
@@ -89,7 +93,7 @@ class _Support:
         self.B = B[independent].astype(np.float64)
 
 
-def _newton(sup: _Support, t: np.ndarray, total: float, tol: float, max_iter: int,
+def _newton(sup: _Support, t: np.ndarray, total: float, tol: float,
             start: np.ndarray | None = None) -> tuple[FitResult, float]:
     """Newton's method for the Poisson log-likelihood with sums ``t`` and
     grand total ``total``, from the uniform table on the live cells or from
@@ -125,7 +129,7 @@ def _newton(sup: _Support, t: np.ndarray, total: float, tol: float, max_iter: in
     while True:
         sums = sup.A @ m_live
         disc = float(np.abs(sums - t).max())
-        if disc <= reach or it == max_iter:
+        if disc <= reach or it == MAX_ITER:
             break
         it += 1
         try:
@@ -151,16 +155,19 @@ def _newton(sup: _Support, t: np.ndarray, total: float, tol: float, max_iter: in
     return FitResult(m, it, disc, disc <= reach), total * c + float((t_s * theta).sum())
 
 
-def ipf_fit(table: Table, model, tol: float = 1e-10, max_iter: int = 10_000) -> FitResult:
+def ipf_fit(table: Table, model, tol: float = 1e-10) -> FitResult:
     """Maximum-likelihood expected cell means of the model for the table,
     by Newton's method; ``iterations`` counts Newton steps, and convergence
     is max |A m - t| <= tol on the sufficient-statistic coordinates, or
-    within 4 ulps (4 eps max t) of the largest sum t where that is more."""
+    within 4 ulps (4 eps max t) of the largest sum t where that is more.
+    ``tol`` must be finite and at least 0."""
+    if not 0.0 <= tol < math.inf:
+        raise FitError(f"tol must be finite and >= 0, got {tol!r}")
     R, C = table.R, table.C
     A = build_configuration(model, R, C).matrix
     x = table.vec()
     t = (A.astype(np.int64) @ x).astype(np.float64)
-    fit, _ = _newton(_Support(A, t == 0), t, float(x.sum()), tol, max_iter)
+    fit, _ = _newton(_Support(A, t == 0), t, float(x.sum()), tol)
     return replace(fit, expected=fit.expected.reshape(R, C))
 
 
@@ -211,25 +218,10 @@ def g_square(table: Table, expected: np.ndarray) -> float:
     return _table_total(_g2_cell, table, expected)
 
 
-def llr_nested(table: Table, inner, outer, tol: float = 1e-10,
-               max_iter: int = 10_000) -> float:
-    """2 sum x log(m2/m1) for nested models (inner within outer)."""
-    R, C = table.R, table.C
-    if not _models.is_nested(inner, outer, R, C):
-        raise FitError("models are not nested: every inner constraint must lie in the outer row space")
-    fit1 = ipf_fit(table, inner, tol=tol, max_iter=max_iter)
-    fit2 = ipf_fit(table, outer, tol=tol, max_iter=max_iter)
-    return _llr(table, fit1, fit2)
-
-
-def _llr(table: Table, fit1: FitResult, fit2: FitResult) -> float:
-    """2 sum x log(m2/m1) over the table's positive cells."""
-    if not (fit1.converged and fit2.converged):
-        raise FitError("a fit of the nested LLR did not converge")
-    x = table.vec()
-    pos = x > 0
-    return 2.0 * float((x[pos] * np.log(fit2.expected.ravel()[pos]
-                                        / fit1.expected.ravel()[pos])).sum())
+def llr_nested(table: Table, inner, outer, tol: float = 1e-10) -> float:
+    """2 sum x log(m2/m1) for nested models (inner within outer): the
+    ``observed`` value of their ``LLRTracker``."""
+    return LLRTracker(table, inner, outer, tol).observed
 
 
 # ---------------------------------------------------------------------------
@@ -317,21 +309,18 @@ class LLRTracker:
     so no large kernels cancel.  The cells where m1 = 0 are 0 on the whole
     fiber; the refit pins them with one extra zero-target row.
 
-    V is refitted at ``CHAIN_TOL`` and cached for the ``CACHE_SIZE`` most
-    recently used vectors; an evicted vector refits to the same value.  The
-    fit's live cells and independent rows are chosen once per pattern of
-    zero targets and kept for the ``PATTERN_CACHE_SIZE`` most recently used
-    patterns.  The observed table's vector is pinned to ``observed``, the
-    statistic at the table from fits at ``tol``, exactly as ``llr_nested``
-    gives it, so a chain counts its ties at the observed block sums against
-    that value.  ``start`` computes b and looks V(b) up; ``value_after``
-    moves b by the changed cells' terms and looks V up only when b changed,
-    so a value never drifts.  ``cache_counts`` gives the cache misses
-    (refits), hits and size over every chain.
+    V is refitted at ``tol`` and cached for the ``CACHE_SIZE`` most recently
+    used vectors; an evicted vector refits to the same value.  The fit's
+    live cells and independent rows are chosen once per pattern of zero
+    targets and kept for the ``PATTERN_CACHE_SIZE`` most recently used
+    patterns.  ``observed`` is V at the observed table's vector, the first
+    value cached, so a chain state with the observed block sums is a tie at
+    exactly that value.  ``start`` computes b and looks V(b) up;
+    ``value_after`` moves b by the changed cells' terms and looks V up only
+    when b changed, so a value never drifts.  ``cache_counts`` gives the
+    cache misses (refits), hits and size over every chain.
     """
 
-    # tolerance of the outer refits at chain states
-    CHAIN_TOL = 1e-8
     # block-sum vectors whose values are kept, one float each (about 250
     # bytes an entry with its key, so 1 MB full on Gilby): twelve times the
     # 340 vectors a 1M-step Victoria chain visits, and enough that a
@@ -345,12 +334,15 @@ class LLRTracker:
     def __init__(self, table: Table, inner, outer, tol: float = 1e-10) -> None:
         R, C = table.R, table.C
         if not _models.is_nested(inner, outer, R, C):
-            raise FitError("models are not nested")
+            raise FitError("models are not nested: every inner constraint must lie "
+                           "in the outer row space")
         self.R, self.C = R, C
 
         self.fit = ipf_fit(table, inner, tol=tol)
-        self.observed = _llr(table, self.fit, ipf_fit(table, outer, tol=tol))
+        if not self.fit.converged:
+            raise FitError("the inner fit of the nested LLR did not converge")
         self._m1 = self.fit.expected.ravel()
+        self.tol = tol
 
         # the outer rows and the cells where m1 = 0, a row whose target is 0
         outer_rows = build_configuration(outer, R, C).matrix
@@ -367,16 +359,13 @@ class LLRTracker:
             for p in g:
                 cell_terms[p].append(q)
         self._cell_terms = [tuple(t) for t in cell_terms]
-        self._observed_b = self._block_sums(x)
         self._llr = lru_cache(self.CACHE_SIZE)(self._refit)
+        self.observed = self._llr(self._block_sums(x))
 
     def _refit(self, b: tuple[int, ...]) -> float:
-        if b == self._observed_b:
-            return self.observed
         t = np.array(self._fixed_targets + b + (0.0,))
         sup = self._support((t == 0).tobytes())
-        res, gain = _newton(sup, t, self._total, self.CHAIN_TOL, 10_000,
-                            self._m1[sup.live])
+        res, gain = _newton(sup, t, self._total, self.tol, self._m1[sup.live])
         if not res.converged:
             raise FitError("outer refit did not converge on a fiber state")
         return 2.0 * gain

@@ -21,6 +21,7 @@ of their configurations, so any pair of families can be compared.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 
 from .tables import Rectangle, build_configuration, row_space_contains
@@ -282,17 +283,34 @@ def model_from_dict(data: dict) -> ModelSpec:
         raise ModelError("model spec needs a 'family' field") from None
     if family not in _FAMILIES:
         raise ModelError(f"unknown family {family!r}; expected one of {sorted(_FAMILIES)}")
-    rects = tuple(
-        Rectangle(int(a1), int(a2), int(b1), int(b2))
-        for a1, a2, b1, b2 in data.get("rectangles", [])
-    )
+    rects = tuple(Rectangle(*_ints(r, "rectangles", 4))
+                  for r in _list(data.get("rectangles", []), "rectangles"))
     return ModelSpec(
         family=family,
         rectangles=rects,
-        row_bounds=tuple(int(v) for v in data.get("row_bounds", [])),
-        col_bounds=tuple(int(v) for v in data.get("col_bounds", [])),
-        groups=tuple(tuple(int(n) for n in g) for g in data.get("groups", [])),
+        row_bounds=_ints(data.get("row_bounds", []), "row_bounds"),
+        col_bounds=_ints(data.get("col_bounds", []), "col_bounds"),
+        groups=tuple(_ints(g, "groups") for g in _list(data.get("groups", []), "groups")),
     )
+
+
+def _list(value, field: str) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise ModelError(f"model field {field!r} must be a list, got {value!r}")
+    return value
+
+
+def _ints(value, field: str, length: int | None = None) -> tuple[int, ...]:
+    """The integers of one list-valued model field, or a ``ModelError``
+    naming the field (a float or a numeric string is not an integer)."""
+    try:
+        out = tuple(operator.index(v) for v in _list(value, field))
+    except TypeError:
+        raise ModelError(f"model field {field!r} must hold integers, got {value!r}") from None
+    if length is not None and len(out) != length:
+        raise ModelError(f"model field {field!r} needs lists of {length} integers, "
+                         f"got {value!r}")
+    return out
 
 
 def load_model(path) -> ModelSpec:

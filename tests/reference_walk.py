@@ -3,8 +3,10 @@
 This is the plain loop that ``markovfiber.mcmc.walk`` must reproduce byte
 for byte: a modulo test per step for the sample and for the fiber audit, a
 numpy item write per sample, and the move's coefficients multiplied by the
-sign on every accept.  The package runs the steps in audit-sized blocks and
-keeps a next-sample counter instead, which changes no random draw, no
+sign on every accept.  The package runs the steps in audit-sized blocks,
+writes every step's value to a buffer whose kept steps it copies to the
+samples a piece at a time, and takes the sign by picking the stored
+coefficients or their negated copy, which changes no random draw, no
 acceptance decision and no floating-point operation.  Both draw moves
 through the basis's sampler, whose draws ``test_moves`` pins to
 ``randrange``.  It is kept only as a test oracle.

@@ -445,12 +445,13 @@ def test_llr_refit_cache_is_bounded(monkeypatch):
 class LLRSumOracle:
     """The LLR as the tracker computed it before it was a function of the
     block sums: 2 sum x L(b) over the state's cells, with L(b) the
-    sanitized log(m2/m1) of an outer refit at ``CHAIN_TOL``.  The refit is
-    the tracker's: Newton's method from the inner fit m1, with the cells
-    where m1 = 0 pinned to 0."""
+    sanitized log(m2/m1) of an outer refit at the tracker's ``tol``.  The
+    refit is the tracker's: Newton's method from the inner fit m1, with the
+    cells where m1 = 0 pinned to 0."""
 
-    def __init__(self, table, inner, outer):
+    def __init__(self, table, inner, outer, tol):
         R, C = table.R, table.C
+        self.tol = tol
         self.m1 = ipf_fit(table, inner).expected.ravel()
         self.A = np.vstack([build_configuration(outer, R, C).matrix, self.m1 == 0.0])
         self.groups = [g.tolist() for g in constraint_groups(outer, R, C)]
@@ -465,7 +466,7 @@ class LLRSumOracle:
         b = self.block_sums(x)
         if b not in self.log_ratios:
             sup = _Support(self.A, targets == 0)
-            m2 = _newton(sup, targets, float(sum(x)), LLRTracker.CHAIN_TOL, 10_000,
+            m2 = _newton(sup, targets, float(sum(x)), self.tol,
                          self.m1[sup.live])[0].expected
             keep = (m2 > 0.0) & (self.m1 > 0.0)
             L = np.zeros_like(m2)
@@ -536,14 +537,14 @@ def test_llr_is_a_pure_function_of_the_block_sums(case, monkeypatch):
     if cache_size:
         monkeypatch.setattr(LLRTracker, "CACHE_SIZE", cache_size)
     R, C = table.R, table.C
-    oracle = LLRSumOracle(table, inner, outer)
+    oracle = LLRSumOracle(table, inner, outer, tol=1e-10)
     observed_b = oracle.block_sums(table.vec().tolist())
     cfg = build_configuration(inner, R, C)
     basis = basis_for_model(inner, R, C)
     values = {}
     for seed in seeds:
         # a fresh tracker per chain, so a shared vector is computed twice
-        tracker = LLRTracker(table, inner, outer)
+        tracker = LLRTracker(table, inner, outer, tol=oracle.tol)
         chain = ChainConfig(steps=steps, burn_in=steps // 10, seed=seed, proposal=basis)
         check = PurityCheck(tracker, oracle, observed_b, values)
         res = walk(table, cfg, chain, check)
@@ -555,6 +556,25 @@ def test_llr_is_a_pure_function_of_the_block_sums(case, monkeypatch):
     assert len(values) > 50
     if case == "victoria":
         assert any(0 in b for b in values)
+
+
+LLR_TIE_CASES = {
+    "victoria": lambda: (victoria_table(), *victoria_models()),
+    "gilby-independence": lambda: (gilby_table(), ModelSpec(family=INDEPENDENCE),
+                                   gilby_model()),
+}
+
+
+@pytest.mark.parametrize("case", LLR_TIE_CASES)
+def test_observed_llr_is_the_refit_of_the_observed_block_sums(case):
+    # ties hold by construction: a fresh refit of the observed vector gives
+    # ``observed`` bit for bit, and ``llr_nested`` is the same value
+    table, inner, outer = LLR_TIE_CASES[case]()
+    tracker = LLRTracker(table, inner, outer)
+    assert llr_nested(table, inner, outer) == tracker.observed
+    tracker._llr.cache_clear()
+    assert tracker.start(table.vec().tolist()) == tracker.observed
+    assert tracker.cache_counts() == {"refits": 1, "hits": 0, "size": 1}
 
 
 def test_make_tracker_dispatch():

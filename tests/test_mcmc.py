@@ -419,8 +419,8 @@ def oracle_case(case):
                          list(product((0, 1, 999), (1, 3, 7), (0, 1, 7, 1000))))
 @pytest.mark.parametrize("case", ORACLE_CASES)
 def test_walk_matches_the_reference_loop(case, burn_in, thin, check_every):
-    # the block loop, the next-sample counter and the unnegated coefficients
-    # change no draw, decision or float of the step-by-step loop
+    # the block loop, the per-piece sample copy and the negated coefficient
+    # copy change no draw, decision or float of the step-by-step loop
     table, cfg, basis, statistic, steps = oracle_case(case)
     assert basis.kind == ("lazy" if case == "grid-chi2" else "enumerated")
     chain = ChainConfig(steps=steps, burn_in=burn_in, thin=thin, seed=5,
