@@ -156,7 +156,6 @@ def cmd_test(args) -> dict:
     table, ds = _load_table(args)
     model, alt = _stat_pair(args, ds)
     R, C = table.R, table.C
-    _models.require_valid(model, R, C)
     if alt is not None:
         _models.require_valid(alt, R, C)
     cfg = build_configuration(model, R, C)
@@ -236,7 +235,6 @@ def cmd_fit(args) -> dict:
     table, ds = _load_table(args)
     model = _resolve_model(args.model, ds)
     R, C = table.R, table.C
-    _models.require_valid(model, R, C)
     cfg = build_configuration(model, R, C)
     t0 = time.perf_counter()
     fit = ipf_fit(table, model, tol=args.tol)
@@ -276,7 +274,7 @@ def cmd_moves_dump(args) -> dict:
     table = dataset(ds) if ds else None
     model = _resolve_model(args.model, ds)
     R, C = _grid(args, table)
-    _models.require_valid(model, R, C)
+    _require_enumerable("moves dump", R, C)
     basis = enumerate_basis(model, R, C)
     if not args.out:
         # the basis itself is the output; no JSON report in this mode
@@ -298,7 +296,6 @@ def cmd_fiber(args) -> dict:
     table, ds = _load_table(args)
     model = _resolve_model(args.model, ds)
     R, C = table.R, table.C
-    _models.require_valid(model, R, C)
     cfg = build_configuration(model, R, C)
     t = cfg.apply(table.vec())
     fiber = enumerate_fiber(tuple(int(v) for v in t), cfg, cap=args.cap)

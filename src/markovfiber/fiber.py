@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .mcmc import PV_TOL
 from .tables import Configuration, Table, flat_index
 
 __all__ = [
@@ -84,17 +85,16 @@ def _log_weight(member) -> float:
     return -sum(math.lgamma(x + 1) for x in member)
 
 
-def enumerate_fiber(t, cfg: Configuration, cap: int = DEFAULT_CAP,
-                    max_nodes: int | None = None) -> Fiber:
+def enumerate_fiber(t, cfg: Configuration, cap: int = DEFAULT_CAP) -> Fiber:
     """Depth-first enumeration of F_t = {x >= 0 : A x = t}.
 
     Cells are filled row-major with remaining-capacity pruning on rows,
     columns, and subtable terms; the last cell of a row, of a column (final
     row), or of a term forces its value outright.  Passing ``cap`` members
     stops the search and marks the fiber overflowed instead of raising;
-    ``max_nodes`` (default 50 * cap + 10000 search-tree nodes) bounds the
-    time spent in branches that die before reaching a member, so huge-total
-    tables overflow promptly instead of wandering.
+    a budget of 50 * cap + 10000 search-tree nodes bounds the time spent in
+    branches that die before reaching a member, so huge-total tables
+    overflow promptly instead of wandering.
     """
     t = tuple(int(v) for v in t)
     if len(t) != cfg.T:
@@ -119,7 +119,7 @@ def enumerate_fiber(t, cfg: Configuration, cap: int = DEFAULT_CAP,
     members: list[tuple[int, ...]] = []
     counts = [0] * (R * C)
     overflowed = False
-    budget = max_nodes if max_nodes is not None else 50 * cap + 10_000
+    budget = 50 * cap + 10_000
 
     def rec(p: int) -> None:
         nonlocal overflowed, budget
@@ -233,10 +233,10 @@ def indispensable(z, cfg: Configuration, cap: int = DEFAULT_CAP) -> bool:
 
 
 def exact_pvalue(table: Table, cfg: Configuration, statistic,
-                 cap: int = DEFAULT_CAP, tol: float = 1e-12) -> float:
+                 cap: int = DEFAULT_CAP) -> float:
     """Exact conditional p-value: total weight of fiber members whose
-    statistic is >= the observed value (within ``tol``), weights
-    proportional to 1/prod(x_ij!).
+    statistic is >= the observed value (within ``PV_TOL``, the sampler's
+    tie rule), weights proportional to 1/prod(x_ij!).
 
     ``statistic`` maps an (R, C) integer array to a float.
     """
@@ -254,6 +254,6 @@ def exact_pvalue(table: Table, cfg: Configuration, statistic,
         w = math.exp(lw - shift)
         total += w
         arr = np.asarray(member, dtype=np.int64).reshape(fiber.R, fiber.C)
-        if float(statistic(arr)) >= observed - tol:
+        if float(statistic(arr)) >= observed - PV_TOL:
             tail += w
     return tail / total

@@ -54,6 +54,8 @@ __all__ = [
     "pooled_pvalue",
 ]
 
+# the tie rule of every p-value, chain and exact: a value counts as at
+# least the observed one within PV_TOL
 PV_TOL = 1e-12
 # accepts between two full recomputations of a tracker's value
 RESYNC_EVERY = 4096
@@ -252,12 +254,12 @@ def walk(start: Table, cfg_matrix: Configuration, chain: ChainConfig, statistic)
     )
 
 
-def estimate_pvalue(samples, observed: float, tol: float = PV_TOL) -> float:
-    """Add-one Monte Carlo estimator: (#{sample >= observed - tol} + 1) / (n + 1)."""
+def estimate_pvalue(samples, observed: float) -> float:
+    """Add-one Monte Carlo estimator: (#{sample >= observed - PV_TOL} + 1) / (n + 1)."""
     arr = np.asarray(samples, dtype=np.float64)
     if arr.size == 0:
         raise ValueError("need at least one sample")
-    n_ge = int((arr >= observed - tol).sum())
+    n_ge = int((arr >= observed - PV_TOL).sum())
     return (n_ge + 1) / (arr.size + 1)
 
 

@@ -14,17 +14,19 @@ at the upper-left corner; ``canonicalize`` relabels rows and columns to
 that form, and the report carries the permutations so results map back to
 the original coordinates.  No claim is made under any other order.
 
-Two things make the check cheap.  Buchberger's product criterion: when the
-leads of two generators share no variable, their S-polynomial reduces to
-zero against the pair itself, so the pair needs no division (Buchberger,
-EUROSAM 1979); the leads here are square-free, so about two pairs in three
-are skipped.  And the remaining divisions run on monomials packed into
-Python ints, 4 bits per variable with the largest variable in the most
-significant nibble.  Comparing two packed ints then compares the exponent
-of x_RC first, then x_{R,C-1}, and so on down, which is exactly the lex
-order; multiplying and dividing monomials become ``+`` and ``-``, and with
-every exponent below 8 the top bit of each nibble is a guard bit that
-tests divisibility and takes the lcm without a per-variable loop.
+A generator is kept when its four cells' columns of the configuration
+balance on every term row (A z = 0, the rule every basis of the package
+obeys), and it is built packed: monomials are Python ints, 4 bits per
+variable with the largest variable in the most significant nibble.
+Comparing two packed ints then compares the exponent of x_RC first, then
+x_{R,C-1}, and so on down, which is exactly the lex order; multiplying and
+dividing monomials become ``+`` and ``-``, and with every exponent below 8
+the top bit of each nibble is a guard bit that tests divisibility and takes
+the lcm without a per-variable loop.  Buchberger's product criterion makes
+the check cheaper still: when the leads of two generators share no
+variable, their S-polynomial reduces to zero against the pair itself, so
+the pair needs no division (Buchberger, EUROSAM 1979); the leads here are
+square-free, so about two pairs in three are skipped.
 """
 
 from __future__ import annotations
@@ -32,13 +34,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
+import numpy as np
+
 from . import models as _models
 from .models import ModelSpec
-from .tables import Rectangle, flat_index
+from .tables import Rectangle, build_configuration
 
 __all__ = [
-    "LexOrder",
-    "Binomial",
     "ToricError",
     "canonicalize",
     "generators",
@@ -53,47 +55,15 @@ class ToricError(RuntimeError):
     pass
 
 
-class LexOrder:
-    """Lexicographic order with x_11 smallest and x_RC largest.
-
-    Exponent vectors are flat row-major, so reversing one lists exponents
-    from the largest variable down; plain tuple comparison then decides.
-    """
-
-    def __init__(self, R: int, C: int) -> None:
-        self.R = R
-        self.C = C
-
-    def key(self, mon: tuple[int, ...]):
-        return tuple(reversed(mon))
-
-    def greater(self, a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-        return self.key(a) > self.key(b)
-
-    def describe(self) -> str:
-        names = [
-            f"x_{i}{self.C - j}" if max(self.R, self.C) < 10 else f"x_{i},{self.C - j}"
-            for i in range(self.R, self.R - 1, -1)
-            for j in range(self.C)
-        ]
-        return " > ".join(names) + " > ... > " + (
-            "x_11" if max(self.R, self.C) < 10 else "x_1,1"
-        )
+def _order(R: int, C: int) -> str:
+    """The lex order by its largest variables: x_RC > x_{R,C-1} > ... > x_11."""
+    sep = "," if max(R, C) >= 10 else ""
+    return " > ".join(f"x_{R}{sep}{l}" for l in range(C, 0, -1)) + f" > ... > x_1{sep}1"
 
 
-@dataclass(frozen=True)
-class Binomial:
-    """lead - trail with coefficients +1/-1; lead > trail in the active order."""
-
-    lead: tuple[int, ...]
-    trail: tuple[int, ...]
-
-
-def _mon(R: int, C: int, cells) -> tuple[int, ...]:
-    out = [0] * (R * C)
-    for i, j in cells:
-        out[flat_index(i, j, C)] += 1
-    return tuple(out)
+def _guard(n_vars: int) -> int:
+    """The top bit of each of ``n_vars`` nibbles."""
+    return int("8" * n_vars, 16)
 
 
 def canonicalize(model: ModelSpec, R: int, C: int) -> tuple[ModelSpec, tuple[int, ...], tuple[int, ...]]:
@@ -125,51 +95,35 @@ def canonicalize(model: ModelSpec, R: int, C: int) -> tuple[ModelSpec, tuple[int
         if j not in col_perm:
             col_perm.append(j)
 
-    rects = []
-    for rect in model.rectangles:
-        h = sum(1 for i in range(rect.a1, rect.a2 + 1))
-        w = sum(1 for j in range(rect.b1, rect.b2 + 1))
-        rects.append(Rectangle(1, h, 1, w))
-    canon = ModelSpec(family=_models.CHANGE_POINT, rectangles=tuple(rects))
-    _models.require_valid(canon, R, C)
+    # the same shapes, nested in the same order on the same grid: valid
+    # because the model is
+    rects = tuple(Rectangle(1, r.a2 - r.a1 + 1, 1, r.b2 - r.b1 + 1)
+                  for r in model.rectangles)
+    canon = ModelSpec(family=_models.CHANGE_POINT, rectangles=rects)
     return canon, tuple(row_perm), tuple(col_perm)
 
 
 def generators(model: ModelSpec, R: int, C: int):
-    """Binomials of the canonicalized basic moves, leads asserted.
+    """Packed binomials of the canonicalized basic moves.
 
-    Returns (generators, order, row_perm, col_perm).  One binomial per
-    unordered basic move: for rows i<j and columns k<l whose corner strata
-    balance, the monomial x_ik x_jl contains the order-largest variable
-    x_jl, so it must lead; that is checked, not assumed.
+    Returns (pairs, row_perm, col_perm), one (lead, trail) pair per
+    unordered basic move x_ik x_jl - x_il x_jk, rows i < j and columns
+    k < l, whose four cells' columns of the configuration balance on every
+    term row.  The lead x_ik x_jl holds x_jl, the largest of the four
+    variables.  Variable x_ij is nibble (i-1)C + (j-1), its flat index.
     """
     canon, row_perm, col_perm = canonicalize(model, R, C)
-    order = LexOrder(R, C)
-    if canon.family == _models.INDEPENDENCE:
-        strata = [[1] * (C + 1) for _ in range(R + 1)]
-    else:
-        strata = [[0] * (C + 1)] + [
-            [0] + [_models.cell_stratum(canon, R, C, i, j) for j in range(1, C + 1)]
-            for i in range(1, R + 1)
-        ]
-    gens: list[Binomial] = []
-    for i, j in combinations(range(1, R + 1), 2):
-        for k, l in combinations(range(1, C + 1), 2):
-            if sorted((strata[i][k], strata[j][l])) != sorted((strata[i][l], strata[j][k])):
-                continue
-            diag = _mon(R, C, [(i, k), (j, l)])
-            anti = _mon(R, C, [(i, l), (j, k)])
-            if not order.greater(diag, anti):
-                raise ToricError(
-                    f"lead assertion failed for rows ({i},{j}) cols ({k},{l})"
-                )
-            gens.append(Binomial(lead=diag, trail=anti))
-    return gens, order, row_perm, col_perm
-
-
-def _pack(mon: tuple[int, ...]) -> int:
-    """Exponent vector -> int, variable k (flat index) in nibble k."""
-    return sum(e << (4 * k) for k, e in enumerate(mon))
+    terms = build_configuration(canon, R, C).matrix[R + C:].astype(np.int8).reshape(-1, R, C)
+    pairs = []
+    for i, j in combinations(range(R), 2):
+        # unbalanced[k, l]: some term row tells x_ik x_jl from x_il x_jk
+        unbalanced = (terms[:, i, :, None] + terms[:, j, None, :]
+                      != terms[:, i, None, :] + terms[:, j, :, None]).any(axis=0)
+        for k, l in combinations(range(C), 2):
+            if not unbalanced[k, l]:
+                pairs.append((1 << 4 * (i * C + k) | 1 << 4 * (j * C + l),
+                              1 << 4 * (i * C + l) | 1 << 4 * (j * C + k)))
+    return pairs, row_perm, col_perm
 
 
 def _divide_packed(poly: dict[int, int], gens: list[tuple[int, int]],
@@ -266,21 +220,21 @@ def verify_grobner(model: ModelSpec, R: int, C: int, max_dim: int = 5) -> Grobne
         raise ToricError(
             f"grid {R}x{C} exceeds the verification bound {max_dim}x{max_dim}"
         )
-    gens, order, row_perm, col_perm = generators(model, R, C)
-    sq_free = all(all(e <= 1 for e in g.lead) for g in gens)
-    guard = _pack((8,) * (R * C))
-    packed = [(_pack(g.lead), _pack(g.trail)) for g in gens]
+    gens, row_perm, col_perm = generators(model, R, C)
+    guard = _guard(R * C)
+    high = guard | guard >> 1 | guard >> 2  # the bits of every nibble above 1
+    sq_free = not any(lead & high for lead, _ in gens)
     by_criterion = {"product": 0, "division": 0}
     pairs = 0
     all_ok = True
-    for (l1, t1), (l2, t2) in combinations(packed, 2):
+    for (l1, t1), (l2, t2) in combinations(gens, 2):
         pairs += 1
         if sq_free and not l1 & l2:
             by_criterion["product"] += 1
             continue
         by_criterion["division"] += 1
         spoly = _s_polynomial_packed(l1, t1, l2, t2, guard)
-        if not _divide_packed(spoly, packed, guard, MAX_DIVISION_STEPS):
+        if not _divide_packed(spoly, gens, guard, MAX_DIVISION_STEPS):
             all_ok = False
             break
     return GrobnerReport(
@@ -290,7 +244,7 @@ def verify_grobner(model: ModelSpec, R: int, C: int, max_dim: int = 5) -> Grobne
         pairs_checked=pairs,
         all_reduced=all_ok,
         initial_square_free=sq_free,
-        order=order.describe(),
+        order=_order(R, C),
         row_perm=row_perm,
         col_perm=col_perm,
         pairs_by_criterion=by_criterion,

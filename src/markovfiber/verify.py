@@ -30,6 +30,7 @@ from .fiber import enumerate_fiber, indispensable, is_connected
 from .models import ModelSpec
 from .moves import ENUMERATION_THRESHOLD, enumerate_basis, format_move
 from .tables import Rectangle, build_configuration
+from .toric import canonicalize
 
 __all__ = [
     "FiberWitness",
@@ -318,13 +319,13 @@ def _sweep(universes: _Universes, cfg, basis, total: int, cross_check: int,
 
 
 def connectivity_range(model: ModelSpec, R: int, C: int, max_total: int,
-                       types: tuple[str, ...] | None = None,
-                       cross_check: int = 2, seed: int = 0):
+                       types: tuple[str, ...] | None = None):
     """Connectivity sweeps for totals 2..max_total (smaller fibers are
-    singletons, connected vacuously).  The basis is built once, and the
-    table universes once each, freed on return."""
+    singletons, connected vacuously), each cross-checking two fibers as
+    ``connectivity_sweep`` does by default.  The basis is built once, and
+    the table universes once each, freed on return."""
     cfg, basis = _built(model, R, C, types)
-    return _range(_Universes(), cfg, basis, max_total, cross_check, seed)
+    return _range(_Universes(), cfg, basis, max_total, cross_check=2, seed=0)
 
 
 def _range(universes: _Universes, cfg, basis, max_total: int, cross_check: int,
@@ -387,19 +388,6 @@ def change_point_models(R: int, C: int, max_rects: int = 2):
                                     rectangles=(inner, outer))
 
 
-def _shape_key(model: ModelSpec, R: int, C: int):
-    """Relabeling-class key: grid plus rectangle shapes, transpose-reduced."""
-    shapes = tuple((r.a2 - r.a1 + 1, r.b2 - r.b1 + 1) for r in model.rectangles)
-    flipped = tuple((w, h) for h, w in shapes)
-    return min((R, C, shapes), (C, R, flipped))
-
-
-def _anchored(key) -> tuple[ModelSpec, int, int]:
-    R, C, shapes = key
-    rects = tuple(Rectangle(1, h, 1, w) for h, w in shapes)
-    return ModelSpec(family=_models.CHANGE_POINT, rectangles=rects), R, C
-
-
 @dataclass(frozen=True)
 class SuiteReport:
     name: str
@@ -438,35 +426,43 @@ def _describe(model: ModelSpec, R: int, C: int) -> str:
             f"cols={list(model.col_bounds)}")
 
 
-def change_point_suite(max_dim: int = 4, max_total: int = 5,
-                       max_rects: int = 2, sample_raw: int = 2,
-                       seed: int = 0) -> SuiteReport:
-    """Connectivity and indispensability for every change-point model with
-    up to max_rects nested rectangles on every grid up to max_dim^2, over
-    all fibers of total <= max_total.
+def _transpose(model: ModelSpec) -> ModelSpec:
+    return ModelSpec(family=model.family, rectangles=tuple(
+        Rectangle(r.b1, r.b2, r.a1, r.a2) for r in model.rectangles))
 
-    Models are grouped into relabeling classes (anchor the rectangles at the
-    upper-left corner, reduce by transpose); one representative per class is
-    fully checked, plus sample_raw random unreduced models per grid.
+
+# raw models spot-checked per grid, and the seed of the suites' draws
+_SPOT_CHECKS = 2
+_SUITE_SEED = 0
+
+
+def change_point_suite(max_dim: int = 4, max_total: int = 5) -> SuiteReport:
+    """Connectivity and indispensability for every change-point model with
+    one or two nested rectangles on every grid up to max_dim^2, over all
+    fibers of total <= max_total.
+
+    Models are grouped into relabeling classes (``toric.canonicalize``
+    anchors the rectangles at the upper-left corner; a model and its
+    transpose share a class); one representative per class is fully
+    checked, plus a few random unreduced models per grid.
     """
-    rng = random.Random(seed)
+    rng = random.Random(_SUITE_SEED)
     universes = _Universes()
     conn_fail: list[str] = []
     ind_fail: list[str] = []
-    raw_total = 0
-    spot = 0
     fibers_checked = 0
-    keys = {}
+    classes: dict[tuple[int, int, ModelSpec], None] = {}  # ordered set
     raw_by_grid: dict[tuple[int, int], list[ModelSpec]] = {}
     for R in range(2, max_dim + 1):
         for C in range(2, max_dim + 1):
-            grid_models = list(change_point_models(R, C, max_rects=max_rects))
-            raw_total += len(grid_models)
-            raw_by_grid[(R, C)] = grid_models
+            grid_models = list(change_point_models(R, C))
+            raw_by_grid[R, C] = grid_models
             for m in grid_models:
-                keys.setdefault(_shape_key(m, R, C), None)
+                canon = canonicalize(m, R, C)[0]
+                if (R, C, canon) not in classes and (C, R, _transpose(canon)) not in classes:
+                    classes[R, C, canon] = None
 
-    def run(model: ModelSpec, R: int, C: int) -> int:
+    def run(model: ModelSpec, R: int, C: int) -> None:
         nonlocal fibers_checked
         label = _describe(model, R, C)
         cfg, basis = _built(model, R, C)
@@ -479,20 +475,20 @@ def change_point_suite(max_dim: int = 4, max_total: int = 5,
         ind = _indispensability(cfg, basis)
         if not ind.ok:
             ind_fail.append(f"{label}: {len(ind.failures)} dispensable")
-        return 1
 
-    checked = 0
-    for key in keys:
-        model, R, C = _anchored(key)
-        checked += run(model, R, C)
+    for R, C, model in classes:
+        run(model, R, C)
+    spot = 0
     for (R, C), grid_models in raw_by_grid.items():
-        for m in rng.sample(grid_models, min(sample_raw, len(grid_models))):
+        for m in rng.sample(grid_models, min(_SPOT_CHECKS, len(grid_models))):
             run(m, R, C)
             spot += 1
 
     return SuiteReport(
-        name="change-point", models_raw=raw_total, models_checked=checked,
-        raw_spot_checks=spot, connectivity_failures=tuple(conn_fail),
+        name="change-point",
+        models_raw=sum(len(ms) for ms in raw_by_grid.values()),
+        models_checked=len(classes), raw_spot_checks=spot,
+        connectivity_failures=tuple(conn_fail),
         indispensability_failures=tuple(ind_fail), witnesses=(),
         n_fibers_checked=fibers_checked,
     )
@@ -524,7 +520,7 @@ COMMON_SUITE_GEOMETRIES = (
 
 
 def _block_suite(name: str, family: str, geometries, controls,
-                 reduced: tuple[str, ...], max_total: int, seed: int) -> SuiteReport:
+                 reduced: tuple[str, ...], max_total: int) -> SuiteReport:
     """The full basis must connect every fiber of total <= max_total on each
     geometry; on each control geometry the reduced types must leave a
     disconnected witness fiber at some total."""
@@ -536,7 +532,7 @@ def _block_suite(name: str, family: str, geometries, controls,
         model = _block_model(family, rb, cb)
         label = _describe(model, R, C)
         for rep in _range(universes, *_built(model, R, C), max_total,
-                          cross_check=1, seed=seed):
+                          cross_check=1, seed=_SUITE_SEED):
             fibers_checked += rep.n_multi
             if not rep.ok:
                 conn_fail.append(f"{label} total={rep.total}")
@@ -559,18 +555,18 @@ def _block_suite(name: str, family: str, geometries, controls,
     )
 
 
-def own_blocks_suite(max_total: int = 5, seed: int = 0) -> SuiteReport:
+def own_blocks_suite(max_total: int = 5) -> SuiteReport:
     """Own-parameter block models, two and three blocks, grids up to 6x6:
     the Type I(+II) basis connects every fiber of total <= max_total; with
     three blocks, Type I alone must leave a disconnected witness fiber."""
     three_block_3x3_4x4 = OWN_SUITE_GEOMETRIES[4:6]
     return _block_suite("own-blocks", _models.OWN_BLOCKS, OWN_SUITE_GEOMETRIES,
-                        three_block_3x3_4x4, ("I",), max_total, seed)
+                        three_block_3x3_4x4, ("I",), max_total)
 
 
-def common_blocks_suite(max_total: int = 5, seed: int = 0) -> SuiteReport:
+def common_blocks_suite(max_total: int = 5) -> SuiteReport:
     """Common-effect block models with three blocks, grids up to 6x6: the
     Type I-IV basis connects every fiber of total <= max_total; Types I-III
     alone must leave a disconnected witness fiber."""
     return _block_suite("common-blocks", _models.COMMON_BLOCKS, COMMON_SUITE_GEOMETRIES,
-                        COMMON_SUITE_GEOMETRIES[:2], ("I", "II", "III"), max_total, seed)
+                        COMMON_SUITE_GEOMETRIES[:2], ("I", "II", "III"), max_total)

@@ -136,6 +136,7 @@ def test_criterion_4_victoria_exact_test():
 def test_criterion_5_change_point_sweeps():
     rep = change_point_suite(max_dim=4, max_total=5)
     assert rep.ok
+    assert rep.models_raw == 1589 and rep.models_checked == 106
     assert not rep.connectivity_failures
     assert not rep.indispensability_failures
     print(f"criterion 5 PASS: {rep.models_raw} models "

@@ -453,6 +453,19 @@ def test_verify_above_the_enumeration_threshold(capsys, tmp_path):
     assert "enumeration threshold" in rep["error"]["message"]
 
 
+def test_moves_dump_above_the_enumeration_threshold(capsys, tmp_path):
+    # 420 cells: dumping lists every move, which the lazy basis never builds
+    path = tmp_path / "common.json"
+    save_model(ModelSpec(family=COMMON_BLOCKS, row_bounds=(1, 11, 22),
+                         col_bounds=(1, 11, 21)), path)
+    code, rep = run_json(capsys, "moves", "dump", "--rows", "21", "--cols", "20",
+                         "--model", str(path), "--out", str(tmp_path / "moves.txt"))
+    assert code == 1
+    assert rep["error"]["type"] == "CliError"
+    assert "enumeration threshold" in rep["error"]["message"]
+    assert not (tmp_path / "moves.txt").exists()
+
+
 @pytest.mark.parametrize("ds,types", [("gilby", "IV"), ("victoria", "bogus")])
 def test_verify_rejects_move_types_the_model_lacks(capsys, ds, types):
     code, rep = run_json(capsys, "verify", "--dataset", ds, "--types", types,

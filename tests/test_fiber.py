@@ -102,8 +102,10 @@ def test_member_cap_marks_overflow():
 def test_node_budget_bounds_dead_branches():
     table = gilby_table()
     t, cfg = stat_of(gilby_model(), table)
-    fib = enumerate_fiber(t, cfg, cap=1000, max_nodes=50_000)
-    assert fib.overflowed
+    # the budget of 50 * cap + 10000 = 60,000 nodes ends the search before
+    # the depth-first descent reaches a single member
+    fib = enumerate_fiber(t, cfg, cap=1000)
+    assert fib.overflowed and len(fib) == 0
 
 
 def test_union_find():

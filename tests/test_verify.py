@@ -120,11 +120,12 @@ def test_change_point_model_enumeration():
 
 
 def test_change_point_suite_small_scale():
-    rep = change_point_suite(max_dim=3, max_total=3, sample_raw=1, seed=0)
+    rep = change_point_suite(max_dim=3, max_total=3)
     assert rep.ok
     assert not rep.connectivity_failures and not rep.indispensability_failures
-    assert rep.models_checked <= rep.models_raw
-    assert rep.raw_spot_checks == 4  # one per grid: 2x2, 2x3, 3x2, 3x3
+    # one class per rectangle-shape chain, up to transposing the grid
+    assert rep.models_raw == 148 and rep.models_checked == 18
+    assert rep.raw_spot_checks == 8  # two per grid: 2x2, 2x3, 3x2, 3x3
     assert rep.n_fibers_checked > 0
     d = rep.to_dict()
     assert d["suite"] == "change-point" and d["ok"] is True
