@@ -296,6 +296,9 @@ def cmd_fiber(args) -> dict:
     table, ds = _load_table(args)
     model = _resolve_model(args.model, ds)
     R, C = table.R, table.C
+    if args.check_connect:
+        # refuse before enumerating: the fiber can take minutes to list
+        _require_enumerable("--check-connect", R, C)
     cfg = build_configuration(model, R, C)
     t = cfg.apply(table.vec())
     fiber = enumerate_fiber(tuple(int(v) for v in t), cfg, cap=args.cap)
@@ -313,7 +316,6 @@ def cmd_fiber(args) -> dict:
         if fiber.overflowed:
             raise FiberOverflow(
                 f"fiber exceeded cap {args.cap}; cannot check connectivity")
-        _require_enumerable("--check-connect", R, C)
         report["connected"] = is_connected(fiber, enumerate_basis(model, R, C))
     if args.exact_p:
         if fiber.overflowed:

@@ -8,6 +8,11 @@ structural claims behind the move generators (every fiber connected, every
 basic move indispensable) on instances small enough to check completely,
 cross-validated against the depth-first fiber oracle.
 
+Indispensability needs no graph: a move z is indispensable when the fiber
+of z+ is {z+, z-}, so its verdict is a lookup of z+ and z- in the fiber
+labels of the universe of tables of total |z+|, the universe a
+connectivity sweep at that total builds, and costs what that sweep holds.
+
 Whole-family sweeps cut the model count down by symmetry: relabeling rows
 and columns is a bijection of tables that commutes with the statistic and
 with move generation, so only one representative per relabeling class needs
@@ -26,7 +31,7 @@ from itertools import chain, combinations_with_replacement
 import numpy as np
 
 from . import models as _models
-from .fiber import enumerate_fiber, indispensable, is_connected
+from .fiber import enumerate_fiber, is_connected
 from .models import ModelSpec
 from .moves import ENUMERATION_THRESHOLD, enumerate_basis, format_move
 from .tables import Rectangle, build_configuration
@@ -76,7 +81,8 @@ def _universe(R: int, C: int, total: int):
     return tables, _row_view(tables)
 
 
-# translated tables per lookup in ``_move_edges``: bounds its temporaries
+# bytes of rows per lookup in ``_move_edges`` and ``_indispensable``:
+# bounds their temporaries
 _CHUNK_BYTES = 1 << 22
 
 
@@ -118,6 +124,32 @@ def _lookup(tables: np.ndarray, view: np.ndarray, rows: np.ndarray) -> np.ndarra
     return pos
 
 
+def _parts(basis, n_cells: int):
+    """(z-, z+) of every stored move, one dense uint8 row per move.  A
+    stored move lists each of its cells once."""
+    off, flat, coef = (np.asarray(a) for a in basis.move_arrays())
+    move = np.repeat(np.arange(off.size - 1), np.diff(off))
+    neg = np.zeros((off.size - 1, n_cells), dtype=np.uint8)
+    pos = np.zeros_like(neg)
+    up = coef > 0
+    pos[move[up], flat[up]] = coef[up]
+    neg[move[~up], flat[~up]] = -coef[~up]
+    return neg, pos
+
+
+def _fibers(tables: np.ndarray, cfg, total: int):
+    """(t_all, fiber_id, sizes): each table's statistic and fiber, and the
+    member count of each fiber.
+
+    The product is exact in uint8: a statistic is at most the total, which
+    the uint8 tables already keep below 256; a float64 copy of the tables
+    would be the sweep's largest array.
+    """
+    t_all = tables @ np.asarray(cfg.matrix, dtype=np.uint8).T
+    fiber_id = _fiber_ids(t_all, total)
+    return t_all, fiber_id, np.bincount(fiber_id)
+
+
 def _move_edges(basis, universes: _Universes, R: int, C: int, total: int):
     """Both ends (src, dst) of every edge x -> x + z of the move graph on
     the tables of the given total, as indices into its universe.
@@ -128,11 +160,7 @@ def _move_edges(basis, universes: _Universes, R: int, C: int, total: int):
     universe and are translated a chunk at a time.
     """
     tables, view = universes[R, C, total]
-    off, flat, coef = (np.asarray(a) for a in basis.move_arrays())
-    z = np.zeros((off.size - 1, R * C), dtype=np.int16)
-    np.add.at(z, (np.repeat(np.arange(off.size - 1), np.diff(off)), flat), coef)
-    neg = np.maximum(-z, 0).astype(np.uint8)
-    pos = np.maximum(z, 0).astype(np.uint8)
+    neg, pos = _parts(basis, R * C)
     degree = neg.sum(axis=1)
     src, dst = [], []
     for d in np.unique(degree[degree <= total]):
@@ -225,9 +253,8 @@ class ConnectivityReport:
         }
 
 
-# witnesses kept per sweep, and the member cap of an indispensability fiber
+# witnesses kept per sweep
 _MAX_WITNESSES = 3
-_INDISPENSABLE_CAP = 100_000
 
 
 def _built(model: ModelSpec, R: int, C: int, types=None):
@@ -267,13 +294,8 @@ def _sweep(universes: _Universes, cfg, basis, total: int, cross_check: int,
     tables, _ = universes[R, C, total]
     n = tables.shape[0]
 
-    # exact in uint8: a statistic is at most the total, which the uint8
-    # tables already keep below 256; a float64 copy of the tables would be
-    # the sweep's largest array
-    t_all = tables @ np.asarray(cfg.matrix, dtype=np.uint8).T
-    fiber_id = _fiber_ids(t_all, total)
-    n_fibers = int(fiber_id.max()) + 1 if n else 0
-    sizes = np.bincount(fiber_id, minlength=n_fibers)
+    t_all, fiber_id, sizes = _fibers(tables, cfg, total)
+    n_fibers = sizes.size
     n_multi = int(np.count_nonzero(sizes >= 2))
 
     src, dst = _move_edges(basis, universes, R, C, total)
@@ -355,13 +377,44 @@ class IndispensabilityReport:
 
 
 def indispensability_sweep(model: ModelSpec, R: int, C: int) -> IndispensabilityReport:
-    """Every unsigned basis move must have the two-element fiber {z+, z-}."""
-    return _indispensability(*_built(model, R, C))
+    """Every unsigned basis move must have the two-element fiber {z+, z-}.
+
+    The verdicts are read off the fiber labels of the universe of tables
+    of each move degree (see ``_indispensable``), so the sweep holds what
+    a connectivity sweep at that total holds.
+    """
+    return _indispensability(_Universes(), *_built(model, R, C))
 
 
-def _indispensability(cfg, basis) -> IndispensabilityReport:
-    failures = tuple(format_move(mv) for mv in basis
-                     if not indispensable(mv, cfg, cap=_INDISPENSABLE_CAP))
+def _indispensable(universes: _Universes, cfg, basis) -> np.ndarray:
+    """Whether each stored move z is indispensable: the fiber of z+ is
+    exactly {z+, z-} (Takemura & Aoki 2004).
+
+    One pass per move degree d: the universe of total-d tables, labelled by
+    fiber, holds both z+ and z- when |z-| = |z+| = d, and z is indispensable
+    iff they share a fiber of exactly two members.  A move with |z-| != |z+|
+    leaves its fiber, so it is not.  Moves are looked up a chunk at a time.
+    """
+    R, C = cfg.R, cfg.C
+    neg, pos = _parts(basis, R * C)
+    degree = pos.sum(axis=1)
+    balanced = degree == neg.sum(axis=1)
+    verdict = np.zeros(degree.size, dtype=bool)
+    step = max(1, _CHUNK_BYTES // (R * C))
+    for d in np.unique(degree[balanced]).tolist():
+        tables, view = universes[R, C, d]
+        _, fiber_id, sizes = _fibers(tables, cfg, d)
+        moves = np.flatnonzero(balanced & (degree == d))
+        for lo in range(0, moves.size, step):
+            k = moves[lo:lo + step]
+            f = fiber_id[_lookup(tables, view, pos[k])]
+            verdict[k] = (f == fiber_id[_lookup(tables, view, neg[k])]) & (sizes[f] == 2)
+    return verdict
+
+
+def _indispensability(universes: _Universes, cfg, basis) -> IndispensabilityReport:
+    verdict = _indispensable(universes, cfg, basis)
+    failures = tuple(format_move(basis.move(k)) for k in np.flatnonzero(~verdict))
     return IndispensabilityReport(R=cfg.R, C=cfg.C, n_moves=len(basis), failures=failures)
 
 
@@ -472,7 +525,7 @@ def change_point_suite(max_dim: int = 4, max_total: int = 5) -> SuiteReport:
             if not rep.ok:
                 conn_fail.append(f"{label} total={rep.total}: "
                                  f"{rep.n_disconnected} disconnected")
-        ind = _indispensability(cfg, basis)
+        ind = _indispensability(universes, cfg, basis)
         if not ind.ok:
             ind_fail.append(f"{label}: {len(ind.failures)} dispensable")
 

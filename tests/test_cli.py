@@ -411,8 +411,13 @@ def test_llr_of_a_model_against_itself_has_no_asymptotic_pvalue(capsys):
     assert rep["asymptotic_pvalue"] is None
 
 
-def test_check_connect_above_the_enumeration_threshold(capsys, tmp_path):
-    # 420 cells: the basis is lazy, so there is no move set to check
+def test_check_connect_above_the_enumeration_threshold(capsys, tmp_path, monkeypatch):
+    # 420 cells: the basis is lazy, so there is no move set to check, and
+    # the command refuses before it enumerates the fiber
+    import markovfiber.cli as cli
+
+    enumerated = []
+    monkeypatch.setattr(cli, "enumerate_fiber", lambda *a, **k: enumerated.append(a))
     path = tmp_path / "common.json"
     save_model(ModelSpec(family=COMMON_BLOCKS, row_bounds=(1, 11, 22),
                          col_bounds=(1, 11, 21)), path)
@@ -425,6 +430,7 @@ def test_check_connect_above_the_enumeration_threshold(capsys, tmp_path):
     assert code == 1
     assert rep["error"]["type"] == "CliError"
     assert "enumerated basis" in rep["error"]["message"]
+    assert not enumerated
 
 
 def test_lazy_basis_reports_no_store(capsys, tmp_path):

@@ -2,11 +2,13 @@
 
 import itertools
 import math
+from array import array
 
 import numpy as np
 import pytest
 
-from markovfiber.fiber import UnionFind, enumerate_fiber, is_connected
+from markovfiber.datasets import gilby_model
+from markovfiber.fiber import UnionFind, enumerate_fiber, indispensable, is_connected
 from markovfiber.models import (
     CHANGE_POINT,
     COMMON_BLOCKS,
@@ -14,14 +16,17 @@ from markovfiber.models import (
     OWN_BLOCKS,
     ModelSpec,
 )
-from markovfiber.moves import basis_for_model
+from markovfiber.moves import MoveBasis, basis_for_model, format_move
 from markovfiber.tables import Rectangle, build_configuration
 from markovfiber.verify import (
     COMMON_SUITE_GEOMETRIES,
     OWN_SUITE_GEOMETRIES,
     _components,
     _fiber_ids,
+    _indispensability,
+    _indispensable,
     _universe,
+    _Universes,
     change_point_models,
     change_point_suite,
     common_blocks_suite,
@@ -106,6 +111,67 @@ def test_indispensability_sweep_change_point():
     assert rep.to_dict()["all_indispensable"] is True
 
 
+def _oracle_verdicts(cfg, basis):
+    """The depth-first verdict of every move, and the lookup's."""
+    return ([indispensable(mv, cfg) for mv in basis],
+            _indispensable(_Universes(), cfg, basis).tolist())
+
+
+def test_indispensable_matches_the_dfs_oracle_on_change_point_models():
+    # every raw model up to 3x3, so every class of change_point_suite(max_dim=3)
+    for R, C in itertools.product((2, 3), repeat=2):
+        for model in change_point_models(R, C):
+            oracle, mine = _oracle_verdicts(build_configuration(model, R, C),
+                                            basis_for_model(model, R, C))
+            assert mine == oracle, (R, C, model)
+
+
+@pytest.mark.parametrize("model,R,C", [
+    (gilby_model(), 8, 4),
+    (OWN_3X3, 3, 3),  # a single Type II move, of degree 3
+    (ModelSpec(family=OWN_BLOCKS, row_bounds=(1, 2, 3, 5), col_bounds=(1, 2, 3, 5)), 4, 4),
+    # dispensable moves of degrees 3 and 4 beside indispensable ones
+    (ModelSpec(family=COMMON_BLOCKS, row_bounds=(1, 2, 3, 4), col_bounds=(1, 2, 3, 4)), 3, 3),
+    (ModelSpec(family=COMMON_BLOCKS, row_bounds=(1, 2, 3, 5), col_bounds=(1, 2, 3, 5)), 4, 4),
+], ids=["gilby", "own-3x3", "own-4x4", "common-3x3", "common-4x4"])
+def test_indispensable_matches_the_dfs_oracle_on_block_bases(model, R, C):
+    cfg, basis = build_configuration(model, R, C), basis_for_model(model, R, C)
+    oracle, mine = _oracle_verdicts(cfg, basis)
+    assert mine == oracle
+    # failures are reported in basis order
+    assert indispensability_sweep(model, R, C).failures == tuple(
+        format_move(mv) for mv, ok in zip(basis, oracle) if not ok)
+
+
+def _hand_basis(R, C, *moves):
+    off, flat, coef = array("i", [0]), array("h"), array("b")
+    for cells in moves:
+        for f, c in cells:
+            flat.append(f)
+            coef.append(c)
+        off.append(len(flat))
+    return MoveBasis(R, C, off, flat, coef, bytes(len(moves)))
+
+
+def test_negative_controls_are_not_indispensable():
+    cfg = build_configuration(ModelSpec(family=INDEPENDENCE), 3, 3)
+    basis = _hand_basis(
+        3, 3,
+        # the degree-3 cycle: z+ has unit margins, so its fiber holds all six
+        # permutation matrices
+        ((0, 1), (1, -1), (4, 1), (5, -1), (6, -1), (8, 1)),
+        # not a move: z+ = e11 + e22 has the two-member fiber {z+, e12 + e21},
+        # but z- = e12 + e13 lies outside it
+        ((0, 1), (1, -1), (2, -1), (4, 1)),
+        # not a move: |z-| = 2 != |z+| = 1
+        ((0, 1), (1, -2)),
+    )
+    oracle, mine = _oracle_verdicts(cfg, basis)
+    assert oracle == mine == [False, False, False]
+    assert _indispensability(_Universes(), cfg, basis).failures == tuple(
+        format_move(mv) for mv in basis)
+
+
 def test_change_point_model_enumeration():
     singles = list(change_point_models(3, 3, max_rects=1))
     # 36 rectangles on a 3x3 grid, minus 9 single cells, minus the full grid
@@ -152,6 +218,29 @@ def test_change_point_suite_builds_each_model_once(monkeypatch):
     # indispensability check of each checked model
     n_models = rep.models_checked + rep.raw_spot_checks
     assert len(bases) == len(configs) == n_models
+
+
+def test_indispensability_enumerates_no_fiber(monkeypatch):
+    import markovfiber.fiber as fiber
+    import markovfiber.verify as verify
+
+    enumerated, sweeps = [], []
+    real_enumerate, real_sweep = fiber.enumerate_fiber, verify._sweep
+
+    def counted_enumerate(*args, **kwargs):
+        enumerated.append(args[0])
+        return real_enumerate(*args, **kwargs)
+
+    def recorded_sweep(*args, **kwargs):
+        sweeps.append(real_sweep(*args, **kwargs))
+        return sweeps[-1]
+
+    monkeypatch.setattr(fiber, "enumerate_fiber", counted_enumerate)
+    monkeypatch.setattr(verify, "enumerate_fiber", counted_enumerate)
+    monkeypatch.setattr(verify, "_sweep", recorded_sweep)
+    change_point_suite(max_dim=3, max_total=3)
+    # only the sweeps' cross-checks: one per sweep with a multi-member fiber
+    assert len(enumerated) == sum(rep.n_multi > 0 for rep in sweeps) > 0
 
 
 def test_sweeps_refuse_grids_above_the_enumeration_threshold():
