@@ -41,7 +41,7 @@ from .moves import (
     random_move,
     is_kernel_move,
 )
-from .fiber import Fiber, FiberOverflow, enumerate_fiber, is_connected, indispensable, exact_pvalue
+from .fiber import Fiber, FiberOverflow, enumerate_fiber, is_connected, fiber_pvalue, exact_pvalue
 from .fit import ipf_fit, chi_square, g_square, llr_nested, FitResult, make_tracker
 from .mcmc import ChainConfig, ChainResult, walk, run_chains, estimate_pvalue, pooled_pvalue
 from .toric import GrobnerReport, verify_grobner
@@ -65,7 +65,7 @@ __all__ = [
     "Move", "MoveBasis", "LazyMoveBasis",
     "enumerate_basis", "basis_for_model",
     "random_move", "is_kernel_move",
-    "Fiber", "FiberOverflow", "enumerate_fiber", "is_connected", "indispensable", "exact_pvalue",
+    "Fiber", "FiberOverflow", "enumerate_fiber", "is_connected", "fiber_pvalue", "exact_pvalue",
     "ipf_fit", "chi_square", "g_square", "llr_nested", "FitResult", "make_tracker",
     "ChainConfig", "ChainResult", "walk", "run_chains", "estimate_pvalue", "pooled_pvalue",
     "GrobnerReport", "verify_grobner",

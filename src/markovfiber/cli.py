@@ -18,7 +18,7 @@ import time
 from . import __version__
 from . import models as _models
 from .datasets import DATASET_NAMES, dataset, dataset_models
-from .fiber import DEFAULT_CAP, FiberOverflow, enumerate_fiber, exact_pvalue, is_connected
+from .fiber import DEFAULT_CAP, FiberOverflow, enumerate_fiber, fiber_pvalue, is_connected
 from .fit import FitError, chi_square, g_square, ipf_fit, make_tracker
 from .mcmc import ChainConfig, pooled_pvalue, run_chains
 from .models import ModelError, ModelSpec, load_model, model_to_dict, save_model
@@ -29,6 +29,7 @@ from .tables import (
     build_configuration,
     degrees_of_freedom,
     read_table_csv,
+    sufficient_statistic,
     write_table_csv,
 )
 from .toric import ToricError, verify_grobner
@@ -294,14 +295,14 @@ def cmd_moves_dump(args) -> dict:
 
 def cmd_fiber(args) -> dict:
     table, ds = _load_table(args)
-    model = _resolve_model(args.model, ds)
+    model, alt = _stat_pair(args, ds) if args.exact_p else (_resolve_model(args.model, ds), None)
     R, C = table.R, table.C
     if args.check_connect:
         # refuse before enumerating: the fiber can take minutes to list
         _require_enumerable("--check-connect", R, C)
     cfg = build_configuration(model, R, C)
-    t = cfg.apply(table.vec())
-    fiber = enumerate_fiber(tuple(int(v) for v in t), cfg, cap=args.cap)
+    t = sufficient_statistic(table, cfg)
+    fiber = enumerate_fiber(t, cfg, cap=args.cap)
     report = {
         "command": "fiber",
         "dataset": ds,
@@ -313,20 +314,11 @@ def cmd_fiber(args) -> dict:
         "cap": args.cap,
     }
     if args.check_connect:
-        if fiber.overflowed:
-            raise FiberOverflow(
-                f"fiber exceeded cap {args.cap}; cannot check connectivity")
         report["connected"] = is_connected(fiber, enumerate_basis(model, R, C))
     if args.exact_p:
-        if fiber.overflowed:
-            raise FiberOverflow(
-                f"fiber exceeded cap {args.cap}; cannot compute the exact p-value")
-        alt = _resolve_model(args.alt, ds) if getattr(args, "alt", None) else None
-        if args.stat == "llr" and alt is None:
-            raise CliError("--stat llr needs --alt")
         statistic = make_tracker(args.stat, table, model, alt=alt)
         report["stat"] = args.stat
-        report["exact_pvalue"] = exact_pvalue(table, cfg, statistic, cap=args.cap)
+        report["exact_pvalue"] = fiber_pvalue(fiber, table, statistic)
     return report
 
 

@@ -3,8 +3,8 @@
 Enumerates every nonnegative integer table with a given sufficient
 statistic by depth-first cell assignment, then answers the questions the
 sampler can only approximate: connectivity of the fiber graph under a move
-set, indispensability of a move, and exact conditional p-values under the
-hypergeometric-like weight 1/prod(x_ij!).
+set, and exact conditional p-values under the hypergeometric-like weight
+1/prod(x_ij!).
 
 Everything here is deliberately simple; it is the ground truth the fast
 paths are tested against.
@@ -15,10 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .mcmc import PV_TOL
-from .tables import Configuration, Table, flat_index
+from .mcmc import PV_TOL, _as_tracker
+from .tables import Configuration, Table, flat_index, sufficient_statistic
 
 __all__ = [
     "Fiber",
@@ -26,7 +24,7 @@ __all__ = [
     "UnionFind",
     "enumerate_fiber",
     "is_connected",
-    "indispensable",
+    "fiber_pvalue",
     "exact_pvalue",
 ]
 
@@ -34,7 +32,7 @@ DEFAULT_CAP = 5_000_000
 
 
 class FiberOverflow(RuntimeError):
-    """Enumeration passed the member cap; fall back to sampling."""
+    """An enumeration passed its member cap or byte bound; sample instead."""
 
 
 class UnionFind:
@@ -66,9 +64,6 @@ class UnionFind:
 class Fiber:
     """All tables sharing one sufficient statistic, as flat count tuples."""
 
-    t: tuple[int, ...]
-    R: int
-    C: int
     members: tuple[tuple[int, ...], ...]
     log_weights: tuple[float, ...] = field(repr=False)
     overflowed: bool = False
@@ -76,9 +71,6 @@ class Fiber:
 
     def __len__(self) -> int:
         return len(self.members)
-
-    def index(self) -> dict[tuple[int, ...], int]:
-        return {m: k for k, m in enumerate(self.members)}
 
 
 def _log_weight(member) -> float:
@@ -169,9 +161,6 @@ def enumerate_fiber(t, cfg: Configuration, cap: int = DEFAULT_CAP) -> Fiber:
     rec(0)
     members.sort()
     return Fiber(
-        t=t,
-        R=R,
-        C=C,
         members=tuple(members),
         log_weights=tuple(_log_weight(m) for m in members),
         overflowed=overflowed,
@@ -181,16 +170,19 @@ def enumerate_fiber(t, cfg: Configuration, cap: int = DEFAULT_CAP) -> Fiber:
 
 def is_connected(fiber: Fiber, basis) -> bool:
     """Is the fiber graph (edges x <-> x + z, both ends nonnegative) one
-    component?  Singleton and empty fibers count as connected.
+    component?  Singleton and empty fibers count as connected; an
+    overflowed fiber, whose member list is cut short, raises FiberOverflow.
 
     The basis stores one sign per move, and applying +z from every member
     still finds each edge once: the edge x <-> x - z is found from x - z.
     """
+    if fiber.overflowed:
+        raise FiberOverflow(f"fiber exceeded cap {fiber.cap}; cannot check connectivity")
     if len(fiber) <= 1:
         return True
     if basis.kind != "enumerated":
         raise ValueError("connectivity needs an enumerated basis")
-    idx = fiber.index()
+    idx = {m: k for k, m in enumerate(fiber.members)}
     uf = UnionFind(len(fiber))
     off, flat, coef = basis.move_arrays()
     deltas = [(flat[lo:hi], coef[lo:hi]) for lo, hi in zip(off, off[1:])]
@@ -214,46 +206,29 @@ def is_connected(fiber: Fiber, basis) -> bool:
     return False
 
 
-def indispensable(z, cfg: Configuration, cap: int = DEFAULT_CAP) -> bool:
-    """A move is indispensable when the fiber of its positive part is
-    exactly {z+, z-}: no Markov basis can avoid it."""
-    pos = [0] * (cfg.R * cfg.C)
-    neg = [0] * (cfg.R * cfg.C)
-    for i, j, c in z.entries:
-        p = flat_index(i, j, cfg.C)
-        if c > 0:
-            pos[p] = c
-        elif c < 0:
-            neg[p] = -c
-    t = cfg.matrix.astype(np.int64) @ np.asarray(pos, dtype=np.int64)
-    fiber = enumerate_fiber(t, cfg, cap=cap)
+def fiber_pvalue(fiber: Fiber, table: Table, statistic) -> float:
+    """Exact conditional p-value of ``table`` over its enumerated fiber:
+    total weight of the members whose statistic is >= the observed value
+    (within ``PV_TOL``, the sampler's tie rule), weights proportional to
+    1/prod(x_ij!).  ``statistic`` is what ``mcmc.walk`` takes, and each
+    member's value is its tracker's ``start`` on the member's flat tuple."""
     if fiber.overflowed:
-        raise FiberOverflow(f"indispensability fiber exceeded cap {cap}")
-    return set(fiber.members) == {tuple(pos), tuple(neg)}
+        raise FiberOverflow(f"fiber exceeded cap {fiber.cap}; cannot compute the exact p-value")
+    value = _as_tracker(statistic, table.R, table.C).start
+    observed = value(table.vec().tolist())
+    shift = max(fiber.log_weights)
+    total = tail = 0.0
+    for member, lw in zip(fiber.members, fiber.log_weights):
+        w = math.exp(lw - shift)
+        total += w
+        if value(member) >= observed - PV_TOL:
+            tail += w
+    return tail / total
 
 
 def exact_pvalue(table: Table, cfg: Configuration, statistic,
                  cap: int = DEFAULT_CAP) -> float:
-    """Exact conditional p-value: total weight of fiber members whose
-    statistic is >= the observed value (within ``PV_TOL``, the sampler's
-    tie rule), weights proportional to 1/prod(x_ij!).
-
-    ``statistic`` maps an (R, C) integer array to a float.
-    """
-    from .tables import sufficient_statistic
-
-    t = sufficient_statistic(table, cfg)
-    fiber = enumerate_fiber(t, cfg, cap=cap)
-    if fiber.overflowed:
-        raise FiberOverflow(f"fiber exceeded cap {cap}; use the sampler instead")
-    observed = float(statistic(table.counts))
-    shift = max(fiber.log_weights)
-    total = 0.0
-    tail = 0.0
-    for member, lw in zip(fiber.members, fiber.log_weights):
-        w = math.exp(lw - shift)
-        total += w
-        arr = np.asarray(member, dtype=np.int64).reshape(fiber.R, fiber.C)
-        if float(statistic(arr)) >= observed - PV_TOL:
-            tail += w
-    return tail / total
+    """``fiber_pvalue`` over the fiber of the table's sufficient statistic,
+    enumerated with ``cap``."""
+    fiber = enumerate_fiber(sufficient_statistic(table, cfg), cfg, cap=cap)
+    return fiber_pvalue(fiber, table, statistic)

@@ -236,9 +236,9 @@ def llr_nested(table: Table, inner, outer, tol: float = 1e-10) -> float:
 # per move.  The walk calls start again every few thousand accepts to shed
 # the float drift of the increments.  Chains run one after another, so one
 # tracker serves them all; what outlives a chain (the null fit, the LLR
-# value cache) depends only on the fiber.  Trackers are also plain callables
-# on (R, C) integer arrays, so the fiber oracle can reuse them.  ``fit`` is
-# the null model's FitResult and ``observed`` the statistic at the table.
+# value cache) depends only on the fiber.  ``fiber.fiber_pvalue`` reads each
+# fiber member's value by ``start``.  ``fit`` is the null model's FitResult
+# and ``observed`` the statistic at the table.
 
 
 class _FixedExpectedTracker:
@@ -250,19 +250,12 @@ class _FixedExpectedTracker:
     move, since a move changes each cell at most once."""
 
     def __init__(self, table: Table, model, tol: float = 1e-10) -> None:
-        self.R, self.C = table.R, table.C
         self.fit = ipf_fit(table, model, tol=tol)
         if not self.fit.converged:
             raise FitError("null fit did not converge; cannot track a statistic against it")
         self.expected = self.fit.expected
         self._m = self.expected.ravel().tolist()
-        self.observed = self._full(table.counts.ravel().tolist())
-
-    def _full(self, x_flat) -> float:
-        return _total(map(self._cell, x_flat, self._m))
-
-    def __call__(self, arr) -> float:
-        return self._full(np.asarray(arr).ravel().tolist())
+        self.observed = _total(map(self._cell, table.counts.ravel().tolist(), self._m))
 
     def start(self, x_flat) -> float:
         self._terms = list(map(self._cell, x_flat, self._m))
@@ -336,7 +329,6 @@ class LLRTracker:
         if not _models.is_nested(inner, outer, R, C):
             raise FitError("models are not nested: every inner constraint must lie "
                            "in the outer row space")
-        self.R, self.C = R, C
 
         self.fit = ipf_fit(table, inner, tol=tol)
         if not self.fit.converged:
@@ -376,9 +368,6 @@ class LLRTracker:
 
     def _block_sums(self, x_flat) -> tuple[int, ...]:
         return tuple(sum(x_flat[p] for p in g) for g in self._term_groups)
-
-    def __call__(self, arr) -> float:
-        return self._llr(self._block_sums(np.asarray(arr).ravel().tolist()))
 
     def start(self, x_flat) -> float:
         self._b = b = self._block_sums(x_flat)

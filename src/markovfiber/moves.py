@@ -119,19 +119,8 @@ class Move:
     def degree(self) -> int:
         return sum(c for _, _, c in self.entries if c > 0)
 
-    def flats_coefs(self, C: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        flats = tuple(flat_index(i, j, C) for i, j, _ in self.entries)
-        coefs = tuple(c for _, _, c in self.entries)
-        return flats, coefs
-
     def negated(self) -> "Move":
         return Move(tuple((i, j, -c) for i, j, c in self.entries), self.mtype)
-
-    def as_array(self, R: int, C: int) -> np.ndarray:
-        out = np.zeros((R, C), dtype=np.int64)
-        for i, j, c in self.entries:
-            out[i - 1, j - 1] = c
-        return out
 
 
 def format_move(move: Move) -> str:

@@ -87,12 +87,6 @@ class Table:
     def total(self) -> int:
         return int(self.counts.sum())
 
-    def row_sums(self) -> np.ndarray:
-        return self.counts.sum(axis=1)
-
-    def col_sums(self) -> np.ndarray:
-        return self.counts.sum(axis=0)
-
     def vec(self) -> np.ndarray:
         """Row-major flattening; shares the read-only buffer."""
         return self.counts.reshape(-1)

@@ -31,7 +31,7 @@ from itertools import chain, combinations_with_replacement
 import numpy as np
 
 from . import models as _models
-from .fiber import enumerate_fiber, is_connected
+from .fiber import FiberOverflow, enumerate_fiber, is_connected
 from .models import ModelSpec
 from .moves import ENUMERATION_THRESHOLD, enumerate_basis, format_move
 from .tables import Rectangle, build_configuration
@@ -58,6 +58,20 @@ def _row_view(tables: np.ndarray) -> np.ndarray:
     return a.view(np.dtype((np.void, a.shape[1] * a.itemsize))).ravel()
 
 
+# bytes a table universe may take; the largest a suite builds, 6x6 at total 5, takes 29 MB
+UNIVERSE_BYTES = 256 << 20
+
+
+def _universe_size(R: int, C: int, total: int) -> int:
+    """The number n of R x C tables of the given total; FiberOverflow if their
+    R*C bytes of table and 2*total of cell list each pass ``UNIVERSE_BYTES``."""
+    n = math.comb(R * C + total - 1, total)
+    if n * (R * C + 2 * total) > UNIVERSE_BYTES:
+        raise FiberOverflow(f"the {n:,} {R}x{C} tables of total {total} would take "
+                            f"more than {UNIVERSE_BYTES >> 20} MB")
+    return n
+
+
 def _universe(R: int, C: int, total: int):
     """All R x C tables with the given grand total, bytewise-sorted.
 
@@ -68,7 +82,7 @@ def _universe(R: int, C: int, total: int):
     the earlier multiset has more), so filling rows from the end sorts them.
     """
     n_cells = R * C
-    n = math.comb(n_cells + total - 1, total)
+    n = _universe_size(R, C, total)
     combos = combinations_with_replacement(range(n_cells), total)
     idx = np.fromiter(chain.from_iterable(combos), dtype=np.uint16,
                       count=n * total).reshape(n, total)
@@ -352,6 +366,8 @@ def connectivity_range(model: ModelSpec, R: int, C: int, max_total: int,
 
 def _range(universes: _Universes, cfg, basis, max_total: int, cross_check: int,
            seed: int):
+    # the last universe is the largest: refuse it before the first sweep
+    _universe_size(cfg.R, cfg.C, max(max_total, 2))
     return [_sweep(universes, cfg, basis, total, cross_check, seed + total)
             for total in range(2, max_total + 1)]
 

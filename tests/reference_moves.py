@@ -11,8 +11,16 @@ test oracle.
 from itertools import combinations, permutations
 
 from markovfiber import models as _models
+from markovfiber.tables import flat_index
+from reference_models import cell_stratum, col_band, row_band
 
 TYPE_ORDER = ("I", "II", "III", "IV", "IVt")
+
+
+def flats_coefs(move, C):
+    """A move's flat row-major cells and coefficients, in entry order."""
+    return (tuple(flat_index(i, j, C) for i, j, _ in move.entries),
+            tuple(c for _, _, c in move.entries))
 
 
 def _term_grids(model, R, C):
@@ -33,15 +41,15 @@ def _strata_grid(model, R, C):
     if model.family == _models.INDEPENDENCE:
         return [[1] * (C + 1) for _ in range(R + 1)]
     return [[0] * (C + 1)] + [
-        [0] + [_models.cell_stratum(model, R, C, i, j) for j in range(1, C + 1)]
+        [0] + [cell_stratum(model, R, C, i, j) for j in range(1, C + 1)]
         for i in range(1, R + 1)
     ]
 
 
 def _band_tables(model, R, C):
     N = _models.n_blocks(model)
-    rows = [0] + [_models.row_band(model, i) for i in range(1, R + 1)]
-    cols = [0] + [_models.col_band(model, j) for j in range(1, C + 1)]
+    rows = [0] + [row_band(model, i) for i in range(1, R + 1)]
+    cols = [0] + [col_band(model, j) for j in range(1, C + 1)]
     return rows, cols, N
 
 

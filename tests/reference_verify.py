@@ -1,11 +1,14 @@
-"""Mask-loop reference for the connectivity sweep.
+"""Mask-loop reference for the connectivity sweep, and the depth-first
+indispensability oracle.
 
-This is the plain sweep that ``markovfiber.verify.connectivity_sweep`` must
-reproduce: for each move, a boolean mask over every table of a
-multi-member fiber finds the tables it applies to, ``np.searchsorted``
-finds each image, and a Python union-find joins the two.  The package finds
-the same edges by translating the smaller universes and labels components
-with numpy instead.  It is kept only as a test oracle.
+``reference_sweep`` is the plain sweep that
+``markovfiber.verify.connectivity_sweep`` must reproduce: for each move, a
+boolean mask over every table of a multi-member fiber finds the tables it
+applies to, ``np.searchsorted`` finds each image, and a Python union-find
+joins the two.  The package finds the same edges by translating the smaller
+universes and labels components with numpy instead.  ``indispensable``
+enumerates one fiber per move, where the package reads every verdict off
+the fiber labels of a universe.  Both are kept only as test oracles.
 """
 
 import random
@@ -13,9 +16,9 @@ import random
 import numpy as np
 
 from markovfiber import models as _models
-from markovfiber.fiber import UnionFind, enumerate_fiber, is_connected
+from markovfiber.fiber import DEFAULT_CAP, FiberOverflow, UnionFind, enumerate_fiber, is_connected
 from markovfiber.moves import basis_for_model
-from markovfiber.tables import build_configuration
+from markovfiber.tables import build_configuration, flat_index
 from markovfiber.verify import ConnectivityReport, FiberWitness, _row_view, _universe
 
 
@@ -101,3 +104,21 @@ def reference_sweep(model, R, C, total, types=None, basis=None,
         n_disconnected=len(disconnected), witnesses=tuple(witnesses),
         cross_checks=checks,
     )
+
+
+def indispensable(z, cfg, cap=DEFAULT_CAP):
+    """A move is indispensable when the fiber of its positive part is
+    exactly {z+, z-}: no Markov basis can avoid it."""
+    pos = [0] * (cfg.R * cfg.C)
+    neg = [0] * (cfg.R * cfg.C)
+    for i, j, c in z.entries:
+        p = flat_index(i, j, cfg.C)
+        if c > 0:
+            pos[p] = c
+        elif c < 0:
+            neg[p] = -c
+    t = cfg.matrix.astype(np.int64) @ np.asarray(pos, dtype=np.int64)
+    fiber = enumerate_fiber(t, cfg, cap=cap)
+    if fiber.overflowed:
+        raise FiberOverflow(f"indispensability fiber exceeded cap {cap}")
+    return set(fiber.members) == {tuple(pos), tuple(neg)}

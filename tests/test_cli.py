@@ -338,6 +338,46 @@ def test_fiber_cap_overflow(capsys, tmp_path, cp_model_path):
     assert code == 0 and rep["overflowed"] is True
 
 
+def test_fiber_enumerates_once_for_both_questions(capsys, tmp_path, cp_model_path,
+                                                 monkeypatch):
+    import markovfiber.cli as cli
+    import markovfiber.fiber as fiber
+
+    enumerated = []
+    real = fiber.enumerate_fiber
+
+    def counted(*args, **kwargs):
+        enumerated.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fiber, "enumerate_fiber", counted)
+    monkeypatch.setattr(cli, "enumerate_fiber", counted)
+    table = tmp_path / "t.csv"
+    table.write_text("1,0,1\n1,1,0\n0,1,1\n")
+    code, rep = run_json(capsys, "fiber", "--table", str(table), "--model", cp_model_path,
+                         "--check-connect", "--exact-p")
+    assert code == 0 and rep["connected"] is True and 0 < rep["exact_pvalue"] <= 1
+    assert len(enumerated) == 1
+
+
+def test_verify_refuses_a_universe_above_the_byte_bound(capsys, tmp_path, monkeypatch):
+    # the 10.7 million 20x20 tables of total 3 would take 4.1 GB: the
+    # command refuses before the first sweep builds any universe
+    import markovfiber.verify as verify
+
+    def unguarded(*args):
+        raise AssertionError("a table universe was built")
+
+    monkeypatch.setattr(verify, "combinations_with_replacement", unguarded)
+    path = tmp_path / "indep.json"
+    save_model(ModelSpec(family="independence"), path)
+    code, rep = run_json(capsys, "verify", "--rows", "20", "--cols", "20",
+                         "--model", str(path), "--max-total", "3")
+    assert code == 1
+    assert rep["error"]["type"] == "FiberOverflow"
+    assert "20x20 tables of total 3" in rep["error"]["message"]
+
+
 def test_boundary_mle_table_is_tested(capsys, tmp_path):
     # column 1 and the rectangle both sum to 2, so cell (3, 1) is 0 on the
     # whole fiber: the null MLE lies on the boundary, and the chain's p

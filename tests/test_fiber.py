@@ -12,7 +12,7 @@ from markovfiber.fiber import (
     UnionFind,
     enumerate_fiber,
     exact_pvalue,
-    indispensable,
+    fiber_pvalue,
     is_connected,
 )
 from markovfiber.models import (
@@ -24,6 +24,8 @@ from markovfiber.models import (
 from markovfiber.moves import LazyMoveBasis, Move, basis_for_model, enumerate_basis
 from markovfiber.tables import Rectangle, Table, build_configuration, sufficient_statistic
 from markovfiber.datasets import gilby_model, gilby_table
+from markovfiber.fit import make_tracker
+from reference_verify import indispensable
 
 
 def oracle_fiber(t, cfg):
@@ -145,8 +147,22 @@ def test_singleton_and_empty_fibers_count_as_connected():
     single = enumerate_fiber((2, 0, 2, 0), cfg)
     assert len(single) == 1
     assert is_connected(single, basis)
-    empty = Fiber(t=(0, 0, 0, 0), R=2, C=2, members=(), log_weights=())
+    empty = Fiber(members=(), log_weights=())
     assert is_connected(empty, basis)
+
+
+def test_a_capped_fiber_is_refused():
+    model = ModelSpec(family=OWN_BLOCKS, row_bounds=(1, 2, 3, 4), col_bounds=(1, 2, 3, 4))
+    table = Table.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    t, cfg = stat_of(model, table)
+    # the full fiber has two members, which Type I alone leaves apart; one
+    # member alone would read as a connected fiber
+    capped = enumerate_fiber(t, cfg, cap=1)
+    assert capped.overflowed and len(capped) == 1
+    with pytest.raises(FiberOverflow, match="cap 1"):
+        is_connected(capped, enumerate_basis(model, 3, 3, types=("I",)))
+    with pytest.raises(FiberOverflow, match="cap 1"):
+        fiber_pvalue(capped, table, lambda arr: 0.0)
 
 
 def test_every_gilby_basic_move_is_indispensable_spot_check():
@@ -181,3 +197,31 @@ def test_exact_pvalue_overflow_raises():
     cfg = build_configuration(gilby_model(), 8, 4)
     with pytest.raises(FiberOverflow):
         exact_pvalue(table, cfg, lambda arr: 0.0, cap=100)
+
+
+# (table, statistic, null model, alternative, exact p-value), pinned to the
+# last bit: how the oracle reads a statistic must not move the p-value
+PINNED = [
+    ([[3, 0, 1, 1], [0, 2, 1, 0], [1, 1, 0, 2]], "chi2", ModelSpec(family=INDEPENDENCE),
+     None, 0.2402597402597404),
+    ([[3, 0, 1, 1], [0, 2, 1, 0], [1, 1, 0, 2]], "g2", ModelSpec(family=INDEPENDENCE),
+     None, 0.2753246753246754),
+    ([[3, 0, 1, 1], [0, 2, 1, 0], [1, 1, 0, 2]], "chi2",
+     ModelSpec(family=CHANGE_POINT, rectangles=(Rectangle(1, 2, 1, 2),)),
+     None, 0.20714285714285718),
+    ([[3, 0, 1, 1], [0, 2, 1, 0], [1, 1, 0, 2]], "g2",
+     ModelSpec(family=CHANGE_POINT, rectangles=(Rectangle(1, 2, 1, 2),)),
+     None, 0.20408163265306123),
+    ([[2, 1, 0], [1, 0, 2], [0, 2, 1]], "llr", ModelSpec(family=INDEPENDENCE),
+     ModelSpec(family=CHANGE_POINT, rectangles=(Rectangle(1, 2, 1, 1),)),
+     0.2500000000000001),
+]
+
+
+@pytest.mark.parametrize("rows,stat,model,alt,expected", PINNED,
+                         ids=[f"{p[1]}-{p[2].family}" for p in PINNED])
+def test_exact_pvalues_are_pinned(rows, stat, model, alt, expected):
+    table = Table.from_rows(rows)
+    _, cfg = stat_of(model, table)
+    assert exact_pvalue(table, cfg, make_tracker(stat, table, model, alt=alt)) == expected
+

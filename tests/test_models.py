@@ -11,8 +11,6 @@ from markovfiber.models import (
     ModelError,
     ModelSpec,
     block_cells,
-    cell_block,
-    cell_stratum,
     diagonal_cells,
     is_nested,
     load_model,
@@ -26,6 +24,7 @@ from markovfiber.models import (
 )
 from markovfiber.tables import Rectangle
 from markovfiber.datasets import gilby_model, victoria_models
+from reference_models import cell_block, cell_stratum
 
 
 def test_gilby_spec_is_valid():

@@ -19,7 +19,6 @@ from markovfiber.models import (
     OWN_BLOCKS,
     ModelError,
     ModelSpec,
-    cell_stratum,
     terms,
 )
 from markovfiber.moves import (
@@ -36,7 +35,8 @@ from markovfiber.moves import (
 )
 from markovfiber.tables import Rectangle, build_configuration
 from markovfiber.datasets import gilby_model, victoria_models
-from reference_moves import reference_unsigned, unsigned_key
+from reference_models import cell_stratum
+from reference_moves import flats_coefs, reference_unsigned, unsigned_key
 
 
 def _blocks(family, rows, cols, groups=()):
@@ -232,8 +232,7 @@ def test_types_the_bands_rule_out_are_not_enumerated():
 def test_move_accessors():
     mv = Move(((1, 1, 1), (1, 2, -1), (2, 1, -1), (2, 2, 1)), "I")
     assert mv.degree == 2
-    assert mv.as_array(2, 2).tolist() == [[1, -1], [-1, 1]]
-    flats, coefs = mv.flats_coefs(2)
+    flats, coefs = flats_coefs(mv, 2)
     assert flats == (0, 1, 2, 3) and coefs == (1, -1, -1, 1)
     assert mv.negated().entries == ((1, 1, -1), (1, 2, 1), (2, 1, 1), (2, 2, -1))
     assert format_move(mv) == "2 I  1,1:+1 1,2:-1 2,1:-1 2,2:+1"

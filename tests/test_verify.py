@@ -7,8 +7,8 @@ from array import array
 import numpy as np
 import pytest
 
-from markovfiber.datasets import gilby_model
-from markovfiber.fiber import UnionFind, enumerate_fiber, indispensable, is_connected
+from markovfiber.datasets import gilby_model, victoria_models
+from markovfiber.fiber import FiberOverflow, UnionFind, enumerate_fiber, is_connected
 from markovfiber.models import (
     CHANGE_POINT,
     COMMON_BLOCKS,
@@ -21,11 +21,13 @@ from markovfiber.tables import Rectangle, build_configuration
 from markovfiber.verify import (
     COMMON_SUITE_GEOMETRIES,
     OWN_SUITE_GEOMETRIES,
+    UNIVERSE_BYTES,
     _components,
     _fiber_ids,
     _indispensability,
     _indispensable,
     _universe,
+    _universe_size,
     _Universes,
     change_point_models,
     change_point_suite,
@@ -35,7 +37,7 @@ from markovfiber.verify import (
     indispensability_sweep,
     own_blocks_suite,
 )
-from reference_verify import reference_sweep
+from reference_verify import indispensable, reference_sweep
 
 OWN_3X3 = ModelSpec(family=OWN_BLOCKS, row_bounds=(1, 2, 3, 4),
                     col_bounds=(1, 2, 3, 4))
@@ -218,6 +220,22 @@ def test_change_point_suite_builds_each_model_once(monkeypatch):
     # indispensability check of each checked model
     n_models = rep.models_checked + rep.raw_spot_checks
     assert len(bases) == len(configs) == n_models
+
+
+def test_universe_bytes_are_predicted_before_anything_is_built(monkeypatch):
+    import markovfiber.verify as verify
+
+    assert _universe_size(3, 3, 4) == _universe(3, 3, 4)[0].shape[0] == 495
+    # the largest universe a suite builds, 6x6 at total 5, is well inside
+    assert _universe_size(6, 6, 5) * (36 + 2 * 5) < UNIVERSE_BYTES // 8
+
+    def unguarded(*args):
+        raise AssertionError("a table universe was built")
+
+    monkeypatch.setattr(verify, "combinations_with_replacement", unguarded)
+    # Victoria at total 4: 19 million 12x12 tables, about 2.7 GB
+    with pytest.raises(FiberOverflow, match="12x12 tables of total 4"):
+        connectivity_sweep(victoria_models()[0], 12, 12, total=4)
 
 
 def test_indispensability_enumerates_no_fiber(monkeypatch):
