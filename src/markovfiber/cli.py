@@ -14,6 +14,7 @@ import math
 import os
 import sys
 import time
+from contextlib import ExitStack
 
 from . import __version__
 from . import models as _models
@@ -144,12 +145,15 @@ def _require_enumerable(what: str, R: int, C: int) -> None:
                        f"the enumeration threshold of {ENUMERATION_THRESHOLD} cells")
 
 
-def _write_stream(path: str, k: int, n_chains: int, samples) -> str:
-    out = path if n_chains == 1 else f"{path}.{k}"
-    with open(out, "w") as fp:
-        for v in samples:
-            fp.write(f"{float(v)!r}\n")
-    return out
+def _stream_paths(path: str | None, n_chains: int) -> list[str]:
+    if not path:
+        return []
+    return [path] if n_chains == 1 else [f"{path}.{k}" for k in range(n_chains)]
+
+
+def _write_stream(fp, samples) -> None:
+    for v in samples:
+        fp.write(f"{float(v)!r}\n")
 
 
 def cmd_test(args) -> dict:
@@ -181,17 +185,19 @@ def cmd_test(args) -> dict:
     chain = ChainConfig(steps=args.steps, burn_in=burn, thin=args.thin,
                         seed=args.seed, proposal=basis,
                         check_every=args.check_every)
-    t0 = time.perf_counter()
-    results = run_chains(table, cfg, chain, tracker, n_chains=args.chains)
-    walk_s = time.perf_counter() - t0
+    streams = _stream_paths(args.stats_out, args.chains)
+    with ExitStack() as stack:
+        # opened before the walk, so a path that cannot be written fails
+        # before the chains run, not after
+        files = [stack.enter_context(open(path, "w")) for path in streams]
+        t0 = time.perf_counter()
+        results = run_chains(table, cfg, chain, tracker, n_chains=args.chains)
+        walk_s = time.perf_counter() - t0
+        for fp, r in zip(files, results):
+            _write_stream(fp, r.samples)
     pvalue, se = pooled_pvalue(results)
     if se != se:  # single ultra-short chain: no batch spread available
         se = None
-
-    streams = []
-    if args.stats_out:
-        streams = [_write_stream(args.stats_out, k, args.chains, r.samples)
-                   for k, r in enumerate(results)]
 
     return {
         "command": "test",
@@ -294,6 +300,8 @@ def cmd_moves_dump(args) -> dict:
 
 
 def cmd_fiber(args) -> dict:
+    if args.cap < 1:
+        raise CliError(f"--cap must be >= 1, got {args.cap}")
     table, ds = _load_table(args)
     model, alt = _stat_pair(args, ds) if args.exact_p else (_resolve_model(args.model, ds), None)
     R, C = table.R, table.C

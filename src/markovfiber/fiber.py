@@ -86,8 +86,10 @@ def enumerate_fiber(t, cfg: Configuration, cap: int = DEFAULT_CAP) -> Fiber:
     stops the search and marks the fiber overflowed instead of raising;
     a budget of 50 * cap + 10000 search-tree nodes bounds the time spent in
     branches that die before reaching a member, so huge-total tables
-    overflow promptly instead of wandering.
+    overflow promptly instead of wandering.  ``cap`` must be at least 1.
     """
+    if cap < 1:
+        raise ValueError(f"cap must be >= 1, got {cap}")
     t = tuple(int(v) for v in t)
     if len(t) != cfg.T:
         raise ValueError(f"statistic has {len(t)} components, configuration expects {cfg.T}")

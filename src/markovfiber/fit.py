@@ -171,13 +171,16 @@ def ipf_fit(table: Table, model, tol: float = 1e-10) -> FitResult:
     return replace(fit, expected=fit.expected.reshape(R, C))
 
 
-def _chi2_cell(x, m) -> float:
-    """Pearson term (x - m)^2 / m; a cell of zero mean contributes 0 when
+def _chi2_terms(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Pearson terms (x - m)^2 / m of arrays of counts and means, each the
+    float a scalar evaluation gives; a cell of zero mean contributes 0 when
     empty and inf under a positive count."""
-    if m == 0.0:
-        return math.inf if x > 0 else 0.0
     d = x - m
-    return d * d / m
+    if m.all():
+        return d * d / m
+    terms = np.divide(d * d, m, out=np.zeros_like(d), where=m != 0.0)
+    terms[(m == 0.0) & (x > 0)] = math.inf
+    return terms
 
 
 def _g2_cell(x, m) -> float:
@@ -190,32 +193,39 @@ def _g2_cell(x, m) -> float:
     return 2.0 * x * math.log(x / m)
 
 
-def _total(terms) -> float:
+def _g2_terms(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``_g2_cell`` of each count and mean of two arrays, by ``math.log``
+    (numpy's log differs from it in the last bit on about 0.1% of
+    arguments)."""
+    return np.fromiter(map(_g2_cell, x.tolist(), m.tolist()), dtype=np.float64, count=len(x))
+
+
+def _total(terms: np.ndarray) -> float:
     """Sum of the cell terms, one float addition at a time in cell order
-    (the built-in ``sum`` compensates from Python 3.12 on, which would
-    change the floats)."""
+    (the built-in ``sum`` compensates from Python 3.12 on, and numpy's sum
+    is pairwise, which would change the floats)."""
     out = 0.0
-    for term in terms:
+    for term in terms.tolist():
         out += term
     return out
 
 
-def _table_total(cell, table: Table, expected: np.ndarray) -> float:
+def _table_total(terms, table: Table, expected: np.ndarray) -> float:
     m = np.asarray(expected, dtype=np.float64)
     if table.counts.shape != m.shape:
         raise ValueError("table and expected shapes differ")
-    return _total(map(cell, table.counts.ravel().tolist(), m.ravel().tolist()))
+    return _total(terms(table.counts.ravel(), m.ravel()))
 
 
 def chi_square(table: Table, expected: np.ndarray) -> float:
     """Pearson chi-square; a cell of zero expectation contributes 0 when
     empty, and a positive count over it gives inf."""
-    return _table_total(_chi2_cell, table, expected)
+    return _table_total(_chi2_terms, table, expected)
 
 
 def g_square(table: Table, expected: np.ndarray) -> float:
     """Likelihood-ratio statistic 2 sum x log(x/m); zero counts contribute 0."""
-    return _table_total(_g2_cell, table, expected)
+    return _table_total(_g2_terms, table, expected)
 
 
 def llr_nested(table: Table, inner, outer, tol: float = 1e-10) -> float:
@@ -228,50 +238,83 @@ def llr_nested(table: Table, inner, outer, tol: float = 1e-10) -> float:
 # statistic trackers for the sampler
 #
 # Contract with mcmc.walk: start(x) resets every per-chain field and returns
-# the statistic at x; value_after(x, flats, coefs) is called only for an
-# accepted move, after the walk has applied it (x is the state after the
-# move, x - coefs at flats the state before), and returns and keeps the new
-# value.  flats and coefs are integer sequences, possibly slices of the
-# basis's arrays, valid only during the call; a cell appears at most once
-# per move.  The walk calls start again every few thousand accepts to shed
-# the float drift of the increments.  Chains run one after another, so one
-# tracker serves them all; what outlives a chain (the null fit, the LLR
-# value cache) depends only on the fiber.  ``fiber.fiber_pvalue`` reads each
-# fiber member's value by ``start``.  ``fit`` is the null model's FitResult
-# and ``observed`` the statistic at the table.
+# the statistic at the flat state x; values_after(cells, coefs, ends) takes
+# the moves accepted since, in order, and returns a float array of the value
+# after each move, leaving the tracker at the last state.  Move j is the
+# entries ends[j - 1]:ends[j] (from 0 for j = 0) of the integer arrays cells
+# and coefs, its flat cells and signed coefficients; a cell appears at most
+# once per move, there is at least one move, and the arrays are valid only
+# during the call.  Each value equals the one the moves fed one call at a
+# time would give, bit for bit.  The walk calls start again every few
+# thousand accepts to shed the float drift of the increments.  Chains run
+# one after another, so one tracker serves them all; what outlives a chain
+# (the null fit, the LLR value cache) depends only on the fiber.
+# ``fiber.fiber_pvalue`` reads each fiber member's value by ``start``.
+# ``fit`` is the null model's FitResult and ``observed`` the statistic at
+# the table.
+
+
+def _entry_counts(x: np.ndarray, cells: np.ndarray,
+                  coefs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The count of each entry's cell before and after its move, for moves
+    applied to the state x in entry order; x is left at the last state.
+
+    The entries are grouped by cell in a stable sort, so within a group
+    they keep their order, and a running sum of the group's coefficients
+    gives its counts."""
+    order = np.argsort(cells, kind="stable")
+    cell = cells[order]
+    step = coefs[order].astype(np.int64)
+    run = np.cumsum(step)
+    first = np.ones(len(cell), dtype=bool)
+    np.not_equal(cell[1:], cell[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    # a group's counts are its cell's count plus the group's running sum
+    base = x[cell[starts]] - (run[starts] - step[starts])
+    run += np.repeat(base, np.diff(starts, append=len(cell)))
+    after = np.empty_like(run)
+    after[order] = run
+    last = np.append(starts[1:], len(cell)) - 1
+    x[cell[last]] = run[last]
+    return after - coefs, after
 
 
 class _FixedExpectedTracker:
     """Base for statistics against a fixed null fit (constant on the fiber):
-    a subclass binds the statistic's cell function as ``_cell``.
+    a subclass binds the statistic's term function, ``_terms(x, m)`` on
+    arrays of counts and means.
 
-    ``start`` keeps every cell's term, so an accepted move costs one term
-    per changed cell: the kept term is exactly the cell's term before the
-    move, since a move changes each cell at most once."""
+    The tracker keeps the state.  A batch of moves costs each entry's cell
+    term before and after its move, and one cumulative sum of their
+    differences in entry order, which is the sum ``v += new - old`` taken
+    one changed cell at a time."""
 
     def __init__(self, table: Table, model, tol: float = 1e-10) -> None:
         self.fit = ipf_fit(table, model, tol=tol)
         if not self.fit.converged:
             raise FitError("null fit did not converge; cannot track a statistic against it")
         self.expected = self.fit.expected
-        self._m = self.expected.ravel().tolist()
-        self.observed = _total(map(self._cell, table.counts.ravel().tolist(), self._m))
+        self._m = self.expected.ravel()
+        self.observed = _total(self._terms(table.vec(), self._m))
+
+    def _entry_terms(self, cells: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """The term of each entry's cell at its count."""
+        return self._terms(counts, self._m[cells])
 
     def start(self, x_flat) -> float:
-        self._terms = list(map(self._cell, x_flat, self._m))
-        self._value = _total(self._terms)
+        self._x = np.array(x_flat, dtype=np.int64)
+        self._value = _total(self._terms(self._x, self._m))
         return self._value
 
-    def value_after(self, x_flat, flats, coefs) -> float:
-        v = self._value
-        m, terms = self._m, self._terms
-        cell = self._cell
-        for f in flats:
-            new = cell(x_flat[f], m[f])
-            v += new - terms[f]
-            terms[f] = new
-        self._value = v
-        return v
+    def values_after(self, cells, coefs, ends) -> np.ndarray:
+        before, after = _entry_counts(self._x, cells, coefs)
+        run = np.empty(len(cells) + 1)
+        run[0] = self._value
+        np.subtract(self._entry_terms(cells, after), self._entry_terms(cells, before),
+                    out=run[1:])
+        np.cumsum(run, out=run)
+        self._value = float(run[-1])
+        return run[ends]
 
 
 class ChiSquareTracker(_FixedExpectedTracker):
@@ -279,13 +322,20 @@ class ChiSquareTracker(_FixedExpectedTracker):
     fitted mean keep zero counts on the whole fiber (their constraint group
     sums to 0), so they contribute 0 and never blow up."""
 
-    _cell = staticmethod(_chi2_cell)
+    _terms = staticmethod(_chi2_terms)
 
 
 class GSquareTracker(_FixedExpectedTracker):
     """2 sum x log(x/m) against the fixed null fit."""
 
-    _cell = staticmethod(_g2_cell)
+    _terms = staticmethod(_g2_terms)
+
+    def _entry_terms(self, cells: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        # one math.log per distinct (cell, count) pair of the batch
+        span = int(counts.max()) + 1
+        pairs, inv = np.unique(cells.astype(np.int64) * span + counts, return_inverse=True)
+        cell, count = np.divmod(pairs, span)
+        return self._terms(count, self._m[cell])[inv]
 
 
 class LLRTracker:
@@ -309,9 +359,11 @@ class LLRTracker:
     patterns.  ``observed`` is V at the observed table's vector, the first
     value cached, so a chain state with the observed block sums is a tie at
     exactly that value.  ``start`` computes b and looks V(b) up;
-    ``value_after`` moves b by the changed cells' terms and looks V up only
-    when b changed, so a value never drifts.  ``cache_counts`` gives the
-    cache misses (refits), hits and size over every chain.
+    ``values_after`` moves b by each move's changed cells, with numpy, and
+    looks V up in move order, once per move that changed b, so a value
+    never drifts and the cache sees the lookups one move at a time would
+    make.  ``cache_counts`` gives the cache misses (refits), hits and size
+    over every chain.
     """
 
     # block-sum vectors whose values are kept, one float each (about 250
@@ -346,11 +398,8 @@ class LLRTracker:
         self._fixed_targets = tuple(float(sum(x[p] for p in g)) for g in groups[:R + C])
         self._total = float(sum(x))
         self._term_groups = groups[R + C:]
-        cell_terms = [[] for _ in range(R * C)]
-        for q, g in enumerate(self._term_groups):
-            for p in g:
-                cell_terms[p].append(q)
-        self._cell_terms = [tuple(t) for t in cell_terms]
+        # cells x terms: 1 where the cell lies in the term
+        self._cell_terms = outer_rows[R + C:].T.astype(np.int64)
         self._llr = lru_cache(self.CACHE_SIZE)(self._refit)
         self.observed = self._llr(self._block_sums(x))
 
@@ -374,17 +423,21 @@ class LLRTracker:
         self._value = self._llr(b)
         return self._value
 
-    def value_after(self, x_flat, flats, coefs) -> float:
-        b = list(self._b)
-        cell_terms = self._cell_terms
-        for f, c in zip(flats, coefs):
-            for q in cell_terms[f]:
-                b[q] += c
-        b = tuple(b)
-        if b != self._b:
-            self._b = b
-            self._value = self._llr(b)
-        return self._value
+    def values_after(self, cells, coefs, ends) -> np.ndarray:
+        # each move's change of the block sums, and the moves that change them
+        shift = np.add.reduceat(self._cell_terms[cells] * coefs[:, None].astype(np.int64),
+                                np.append(0, ends[:-1]), axis=0)
+        moved = shift.any(axis=1)
+        values = [self._value]
+        if moved.any():
+            sums = np.cumsum(shift[moved], axis=0) + self._b
+            # V in move order, once per move that changed the sums
+            values += map(self._llr, map(tuple, sums.tolist()))
+            self._b = tuple(sums[-1].tolist())
+            self._value = values[-1]
+        # each move keeps the value of the last move at or before it that
+        # changed the sums
+        return np.array(values)[np.cumsum(moved)]
 
 
 def make_tracker(stat: str, table: Table, model, alt=None, tol: float = 1e-10):

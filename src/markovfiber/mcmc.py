@@ -11,33 +11,45 @@ proportional to 1/prod x_ij! on the fiber of the starting table: the
 model's parameter terms are functions of the sufficient statistic alone, so
 they cancel from every ratio once t is fixed.
 
-The walk counts accepts and rejects; stays are the rest of the steps.  Each
-step's value goes to a buffer of at most ``PIECE`` steps, an audit block or
-a piece of one, and the kept steps of each piece are copied to the samples
-in one numpy slice, so a long thinned chain holds its samples and 32 kB,
-not a value per step.
+The walk counts accepts and rejects; stays are the rest of the steps.  No
+statistic is evaluated per step.  An accept applies the move to x and
+copies the move's cells, signed coefficients and step number to typed
+buffers: the entries, not the move's index, since a lazy sampler refills
+its store in place.  A window of steps ends after at most ``PIECE`` steps,
+at every ``RESYNC_EVERY``-th accept and at the chain's end, whatever the
+audit cadence; there the tracker values the window's moves in one call,
+and the window's kept steps take their values from those in one numpy
+lookup.  So a long thinned chain holds its samples and buffers of at most
+``PIECE`` accepted moves, not a value per step.
 
 Statistics are streamed through a tracker, an object with two methods (see
-fit.py): ``start(x)`` returns the statistic at x and resets the tracker's
-per-chain state; ``value_after(x, flats, coefs)`` is called once per
-accepted move, on the state after the move, and returns the new value from
-the few cells the move changed.  ``flats`` and ``coefs`` are integer
-sequences, possibly slices of the basis's arrays, valid only during the
-call, and a cell appears at most once per move.  Every ``RESYNC_EVERY``
-accepts the walk calls ``start`` on the current state, so float drift in
-the increments cannot build up; the sample at that step is still the
+fit.py): ``start(x)`` returns the statistic at the flat state x and resets
+the tracker's per-chain state; ``values_after(cells, coefs, ends)`` takes
+the moves accepted since, in order, and returns a float array of the value
+after each, leaving the tracker at the last state.  Move j is the entries
+``ends[j - 1]:ends[j]`` (from 0 for the first) of the integer arrays
+``cells`` and ``coefs``, its flat cells and signed coefficients; a cell
+appears at most once per move, there is at least one move, and the arrays
+are valid only during the call.  After every ``RESYNC_EVERY``-th accept
+the walk calls ``start`` on the current state, so float drift in the
+increments cannot build up; the sample at that step is still the
 incremental value.
-Plain callables work too and are wrapped.  A plain callable must be a pure
-function of the table: it is evaluated once per distinct state among the
-1,024 most recently used, keyed by the tuple of the flat cells (about
-8*R*C bytes a key, 1.2 MB in all on a 12x12 grid).  Since ``start`` resets
-the per-chain state, the chains of ``run_chains``, which run one after
-another, share one tracker.
+A tracker with ``value_after(x, flats, coefs)`` in place of the batched
+method (called once per move, on the state after it) is adapted: the
+adapter replays the moves on its own copy of the state.  Plain callables
+work too and are wrapped.  A plain callable must be a pure function of the
+table: it is evaluated once per distinct state among the 1,024 most
+recently used, keyed by the bytes of the flat int64 cells (about 8*R*C
+bytes a key, 1.2 MB in all on a 12x12 grid), and the adapter rebuilds each
+window's states with numpy.  Since ``start`` resets the per-chain state,
+the chains of ``run_chains``, which run one after another, share one
+tracker.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -59,8 +71,9 @@ __all__ = [
 PV_TOL = 1e-12
 # accepts between two full recomputations of a tracker's value
 RESYNC_EVERY = 4096
-# steps whose values the walk buffers before it copies the kept ones to the
-# samples: 32 kB, whatever the chain's length
+# steps in a window of the walk, at most: its buffers hold the accepted
+# moves of at most this many steps (about 130 kB with eight-cell moves),
+# whatever the chain's length
 PIECE = 4096
 
 
@@ -104,31 +117,81 @@ class ChainResult:
 
 class _CallableTracker:
     """Adapter giving a plain statistic callable the tracker interface; a
-    revisited state reuses the callable's value instead of calling it again."""
+    revisited state reuses the callable's value instead of calling it again.
+    A state's key is the bytes of its int64 cells, which numpy gives for a
+    whole batch of states at once."""
 
     # states whose values are kept: a small fiber fits whole, and the keys
     # of a 12x12 grid take about 1.2 MB
     CACHE_SIZE = 1024
+    # cells of the states a batch rebuilds at once (128 kB of int64)
+    STATE_CELLS = 1 << 14
 
     def __init__(self, fn, R: int, C: int) -> None:
         self._fn = fn
         self._shape = (R, C)
+        self._key = np.dtype((np.void, 8 * R * C))
         self._value = lru_cache(self.CACHE_SIZE)(self._compute)
 
-    def _compute(self, key: tuple[int, ...]) -> float:
-        arr = np.asarray(key, dtype=np.int64).reshape(self._shape)
+    def _compute(self, key: bytes) -> float:
+        arr = np.frombuffer(key, dtype=np.int64).reshape(self._shape).copy()
         return float(self._fn(arr))
 
     def start(self, x_flat) -> float:
-        return self._value(tuple(x_flat))
+        self._x = np.array(x_flat, dtype=np.int64)
+        return self._value(self._x.tobytes())
 
-    def value_after(self, x_flat, flats, coefs) -> float:
-        return self._value(tuple(x_flat))
+    def values_after(self, cells, coefs, ends) -> np.ndarray:
+        n_cells = self._x.size
+        move = np.repeat(np.arange(len(ends)), np.diff(ends, prepend=0))
+        out = []
+        per = max(1, self.STATE_CELLS // n_cells)  # moves whose states are rebuilt at once
+        for lo in range(0, len(ends), per):
+            hi = min(lo + per, len(ends))
+            first, last = ends[lo - 1] if lo else 0, ends[hi - 1]
+            delta = np.zeros((hi - lo, n_cells), dtype=np.int64)
+            delta[move[first:last] - lo, cells[first:last]] = coefs[first:last]
+            states = np.cumsum(delta, axis=0, out=delta)
+            states += self._x
+            self._x = states[-1].copy()
+            out += map(self._value, states.view(self._key).ravel().tolist())
+        return np.array(out)
+
+
+class _MoveByMove:
+    """Adapter for a tracker with ``value_after(x, flats, coefs)``, called
+    once per move on the state after it, in place of ``values_after``: the
+    adapter replays the moves on its own copy of the state."""
+
+    def __init__(self, tracker) -> None:
+        self._tracker = tracker
+
+    def start(self, x_flat) -> float:
+        self._x = list(x_flat)
+        return self._tracker.start(self._x)
+
+    def values_after(self, cells, coefs, ends) -> np.ndarray:
+        x, value_after = self._x, self._tracker.value_after
+        # typed copies, a few bytes an entry, whose slices are the integer
+        # sequences value_after takes
+        cells = array(cells.dtype.char, cells.tobytes())
+        coefs = array(coefs.dtype.char, coefs.tobytes())
+        out = []
+        lo = 0
+        for hi in ends.tolist():
+            fl, co = cells[lo:hi], coefs[lo:hi]
+            for f, c in zip(fl, co):
+                x[f] += c
+            out.append(value_after(x, fl, co))
+            lo = hi
+        return np.array(out, dtype=np.float64)
 
 
 def _as_tracker(statistic, R: int, C: int):
-    if hasattr(statistic, "start") and hasattr(statistic, "value_after"):
+    if hasattr(statistic, "start") and hasattr(statistic, "values_after"):
         return statistic
+    if hasattr(statistic, "start") and hasattr(statistic, "value_after"):
+        return _MoveByMove(statistic)
     if callable(statistic):
         return _CallableTracker(statistic, R, C)
     raise TypeError("statistic must be callable or implement the tracker protocol")
@@ -141,19 +204,23 @@ def walk(start: Table, cfg_matrix: Configuration, chain: ChainConfig, statistic)
     steps).  Stays and rejections both contribute the current state as a
     sample, so the chain is counted per step; the stays are the steps that
     neither accept nor reject.  The sign's draw picks the store's
-    coefficients or their negation (``store.neg``), and each step writes
-    its value to a buffer of at most ``PIECE`` steps whose kept steps are
-    copied to the samples a piece at a time.
+    coefficients or their negation (``store.neg``).  The steps run in
+    windows of at most ``PIECE``; an accept records the move, and at the
+    window's end the tracker values the recorded moves in one call and the
+    window's kept steps are copied to the samples.
 
     ``statistic`` is a tracker or a plain callable on the (R, C) table.  A
-    tracker's ``value_after`` sees each accepted state once, after the move
-    is applied, with the move's cells and signed coefficients as integer
-    sequences (possibly slices of the basis's arrays, valid only during the
-    call; each cell at most once); every ``RESYNC_EVERY`` accepts the walk
-    calls ``start`` on the current state to reset float drift.  A plain
+    tracker's ``values_after`` gets the accepted moves of a window in
+    order, as the cells, signed coefficients and end offsets of their
+    entries (numpy integer arrays valid only during the call; each cell at
+    most once per move), and returns the value after each move; after every
+    ``RESYNC_EVERY``-th accept the walk calls ``start`` on the current state
+    to reset float drift.  A tracker with a per-move ``value_after(x,
+    flats, coefs)`` instead is replayed one move at a time.  A plain
     callable must be a pure function of the table: it is evaluated once per
     distinct state among the 1,024 most recently used (about 8*R*C bytes a
-    state, 1.2 MB on 12x12), not once per accepted step.
+    state, 1.2 MB on 12x12), not once per accepted step.  A value that is
+    not finite raises ``ValueError`` naming the step of its move.
     """
     import random as _random
 
@@ -183,63 +250,88 @@ def walk(start: Table, cfg_matrix: Configuration, chain: ChainConfig, statistic)
     samples = np.empty((steps - burn + thin - 1) // thin, dtype=np.float64)
     n_samp = 0
     keep = burn  # the next step whose value is a sample
-    piece = min(check_every or PIECE, PIECE, steps)
-    values = np.empty(piece, dtype=np.float64)
-    out = memoryview(values)  # a float write without numpy's item assignment
+    # the accepted moves of the open window: their entries' cells and signed
+    # coefficients, entries per move, and steps
+    cells, coefs, sizes, at = array(flat.typecode), array("b"), array("b"), array("q")
+
+    def close(first: int, last: int) -> None:
+        """Value the window's moves and copy its kept steps, first..last-1,
+        to the samples."""
+        nonlocal cur, n_samp, keep
+        if at:
+            ends = np.cumsum(np.array(sizes), dtype=np.intp)
+            values = np.asarray(tracker.values_after(np.array(cells), np.array(coefs), ends),
+                                dtype=np.float64)
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:
+                j = bad[0]
+                raise ValueError(f"statistic became non-finite at step {at[j]}: "
+                                 f"{float(values[j])}")
+        if keep < last:
+            kept = np.arange(keep, last, thin)
+            into = samples[n_samp:n_samp + len(kept)]
+            if at:
+                # a step's value is that after the last accept at or before it
+                moved = np.searchsorted(np.array(at), kept, side="right")
+                np.take(np.concatenate(([cur], values)), moved, out=into)
+            else:
+                into[:] = cur
+            n_samp += len(kept)
+            keep += len(kept) * thin
+        if at:
+            cur = float(values[-1])
+            del cells[:], coefs[:], sizes[:], at[:]
+
     accepts = rejects = 0
     resync = RESYNC_EVERY  # the accept count of the next resync
+    audit = check_every or steps + 1  # the step count of the next fiber audit
     rnd = rng.random
     exp = math.exp
-    isfinite = math.isfinite
-    value_after = tracker.value_after
 
-    # blocks of check_every steps, each full one followed by the fiber
-    # audit; check_every = 0 runs every step in one block, unaudited
-    block = check_every or steps
-    for begin in range(0, steps, block):
-        end = min(begin + block, steps)
-        for first in range(begin, end, piece):
-            n = min(piece, end - first)
-            for i in range(n):
-                k = draw()
-                lo, hi = off[k], off[k + 1]
-                cf = coef if rnd() < 0.5 else neg
+    done = win = 0  # steps run, and the first step of the open window
+    while done < steps:
+        for i in range(done, min(win + PIECE, steps, audit)):
+            k = draw()
+            lo, hi = off[k], off[k + 1]
+            cf = coef if rnd() < 0.5 else neg
 
-                lr = 0.0
-                p = lo
-                while p < hi:
-                    xv = x[flat[p]]
-                    nv = xv + cf[p]
-                    if nv < 0:  # a stay
+            lr = 0.0
+            p = lo
+            while p < hi:
+                xv = x[flat[p]]
+                nv = xv + cf[p]
+                if nv < 0:  # a stay
+                    break
+                lr += lf[xv] - lf[nv]
+                p += 1
+            else:
+                if lr >= 0.0 or rnd() < exp(lr):
+                    fl = flat[lo:hi]
+                    co = cf[lo:hi]
+                    for f, c in zip(fl, co):
+                        x[f] += c
+                    cells += fl
+                    coefs += co
+                    sizes.append(hi - lo)
+                    at.append(i)
+                    accepts += 1
+                    if accepts == resync:
                         break
-                    lr += lf[xv] - lf[nv]
-                    p += 1
                 else:
-                    if lr >= 0.0 or rnd() < exp(lr):
-                        fl = flat[lo:hi]
-                        co = cf[lo:hi]
-                        for f, c in zip(fl, co):
-                            x[f] += c
-                        cur = value_after(x, fl, co)
-                        if not isfinite(cur):
-                            raise ValueError(f"statistic became non-finite at step "
-                                             f"{first + i}: {cur}")
-                        accepts += 1
-                        if accepts == resync:
-                            tracker.start(x)
-                            resync += RESYNC_EVERY
-                    else:
-                        rejects += 1
-                out[i] = cur
-            if keep < first + n:
-                kept = values[keep - first:n:thin]
-                samples[n_samp:n_samp + len(kept)] = kept
-                n_samp += len(kept)
-                keep += len(kept) * thin
-        if end - begin == check_every:
+                    rejects += 1
+        done = i + 1
+        if done == audit:
             now = A @ np.asarray(x, dtype=np.int64)
             if not np.array_equal(now, t0):
-                raise AssertionError(f"fiber invariant broken at step {end - 1}")
+                close(win, done)  # a value that went non-finite earlier raises first
+                raise AssertionError(f"fiber invariant broken at step {i}")
+            audit += check_every
+        if accepts == resync or done == win + PIECE or done == steps:
+            close(win, done)
+            win = done
+            if accepts == resync:
+                tracker.start(x)
+                resync += RESYNC_EVERY
 
     assert n_samp == len(samples)
     return ChainResult(

@@ -2,14 +2,15 @@
 
 This is the plain loop that ``markovfiber.mcmc.walk`` must reproduce byte
 for byte: a modulo test per step for the sample and for the fiber audit, a
-numpy item write per sample, and the move's coefficients multiplied by the
-sign on every accept.  The package runs the steps in audit-sized blocks,
-writes every step's value to a buffer whose kept steps it copies to the
-samples a piece at a time, and takes the sign by picking the stored
-coefficients or their negated copy, which changes no random draw, no
-acceptance decision and no floating-point operation.  Both draw moves
-through the basis's sampler, whose draws ``test_moves`` pins to
-``randrange``.  It is kept only as a test oracle.
+numpy item write per sample, the move's coefficients multiplied by the
+sign on every accept, and the tracker fed one move per accept.  The
+package records the accepted moves of a window of steps, has the tracker
+value them in one call, copies the window's kept steps to the samples with
+one numpy lookup, and takes the sign by picking the stored coefficients or
+their negated copy, which changes no random draw, no acceptance decision
+and no floating-point operation.  Both draw moves through the basis's
+sampler, whose draws ``test_moves`` pins to ``randrange``.  It is kept only
+as a test oracle.
 """
 
 import math
@@ -28,8 +29,7 @@ def walk(start: Table, cfg_matrix: Configuration, chain: ChainConfig, statistic)
     sample, so the chain is counted per step.
 
     ``statistic`` is a tracker or a plain callable on the (R, C) table.  A
-    tracker's ``value_after`` sees each accepted state once, after the move
-    is applied; every ``RESYNC_EVERY`` accepts the walk calls ``start`` on
+    tracker's ``values_after`` gets each accepted move alone, once; every ``RESYNC_EVERY`` accepts the walk calls ``start`` on
     the current state to reset float drift.  A plain callable must be a pure
     function of the table: it is evaluated once per distinct state among the
     1,024 most recently used (about 8*R*C bytes a state, 1.2 MB on 12x12),
@@ -90,7 +90,8 @@ def walk(start: Table, cfg_matrix: Configuration, chain: ChainConfig, statistic)
             co = [s * c for c in coef[lo:hi]]
             for f, c in zip(fl, co):
                 x[f] += c
-            cur = tracker.value_after(x, fl, co)
+            cur = float(tracker.values_after(np.array(fl), np.array(co),
+                                             np.array([len(fl)]))[0])
             if not math.isfinite(cur):
                 raise ValueError(f"statistic became non-finite at step {step}: {cur}")
             accepts += 1

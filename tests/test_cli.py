@@ -338,6 +338,40 @@ def test_fiber_cap_overflow(capsys, tmp_path, cp_model_path):
     assert code == 0 and rep["overflowed"] is True
 
 
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_fiber_refuses_a_cap_below_one(capsys, monkeypatch, cap):
+    # a cap below 1 used to print a report of an empty, overflowed fiber
+    import markovfiber.cli as cli
+
+    enumerated = []
+    monkeypatch.setattr(cli, "enumerate_fiber", lambda *a, **k: enumerated.append(a))
+    code, rep = run_json(capsys, "fiber", "--dataset", "gilby", "--cap", cap)
+    assert code == 1
+    assert rep["error"] == {"type": "CliError", "message": f"--cap must be >= 1, got {cap}"}
+    assert not enumerated
+
+
+@pytest.mark.parametrize("command,chains", [("test", "1"), ("sample", "1"), ("sample", "2")])
+def test_an_unwritable_stream_fails_before_the_walk(capsys, tmp_path, monkeypatch,
+                                                    command, chains):
+    # with one chain the stream's directory is missing; with two the first
+    # stream can be written and the second path is a directory
+    import markovfiber.cli as cli
+
+    walked = []
+    monkeypatch.setattr(cli, "run_chains", lambda *a, **k: walked.append(a))
+    if chains == "1":
+        out, error = tmp_path / "missing" / "stream.csv", "FileNotFoundError"
+    else:
+        out, error = tmp_path / "stream.csv", "IsADirectoryError"
+        (tmp_path / "stream.csv.1").mkdir()
+    code, rep = run_json(capsys, command, "--dataset", "gilby", "--steps", "1000000",
+                         "--chains", chains, "--stats-out", str(out))
+    assert code == 1
+    assert rep["error"]["type"] == error
+    assert not walked
+
+
 def test_fiber_enumerates_once_for_both_questions(capsys, tmp_path, cp_model_path,
                                                  monkeypatch):
     import markovfiber.cli as cli

@@ -101,6 +101,14 @@ def test_member_cap_marks_overflow():
     assert len(clipped) <= 3
 
 
+@pytest.mark.parametrize("cap", [0, -1])
+def test_a_cap_below_one_is_refused(cap):
+    table = Table.from_rows([[1, 0, 1], [0, 1, 0], [1, 0, 1]])
+    t, cfg = stat_of(ModelSpec(family=INDEPENDENCE), table)
+    with pytest.raises(ValueError, match=f"cap must be >= 1, got {cap}"):
+        enumerate_fiber(t, cfg, cap=cap)
+
+
 def test_node_budget_bounds_dead_branches():
     table = gilby_table()
     t, cfg = stat_of(gilby_model(), table)

@@ -256,6 +256,12 @@ def valid_targets(x, basis, rng, n):
     return out
 
 
+def after_move(tracker, flats, coefs):
+    """The tracker's value after one move, fed alone to its batched method."""
+    return float(tracker.values_after(np.array(flats), np.array(coefs),
+                                      np.array([len(flats)]))[0])
+
+
 def test_chi_square_tracker_increments_match_recompute():
     table = gilby_table()
     model = gilby_model()
@@ -271,7 +277,7 @@ def test_chi_square_tracker_increments_match_recompute():
         flats, coefs = valid_targets(x, basis, rng, 1)[0]
         for f, c in zip(flats, coefs):
             x[f] += c
-        new_val = tracker.value_after(x, flats, coefs)
+        new_val = after_move(tracker, flats, coefs)
         moved = Table(np.asarray(x, dtype=np.int64).reshape(table.R, table.C))
         assert new_val == pytest.approx(chi_square(moved, fit_expected), abs=1e-9)
     # a fresh start at the last state agrees with the increments
@@ -290,7 +296,7 @@ def test_g_square_tracker_increments_match_recompute():
         flats, coefs = valid_targets(x, basis, rng, 1)[0]
         for f, c in zip(flats, coefs):
             x[f] += c
-        new_val = tracker.value_after(x, flats, coefs)
+        new_val = after_move(tracker, flats, coefs)
         moved = Table(np.asarray(x, dtype=np.int64).reshape(table.R, table.C))
         assert new_val == pytest.approx(g_square(moved, tracker.expected), abs=1e-9)
 
@@ -320,18 +326,18 @@ def test_kept_terms_do_not_outlive_a_restart(case, stat):
             for f, c in zip(flats, coefs):
                 x[f] += c
             if tracked:
-                tracker.value_after(x, flats, coefs)
+                after_move(tracker, flats, coefs)
     assert x != [int(v) for v in table.vec()]
     tracker.start(x)
     for _ in range(60):
         flats, coefs = valid_targets(x, basis, rng, 1)[0]
         for f, c in zip(flats, coefs):
             x[f] += c
-        new_val = tracker.value_after(x, flats, coefs)
+        new_val = after_move(tracker, flats, coefs)
         moved = Table(np.asarray(x, dtype=np.int64).reshape(table.R, table.C))
         assert math.isfinite(new_val)
         assert new_val == pytest.approx(full(moved, tracker.expected), abs=1e-9)
-        assert all(tracker._terms[f] == 0.0 for f in zero)
+        assert tracker._x.tolist() == x and not any(x[f] for f in zero)
 
 
 def llr_oracle(table, inner, outer):
@@ -355,7 +361,7 @@ def test_llr_tracker_matches_full_refits():
         flats, coefs = valid_targets(x, basis, rng, 1)[0]
         for f, c in zip(flats, coefs):
             x[f] += c
-        new_val = tracker.value_after(x, flats, coefs)
+        new_val = after_move(tracker, flats, coefs)
         moved = Table(np.asarray(x, dtype=np.int64).reshape(12, 12))
         assert new_val == pytest.approx(llr_oracle(moved, common, own), abs=1e-4)
 
@@ -376,7 +382,7 @@ def test_llr_tracker_on_structural_zeros_matches_full_refits():
         flats, coefs = valid_targets(x, basis, rng, 1)[0]
         for f, c in zip(flats, coefs):
             x[f] += c
-        new_val = tracker.value_after(x, flats, coefs)
+        new_val = after_move(tracker, flats, coefs)
         moved = Table(np.asarray(x, dtype=np.int64).reshape(4, 4))
         assert new_val == pytest.approx(llr_nested(moved, inner, outer), abs=1e-6)
         seen.add(tracker._b)
@@ -475,11 +481,12 @@ class LLRSumOracle:
 
 
 class PurityCheck:
-    """Wraps an LLR tracker and checks each value it returns: the oracle's
-    value within 1e-12 (relative above 1), ``observed`` at the observed
-    block sums, one value per block-sum vector over every chain checked,
-    the previous value itself when a move leaves the sums alone, and at a
-    resync the value the accepts reached."""
+    """Wraps an LLR tracker and checks each value it returns, replaying each
+    batch's moves on its own copy of the state: the oracle's value within
+    1e-12 (relative above 1), ``observed`` at the observed block sums, one
+    value per block-sum vector over every chain checked, the previous value
+    itself when a move leaves the sums alone, and at a resync the value the
+    accepts reached."""
 
     def __init__(self, tracker, oracle, observed_b, values):
         self.tracker, self.oracle = tracker, oracle
@@ -503,16 +510,22 @@ class PurityCheck:
         value = self.tracker.start(x_flat)
         if self.value is not None:  # a resync
             assert value == self.value
-        self.check(x_flat, value)
+        self.x = list(x_flat)
+        self.check(self.x, value)
         return value
 
-    def value_after(self, x_flat, flats, coefs):
-        b, before = self.b, self.value
-        value = self.tracker.value_after(x_flat, flats, coefs)
-        self.check(x_flat, value)
-        if self.b == b:
-            assert value == before
-        return value
+    def values_after(self, cells, coefs, ends):
+        values = self.tracker.values_after(cells, coefs, ends)
+        lo = 0
+        for hi, value in zip(ends.tolist(), values.tolist()):
+            for f, c in zip(cells[lo:hi].tolist(), coefs[lo:hi].tolist()):
+                self.x[f] += c
+            b, before = self.b, self.value
+            self.check(self.x, value)
+            if self.b == b:
+                assert value == before
+            lo = hi
+        return values
 
 
 LLR_PURITY_CASES = {

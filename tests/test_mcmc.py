@@ -15,6 +15,7 @@ import pytest
 from markovfiber.fiber import enumerate_fiber, exact_pvalue
 from markovfiber.fit import make_tracker
 from markovfiber.mcmc import (
+    PIECE,
     PV_TOL,
     RESYNC_EVERY,
     ChainConfig,
@@ -93,9 +94,10 @@ class ConstantTracker:
 
 
 def test_walk_memory_is_the_samples_and_one_buffer():
-    # unaudited, the steps still pass through a buffer of PIECE values, so
-    # a thinned chain holds its samples and 32 kB; a buffer of the chain's
-    # length would add 1.6 MB here
+    # unaudited, the steps still run in windows of at most PIECE steps, so
+    # a thinned chain holds its samples and one window's moves and values
+    # (about 220 kB here, with the adapter of a per-move tracker); a buffer
+    # of the chain's length would add 1.6 MB
     table, cfg, basis = indep_setup([[2, 1], [1, 2]])
     tracker = ConstantTracker()
     chain = ChainConfig(steps=200_000, thin=100, check_every=0, seed=3, proposal=basis)
@@ -315,18 +317,22 @@ def test_callable_cache_stays_bounded_on_a_large_fiber():
 
 
 class CountingTracker:
-    """Tracker around another that logs each call and the state it saw."""
+    """Tracker around another that logs each call: the state a start sees,
+    and the move count of a batch with the state after it, which the
+    tracker follows by applying the batch to its own copy."""
 
     def __init__(self, inner):
         self.inner, self.calls = inner, []
 
     def start(self, x_flat):
+        self.x = np.array(x_flat, dtype=np.int64)
         self.calls.append(("start", tuple(x_flat)))
         return self.inner.start(x_flat)
 
-    def value_after(self, x_flat, flats, coefs):
-        self.calls.append(("value_after", tuple(x_flat)))
-        return self.inner.value_after(x_flat, flats, coefs)
+    def values_after(self, cells, coefs, ends):
+        np.add.at(self.x, cells, coefs)
+        self.calls.append(("values_after", len(ends), tuple(self.x.tolist())))
+        return self.inner.values_after(cells, coefs, ends)
 
 
 RESYNC_CASES = {
@@ -339,7 +345,9 @@ RESYNC_CASES = {
 @pytest.mark.parametrize("case", RESYNC_CASES)
 def test_walk_resyncs_the_tracker_every_4096_accepts(case):
     # the walk, not the tracker, owns the drift reset: start() once per
-    # chain and once more after every RESYNC_EVERY-th accept
+    # chain and once more after every RESYNC_EVERY-th accept, on the state
+    # the batched moves reached; no batch spans a resync or more than PIECE
+    # steps' accepts
     assert RESYNC_EVERY == 4096
     table, model, alt, stat, steps = RESYNC_CASES[case]()
     cfg = build_configuration(model, table.R, table.C)
@@ -348,20 +356,23 @@ def test_walk_resyncs_the_tracker_every_4096_accepts(case):
     inner = make_tracker(stat, table, model, alt=alt)
     tracker = CountingTracker(inner)
     results = run_chains(table, cfg, chain, tracker, n_chains=2)
-    want = []
+    calls = iter(tracker.calls)
     for res in results:
         assert res.accept_count > RESYNC_EVERY
-        want.append("start")
-        for n in range(1, res.accept_count + 1):
-            want.append("value_after")
-            if n % RESYNC_EVERY == 0:
-                want.append("start")
-    assert [kind for kind, _ in tracker.calls] == want
-    end = 0
-    for res in results:
-        end += 1 + res.accept_count + res.accept_count // RESYNC_EVERY
+        kind, state = next(calls)
+        assert kind == "start" and state == tuple(table.vec().tolist())
+        done = 0
+        while done < res.accept_count:
+            kind, n, state = next(calls)
+            assert kind == "values_after" and 1 <= n <= PIECE
+            assert (done + n - 1) // RESYNC_EVERY == done // RESYNC_EVERY
+            done += n
+            if done % RESYNC_EVERY == 0:
+                assert next(calls) == ("start", state)
+        assert done == res.accept_count
         # the last sample against a full recompute at the chain's last state
-        assert abs(res.samples[-1] - inner.start(list(tracker.calls[end - 1][1]))) <= 1e-9
+        assert abs(res.samples[-1] - inner.start(list(state))) <= 1e-9
+    assert next(calls, None) is None
 
 
 def test_bench_constant_tracker_walks_like_the_chi2_tracker():

@@ -189,6 +189,43 @@ def test_three_block_own_is_strictly_finer():
     assert not is_nested(own, common, 6, 6)
 
 
+NESTING_CASES = [
+    # inner, outer, grid, verdict, inner rows ranked with the outer ones
+    (*victoria_models(), (12, 12), True, 1),  # the common diagonal sum
+    (ModelSpec(family=INDEPENDENCE), gilby_model(), (8, 4), True, 0),
+    # the inner rectangle lies outside the outer span
+    (ModelSpec(family=CHANGE_POINT, rectangles=(Rectangle(2, 3, 2, 3),)),
+     ModelSpec(family=CHANGE_POINT, rectangles=(Rectangle(1, 2, 1, 2), Rectangle(1, 3, 1, 3))),
+     (4, 4), False, 1),
+    (ModelSpec(family=GENERAL_BLOCKS, row_bounds=(1, 3, 5), col_bounds=(1, 3, 5),
+               groups=((1, 2),)),
+     ModelSpec(family=OWN_BLOCKS, row_bounds=(1, 3, 5), col_bounds=(1, 3, 5)), (4, 4), True, 1),
+]
+
+
+@pytest.mark.parametrize("inner,outer,grid,verdict,extra", NESTING_CASES,
+                         ids=["victoria", "independence-in-gilby", "outside-the-span",
+                              "two-blocks"])
+def test_nesting_ranks_only_the_inner_rows_the_outer_lack(monkeypatch, inner, outer, grid,
+                                                          verdict, extra):
+    import markovfiber.models as models
+    from markovfiber.tables import build_configuration, row_space_contains
+
+    ranked = []
+
+    def spy(outer_rows, inner_rows):
+        ranked.append(len(inner_rows))
+        return row_space_contains(outer_rows, inner_rows)
+
+    monkeypatch.setattr(models, "row_space_contains", spy)
+    assert is_nested(inner, outer, *grid) == verdict
+    assert ranked == ([extra] if extra else [])
+    # the verdict of the full stack
+    full = row_space_contains(build_configuration(outer, *grid).matrix.tolist(),
+                              build_configuration(inner, *grid).matrix.tolist())
+    assert full == verdict
+
+
 def test_dict_round_trip():
     for model in (gilby_model(), *victoria_models(),
                   ModelSpec(family=GENERAL_BLOCKS, row_bounds=(1, 2, 3),
