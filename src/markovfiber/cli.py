@@ -139,6 +139,14 @@ def _check_chain_args(args) -> None:
                        f"{args.check_every}")
 
 
+def _check_bounds(*bounds: tuple[str, int]) -> None:
+    """A sweep bound below 2 leaves nothing to check: a fiber with a move
+    has total >= 2, on a grid of at least 2x2."""
+    for flag, value in bounds:
+        if value < 2:
+            raise CliError(f"{flag} must be >= 2, got {value}")
+
+
 def _require_enumerable(what: str, R: int, C: int) -> None:
     if R * C > ENUMERATION_THRESHOLD:
         raise CliError(f"{what} needs an enumerated basis; the {R}x{C} grid is above "
@@ -331,9 +339,10 @@ def cmd_fiber(args) -> dict:
 
 
 def cmd_verify(args) -> dict:
+    _check_bounds(("--max-total", args.max_total), ("--max-dim", args.max_dim))
     if args.suite:
         runners = {
-            "change-point": lambda: change_point_suite(max_dim=args.max_dim or 4,
+            "change-point": lambda: change_point_suite(max_dim=args.max_dim,
                                                        max_total=args.max_total),
             "own-blocks": lambda: own_blocks_suite(max_total=args.max_total),
             "common-blocks": lambda: common_blocks_suite(max_total=args.max_total),
@@ -377,12 +386,13 @@ def cmd_verify(args) -> dict:
 
 
 def cmd_grobner_check(args) -> dict:
+    _check_bounds(("--max-dim", args.max_dim))
     ds = getattr(args, "dataset", None)
     table = dataset(ds) if ds else None
     model = _resolve_model(args.model, ds)
     R, C = _grid(args, table)
     t0 = time.perf_counter()
-    report = verify_grobner(model, R, C, max_dim=args.max_dim or 5)
+    report = verify_grobner(model, R, C, max_dim=args.max_dim)
     grobner_s = time.perf_counter() - t0
     return {"command": "grobner-check", "model": model_to_dict(model),
             **report.to_dict(), "timings": {"grobner_s": grobner_s}}
@@ -487,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rows", type=int)
     p.add_argument("--cols", type=int)
     p.add_argument("--max-total", type=int, default=5)
-    p.add_argument("--max-dim", type=int, default=None)
+    p.add_argument("--max-dim", type=int, default=4)
     p.add_argument("--types", help="comma-separated move types, e.g. I,II")
     p.add_argument("--suite",
                    choices=("change-point", "own-blocks", "common-blocks", "all"))

@@ -16,27 +16,29 @@ tables in the same fiber.  The bases constructed here are:
   +-2 (those non-square-free moves are required: dropping them disconnects
   small fibers, which the brute-force oracle demonstrates).
 
-Each type has one numpy kernel, which maps (n, slots) arrays of index
-tuples (rows and columns) to ``(n, k)`` arrays of flat cells with the
-type's coefficients; Types II and III share the loop kernel.  Whether a
-tuple's move balances, and which type it has, depends only on the bands its
-indices fall in: blocks for the block families, and for change-point and
-independence models the runs of rows or columns whose cells lie in the same
-terms.  So moves are generated by band configuration, one band per index
-slot: ``_configurations`` streams each kernel's configurations, the product
-of a table of row-band tuples and one of column-band tuples, a few thousand
-at a time, decides each on one representative tuple and keeps those that
-balance and have a wanted type, with their tuple counts.  Two tuples of one
-configuration can give one move up to sign, and a Type I tuple with i1 = i2
-or j1 = j2 gives none; one rule, ``_once``, keeps one tuple per move (Type
-I: i1 < i2 and j1 < j2; Type IV with i1 = i2 and i3 = i4: j3 <= j4), and it
-is the only filter of either basis.  Every move is canonicalized to a key
-(the sorted signed-cell codes, in the orientation whose lowest cell has a
-positive coefficient) and stored in that one sign, in flat arrays of int32
-offsets, int16 cells and int8 coefficients, with one type code byte per
-move.  The loops have about (bands per axis)^6 configurations, Types I
-and IV ^4: this saves most where bands are few and wide, and with bands one
-row wide each configuration holds one tuple and costs what one tuple does.
+Each type has one numpy kernel, which maps (slots, n) arrays of index
+tuples (rows and columns, one tuple per column) to ``(k, n)`` arrays of
+flat cells with the type's coefficients; Types II and III share the loop
+kernel.  Whether a tuple's move balances, and which type it has, depends
+only on the bands its indices fall in: blocks for the block families, and
+for change-point and independence models the runs of rows or columns whose
+cells lie in the same terms.  So moves are generated by band configuration,
+one band per index slot: ``_configurations`` streams each kernel's
+configurations, the product of a table of row-band tuples and one of
+column-band tuples, a few thousand at a time, decides each on one
+representative tuple and keeps those that balance and have a wanted type,
+with their tuple counts.  Two tuples of one configuration can give one move
+up to sign, and a Type I tuple with i1 = i2 or j1 = j2 gives none; one
+rule, ``_once``, keeps one tuple per move (Type I: i1 < i2 and j1 < j2;
+Type IV with i1 = i2 and i3 = i4: j3 <= j4), and it is the only filter of
+either basis.  Every move is canonicalized to a key (the sorted signed-cell
+codes, in the orientation whose lowest cell has a positive coefficient; a
+sorting network sorts a whole pass at once) and stored in that one sign, in
+flat arrays of int32 offsets, int16 cells and int8 coefficients, with one
+type code byte per move.  The loops have about (bands per axis)^6
+configurations, Types I and IV ^4: this saves most where bands are few and
+wide, and with bands one row wide each configuration holds one tuple and
+costs what one tuple does.
 
 One rule, ``_move_types``, gives every family its types; a ``types``
 argument restricts them (the verification sweeps use this to exhibit
@@ -67,7 +69,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import models as _models
-from .tables import Configuration, build_configuration, flat_index
+from .tables import Configuration, flat_index
 
 __all__ = [
     "Move",
@@ -87,8 +89,9 @@ ENUMERATION_THRESHOLD = 400
 _TYPE_CODE = {name: k for k, name in enumerate(TYPE_NAMES)}
 
 # A canonical key holds the signed-cell codes flat * 5 + coef + 2 of one
-# move (coefficients are +-1 or +-2), sorted and padded to the widest move,
-# Type IV with eight cells, with the largest value of the key dtype.  Codes
+# move (coefficients are +-1 or +-2), sorted and padded with the largest
+# value of the key dtype: to its kernel's cell count in an enumeration pass,
+# and to the widest move, Type IV with eight cells, in a lazy batch.  Codes
 # and flat cell ids are int16 up to 6,553 cells, so on every enumerated grid
 # (``ENUMERATION_THRESHOLD``), and int32 beyond.
 _KEY_WIDTH = 8
@@ -135,16 +138,22 @@ def _code_type(cells: int) -> str:
 
 
 def _append(store, keys: np.ndarray, neg: array | None = None) -> None:
-    """Append the moves with these keys to a store's (offsets, flat cell ids,
-    coefficients), whose flat cell ids have the keys' dtype, and their
-    negated coefficients to ``neg`` if given; each key decodes to its cells
-    in ascending order."""
+    """Append the moves with these (n, k) keys to a store's (offsets, flat
+    cell ids, coefficients), whose flat cell ids have the keys' dtype, and
+    their negated coefficients to ``neg`` if given; each key decodes to its
+    cells in ascending order."""
     off, flat, coef = store
-    live = keys != np.iinfo(keys.dtype).max
-    codes = keys[live]
-    off.frombytes((np.cumsum(live.sum(axis=1), dtype=np.int32) + off[-1]).tobytes())
-    flat.frombytes((codes // 5).tobytes())
-    coefs = (codes % 5 - 2).astype(np.int8)
+    pad = np.iinfo(keys.dtype).max
+    live = (keys != pad).view(np.int8)
+    off.frombytes((np.cumsum(live.sum(axis=1, dtype=np.int32), dtype=np.int32)
+                   + off[-1]).tobytes())
+    keys = np.ascontiguousarray(keys)  # the boolean gather below reads in C order
+    codes = keys[keys != pad]
+    flats = codes // 5
+    flat.frombytes(flats.tobytes())
+    codes -= 5 * flats
+    coefs = codes.astype(np.int8)
+    coefs -= 2
     coef.frombytes(coefs.tobytes())
     if neg is not None:
         neg.frombytes(np.negative(coefs, out=coefs).tobytes())
@@ -249,87 +258,128 @@ class MoveBasis:
 def _term_matrix(model, R: int, C: int) -> np.ndarray:
     """Terms x cells 0/1 matrix, the subtable rows of the configuration:
     row q marks the flat cells of term q."""
-    return build_configuration(model, R, C).matrix[R + C:].astype(np.int8)
+    terms = _models.terms(model, R, C)
+    matrix = np.zeros((len(terms), R * C), dtype=np.int8)
+    for q, (_, cells) in enumerate(terms):
+        matrix[q, [flat_index(i, j, C) for i, j in cells]] = 1
+    return matrix
 
 
 def _balanced(terms: np.ndarray, flats: np.ndarray, coefs: np.ndarray) -> np.ndarray:
-    """Mask of the candidate moves whose coefficients sum to 0 on every term."""
-    return ~(terms[:, flats] * coefs).sum(axis=2).any(axis=0)
+    """Mask of the candidate moves, the columns of (k, n) flat cells, whose
+    coefficients sum to 0 on every term."""
+    return ~(terms[:, flats] * coefs[:, None]).sum(axis=1).any(axis=0)
 
 
-def _keys(flats: np.ndarray, coefs: np.ndarray, code: str) -> np.ndarray:
-    """Canonical keys of (n, k) candidate moves, of typecode ``code``:
-    coincident cells merged, the orientation whose lowest cell is positive,
-    signed-cell codes sorted and padded to ``_KEY_WIDTH``.  Every temporary
-    has the key dtype, so a pass costs a few bytes per cell."""
-    n, k = flats.shape
-    pad = np.iinfo(code).max
-    keys = np.full((n, _KEY_WIDTH), pad, dtype=code)
-    cells = keys[:, :k]
-    np.multiply(flats, 5, out=cells, casting="unsafe")
-    cells += coefs + 2
-    cells.sort(axis=1)  # by cell, then coefficient
-    flats, coefs = np.divmod(cells, 5)
+def _keys(codes: np.ndarray, order) -> np.ndarray:
+    """Canonical keys of the moves whose signed-cell codes are the columns of
+    ``codes``, a (k, n) array of the key dtype in which the pad fills the
+    slots of a move with fewer cells: coincident cells merged, the
+    orientation whose lowest cell is positive, codes sorted and padded.  The
+    compare-exchanges ``order`` sort every column in place, one pair of rows
+    at a time; a move whose sorted cells are all distinct only takes its
+    orientation, and ``_merged`` keys the others.  Returns the (n, k) keys,
+    a view of ``codes``."""
+    for p, q in order:
+        low = np.minimum(codes[p], codes[q])
+        np.maximum(codes[p], codes[q], out=codes[q])
+        codes[p] = low
+    pad = np.iinfo(codes.dtype).max
+    flats = codes // 5
+    coefs = codes - 5 * flats
     coefs -= 2
-    for p in range(1, k):  # sum each run of one cell into its last slot
-        run = flats[:, p] == flats[:, p - 1]
-        coefs[run, p] += coefs[run, p - 1]
-        coefs[run, p - 1] = 0
+    # flat * 5 - coef + 2 where the lowest cell is negative; a pad's coef is 0
+    np.subtract(codes, 2 * coefs, out=codes, where=coefs[0] < 0)
+    repeats = np.flatnonzero(((flats[1:] == flats[:-1]) & (codes[1:] != pad)).any(axis=0))
+    if len(repeats):
+        codes[:, repeats] = _merged(flats[:, repeats], coefs[:, repeats], pad)
+    return codes.T
+
+
+def _merged(flats: np.ndarray, coefs: np.ndarray, pad: int) -> np.ndarray:
+    """Keys, as in ``_keys``, of the (k, m) sorted cells and coefficients of
+    moves in which some cell repeats: each run of one cell summed into its
+    last slot, the orientation whose lowest live cell is positive, cells
+    that cancel (and pads) padded to the end."""
+    for p in range(1, len(flats)):
+        run = flats[p] == flats[p - 1]
+        np.add(coefs[p], coefs[p - 1], out=coefs[p], where=run)
+        np.copyto(coefs[p - 1], 0, where=run)
     live = coefs != 0
-    sign = np.sign(coefs[np.arange(n), np.argmax(live, axis=1)])
-    cells[...] = np.where(live, flats * 5 + coefs * sign[:, None] + 2, pad)
-    keys.sort(axis=1)
+    sign = np.sign(coefs[np.argmax(live, axis=0), np.arange(live.shape[1])])
+    keys = np.where(live, flats * 5 + coefs * sign + 2, pad)
+    keys.sort(axis=0)
     return keys
 
 
 # --- the kernels: index tuples -> flat cells ---------------------------------------
 
 class _Kernel(NamedTuple):
-    """Cell q of the move of index tuple ``idx`` is (idx[rows[q]],
-    idx[cols[q]]), with coefficient coefs[q]; the kernel yields moves of
-    ``types``."""
+    """Cell q of the move of index tuple ``idx``, a column of an (slots, n)
+    array, is (idx[rows[q]], idx[cols[q]]), with coefficient coefs[q]; the
+    kernel yields moves of ``types``, and the compare-exchanges ``order``
+    sort the cells of every tuple that ``_once`` keeps."""
 
     rows: list[int]
     cols: list[int]
     coefs: np.ndarray
     types: tuple[str, ...]
+    order: tuple[tuple[int, int], ...]
 
     def cells(self, idx: np.ndarray, C: int) -> np.ndarray:
-        """(n, k) flat cells of the moves of (n, slots) index tuples."""
-        return idx[:, self.rows] * C + idx[:, self.cols]
+        """(k, n) flat cells of the moves of (slots, n) index tuples."""
+        return idx[self.rows] * C + idx[self.cols]
+
+    def codes(self, idx: np.ndarray, C: int) -> np.ndarray:
+        """(k, n) signed-cell codes, flat * 5 + coef + 2, of the moves of
+        (slots, n) index tuples, in the dtype of ``idx``."""
+        codes = self.cells(idx, C)
+        codes *= 5
+        codes += (self.coefs + 2).astype(codes.dtype)[:, None]
+        return codes
 
     def axes(self) -> list[int]:
         """Each slot's axis: 0 for a row index, 1 for a column index."""
         return [int(s in self.cols) for s in range(len(set(self.rows + self.cols)))]
 
 
+# Sorting networks for 4, 6 and 8 values: 5, 12 and 19 compare-exchanges,
+# the fewest that sort them (Knuth, The Art of Computer Programming 3, 5.3.4)
+_SORT = {
+    4: ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2)),
+    6: ((0, 5), (1, 3), (2, 4), (1, 2), (3, 4), (0, 3), (2, 5), (0, 1), (2, 3), (4, 5),
+        (1, 2), (3, 4)),
+    8: ((0, 2), (1, 3), (4, 6), (5, 7), (0, 4), (1, 5), (2, 6), (3, 7), (0, 1), (2, 3),
+        (4, 5), (6, 7), (2, 4), (3, 5), (1, 4), (3, 6), (1, 2), (3, 4), (5, 6)),
+}
 _LOOP_COEFS = np.array([1, 1, 1, -1, -1, -1], dtype=np.int8)
 _IV_ROWS, _IV_COLS = [0, 1, 2, 3, 0, 1, 2, 3], [4, 5, 6, 7, 6, 7, 5, 4]
 _IV_COEFS = np.array([1, 1, 1, 1, -1, -1, -1, -1], dtype=np.int8)
-# Type I, slots (i1, i2, j1, j2): +1 at (i1,j1) (i2,j2), -1 at (i1,j2) (i2,j1).
+# Type I, slots (i1, i2, j1, j2): +1 at (i1,j1) (i2,j2), -1 at (i1,j2) (i2,j1);
+# the cells of a tuple with i1 < i2 and j1 < j2 come in ascending order.
 # Types II/III, slots (r1, r2, r3, x1, x2, x3): the degree-3 loop with +1 at
 # (r_q, x_q) and -1 at (r_q, x_q+1), cyclically.  Type IV, slots (i1..i4,
 # j1..j4): +1 at (i1,j1) (i2,j2) (i3,j3) (i4,j4) and -1 at (i1,j3) (i2,j4)
 # (i3,j2) (i4,j1); coincident indices stack into +-2 entries once the move is
 # keyed.  IVt takes the same slots in the transposed grid.
 _KERNELS = {
-    "I": _Kernel([0, 0, 1, 1], [2, 3, 2, 3], np.array([1, -1, -1, 1], dtype=np.int8), ("I",)),
-    "loop": _Kernel([0, 1, 2, 0, 1, 2], [3, 4, 5, 4, 5, 3], _LOOP_COEFS, ("II", "III")),
-    "IV": _Kernel(_IV_ROWS, _IV_COLS, _IV_COEFS, ("IV",)),
-    "IVt": _Kernel(_IV_COLS, _IV_ROWS, _IV_COEFS, ("IVt",)),
+    "I": _Kernel([0, 0, 1, 1], [2, 3, 2, 3], np.array([1, -1, -1, 1], dtype=np.int8), ("I",), ()),
+    "loop": _Kernel([0, 1, 2, 0, 1, 2], [3, 4, 5, 4, 5, 3], _LOOP_COEFS, ("II", "III"), _SORT[6]),
+    "IV": _Kernel(_IV_ROWS, _IV_COLS, _IV_COEFS, ("IV",), _SORT[8]),
+    "IVt": _Kernel(_IV_COLS, _IV_ROWS, _IV_COEFS, ("IVt",), _SORT[8]),
 }
 
 
 def _once(kernel: str, idx: np.ndarray) -> np.ndarray:
-    """Mask of the index tuples that stand for their move.  A Type I move
-    takes i1 < i2 and j1 < j2.  A Type IV move with i1 = i2 and i3 = i4 is
-    the same for (j3, j4) and (j4, j3), and takes j3 <= j4.  Every other
-    tuple of a configuration is a move of its own."""
+    """Mask of the (slots, n) index tuples that stand for their move.  A
+    Type I move takes i1 < i2 and j1 < j2.  A Type IV move with i1 = i2 and
+    i3 = i4 is the same for (j3, j4) and (j4, j3), and takes j3 <= j4.
+    Every other tuple of a configuration is a move of its own."""
     if kernel == "I":
-        return (idx[:, 0] < idx[:, 1]) & (idx[:, 2] < idx[:, 3])
+        return (idx[0] < idx[1]) & (idx[2] < idx[3])
     if kernel == "loop":
-        return np.ones(len(idx), dtype=bool)
-    return (idx[:, 0] != idx[:, 1]) | (idx[:, 2] != idx[:, 3]) | (idx[:, 6] <= idx[:, 7])
+        return np.ones(idx.shape[1], dtype=bool)
+    return (idx[0] != idx[1]) | (idx[2] != idx[3]) | (idx[6] <= idx[7])
 
 
 # --- band configurations ---------------------------------------------------------
@@ -434,7 +484,8 @@ def _configurations(model, R: int, C: int, types, limit: float = np.inf):
     code = _code_type(R * C)
     # one lookup for both axes: column band b is entry len(rows) + b
     sizes = np.concatenate([rows, cols])
-    firsts = np.concatenate([np.cumsum(rows) - rows, np.cumsum(cols) - cols])
+    firsts = np.cumsum(sizes) - sizes
+    firsts[len(rows):] -= R  # the row bands cover the R rows
     plan = [(name, *_parts(name, len(rows), len(cols), N))
             for name, kernel in _KERNELS.items() if set(kernel.types) & set(types)]
     total = sum(len(head) * len(tail) for _, head, tail, _ in plan)
@@ -449,15 +500,16 @@ def _configurations(model, R: int, C: int, types, limit: float = np.inf):
             at = np.arange(lo, min(lo + _CHUNK, len(head) * len(tail)))
             band = np.concatenate([head[at // len(tail)], tail[at % len(tail)]], axis=1)[:, slots]
             first, size = firsts[band + axis], sizes[band + axis]
+            kept = _kept(name, first, size)
+            ok = kept > 0
             if name == "loop":
                 tcode = _loop_type(band[:, kernel.rows], band[:, kernel.cols], N)
+                ok &= np.isin(tcode, wanted)
             else:
                 tcode = np.full(len(band), wanted[0], dtype=np.int8)
-            kept = _kept(name, first, size)
-            ok = (tcode[:, None] == wanted).any(axis=1) & (kept > 0)
             if name in ("IV", "IVt"):  # j3 and j4 in neither diagonal block
                 ok &= ~(band[:, 6:, None] == band[:, None, [0, 2]]).any(axis=(1, 2))
-            ok[ok] = _balanced(terms, kernel.cells(first[ok], C), kernel.coefs)
+            ok[ok] = _balanced(terms, kernel.cells(first[ok].T, C), kernel.coefs)
             if ok.any():
                 yield _Configs(name, first[ok].astype(code), size[ok].astype(code),
                                tcode[ok].astype(np.uint8), kept[ok])
@@ -485,22 +537,27 @@ def _move_types(model, types) -> tuple[str, ...]:
 # --- enumeration: every kept tuple, streamed into the store -------------------------
 
 def _tuples(configs: _Configs, code: str):
-    """Every index tuple of the configurations, as (n, slots) arrays of
+    """Every index tuple of the configurations, as (slots, n) arrays of
     typecode ``code``, with each tuple's type code: configuration by
     configuration, each band product in C order (the last slot fastest),
-    ``_CHUNK`` tuples at a time."""
+    ``_CHUNK`` tuples at a time.  A pass takes each tuple's configuration by
+    ``repeat`` and decodes its place in the band product one ``divmod`` per
+    slot."""
     raw = configs.size.prod(axis=1)
     end = np.cumsum(raw)
+    start = end - raw
+    first, size = np.ascontiguousarray(configs.first.T), np.ascontiguousarray(configs.size.T)
     total = int(end[-1]) if len(end) else 0
     for lo in range(0, total, _CHUNK):
-        at = np.arange(lo, min(lo + _CHUNK, total))
-        k = np.searchsorted(end, at, side="right")
-        rest = at - (end[k] - raw[k])
-        idx = np.empty((len(at), configs.size.shape[1]), dtype=code)
-        for s in reversed(range(idx.shape[1])):
-            n = configs.size[k, s]
-            idx[:, s] = configs.first[k, s] + rest % n
-            rest //= n
+        hi = min(lo + _CHUNK, total)
+        a, b = np.searchsorted(end, (lo, hi - 1), side="right")
+        k = np.repeat(np.arange(a, b + 1),
+                      np.minimum(end[a:b + 1], hi) - np.maximum(start[a:b + 1], lo))
+        rest = np.arange(lo, hi) - start[k]
+        idx = first.take(k, axis=1)
+        for s in reversed(range(len(idx))):
+            rest, digit = np.divmod(rest, size[s].take(k))
+            idx[s] += digit
         yield idx, configs.tcode[k]
 
 
@@ -517,7 +574,7 @@ def enumerate_basis(model, R: int, C: int, types: tuple[str, ...] | None = None)
         kernel = _KERNELS[configs.kernel]
         for idx, codes in _tuples(configs, code):
             keep = _once(configs.kernel, idx)
-            _append(store, _keys(kernel.cells(idx[keep], C), kernel.coefs, code))
+            _append(store, _keys(kernel.codes(np.compress(keep, idx, axis=1), C), kernel.order))
             tcode += codes[keep].tobytes()
     return MoveBasis(R, C, *store, bytes(tcode))
 
@@ -622,13 +679,12 @@ class LazyMoveBasis:
 
     def _batch(self, rng) -> tuple[np.ndarray, np.ndarray]:
         """Keys and type codes of one batch's kept draws, in draw order.
-        Draws are padded to eight cells with zero coefficients, so the keys
-        take one numpy pass for the whole batch."""
+        Draws are padded to eight cells with the pad code, so the keys take
+        one numpy pass for the whole batch."""
         # one word picks the configuration, the others the indices of up to eight slots
         u = _words(rng, _LAZY_BATCH, 1 + _KEY_WIDTH)
         at = np.searchsorted(self._cum, u[:, 0] * 2.0 ** -32, side="right")
-        flats = np.zeros((_LAZY_BATCH, _KEY_WIDTH), dtype=np.intp)
-        coefs = np.zeros((_LAZY_BATCH, _KEY_WIDTH), dtype=np.int8)
+        codes = np.full((_KEY_WIDTH, _LAZY_BATCH), np.iinfo(self._code).max, dtype=self._code)
         ok = np.zeros(_LAZY_BATCH, dtype=bool)
         lo = 0
         for configs in self._configs:
@@ -637,12 +693,10 @@ class LazyMoveBasis:
             lo += len(configs.tcode)
             kernel = _KERNELS[configs.kernel]
             first, size = configs.first[k], configs.size[k]
-            idx = _draw(configs.kernel, first, size, u[mine, 1:1 + size.shape[1]])
-            cells = kernel.cells(idx, self.C)
-            flats[mine, :cells.shape[1]] = cells
-            coefs[mine, :cells.shape[1]] = kernel.coefs
+            idx = _draw(configs.kernel, first, size, u[mine, 1:1 + size.shape[1]]).T
+            codes[:len(kernel.coefs), mine] = kernel.codes(idx, self.C)
             ok[mine] = _once(configs.kernel, idx)
-        return _keys(flats[ok], coefs[ok], self._code), self._tcode[at[ok]]
+        return _keys(codes[:, ok], _SORT[_KEY_WIDTH]), self._tcode[at[ok]]
 
     def sampler(self, rng):
         """``(draw, store)`` like ``MoveBasis.sampler``; the store holds one

@@ -580,6 +580,34 @@ def test_verify_suite(capsys):
     assert rep["timings"]["sweep_s"]["own-blocks"] >= 0
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--dataset", "gilby", "--max-total", "-1"),
+    ("verify", "--dataset", "gilby", "--max-total", "0"),
+    ("verify", "--dataset", "gilby", "--max-total", "1"),
+    ("verify", "--dataset", "gilby", "--max-dim", "0"),
+    ("verify", "--suite", "own-blocks", "--max-total", "1"),
+    ("verify", "--suite", "change-point", "--max-dim", "0"),
+    ("verify", "--suite", "change-point", "--max-dim", "-3"),
+    ("grobner-check", "--dataset", "gilby", "--max-dim", "1"),
+    ("grobner-check", "--dataset", "gilby", "--max-dim", "0"),
+    ("grobner-check", "--dataset", "gilby", "--max-dim", "-3"),
+])
+def test_sweep_bounds_below_two_are_refused(capsys, argv):
+    # such a bound checks nothing: no sweep total, or no grid, has a move
+    code, rep = run_json(capsys, *argv)
+    assert code == 1
+    assert rep["error"] == {"type": "CliError",
+                            "message": f"{argv[-2]} must be >= 2, got {argv[-1]}"}
+
+
+def test_verify_suite_takes_the_smallest_bounds(capsys):
+    code, rep = run_json(capsys, "verify", "--suite", "change-point", "--max-dim", "2",
+                         "--max-total", "2")
+    assert code == 0
+    suite = rep["suites"][0]
+    assert suite["ok"] is True and suite["models_raw"] == 4  # the 2x2 grid alone
+
+
 def test_grobner_check_command(capsys, tmp_path):
     path = tmp_path / "ds.json"
     save_model(ModelSpec(family=CHANGE_POINT,

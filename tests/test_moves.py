@@ -22,6 +22,7 @@ from markovfiber.models import (
     terms,
 )
 from markovfiber.moves import (
+    _SORT,
     TYPE_NAMES,
     LazyMoveBasis,
     Move,
@@ -36,7 +37,7 @@ from markovfiber.moves import (
 from markovfiber.tables import Rectangle, build_configuration
 from markovfiber.datasets import gilby_model, victoria_models
 from reference_models import cell_stratum
-from reference_moves import flats_coefs, reference_unsigned, unsigned_key
+from reference_moves import flats_coefs, reference_unsigned, streamed_store, unsigned_key
 
 
 def _blocks(family, rows, cols, groups=()):
@@ -119,14 +120,22 @@ def _store_digest(basis) -> str:
     return h.hexdigest()[:16]
 
 
-# (model, R, C, stored moves, digest): the moves of the earlier builder that
-# deduplicated every candidate's key with one global sort, stored in band
+# (model, R, C, stored moves, digest): the moves stored in band
 # configuration order (kernel by kernel, each configuration's band product
-# in turn)
+# in turn).  The first three are those of the earlier builder that
+# deduplicated every candidate's key with one global sort; the others, of
+# one-wide bands, unequal bands, one band per axis and a leftover band, are
+# those of the streamed builder (``reference_moves.streamed_store``).
 PINNED_STORES = {
     "victoria-common": (victoria_models()[0], 12, 12, 331434, "5d65026c5ab3b1be"),
     "victoria-own": (victoria_models()[1], 12, 12, 13590, "f9b4bc0bf66ce5cb"),
     "gilby": (gilby_model(), 8, 4, 81, "6a6a49595c1abdb9"),
+    "own-twelve-1x1-blocks": (_blocks(OWN_BLOCKS, tuple(range(1, 14)), tuple(range(1, 14))),
+                              12, 12, 167530, "0e60653131f4176d"),
+    "common-9x10": (_blocks(COMMON_BLOCKS, (1, 3, 6, 10), (1, 4, 6, 11)), 9, 10, 48814,
+                    "cf485d3a27f81d4e"),
+    "independence-20x20": (ModelSpec(family=INDEPENDENCE), 20, 20, 36100, "de2eaf827693092c"),
+    "general-6x7": (ORACLE_CASES[17][0], 6, 7, 875, "7a3c059c13450fa0"),
 }
 
 
@@ -136,6 +145,112 @@ def test_store_is_pinned(name):
     basis = enumerate_basis(model, R, C)
     assert len(basis) == n_moves
     assert _store_digest(basis) == digest
+
+
+# (model, R, C, [(kept draws, digest)] of the first three batches from
+# random.Random(23)): the keys of the streamed builder's ``_keys``, on the
+# benchmark's lazy grid (int16 codes) and on a grid above 6,553 cells
+# (int32 codes)
+PINNED_LAZY_BATCHES = {
+    "lazy-grid": (_blocks(COMMON_BLOCKS, (1, 7, 13, 19, 25), (1, 7, 13, 19, 25)), 24, 24,
+                  [(1022, "205ecc482751455a"), (1020, "3de89a12d36a2158"),
+                   (1016, "37bc7265e5a3065c")]),
+    "common-82x82": (_blocks(COMMON_BLOCKS, (1, 21, 41, 61, 83), (1, 21, 41, 61, 83)), 82, 82,
+                     [(1024, "f0e9bc8c5324f86e"), (1024, "3d4c27b35dc1342c"),
+                      (1023, "0d4a3a0ea8357314")]),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_LAZY_BATCHES)
+def test_lazy_batch_keys_are_pinned(name):
+    model, R, C, batches = PINNED_LAZY_BATCHES[name]
+    lazy, rng = LazyMoveBasis(model, R, C), random.Random(23)
+    for n, digest in batches:
+        keys, codes = lazy._batch(rng)
+        assert keys.shape == (n, 8) and keys.dtype == (np.int16 if R * C < 6553 else np.int32)
+        h = hashlib.sha256(str(keys.dtype).encode() + keys.tobytes() + b"|" + codes.tobytes())
+        assert h.hexdigest()[:16] == digest
+
+
+def _bounds(rng, n, limit, cover):
+    """Block bounds 1 = b_1 < ... < b_{n+1}: b_{n+1} = limit + 1 if the
+    blocks cover the axis, any of n + 1..limit + 1 if not."""
+    end = limit + 1 if cover else int(rng.integers(n + 1, limit + 2))
+    inner = sorted(int(b) for b in rng.choice(np.arange(2, end), n - 1, replace=False))
+    return (1, *inner, end)
+
+
+def _random_geometry(rng, family):
+    """(model, R, C, types) of the family on a grid of 2..8 rows and
+    columns: a chain of one to three rectangles, each grown from the last on
+    any of its sides (so nested or stacked), or one to four blocks of random
+    widths, leftover bands for general models, and a random type subset for
+    a third of the block models."""
+    R, C = (int(x) for x in rng.integers(2, 9, size=2))
+    if family == INDEPENDENCE:
+        return ModelSpec(family=family), R, C, None
+    if family == CHANGE_POINT:
+        cells = 0
+        while not 2 <= cells < R * C:  # a rectangle of two cells or more, not the grid
+            a1, a2 = sorted(int(x) for x in rng.integers(1, R + 1, size=2))
+            b1, b2 = sorted(int(x) for x in rng.integers(1, C + 1, size=2))
+            cells = (a2 - a1 + 1) * (b2 - b1 + 1)
+        rects = [(a1, a2, b1, b2)]
+        for _ in range(int(rng.integers(0, 3))):
+            a1, a2, b1, b2 = rects[-1]
+            grown = (a1 - int(rng.integers(0, a1)), a2 + int(rng.integers(0, R - a2 + 1)),
+                     b1 - int(rng.integers(0, b1)), b2 + int(rng.integers(0, C - b2 + 1)))
+            if grown != rects[-1] and grown != (1, R, 1, C):
+                rects.append(grown)
+        return ModelSpec(family=family, rectangles=tuple(Rectangle(*r) for r in rects)), R, C, None
+    N = int(rng.integers(1, min(R, C, 4) + 1))
+    general = family == GENERAL_BLOCKS
+    groups = ()
+    if general:
+        blocks = [int(b) + 1 for b in rng.permutation(N)[:int(rng.integers(1, N + 1))]]
+        cut = int(rng.integers(1, len(blocks) + 1))
+        groups = tuple(g for g in (tuple(sorted(blocks[:cut])), tuple(sorted(blocks[cut:]))) if g)
+    model = _blocks(family, _bounds(rng, N, R, not general), _bounds(rng, N, C, not general),
+                    groups)
+    types = None
+    if rng.random() < 1 / 3:
+        types = tuple(t for t in TYPE_NAMES if rng.random() < 0.5) or ("I",)
+    return model, R, C, types
+
+
+FAMILIES = (INDEPENDENCE, CHANGE_POINT, OWN_BLOCKS, COMMON_BLOCKS, GENERAL_BLOCKS)
+_GEOMETRY_RNG = np.random.default_rng(2311)
+RANDOM_GEOMETRIES = [_random_geometry(_GEOMETRY_RNG, FAMILIES[k % 5]) for k in range(40)]
+
+
+def test_random_geometries_cover_the_band_shapes():
+    blocks = [(m, R, C) for m, R, C, _ in RANDOM_GEOMETRIES if m.row_bounds]
+    widths = [w for m, R, C in blocks for b in (m.row_bounds, m.col_bounds) for w in np.diff(b)]
+    assert 1 in widths and len(set(widths)) > 2  # one-wide and unequal bands
+    assert any(m.row_bounds[-1] <= R or m.col_bounds[-1] <= C for m, R, C in blocks)  # leftover
+    assert any(len(m.rectangles) > 1 for m, *_ in RANDOM_GEOMETRIES)
+    assert any(t and m.row_bounds for m, R, C, t in RANDOM_GEOMETRIES)
+    assert {m.family for m, *_ in RANDOM_GEOMETRIES} == set(FAMILIES)
+
+
+@pytest.mark.parametrize("model,R,C,types", RANDOM_GEOMETRIES,
+                         ids=[f"{m.family}-{R}x{C}-{k}"
+                              for k, (m, R, C, _) in enumerate(RANDOM_GEOMETRIES)])
+def test_store_bytes_match_the_streamed_builder(model, R, C, types):
+    basis = enumerate_basis(model, R, C, types)
+    got = basis._off, basis._flat, basis._coef
+    want = streamed_store(model, R, C, types)
+    assert [(a.typecode, bytes(a)) for a in got] == [(a.typecode, bytes(a)) for a in want[:3]]
+    assert basis._tcode == want[3]
+
+
+@pytest.mark.parametrize("k", sorted(_SORT))
+def test_sorting_networks_sort_every_input(k):
+    # by the 0-1 principle, a network that sorts every 0-1 input sorts all
+    x = (np.arange(2 ** k) >> np.arange(k)[:, None]) & 1
+    for p, q in _SORT[k]:
+        x[p], x[q] = np.minimum(x[p], x[q]), np.maximum(x[p], x[q])
+    assert (np.diff(x, axis=0) >= 0).all()
 
 
 def test_store_dtypes_and_bytes():
@@ -168,7 +283,7 @@ def test_samplers_keep_the_negated_coefficients():
 
 def test_build_memory_is_bounded_by_the_store():
     # each pass's kept tuples go straight into the store, so the build's
-    # traced peak is the store plus one pass's arrays: 1.8x the store's
+    # traced peak is the store plus one pass's arrays: 1.7x the store's
     # bytes when measured, against 7.5x for the builder that kept every
     # candidate's key until one global sort
     model = _blocks(COMMON_BLOCKS, (1, 3, 6, 10), (1, 4, 6, 11))
