@@ -139,11 +139,11 @@ def _check_chain_args(args) -> None:
                        f"{args.check_every}")
 
 
-def _check_bounds(*bounds: tuple[str, int]) -> None:
+def _check_bounds(*bounds: tuple[str, int | None]) -> None:
     """A sweep bound below 2 leaves nothing to check: a fiber with a move
-    has total >= 2, on a grid of at least 2x2."""
+    has total >= 2, on a grid of at least 2x2.  None is a bound not given."""
     for flag, value in bounds:
-        if value < 2:
+        if value is not None and value < 2:
             raise CliError(f"{flag} must be >= 2, got {value}")
 
 
@@ -340,10 +340,13 @@ def cmd_fiber(args) -> dict:
 
 def cmd_verify(args) -> dict:
     _check_bounds(("--max-total", args.max_total), ("--max-dim", args.max_dim))
+    if args.max_dim is not None and args.suite not in ("change-point", "all"):
+        raise CliError("--max-dim bounds the grids of --suite change-point (or all) "
+                       "and is read nowhere else")
     if args.suite:
         runners = {
-            "change-point": lambda: change_point_suite(max_dim=args.max_dim,
-                                                       max_total=args.max_total),
+            "change-point": lambda: change_point_suite(
+                max_dim=4 if args.max_dim is None else args.max_dim, max_total=args.max_total),
             "own-blocks": lambda: own_blocks_suite(max_total=args.max_total),
             "common-blocks": lambda: common_blocks_suite(max_total=args.max_total),
         }
@@ -497,7 +500,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rows", type=int)
     p.add_argument("--cols", type=int)
     p.add_argument("--max-total", type=int, default=5)
-    p.add_argument("--max-dim", type=int, default=4)
+    p.add_argument("--max-dim", type=int,
+                   help="largest grid side of --suite change-point (default 4)")
     p.add_argument("--types", help="comma-separated move types, e.g. I,II")
     p.add_argument("--suite",
                    choices=("change-point", "own-blocks", "common-blocks", "all"))

@@ -13,10 +13,12 @@ paths are tested against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from .mcmc import PV_TOL, _as_tracker
-from .tables import Configuration, Table, flat_index, sufficient_statistic
+from .tables import Configuration, Table, sufficient_statistic
 
 __all__ = [
     "Fiber",
@@ -65,16 +67,11 @@ class Fiber:
     """All tables sharing one sufficient statistic, as flat count tuples."""
 
     members: tuple[tuple[int, ...], ...]
-    log_weights: tuple[float, ...] = field(repr=False)
     overflowed: bool = False
     cap: int = DEFAULT_CAP
 
     def __len__(self) -> int:
         return len(self.members)
-
-
-def _log_weight(member) -> float:
-    return -sum(math.lgamma(x + 1) for x in member)
 
 
 def enumerate_fiber(t, cfg: Configuration, cap: int = DEFAULT_CAP) -> Fiber:
@@ -103,12 +100,11 @@ def enumerate_fiber(t, cfg: Configuration, cap: int = DEFAULT_CAP) -> Fiber:
     # terms per cell, and the row-major-last cell of each term
     cell_terms: list[list[int]] = [[] for _ in range(R * C)]
     term_last = [-1] * Q
-    for q in range(Q):
-        for i, j in cfg.term_cells(q + 1):
-            p = flat_index(i, j, C)
+    for q, row in enumerate(cfg.matrix[R + C:]):
+        cells = np.flatnonzero(row).tolist()
+        for p in cells:
             cell_terms[p].append(q)
-            if p > term_last[q]:
-                term_last[q] = p
+        term_last[q] = max(cells, default=-1)
 
     members: list[tuple[int, ...]] = []
     counts = [0] * (R * C)
@@ -162,12 +158,7 @@ def enumerate_fiber(t, cfg: Configuration, cap: int = DEFAULT_CAP) -> Fiber:
 
     rec(0)
     members.sort()
-    return Fiber(
-        members=tuple(members),
-        log_weights=tuple(_log_weight(m) for m in members),
-        overflowed=overflowed,
-        cap=cap,
-    )
+    return Fiber(members=tuple(members), overflowed=overflowed, cap=cap)
 
 
 def is_connected(fiber: Fiber, basis) -> bool:
@@ -218,9 +209,10 @@ def fiber_pvalue(fiber: Fiber, table: Table, statistic) -> float:
         raise FiberOverflow(f"fiber exceeded cap {fiber.cap}; cannot compute the exact p-value")
     value = _as_tracker(statistic, table.R, table.C).start
     observed = value(table.vec().tolist())
-    shift = max(fiber.log_weights)
+    log_weights = [-sum(math.lgamma(x + 1) for x in member) for member in fiber.members]
+    shift = max(log_weights)
     total = tail = 0.0
-    for member, lw in zip(fiber.members, fiber.log_weights):
+    for member, lw in zip(fiber.members, log_weights):
         w = math.exp(lw - shift)
         total += w
         if value(member) >= observed - PV_TOL:

@@ -393,11 +393,9 @@ class LLRTracker:
         A = np.vstack([outer_rows, self._m1 == 0.0])
         self._support = lru_cache(self.PATTERN_CACHE_SIZE)(
             lambda zero: _Support(A, np.frombuffer(zero, dtype=bool)))
-        groups = [np.flatnonzero(row).tolist() for row in outer_rows]
-        x = table.vec().tolist()
-        self._fixed_targets = tuple(float(sum(x[p] for p in g)) for g in groups[:R + C])
-        self._total = float(sum(x))
-        self._term_groups = groups[R + C:]
+        x = table.vec()
+        self._fixed_targets = tuple(map(float, (outer_rows[:R + C].astype(np.int64) @ x).tolist()))
+        self._total = float(x.sum())
         # cells x terms: 1 where the cell lies in the term
         self._cell_terms = outer_rows[R + C:].T.astype(np.int64)
         self._llr = lru_cache(self.CACHE_SIZE)(self._refit)
@@ -416,7 +414,7 @@ class LLRTracker:
         return {"refits": info.misses, "hits": info.hits, "size": info.currsize}
 
     def _block_sums(self, x_flat) -> tuple[int, ...]:
-        return tuple(sum(x_flat[p] for p in g) for g in self._term_groups)
+        return tuple((np.asarray(x_flat, dtype=np.int64) @ self._cell_terms).tolist())
 
     def start(self, x_flat) -> float:
         self._b = b = self._block_sums(x_flat)

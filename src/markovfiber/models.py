@@ -13,7 +13,9 @@ Five families over an R x C grid:
 
 A model spec carries geometry only; the log-linear parameters it implies are
 never materialized (the fit works in the coordinates of independent
-configuration rows).
+configuration rows).  ``terms`` is the one place the geometry becomes
+cells: a (Q, R*C) 0-1 array of the subtable terms, which the
+configuration, the move builder and the certificates all read.
 Nesting between two models is decided by exact rational row-space containment
 of their configurations, so any pair of families can be compared.
 """
@@ -22,7 +24,9 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from .tables import Rectangle, build_configuration, row_space_contains
 
@@ -38,8 +42,6 @@ __all__ = [
     "require_valid",
     "terms",
     "n_blocks",
-    "block_cells",
-    "diagonal_cells",
     "is_nested",
     "model_to_dict",
     "model_from_dict",
@@ -159,48 +161,31 @@ def require_valid(model: ModelSpec, R: int, C: int) -> None:
         raise ModelError("; ".join(bad))
 
 
-def block_cells(model: ModelSpec, k: int, l: int) -> frozenset[tuple[int, int]]:
-    """Cells of block I_kl."""
-    rb, cb = model.row_bounds, model.col_bounds
-    return frozenset(
-        (i, j)
-        for i in range(rb[k - 1], rb[k])
-        for j in range(cb[l - 1], cb[l])
-    )
-
-
-def diagonal_cells(model: ModelSpec) -> frozenset[tuple[int, int]]:
-    """S = union of the diagonal blocks."""
-    out: set[tuple[int, int]] = set()
-    for n in range(1, n_blocks(model) + 1):
-        out |= block_cells(model, n, n)
-    return frozenset(out)
-
-
-def terms(model: ModelSpec, R: int, C: int) -> list[tuple[str, frozenset[tuple[int, int]]]]:
-    """Subtable terms in declaration order as (label, cells) pairs."""
+def terms(model: ModelSpec, R: int, C: int) -> np.ndarray:
+    """The subtable terms on the R x C grid as a (Q, R*C) uint8 array, one
+    row per term in declaration order, 1 on the row-major flat cells of the
+    term: a change-point term is its rectangle, an own-blocks term one
+    diagonal block, the common-blocks term every diagonal block, and a
+    general-blocks term the diagonal blocks of its group."""
     if model.family == INDEPENDENCE:
-        return []
-    if model.family == CHANGE_POINT:
-        return [
-            (f"sub:{n}", frozenset(rect.cells()))
-            for n, rect in enumerate(model.rectangles, start=1)
-        ]
-    if model.family == OWN_BLOCKS:
-        return [
-            (f"sub:{n}", block_cells(model, n, n))
-            for n in range(1, n_blocks(model) + 1)
-        ]
-    if model.family == COMMON_BLOCKS:
-        return [("sub:1", diagonal_cells(model))]
-    # general blocks: one term per group
-    out = []
-    for q, grp in enumerate(model.groups, start=1):
-        cells: set[tuple[int, int]] = set()
-        for n in grp:
-            cells |= block_cells(model, n, n)
-        out.append((f"sub:{q}", frozenset(cells)))
-    return out
+        boxes = []
+    elif model.family == CHANGE_POINT:
+        boxes = [[(r.a1, r.a2, r.b1, r.b2)] for r in model.rectangles]
+    else:
+        # the diagonal blocks as boxes of 1-based inclusive bounds
+        rb, cb = model.row_bounds, model.col_bounds
+        diag = [(r1, r2 - 1, c1, c2 - 1) for r1, r2, c1, c2 in zip(rb, rb[1:], cb, cb[1:])]
+        if model.family == OWN_BLOCKS:
+            boxes = [[box] for box in diag]
+        elif model.family == COMMON_BLOCKS:
+            boxes = [diag]
+        else:
+            boxes = [[diag[n - 1] for n in grp] for grp in model.groups]
+    out = np.zeros((len(boxes), R, C), dtype=np.uint8)
+    for q, term in enumerate(boxes):
+        for a1, a2, b1, b2 in term:
+            out[q, a1 - 1:a2, b1 - 1:b2] = 1
+    return out.reshape(len(boxes), R * C)
 
 
 def is_nested(inner: ModelSpec, outer: ModelSpec, R: int, C: int) -> bool:

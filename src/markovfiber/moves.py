@@ -255,16 +255,6 @@ class MoveBasis:
         return draw, _Store(self._off, self._flat, self._coef, self._tcode, self._neg)
 
 
-def _term_matrix(model, R: int, C: int) -> np.ndarray:
-    """Terms x cells 0/1 matrix, the subtable rows of the configuration:
-    row q marks the flat cells of term q."""
-    terms = _models.terms(model, R, C)
-    matrix = np.zeros((len(terms), R * C), dtype=np.int8)
-    for q, (_, cells) in enumerate(terms):
-        matrix[q, [flat_index(i, j, C) for i, j in cells]] = 1
-    return matrix
-
-
 def _balanced(terms: np.ndarray, flats: np.ndarray, coefs: np.ndarray) -> np.ndarray:
     """Mask of the candidate moves, the columns of (k, n) flat cells, whose
     coefficients sum to 0 on every term."""
@@ -479,7 +469,7 @@ def _configurations(model, R: int, C: int, types, limit: float = np.inf):
     indices leave every term sum as it is) and which type it has: one
     representative tuple per configuration, the first index of each band,
     decides for all of its tuples."""
-    terms = _term_matrix(model, R, C)
+    terms = _models.terms(model, R, C).view(np.int8)  # 0/1, signed for the balance sums
     rows, cols, N = _band_sizes(model, R, C, terms)
     code = _code_type(R * C)
     # one lookup for both axes: column band b is entry len(rows) + b

@@ -9,8 +9,8 @@ downstream (move kernels, fibers, degrees of freedom) is phrased in terms of
 * cells are 1-based ``(i, j)`` with ``1 <= i <= R``, ``1 <= j <= C``;
 * vectorization is row-major, cell ``(i, j)`` maps to flat index
   ``(i-1)*C + (j-1)``;
-* configuration rows are ordered: row sums, then column sums, then subtable
-  terms in model-declaration order.
+* configuration rows are ordered: row sums, then column sums, then the
+  subtable terms of ``models.terms``, in model-declaration order.
 
 Rank is computed exactly over the rationals because it feeds reported
 degrees of freedom.
@@ -19,8 +19,8 @@ degrees of freedom.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -46,11 +46,6 @@ class TableError(ValueError):
 def flat_index(i: int, j: int, C: int) -> int:
     """Row-major flat index of 1-based cell (i, j)."""
     return (i - 1) * C + (j - 1)
-
-
-def cell_of(flat: int, C: int) -> tuple[int, int]:
-    """Inverse of flat_index."""
-    return flat // C + 1, flat % C + 1
 
 
 @dataclass(frozen=True)
@@ -125,11 +120,6 @@ class Rectangle:
     def contains(self, i: int, j: int) -> bool:
         return self.a1 <= i <= self.a2 and self.b1 <= j <= self.b2
 
-    def cells(self) -> Iterator[tuple[int, int]]:
-        for i in range(self.a1, self.a2 + 1):
-            for j in range(self.b1, self.b2 + 1):
-                yield (i, j)
-
     @property
     def n_cells(self) -> int:
         return (self.a2 - self.a1 + 1) * (self.b2 - self.b1 + 1)
@@ -147,21 +137,20 @@ class Rectangle:
 class Configuration:
     """0-1 constraint matrix mapping vec(x) to (row sums, col sums, subtable sums).
 
-    ``matrix`` has shape (T, R*C) with T = R + C + Q.  ``labels[r]`` names row
-    r: "row:i", "col:j" or "sub:q" (q = 1-based term index).
+    ``matrix`` has shape (T, R*C) with T = R + C + Q: R row-sum rows, C
+    column-sum rows, then the Q rows of ``models.terms``.
     """
 
     R: int
     C: int
     matrix: np.ndarray
-    labels: tuple[str, ...] = field(compare=False)
 
     def __post_init__(self) -> None:
         mat = np.asarray(self.matrix, dtype=np.uint8)
-        if mat.shape != (len(self.labels), self.R * self.C):
+        if mat.ndim != 2 or mat.shape[0] < self.R + self.C or mat.shape[1] != self.R * self.C:
             raise TableError(
-                f"configuration shape {mat.shape} does not match "
-                f"{len(self.labels)} labels x {self.R * self.C} cells"
+                f"configuration shape {mat.shape} does not match at least "
+                f"{self.R + self.C} rows x {self.R * self.C} cells"
             )
         # every column must carry exactly one row-sum 1 and one col-sum 1
         rowpart = mat[: self.R]
@@ -180,39 +169,19 @@ class Configuration:
     def Q(self) -> int:
         return self.T - self.R - self.C
 
-    def term_cells(self, q: int) -> frozenset[tuple[int, int]]:
-        """Cells of the q-th subtable term (1-based q)."""
-        row = self.matrix[self.R + self.C + q - 1]
-        return frozenset(cell_of(int(f), self.C) for f in np.flatnonzero(row))
-
     def apply(self, flat_counts: np.ndarray) -> np.ndarray:
         return self.matrix.astype(np.int64) @ np.asarray(flat_counts, dtype=np.int64)
 
 
 def build_configuration(model, R: int, C: int) -> Configuration:
-    """Configuration of ``model`` on the R x C grid.
-
-    Rows: R row sums, C column sums, then one row per subtable term in
-    model-declaration order.
-    """
+    """Configuration of ``model`` on the R x C grid: the one-hot rows of the
+    R row sums and of the C column sums, stacked on the model's terms."""
     from . import models  # local import; models depends on tables' geometry types
 
     models.require_valid(model, R, C)
-    terms = models.terms(model, R, C)
-    T = R + C + len(terms)
-    mat = np.zeros((T, R * C), dtype=np.uint8)
-    labels = []
-    for i in range(1, R + 1):
-        mat[i - 1, (i - 1) * C : i * C] = 1
-        labels.append(f"row:{i}")
-    for j in range(1, C + 1):
-        mat[R + j - 1, j - 1 :: C] = 1
-        labels.append(f"col:{j}")
-    for q, (label, cells) in enumerate(terms):
-        for (i, j) in cells:
-            mat[R + C + q, flat_index(i, j, C)] = 1
-        labels.append(label)
-    return Configuration(R=R, C=C, matrix=mat, labels=tuple(labels))
+    rows = np.repeat(np.eye(R, dtype=np.uint8), C, axis=1)
+    cols = np.tile(np.eye(C, dtype=np.uint8), R)
+    return Configuration(R=R, C=C, matrix=np.vstack([rows, cols, models.terms(model, R, C)]))
 
 
 def sufficient_statistic(table: Table, cfg: Configuration) -> np.ndarray:

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import models as _models
 from .models import ModelSpec
-from .tables import Rectangle, build_configuration
+from .tables import Rectangle
 
 __all__ = [
     "ToricError",
@@ -108,12 +108,12 @@ def generators(model: ModelSpec, R: int, C: int):
 
     Returns (pairs, row_perm, col_perm), one (lead, trail) pair per
     unordered basic move x_ik x_jl - x_il x_jk, rows i < j and columns
-    k < l, whose four cells' columns of the configuration balance on every
-    term row.  The lead x_ik x_jl holds x_jl, the largest of the four
-    variables.  Variable x_ij is nibble (i-1)C + (j-1), its flat index.
+    k < l, whose four cells balance on every term of the canonical model
+    (``models.terms``; the row and column sums always balance).  The lead
+    x_ik x_jl holds x_jl, the largest of the four variables.  Variable x_ij is nibble (i-1)C + (j-1), its flat index.
     """
     canon, row_perm, col_perm = canonicalize(model, R, C)
-    terms = build_configuration(canon, R, C).matrix[R + C:].astype(np.int8).reshape(-1, R, C)
+    terms = _models.terms(canon, R, C).reshape(-1, R, C)
     pairs = []
     for i, j in combinations(range(R), 2):
         # unbalanced[k, l]: some term row tells x_ik x_jl from x_il x_jk

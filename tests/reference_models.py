@@ -2,13 +2,16 @@
 
 The package never asks which stratum, band or block one cell lies in; the
 loop reference builder of the move bases and the fit checks do, so the
-lookups live here, with the tests.
+lookups live here, with the tests.  ``term_membership`` decides, cell by
+cell from those lookups, which subtable terms hold each cell: the oracle
+of ``models.terms``.
 """
 
 from markovfiber.models import (
     CHANGE_POINT,
     COMMON_BLOCKS,
     GENERAL_BLOCKS,
+    INDEPENDENCE,
     OWN_BLOCKS,
     ModelError,
     ModelSpec,
@@ -58,3 +61,32 @@ def cell_stratum(model: ModelSpec, R: int, C: int, i: int, j: int) -> int:
         if rect.contains(i, j):
             return n
     return len(model.rectangles) + 1
+
+
+def term_membership(model: ModelSpec, R: int, C: int) -> list[list[int]]:
+    """The subtable terms as 0-1 lists over the row-major cells, one per
+    term in declaration order.  A cell of stratum n lies in rectangles
+    S_n .. S_N; a cell of a diagonal block (k, k) lies in the terms whose
+    blocks include k: term k for own blocks, the one term for common
+    blocks, k's group for general blocks."""
+    if model.family == INDEPENDENCE:
+        return []
+    if model.family == CHANGE_POINT:
+        def inside(q, i, j):
+            return cell_stratum(model, R, C, i, j) <= q
+        Q = len(model.rectangles)
+    else:
+        N = n_blocks(model)
+        if model.family == OWN_BLOCKS:
+            groups = [(k,) for k in range(1, N + 1)]
+        elif model.family == COMMON_BLOCKS:
+            groups = [tuple(range(1, N + 1))]
+        else:
+            groups = list(model.groups)
+
+        def inside(q, i, j):
+            block = cell_block(model, R, C, i, j)
+            return block is not None and block[0] == block[1] and block[0] in groups[q - 1]
+        Q = len(groups)
+    return [[int(inside(q, i, j)) for i in range(1, R + 1) for j in range(1, C + 1)]
+            for q in range(1, Q + 1)]

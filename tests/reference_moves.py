@@ -19,7 +19,7 @@ import numpy as np
 
 from markovfiber import models as _models
 from markovfiber.tables import build_configuration, flat_index
-from reference_models import cell_stratum, col_band, row_band
+from reference_models import cell_stratum, col_band, row_band, term_membership
 
 TYPE_ORDER = ("I", "II", "III", "IV", "IVt")
 
@@ -31,11 +31,12 @@ def flats_coefs(move, C):
 
 
 def _term_grids(model, R, C):
+    """Per term, g[i][j] for 1-based cells (i, j): is the cell in the term."""
     grids = []
-    for _, cells in _models.terms(model, R, C):
+    for row in term_membership(model, R, C):
         g = [[False] * (C + 1) for _ in range(R + 1)]
-        for i, j in cells:
-            g[i][j] = True
+        for p, inside in enumerate(row):
+            g[p // C + 1][p % C + 1] = bool(inside)
         grids.append(g)
     return grids
 

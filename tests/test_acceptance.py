@@ -245,8 +245,8 @@ def test_criterion_9_sampler_correctness():
         sizes.append(size)
 
         # target occupancy: normalized multinomial weights of the members
-        shift = max(fib.log_weights)
-        w = np.exp(np.asarray(fib.log_weights) - shift)
+        log_w = np.array([-sum(math.lgamma(x + 1) for x in m) for m in fib.members])
+        w = np.exp(log_w - log_w.max())
         probs = w / w.sum()
         index = {m: k for k, m in enumerate(fib.members)}
 

@@ -600,6 +600,18 @@ def test_sweep_bounds_below_two_are_refused(capsys, argv):
                             "message": f"{argv[-2]} must be >= 2, got {argv[-1]}"}
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--dataset", "gilby", "--max-total", "2", "--max-dim", "3"),
+    ("verify", "--suite", "own-blocks", "--max-total", "2", "--max-dim", "3"),
+    ("verify", "--suite", "common-blocks", "--max-total", "2", "--max-dim", "3"),
+])
+def test_verify_max_dim_is_refused_where_nothing_reads_it(capsys, argv):
+    code, rep = run_json(capsys, *argv)
+    assert code == 1
+    assert rep["error"]["type"] == "CliError"
+    assert rep["error"]["message"].startswith("--max-dim bounds the grids of --suite change-point")
+
+
 def test_verify_suite_takes_the_smallest_bounds(capsys):
     code, rep = run_json(capsys, "verify", "--suite", "change-point", "--max-dim", "2",
                          "--max-total", "2")

@@ -1,6 +1,5 @@
 """Fiber enumeration against a product-space oracle, plus the fiber questions."""
 
-import math
 from itertools import product
 
 import numpy as np
@@ -65,14 +64,6 @@ def test_enumeration_matches_product_oracle(model, rows):
     assert not fib.overflowed
     assert list(fib.members) == oracle_fiber(t, cfg)
     assert table.vec().tolist() in [list(m) for m in fib.members]
-
-
-def test_log_weights_are_minus_log_factorials():
-    table = Table.from_rows([[2, 0], [0, 1]])
-    t, cfg = stat_of(ModelSpec(family=INDEPENDENCE), table)
-    fib = enumerate_fiber(t, cfg)
-    for member, lw in zip(fib.members, fib.log_weights):
-        assert lw == pytest.approx(-sum(math.lgamma(x + 1) for x in member))
 
 
 def test_empty_fiber():
@@ -155,7 +146,7 @@ def test_singleton_and_empty_fibers_count_as_connected():
     single = enumerate_fiber((2, 0, 2, 0), cfg)
     assert len(single) == 1
     assert is_connected(single, basis)
-    empty = Fiber(members=(), log_weights=())
+    empty = Fiber(members=())
     assert is_connected(empty, basis)
 
 

@@ -10,8 +10,6 @@ from markovfiber.models import (
     OWN_BLOCKS,
     ModelError,
     ModelSpec,
-    block_cells,
-    diagonal_cells,
     is_nested,
     load_model,
     model_from_dict,
@@ -22,9 +20,11 @@ from markovfiber.models import (
     terms,
     validate,
 )
-from markovfiber.tables import Rectangle
+import numpy as np
+
+from markovfiber.tables import Rectangle, build_configuration
 from markovfiber.datasets import gilby_model, victoria_models
-from reference_models import cell_block, cell_stratum
+from reference_models import cell_block, cell_stratum, term_membership
 
 
 def test_gilby_spec_is_valid():
@@ -107,8 +107,8 @@ def test_cell_block_on_the_seasonal_grid():
     common, _ = victoria_models()
     assert cell_block(common, 12, 12, 4, 7) == (2, 3)
     assert cell_block(common, 12, 12, 1, 1) == (1, 1)
-    assert (1, 1) in diagonal_cells(common)
-    assert (4, 7) not in diagonal_cells(common)
+    diagonal = terms(common, 12, 12).reshape(12, 12)
+    assert diagonal[0, 0] == 1 and diagonal[3, 6] == 0
     with pytest.raises(ModelError):
         cell_block(common, 12, 12, 0, 1)
 
@@ -121,29 +121,67 @@ def test_cell_block_uncovered_region_is_none():
 
 
 def test_diagonal_blocks_tile_s():
-    _, own = victoria_models()
-    cells = diagonal_cells(own)
-    assert len(cells) == 4 * 9
-    for k in range(1, 5):
-        blk = block_cells(own, k, k)
-        assert len(blk) == 9
-        assert blk <= cells
-    # off-diagonal block is disjoint from S
-    assert not (block_cells(own, 1, 2) & cells)
+    common, own = victoria_models()
+    blocks = terms(own, 12, 12)
+    # four 3x3 blocks, disjoint, whose union is the common term S
+    assert blocks.sum(axis=1).tolist() == [9] * 4
+    assert (blocks.sum(axis=0) == terms(common, 12, 12)[0]).all()
+    for k in range(4):
+        assert blocks[k].reshape(12, 12)[3 * k:3 * k + 3, 3 * k:3 * k + 3].all()
+    # the off-diagonal block I_12 lies outside S
+    assert not blocks.reshape(4, 12, 12)[:, 0:3, 3:6].any()
 
 
 def test_terms_order_and_shape():
     common, own = victoria_models()
     t_own = terms(own, 12, 12)
-    assert [lbl for lbl, _ in t_own] == ["sub:1", "sub:2", "sub:3", "sub:4"]
-    t_common = terms(common, 12, 12)
-    assert len(t_common) == 1
-    assert t_common[0][1] == diagonal_cells(common)
+    assert t_own.shape == (4, 144) and t_own.dtype == np.uint8
+    assert [int(np.flatnonzero(row)[0]) for row in t_own] == [0, 39, 78, 117]  # in block order
+    assert terms(common, 12, 12).shape == (1, 144)
+    assert terms(ModelSpec(family=INDEPENDENCE), 3, 4).shape == (0, 12)
     grouped = ModelSpec(family=GENERAL_BLOCKS, row_bounds=(1, 5, 9, 13),
                         col_bounds=(1, 5, 9, 13), groups=((1, 3), (2,)))
-    t_gen = terms(grouped, 12, 12)
-    assert len(t_gen) == 2
-    assert t_gen[0][1] == block_cells(grouped, 1, 1) | block_cells(grouped, 3, 3)
+    t_gen = terms(grouped, 12, 12).reshape(2, 12, 12)
+    first = np.zeros((12, 12), dtype=np.uint8)
+    first[0:4, 0:4] = first[8:12, 8:12] = 1
+    assert (t_gen[0] == first).all()
+    assert t_gen[1].sum() == 16 and t_gen[1][4:8, 4:8].all()
+
+
+def _cp(*rects):
+    return ModelSpec(family=CHANGE_POINT, rectangles=tuple(Rectangle(*r) for r in rects))
+
+
+def _bl(family, rows, cols, groups=()):
+    return ModelSpec(family=family, row_bounds=rows, col_bounds=cols, groups=groups)
+
+
+# (name, model, R, C): every family, nested and stacked rectangles, blocks
+# of unequal widths, and general blocks with leftover rows and columns and
+# groups of several blocks
+TERM_CASES = [
+    ("independence", ModelSpec(family=INDEPENDENCE), 3, 4),
+    ("gilby", gilby_model(), 8, 4),
+    ("cp-nested-three", _cp((2, 3, 2, 2), (2, 4, 1, 3), (1, 5, 1, 4)), 6, 5),
+    ("cp-strip", _cp((3, 3, 1, 4)), 4, 4),
+    ("victoria-common", victoria_models()[0], 12, 12),
+    ("victoria-own", victoria_models()[1], 12, 12),
+    ("own-unequal", _bl(OWN_BLOCKS, (1, 2, 5, 6), (1, 4, 5, 7)), 5, 6),
+    ("own-one-by-one", _bl(OWN_BLOCKS, (1, 2, 3, 4), (1, 2, 3, 4)), 3, 3),
+    ("common-unequal", _bl(COMMON_BLOCKS, (1, 3, 4, 8), (1, 2, 5, 6)), 7, 5),
+    ("general-leftover-rows", _bl(GENERAL_BLOCKS, (1, 3, 4), (1, 2, 6), ((1, 2),)), 6, 5),
+    ("general-leftover-cols", _bl(GENERAL_BLOCKS, (1, 2, 4, 5), (1, 3, 4, 6), ((1, 3), (2,))),
+     4, 7),
+    ("general-leftover-both", _bl(GENERAL_BLOCKS, (1, 2, 3, 5), (1, 2, 4, 5),
+                                  ((3,), (2, 1))), 6, 6),
+]
+
+
+@pytest.mark.parametrize("name,model,R,C", TERM_CASES, ids=[c[0] for c in TERM_CASES])
+def test_terms_match_the_cell_oracle(name, model, R, C):
+    want = term_membership(model, R, C)
+    assert terms(model, R, C).tolist() == want
+    assert build_configuration(model, R, C).matrix[R + C:].tolist() == want
 
 
 def test_nesting_common_inside_own():

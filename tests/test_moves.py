@@ -36,7 +36,7 @@ from markovfiber.moves import (
 )
 from markovfiber.tables import Rectangle, build_configuration
 from markovfiber.datasets import gilby_model, victoria_models
-from reference_models import cell_stratum
+from reference_models import cell_stratum, term_membership
 from reference_moves import flats_coefs, reference_unsigned, streamed_store, unsigned_key
 
 
@@ -74,13 +74,13 @@ ORACLE_IDS = [f"{m.family}-{R}x{C}-{'+'.join(t) if t else 'default'}-{k}"
 
 def balanced_minors(model, R, C):
     """Brute-force oracle: unsigned basic moves balanced on every model term."""
-    term_cells = [cells for _, cells in terms(model, R, C)]
+    term_rows = term_membership(model, R, C)
     out = set()
     for i1, i2 in combinations(range(1, R + 1), 2):
         for j1, j2 in combinations(range(1, C + 1), 2):
             entries = ((i1, j1, 1), (i1, j2, -1), (i2, j1, -1), (i2, j2, 1))
-            if all(sum(c for i, j, c in entries if (i, j) in cells) == 0
-                   for cells in term_cells):
+            if all(sum(c * row[(i - 1) * C + j - 1] for i, j, c in entries) == 0
+                   for row in term_rows):
                 out.add(entries)
     return out
 
@@ -231,6 +231,15 @@ def test_random_geometries_cover_the_band_shapes():
     assert any(len(m.rectangles) > 1 for m, *_ in RANDOM_GEOMETRIES)
     assert any(t and m.row_bounds for m, R, C, t in RANDOM_GEOMETRIES)
     assert {m.family for m, *_ in RANDOM_GEOMETRIES} == set(FAMILIES)
+
+
+@pytest.mark.parametrize("model,R,C,types", RANDOM_GEOMETRIES,
+                         ids=[f"{m.family}-{R}x{C}-{k}"
+                              for k, (m, R, C, _) in enumerate(RANDOM_GEOMETRIES)])
+def test_random_geometry_terms_match_the_cell_oracle(model, R, C, types):
+    want = term_membership(model, R, C)
+    assert terms(model, R, C).tolist() == want
+    assert build_configuration(model, R, C).matrix[R + C:].tolist() == want
 
 
 @pytest.mark.parametrize("model,R,C,types", RANDOM_GEOMETRIES,

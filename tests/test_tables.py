@@ -1,5 +1,6 @@
 """Tables, cell geometry, configurations and exact rank."""
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,6 @@ from markovfiber.tables import (
     Table,
     TableError,
     build_configuration,
-    cell_of,
     config_rank,
     degrees_of_freedom,
     flat_index,
@@ -39,7 +39,7 @@ def test_flat_index_round_trip():
     C = 5
     for i in range(1, 4):
         for j in range(1, C + 1):
-            assert cell_of(flat_index(i, j, C), C) == (i, j)
+            assert divmod(flat_index(i, j, C), C) == (i - 1, j - 1)
     assert flat_index(1, 1, C) == 0
     assert flat_index(2, 1, C) == C
 
@@ -75,7 +75,8 @@ def test_table_equality_and_hash():
 def test_rectangle_basics():
     r = Rectangle(1, 2, 1, 3)
     assert r.n_cells == 6
-    assert set(r.cells()) == {(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)}
+    assert [(i, j) for i in range(1, 4) for j in range(1, 5) if r.contains(i, j)] == [
+        (1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)]
     assert r.contains(2, 3) and not r.contains(3, 1)
     assert Rectangle(1, 3, 1, 3).contains_rect(r)
     assert not r.contains_rect(Rectangle(1, 3, 1, 3))
@@ -90,16 +91,17 @@ def test_rectangle_basics():
 def test_configuration_row_layout():
     cfg = build_configuration(ModelSpec(family=INDEPENDENCE), 3, 4)
     assert cfg.T == 7 and cfg.Q == 0
-    assert cfg.labels == ("row:1", "row:2", "row:3", "col:1", "col:2", "col:3", "col:4")
-    # each cell sits in exactly one row sum and one column sum
-    assert (cfg.matrix[:3].sum(axis=0) == 1).all()
-    assert (cfg.matrix[3:].sum(axis=0) == 1).all()
+    # row i sums the cells (i, .), row 3 + j the cells (., j), row-major
+    assert cfg.matrix[:3].tolist() == [[1] * 4 + [0] * 8, [0] * 4 + [1] * 4 + [0] * 4,
+                                       [0] * 8 + [1] * 4]
+    assert cfg.matrix[3:].tolist() == [[int(f % 4 == j) for f in range(12)] for j in range(4)]
 
 
 def test_configuration_rejects_bad_shapes():
     with pytest.raises(TableError):
-        Configuration(R=2, C=2, matrix=np.zeros((3, 4), dtype=np.uint8),
-                      labels=("a", "b"))
+        Configuration(R=2, C=2, matrix=np.zeros((3, 4), dtype=np.uint8))
+    with pytest.raises(TableError):
+        Configuration(R=2, C=2, matrix=np.eye(4, 5, dtype=np.uint8))
     # a column not covered by any row-sum row
     mat = np.zeros((4, 4), dtype=np.uint8)
     mat[0, :2] = 1
@@ -107,7 +109,7 @@ def test_configuration_rejects_bad_shapes():
     mat[2, (0, 2)] = 1  # col sums miss flats 1 and 3
     mat[3, (0, 2)] = 1
     with pytest.raises(TableError):
-        Configuration(R=2, C=2, matrix=mat, labels=("row:1", "row:2", "col:1", "col:2"))
+        Configuration(R=2, C=2, matrix=mat)
 
 
 def test_sufficient_statistic_matches_direct_sums():
@@ -121,7 +123,7 @@ def test_sufficient_statistic_matches_direct_sums():
     s2 = int(table.counts[0:5, 0:2].sum())
     assert t[12] == s1 == 213
     assert t[13] == s2 == 1063
-    assert cfg.labels[12:] == ("sub:1", "sub:2")
+    assert cfg.Q == 2
 
 
 def test_sufficient_statistic_dimension_check():
@@ -132,8 +134,28 @@ def test_sufficient_statistic_dimension_check():
 
 def test_term_cells_reads_back_the_subtable():
     cfg = build_configuration(gilby_model(), 8, 4)
-    assert cfg.term_cells(1) == frozenset({(1, 1), (2, 1), (3, 1)})
-    assert cfg.term_cells(2) == frozenset(Rectangle(1, 5, 1, 2).cells())
+    cells = [{(int(f) // 4 + 1, int(f) % 4 + 1) for f in np.flatnonzero(row)}
+             for row in cfg.matrix[12:]]
+    assert cells == [{(1, 1), (2, 1), (3, 1)}, {(i, j) for i in range(1, 6) for j in (1, 2)}]
+
+
+# sha256 of each configuration's shape and uint8 bytes, taken from the
+# configurations built cell by cell from labelled cell sets
+PINNED_CONFIGURATIONS = {
+    "gilby": (gilby_model(), 8, 4, "f275a777d66e70a8"),
+    "victoria-common": (victoria_models()[0], 12, 12, "61e454fb6bde544e"),
+    "victoria-own": (victoria_models()[1], 12, 12, "d5c6f69a87b9e898"),
+    "lazy-grid": (ModelSpec(family=COMMON_BLOCKS, row_bounds=(1, 7, 13, 19, 25),
+                            col_bounds=(1, 7, 13, 19, 25)), 24, 24, "92800bc2dd2eeca7"),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_CONFIGURATIONS)
+def test_configuration_is_pinned(name):
+    model, R, C, digest = PINNED_CONFIGURATIONS[name]
+    mat = build_configuration(model, R, C).matrix
+    assert mat.dtype == np.uint8
+    assert hashlib.sha256(str(mat.shape).encode() + mat.tobytes()).hexdigest()[:16] == digest
 
 
 def test_rational_rank_is_exact_on_big_integers():
