@@ -3,7 +3,9 @@
 Every subcommand prints one JSON report to stdout and exits 0, or prints a
 machine-readable error object and exits 1.  Tables travel as header-less
 CSV, reports as JSON; identical invocations with identical seeds produce
-identical reports except for the timing block.
+identical reports except for the timing block.  A command imports the
+fiber, toric and verification layers only if it calls them, so ``test`` and
+``fit`` load neither.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from contextlib import ExitStack
 from . import __version__
 from . import models as _models
 from .datasets import DATASET_NAMES, dataset, dataset_models
-from .fiber import DEFAULT_CAP, FiberOverflow, enumerate_fiber, fiber_pvalue, is_connected
 from .fit import FitError, chi_square, g_square, ipf_fit, make_tracker
 from .mcmc import ChainConfig, pooled_pvalue, run_chains
 from .models import ModelError, ModelSpec, load_model, model_to_dict, save_model
@@ -32,14 +33,6 @@ from .tables import (
     read_table_csv,
     sufficient_statistic,
     write_table_csv,
-)
-from .toric import ToricError, verify_grobner
-from .verify import (
-    change_point_suite,
-    common_blocks_suite,
-    connectivity_range,
-    indispensability_sweep,
-    own_blocks_suite,
 )
 
 __all__ = ["main"]
@@ -56,6 +49,18 @@ _DEFAULT_MODEL = {"gilby": "change-point", "victoria": "common-blocks"}
 
 class CliError(ValueError):
     pass
+
+
+def _reported_errors() -> tuple[type[Exception], ...]:
+    """The errors reported as a JSON object and exit 1, including
+    ``FiberOverflow`` and ``ToricError`` of the layers a command loads on
+    demand, once loaded (an error of a layer never loaded cannot have been
+    raised)."""
+    fiber = sys.modules.get(f"{__package__}.fiber")
+    toric = sys.modules.get(f"{__package__}.toric")
+    return ((CliError, TableError, ModelError, FitError, OSError)
+            + ((fiber.FiberOverflow,) if fiber else ())
+            + ((toric.ToricError,) if toric else ()))
 
 
 def _load_table(args) -> tuple[Table, str | None]:
@@ -308,8 +313,11 @@ def cmd_moves_dump(args) -> dict:
 
 
 def cmd_fiber(args) -> dict:
-    if args.cap < 1:
-        raise CliError(f"--cap must be >= 1, got {args.cap}")
+    from .fiber import DEFAULT_CAP, enumerate_fiber, fiber_pvalue, is_connected
+
+    cap = DEFAULT_CAP if args.cap is None else args.cap
+    if cap < 1:
+        raise CliError(f"--cap must be >= 1, got {cap}")
     table, ds = _load_table(args)
     model, alt = _stat_pair(args, ds) if args.exact_p else (_resolve_model(args.model, ds), None)
     R, C = table.R, table.C
@@ -318,7 +326,7 @@ def cmd_fiber(args) -> dict:
         _require_enumerable("--check-connect", R, C)
     cfg = build_configuration(model, R, C)
     t = sufficient_statistic(table, cfg)
-    fiber = enumerate_fiber(t, cfg, cap=args.cap)
+    fiber = enumerate_fiber(t, cfg, cap=cap)
     report = {
         "command": "fiber",
         "dataset": ds,
@@ -327,7 +335,7 @@ def cmd_fiber(args) -> dict:
         "t": [int(v) for v in t],
         "size": len(fiber),
         "overflowed": fiber.overflowed,
-        "cap": args.cap,
+        "cap": cap,
     }
     if args.check_connect:
         report["connected"] = is_connected(fiber, enumerate_basis(model, R, C))
@@ -339,6 +347,9 @@ def cmd_fiber(args) -> dict:
 
 
 def cmd_verify(args) -> dict:
+    from .verify import (change_point_suite, common_blocks_suite, connectivity_range,
+                         indispensability_sweep, own_blocks_suite)
+
     _check_bounds(("--max-total", args.max_total), ("--max-dim", args.max_dim))
     if args.max_dim is not None and args.suite not in ("change-point", "all"):
         raise CliError("--max-dim bounds the grids of --suite change-point (or all) "
@@ -389,6 +400,8 @@ def cmd_verify(args) -> dict:
 
 
 def cmd_grobner_check(args) -> dict:
+    from .toric import verify_grobner
+
     _check_bounds(("--max-dim", args.max_dim))
     ds = getattr(args, "dataset", None)
     table = dataset(ds) if ds else None
@@ -488,7 +501,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fiber", help="enumerate the observed table's fiber")
     _add_table_flags(p)
     _add_model_flags(p)
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    p.add_argument("--cap", type=int,
+                   help="most tables to enumerate (default: markovfiber.fiber.DEFAULT_CAP)")
     p.add_argument("--check-connect", action="store_true")
     p.add_argument("--exact-p", action="store_true")
     p.add_argument("--stat", choices=STATS, default="chi2")
@@ -528,8 +542,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         report = args.func(args)
-    except (CliError, TableError, ModelError, FitError, ToricError,
-            FiberOverflow, OSError) as exc:
+    except _reported_errors() as exc:  # evaluated once the command has raised
         print(json.dumps({"error": {"type": type(exc).__name__,
                                     "message": str(exc)}}))
         return 1

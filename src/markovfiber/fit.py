@@ -41,7 +41,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import models as _models
-from .tables import Table, build_configuration, gram, pivot_rows
+from .tables import Table, build_configuration, independent_rows
 
 __all__ = [
     "FitResult",
@@ -88,7 +88,7 @@ class _Support:
         B = A[np.ix_(pos, self.live)]
         if not B.any(axis=1).all():
             raise FitError("a row with a positive target has every cell pinned to zero")
-        independent = pivot_rows(gram(B))
+        independent = independent_rows(B)
         self.rows = pos[independent]
         self.B = B[independent].astype(np.float64)
 

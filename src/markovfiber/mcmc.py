@@ -75,6 +75,9 @@ RESYNC_EVERY = 4096
 # moves of at most this many steps (about 130 kB with eight-cell moves),
 # whatever the chain's length
 PIECE = 4096
+# the most a proposal adds to one cell: a move has at most eight slots of
+# coefficient +-1 (Type IV), merged where its cells coincide
+MOVE_REACH = 8
 
 
 @dataclass(frozen=True)
@@ -234,8 +237,12 @@ def walk(start: Table, cfg_matrix: Configuration, chain: ChainConfig, statistic)
     x = [int(v) for v in start.vec()]
     t0 = cfg_matrix.apply(start.vec())
     A = cfg_matrix.matrix.astype(np.int64)
-    total = sum(x)
-    lf = [math.lgamma(n + 1) for n in range(total + 1)]
+    # log-factorials of every count a proposal can reach: a state's cell is
+    # at most the smaller of its row's and its column's sum, and a proposal
+    # can raise it by up to MOVE_REACH before a later cell goes negative
+    counts = start.counts
+    top = int(np.minimum.outer(counts.sum(axis=1), counts.sum(axis=0)).max())
+    lf = [math.lgamma(n + 1) for n in range(top + MOVE_REACH + 1)]
 
     cur = tracker.start(x)
     if not math.isfinite(cur):

@@ -22,7 +22,6 @@ of their configurations, so any pair of families can be compared.
 
 from __future__ import annotations
 
-import json
 import operator
 from dataclasses import dataclass
 
@@ -255,6 +254,8 @@ def _ints(value, field: str, length: int | None = None) -> tuple[int, ...]:
 
 
 def load_model(path) -> ModelSpec:
+    import json
+
     with open(path) as fp:
         try:
             data = json.load(fp)
@@ -266,6 +267,8 @@ def load_model(path) -> ModelSpec:
 
 
 def save_model(model: ModelSpec, path) -> None:
+    import json
+
     with open(path, "w") as fp:
         json.dump(model_to_dict(model), fp, indent=2)
         fp.write("\n")

@@ -13,13 +13,15 @@ downstream (move kernels, fibers, degrees of freedom) is phrased in terms of
   subtable terms of ``models.terms``, in model-declaration order.
 
 Rank is computed exactly over the rationals because it feeds reported
-degrees of freedom.
+degrees of freedom.  The fit, the degrees of freedom and the nesting check
+all ask for the independent rows of the same few configurations, so the
+elimination of each distinct Gram matrix is kept (``independent_rows``).
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -33,6 +35,7 @@ __all__ = [
     "config_rank",
     "degrees_of_freedom",
     "rational_rank",
+    "independent_rows",
     "row_space_contains",
     "read_table_csv",
     "write_table_csv",
@@ -236,25 +239,46 @@ def rational_rank(rows: Iterable[Sequence[int]]) -> int:
     return len(pivot_rows(rows))
 
 
-def gram(matrix) -> list[list[int]]:
-    """The Gram matrix M M^T of an integer matrix, as lists.  Its rank is
+def gram(matrix) -> np.ndarray:
+    """The Gram matrix M M^T of an integer matrix, in int64.  Its rank is
     that of M, and its pivot rows are independent rows of M (a relation
     c^T M = 0 among rows of M gives c^T M M^T = 0), so the exact routines
     run on T x T entries instead of T x cells."""
     m = np.asarray(matrix, dtype=np.int64)
-    return (m @ m.T).tolist()
+    return m @ m.T
+
+
+# distinct Gram matrices whose pivot rows are kept: a run's set-up needs one
+# (Gilby, the 24x24 grid) to three (Victoria's llr: both models, and the
+# nesting check's outer rows stacked on the inner ones), of 1.6 to 19 kB each
+_PIVOT_CACHE_SIZE = 32
+
+
+@lru_cache(maxsize=_PIVOT_CACHE_SIZE)
+def _gram_pivots(shape: tuple[int, ...], data: bytes) -> tuple[int, ...]:
+    """``pivot_rows`` of the int64 Gram matrix of the given shape and bytes."""
+    return tuple(pivot_rows(np.frombuffer(data, dtype=np.int64).reshape(shape).tolist()))
+
+
+def independent_rows(matrix) -> list[int]:
+    """Indices, in increasing order, of rows of an integer matrix that are
+    independent over Q and span its row space: the pivot rows of its Gram
+    matrix.  Each distinct Gram matrix is eliminated once per process; the
+    list returned is the caller's own."""
+    g = gram(matrix)
+    return list(_gram_pivots(g.shape, g.tobytes()))
 
 
 def row_space_contains(outer_rows: Sequence[Sequence[int]], inner_rows: Sequence[Sequence[int]]) -> bool:
     """True iff every inner row lies in the rational row space of the outer rows."""
     outer = [list(r) for r in outer_rows]
     stacked = outer + [list(r) for r in inner_rows]
-    return rational_rank(gram(outer)) == rational_rank(gram(stacked))
+    return len(independent_rows(outer)) == len(independent_rows(stacked))
 
 
 def config_rank(cfg: Configuration) -> int:
     """Exact rank of the configuration over the rationals."""
-    return rational_rank(gram(cfg.matrix))
+    return len(independent_rows(cfg.matrix))
 
 
 def degrees_of_freedom(cfg: Configuration) -> int:
@@ -263,6 +287,8 @@ def degrees_of_freedom(cfg: Configuration) -> int:
 
 def read_table_csv(path, header: bool = False) -> Table:
     """Read a table of comma-separated counts; ``header`` skips one label row+column."""
+    import csv
+
     with open(path, newline="") as fp:
         rows = [row for row in csv.reader(fp) if row and any(f.strip() for f in row)]
     if header:

@@ -47,8 +47,12 @@ def walk(start: Table, cfg_matrix: Configuration, chain: ChainConfig, statistic)
     x = [int(v) for v in start.vec()]
     t0 = cfg_matrix.apply(start.vec())
     A = cfg_matrix.matrix.astype(np.int64)
-    total = sum(x)
-    lf = [math.lgamma(n + 1) for n in range(total + 1)]
+    # a cell is at most its row's and its column's sum, and a proposal adds
+    # at most 8 to it (eight slots of +-1) before a later cell goes negative
+    counts = start.counts.tolist()
+    col_sums = [sum(col) for col in zip(*counts)]
+    top = max(min(sum(row), c) for row in counts for c in col_sums)
+    lf = [math.lgamma(n + 1) for n in range(top + 8 + 1)]
 
     cur = tracker.start(x)
     if not math.isfinite(cur):

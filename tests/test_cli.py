@@ -85,6 +85,19 @@ def test_common_cli_path_does_not_import_scipy():
     assert out.strip().splitlines()[-1] == "[]"
 
 
+@pytest.mark.parametrize("rows", ["5,0\n0,0\n", "3,0,0\n0,0,0\n"])
+def test_a_one_table_fiber_is_tested(capsys, tmp_path, rows):
+    # the walk's proposals raise a cell above the table's total; every step
+    # stays on the only table of the fiber
+    table, model = tmp_path / "t.csv", tmp_path / "ind.json"
+    table.write_text(rows)
+    model.write_text('{"family": "independence"}')
+    code, rep = run_json(capsys, "test", "--table", str(table), "--model", str(model),
+                         "--steps", "500")
+    assert code == 0
+    assert rep["mcmc"]["pvalue"] == 1.0 and rep["mcmc"]["stay_fractions"] == [1.0]
+
+
 def test_fit_accepts_the_model_alias(capsys):
     code, rep = run_json(capsys, "fit", "--dataset", "gilby",
                          "--model", "changepoint-gilby")
@@ -341,10 +354,10 @@ def test_fiber_cap_overflow(capsys, tmp_path, cp_model_path):
 @pytest.mark.parametrize("cap", ["0", "-1"])
 def test_fiber_refuses_a_cap_below_one(capsys, monkeypatch, cap):
     # a cap below 1 used to print a report of an empty, overflowed fiber
-    import markovfiber.cli as cli
+    import markovfiber.fiber as fiber
 
     enumerated = []
-    monkeypatch.setattr(cli, "enumerate_fiber", lambda *a, **k: enumerated.append(a))
+    monkeypatch.setattr(fiber, "enumerate_fiber", lambda *a, **k: enumerated.append(a))
     code, rep = run_json(capsys, "fiber", "--dataset", "gilby", "--cap", cap)
     assert code == 1
     assert rep["error"] == {"type": "CliError", "message": f"--cap must be >= 1, got {cap}"}
@@ -374,7 +387,6 @@ def test_an_unwritable_stream_fails_before_the_walk(capsys, tmp_path, monkeypatc
 
 def test_fiber_enumerates_once_for_both_questions(capsys, tmp_path, cp_model_path,
                                                  monkeypatch):
-    import markovfiber.cli as cli
     import markovfiber.fiber as fiber
 
     enumerated = []
@@ -385,7 +397,6 @@ def test_fiber_enumerates_once_for_both_questions(capsys, tmp_path, cp_model_pat
         return real(*args, **kwargs)
 
     monkeypatch.setattr(fiber, "enumerate_fiber", counted)
-    monkeypatch.setattr(cli, "enumerate_fiber", counted)
     table = tmp_path / "t.csv"
     table.write_text("1,0,1\n1,1,0\n0,1,1\n")
     code, rep = run_json(capsys, "fiber", "--table", str(table), "--model", cp_model_path,
@@ -488,10 +499,10 @@ def test_llr_of_a_model_against_itself_has_no_asymptotic_pvalue(capsys):
 def test_check_connect_above_the_enumeration_threshold(capsys, tmp_path, monkeypatch):
     # 420 cells: the basis is lazy, so there is no move set to check, and
     # the command refuses before it enumerates the fiber
-    import markovfiber.cli as cli
+    import markovfiber.fiber as fiber
 
     enumerated = []
-    monkeypatch.setattr(cli, "enumerate_fiber", lambda *a, **k: enumerated.append(a))
+    monkeypatch.setattr(fiber, "enumerate_fiber", lambda *a, **k: enumerated.append(a))
     path = tmp_path / "common.json"
     save_model(ModelSpec(family=COMMON_BLOCKS, row_bounds=(1, 11, 22),
                          col_bounds=(1, 11, 21)), path)

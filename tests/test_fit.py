@@ -25,7 +25,14 @@ from markovfiber.fit import (
 from markovfiber.mcmc import RESYNC_EVERY, ChainConfig, run_chains, walk
 from markovfiber.models import COMMON_BLOCKS, CHANGE_POINT, GENERAL_BLOCKS, INDEPENDENCE, ModelSpec
 from markovfiber.moves import basis_for_model, random_move
-from markovfiber.tables import Rectangle, Table, build_configuration, sufficient_statistic
+from markovfiber.tables import (
+    Rectangle,
+    Table,
+    _gram_pivots,
+    build_configuration,
+    degrees_of_freedom,
+    sufficient_statistic,
+)
 from markovfiber.datasets import gilby_model, gilby_table, victoria_models, victoria_table
 from reference_ipf import constraint_groups, reference_core, reference_fit
 from reference_models import cell_stratum
@@ -600,3 +607,18 @@ def test_make_tracker_dispatch():
         make_tracker("llr", victoria_table(), common)
     with pytest.raises(ValueError):
         make_tracker("wilks", table, model)
+
+
+def test_set_up_eliminates_one_gram_matrix_once():
+    # the null fit, the degrees of freedom and the tracker's own fit all
+    # need the independent rows of one configuration (the benchmark's
+    # 24x24 grid with four 6x6 common diagonal blocks)
+    bounds = (1, 7, 13, 19, 25)
+    model = ModelSpec(family=COMMON_BLOCKS, row_bounds=bounds, col_bounds=bounds)
+    table = Table(np.random.default_rng(25).integers(1, 30, size=(24, 24)))
+    _gram_pivots.cache_clear()
+    fit = ipf_fit(table, model)
+    assert degrees_of_freedom(build_configuration(model, 24, 24)) == 24 * 24 - 48
+    tracker = make_tracker("chi2", table, model)
+    assert _gram_pivots.cache_info().misses == 1
+    assert np.array_equal(tracker.expected, fit.expected)

@@ -202,6 +202,18 @@ def test_two_state_fiber_occupancy_is_even():
     assert abs(share - 0.5) < 3 * math.sqrt(0.25 / n)
 
 
+@pytest.mark.parametrize("rows", [[[5, 0], [0, 0]], [[3, 0, 0], [0, 0, 0]]])
+def test_a_proposal_may_raise_a_cell_above_the_total(rows):
+    # a move's first cell can rise above the table's total before a later
+    # cell goes negative; the fiber is the table alone, so every step stays
+    table, cfg, basis = indep_setup(rows)
+    chain = ChainConfig(steps=500, burn_in=50, seed=0, proposal=basis)
+    tracker = make_tracker("chi2", table, ModelSpec(family=INDEPENDENCE))
+    res = walk(table, cfg, chain, tracker)
+    assert res.stay_count == 500 and res.pvalue == 1.0
+    assert_same_chain(res, reference_walk.walk(table, cfg, chain, tracker))
+
+
 def test_sampler_pvalue_matches_exact_on_small_fiber():
     table, cfg, basis = indep_setup([[2, 0], [0, 1]])
 

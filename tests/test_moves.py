@@ -253,6 +253,24 @@ def test_store_bytes_match_the_streamed_builder(model, R, C, types):
     assert basis._tcode == want[3]
 
 
+@pytest.mark.parametrize("model,R,C,types", RANDOM_GEOMETRIES,
+                         ids=[f"{m.family}-{R}x{C}-{k}"
+                              for k, (m, R, C, _) in enumerate(RANDOM_GEOMETRIES)])
+def test_lazy_basis_counts_and_draws_match_the_enumeration(model, R, C, types):
+    basis = enumerate_basis(model, R, C, types)
+    if not len(basis):
+        with pytest.raises(ValueError, match="empty pattern space"):
+            LazyMoveBasis(model, R, C, types)
+        return
+    lazy = LazyMoveBasis(model, R, C, types)
+    assert lazy.counts_by_type() == basis.counts_by_type()
+    stored = {unsigned_key(mv.entries): mv.mtype for mv in basis}
+    rng = random.Random(R * 100 + C)
+    draws = [random_move(lazy, rng) for _ in range(300)]
+    assert [(unsigned_key(mv.entries), mv.mtype) for mv in draws if
+            stored.get(unsigned_key(mv.entries)) != mv.mtype] == []
+
+
 @pytest.mark.parametrize("k", sorted(_SORT))
 def test_sorting_networks_sort_every_input(k):
     # by the 0-1 principle, a network that sorts every 0-1 input sorts all

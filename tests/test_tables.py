@@ -17,6 +17,7 @@ from markovfiber.tables import (
     degrees_of_freedom,
     flat_index,
     gram,
+    independent_rows,
     pivot_rows,
     rational_rank,
     read_table_csv,
@@ -277,6 +278,17 @@ def test_gram_pivots_are_independent_configuration_rows(model, R, C):
     piv = pivot_rows(gram(A))
     assert len(piv) == rational_rank(A.tolist())
     assert rational_rank(A[piv].tolist()) == len(piv)
+
+
+def test_independent_rows_are_the_callers_own():
+    # the elimination is kept per Gram matrix; what a caller does to its
+    # list does not reach the next caller
+    cfg = build_configuration(victoria_models()[0], 12, 12)
+    first = independent_rows(cfg.matrix)
+    assert first == pivot_rows(gram(cfg.matrix))
+    first.append(-1)
+    first[0] = 99
+    assert independent_rows(cfg.matrix) == pivot_rows(gram(cfg.matrix))
 
 
 def test_degrees_of_freedom():
