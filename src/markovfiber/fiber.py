@@ -177,7 +177,7 @@ def is_connected(fiber: Fiber, basis) -> bool:
         raise ValueError("connectivity needs an enumerated basis")
     idx = {m: k for k, m in enumerate(fiber.members)}
     uf = UnionFind(len(fiber))
-    off, flat, coef = basis.move_arrays()
+    off, flat, coef, _, _ = basis.store
     deltas = [(flat[lo:hi], coef[lo:hi]) for lo, hi in zip(off, off[1:])]
     for k, member in enumerate(fiber.members):
         for flats, coefs in deltas:

@@ -78,6 +78,9 @@ PIECE = 4096
 # the most a proposal adds to one cell: a move has at most eight slots of
 # coefficient +-1 (Type IV), merged where its cells coincide
 MOVE_REACH = 8
+# the most log-factorials a chain lists (about 2 MB of floats): the walk
+# takes ``math.lgamma`` of a larger count on the step that reaches it
+LF_TABLE = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -207,7 +210,7 @@ def walk(start: Table, cfg_matrix: Configuration, chain: ChainConfig, statistic)
     steps).  Stays and rejections both contribute the current state as a
     sample, so the chain is counted per step; the stays are the steps that
     neither accept nor reject.  The sign's draw picks the store's
-    coefficients or their negation (``store.neg``).  The steps run in
+    coefficients or their negation (``neg``).  The steps run in
     windows of at most ``PIECE``; an accept records the move, and at the
     window's end the tracker values the recorded moves in one call and the
     window's kept steps are copied to the samples.
@@ -237,21 +240,19 @@ def walk(start: Table, cfg_matrix: Configuration, chain: ChainConfig, statistic)
     x = [int(v) for v in start.vec()]
     t0 = cfg_matrix.apply(start.vec())
     A = cfg_matrix.matrix.astype(np.int64)
-    # log-factorials of every count a proposal can reach: a state's cell is
-    # at most the smaller of its row's and its column's sum, and a proposal
-    # can raise it by up to MOVE_REACH before a later cell goes negative
+    # log-factorials of every count a proposal can reach (a state's cell is
+    # at most its row's and its column's sum, a proposal adds MOVE_REACH at
+    # most), but no more than LF_TABLE; a count past them is an IndexError
     counts = start.counts
     top = int(np.minimum.outer(counts.sum(axis=1), counts.sum(axis=0)).max())
-    lf = [math.lgamma(n + 1) for n in range(top + MOVE_REACH + 1)]
+    lf = [math.lgamma(n + 1) for n in range(min(top + MOVE_REACH + 1, LF_TABLE))]
 
     cur = tracker.start(x)
     if not math.isfinite(cur):
         raise ValueError(f"statistic is not finite at the starting table: {cur}")
     observed = cur
 
-    draw, store = basis.sampler(rng)
-    off, flat, coef, _ = store
-    neg = store.neg
+    draw, (off, flat, coef, _, neg) = basis.sampler(rng)
 
     steps, burn, thin, check_every = chain.steps, chain.burn_in, chain.thin, chain.check_every
     samples = np.empty((steps - burn + thin - 1) // thin, dtype=np.float64)
@@ -261,8 +262,8 @@ def walk(start: Table, cfg_matrix: Configuration, chain: ChainConfig, statistic)
     # coefficients, entries per move, and steps
     cells, coefs, sizes, at = array(flat.typecode), array("b"), array("b"), array("q")
 
-    def close(first: int, last: int) -> None:
-        """Value the window's moves and copy its kept steps, first..last-1,
+    def close(last: int) -> None:
+        """Value the window's moves and copy its kept steps, up to last-1,
         to the samples."""
         nonlocal cur, n_samp, keep
         if at:
@@ -309,7 +310,10 @@ def walk(start: Table, cfg_matrix: Configuration, chain: ChainConfig, statistic)
                 nv = xv + cf[p]
                 if nv < 0:  # a stay
                     break
-                lr += lf[xv] - lf[nv]
+                try:
+                    lr += lf[xv] - lf[nv]
+                except IndexError:
+                    lr += math.lgamma(xv + 1) - math.lgamma(nv + 1)
                 p += 1
             else:
                 if lr >= 0.0 or rnd() < exp(lr):
@@ -330,11 +334,11 @@ def walk(start: Table, cfg_matrix: Configuration, chain: ChainConfig, statistic)
         if done == audit:
             now = A @ np.asarray(x, dtype=np.int64)
             if not np.array_equal(now, t0):
-                close(win, done)  # a value that went non-finite earlier raises first
+                close(done)  # a value that went non-finite earlier raises first
                 raise AssertionError(f"fiber invariant broken at step {i}")
             audit += check_every
         if accepts == resync or done == win + PIECE or done == steps:
-            close(win, done)
+            close(done)
             win = done
             if accepts == resync:
                 tracker.start(x)

@@ -242,11 +242,13 @@ def _list(value, field: str) -> list:
 
 def _ints(value, field: str, length: int | None = None) -> tuple[int, ...]:
     """The integers of one list-valued model field, or a ``ModelError``
-    naming the field (a float or a numeric string is not an integer)."""
-    try:
-        out = tuple(operator.index(v) for v in _list(value, field))
+    naming the field (floats, booleans and numeric strings are not integers)."""
+    try:  # operator.index takes JSON true and false as 1 and 0
+        out = tuple(operator.index(v) for v in _list(value, field) if not isinstance(v, bool))
     except TypeError:
-        raise ModelError(f"model field {field!r} must hold integers, got {value!r}") from None
+        out = ()
+    if len(out) < len(value):
+        raise ModelError(f"model field {field!r} must hold integers, got {value!r}")
     if length is not None and len(out) != length:
         raise ModelError(f"model field {field!r} needs lists of {length} integers, "
                          f"got {value!r}")
@@ -256,10 +258,10 @@ def _ints(value, field: str, length: int | None = None) -> tuple[int, ...]:
 def load_model(path) -> ModelSpec:
     import json
 
-    with open(path) as fp:
+    with open(path, encoding="utf-8") as fp:
         try:
             data = json.load(fp)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ModelError(f"model file {path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ModelError(f"model file {path} must hold a JSON object")

@@ -33,9 +33,10 @@ rule, ``_once``, keeps one tuple per move (Type I: i1 < i2 and j1 < j2;
 Type IV with i1 = i2 and i3 = i4: j3 <= j4), and it is the only filter of
 either basis.  Every move is canonicalized to a key (the sorted signed-cell
 codes, in the orientation whose lowest cell has a positive coefficient; a
-sorting network sorts a whole pass at once) and stored in that one sign, in
-flat arrays of int32 offsets, int16 cells and int8 coefficients, with one
-type code byte per move.  The loops have about (bands per axis)^6
+sorting network sorts a whole pass at once) and stored in that one sign in
+a ``_Store``, the one form of a move set: flat arrays of int32 offsets,
+int16 cells and int8 coefficients, one type code byte per move, and the
+coefficients negated.  The loops have about (bands per axis)^6
 configurations, Types I and IV ^4: this saves most where bands are few and
 wide, and with bands one row wide each configuration holds one tuple and
 costs what one tuple does.
@@ -54,9 +55,9 @@ configurations in proportion to its tuple count and uniform indices in its
 bands (Type I draws two indices of one band as an ordered pair): every type
 has the same share of the draws before ``_once`` drops the repeats, and the
 kept draws of a type are uniform over its moves.  Both bases give the walk
-the same sampler, whose store holds each move's coefficients in both signs,
-and the walk draws the sign uniformly, which keeps the proposal symmetric
-(Diaconis & Sturmfels 1998).
+the same sampler, which draws indices into a store (the enumerated basis's
+own, or one lazy batch refilled in place), and the walk draws the sign
+uniformly, which keeps the proposal symmetric (Diaconis & Sturmfels 1998).
 """
 
 from __future__ import annotations
@@ -137,12 +138,25 @@ def _code_type(cells: int) -> str:
     return "h" if 5 * cells < np.iinfo(np.int16).max else "i"
 
 
-def _append(store, keys: np.ndarray, neg: array | None = None) -> None:
-    """Append the moves with these (n, k) keys to a store's (offsets, flat
-    cell ids, coefficients), whose flat cell ids have the keys' dtype, and
-    their negated coefficients to ``neg`` if given; each key decodes to its
-    cells in ascending order."""
-    off, flat, coef = store
+class _Store(NamedTuple):
+    """A move set: per-move int32 offsets into the entries, each entry's
+    flat cell id (int16, or int32 on grids above 6,553 cells) and int8
+    coefficient, one type code byte per move, and ``neg``, the coefficients
+    negated, one byte an entry, so that a walk takes either sign of a move
+    without multiplying.  Move k is entries ``off[k]:off[k + 1]``."""
+
+    off: array
+    flat: array
+    coef: array
+    tcode: array
+    neg: array
+
+
+def _append(store: _Store, keys: np.ndarray, tcodes: np.ndarray) -> None:
+    """Append the moves with these (n, k) keys, and their uint8 type codes,
+    to a store whose flat cell ids have the keys' dtype; each key decodes
+    to its cells in ascending order.  ``neg`` is left to ``_negate``."""
+    off, flat, coef, tcode, _ = store
     pad = np.iinfo(keys.dtype).max
     live = (keys != pad).view(np.int8)
     off.frombytes((np.cumsum(live.sum(axis=1, dtype=np.int32), dtype=np.int32)
@@ -155,25 +169,18 @@ def _append(store, keys: np.ndarray, neg: array | None = None) -> None:
     coefs = codes.astype(np.int8)
     coefs -= 2
     coef.frombytes(coefs.tobytes())
-    if neg is not None:
-        neg.frombytes(np.negative(coefs, out=coefs).tobytes())
+    tcode.frombytes(tcodes.tobytes())
 
 
-class _Store(tuple):
-    """A sampler's store: the tuple (offsets, flat cell ids, coefficients,
-    type codes) of the moves it draws, and ``neg``, the coefficients
-    negated, one byte per entry, so that a walk takes either sign of a
-    move without multiplying."""
-
-    def __new__(cls, off: array, flat: array, coef: array, tcode, neg: array) -> "_Store":
-        store = super().__new__(cls, (off, flat, coef, tcode))
-        store.neg = neg
-        return store
+def _negate(store: _Store) -> None:
+    """Make ``store.neg`` the store's coefficients negated."""
+    del store.neg[:]
+    store.neg.frombytes(np.negative(np.frombuffer(store.coef, dtype=np.int8)).tobytes())
 
 
-def _move_at(store, k: int, C: int) -> Move:
-    """Move k of a store (offsets, flat cell ids, coefficients, type codes)."""
-    off, flat, coef, tcode = store
+def _move_at(store: _Store, k: int, C: int) -> Move:
+    """Move k of a store."""
+    off, flat, coef, tcode, _ = store
     entries = tuple(
         (flat[p] // C + 1, flat[p] % C + 1, coef[p])
         for p in range(off[k], off[k + 1])
@@ -182,56 +189,39 @@ def _move_at(store, k: int, C: int) -> Move:
 
 
 class MoveBasis:
-    """Enumerated move set, one sign per move, in compact flat-array storage.
-
-    ``_flat``/``_coef`` hold the concatenated sparse entries of all moves
-    (int16 cell ids, int8 coefficients), ``_off`` the per-move int32
-    offsets and ``_tcode`` one type code byte per move; this keeps a
-    331k-move basis (a 12x12 common-block grid) at about 9 MB.  The first
-    ``sampler`` call adds ``_neg``, the coefficients negated (one more byte
-    per entry, 2.5 MB on that grid), which the basis keeps for later
-    samplers.  ``len`` counts unsigned moves.
-    """
+    """Enumerated move set, one sign per move, held in one ``_Store``
+    (``store``), which the basis never changes: on a 331k-move basis (a
+    12x12 common-block grid) its five arrays take about 11.9 MB.  ``len``
+    counts unsigned moves."""
 
     kind = "enumerated"
 
-    def __init__(self, R: int, C: int, off: array, flat: array, coef: array,
-                 tcode: bytes) -> None:
+    def __init__(self, R: int, C: int, store: _Store) -> None:
         self.R = R
         self.C = C
-        self._off, self._flat, self._coef, self._tcode = off, flat, coef, tcode
-        self._neg = array("b")
+        self.store = store
 
     def __len__(self) -> int:
-        return len(self._tcode)
+        return len(self.store.tcode)
 
     def move(self, k: int) -> Move:
-        return _move_at((self._off, self._flat, self._coef, self._tcode), k, self.C)
+        return _move_at(self.store, k, self.C)
 
     def __iter__(self):
         return (self.move(k) for k in range(len(self)))
 
     def counts_by_type(self) -> dict[str, int]:
-        counts = np.bincount(np.frombuffer(self._tcode, dtype=np.uint8),
-                             minlength=len(TYPE_NAMES))
+        counts = np.bincount(np.asarray(self.store.tcode), minlength=len(TYPE_NAMES))
         return {name: int(n) for name, n in zip(TYPE_NAMES, counts) if n}
 
     @property
     def nbytes(self) -> int:
-        """Bytes held by the store's four arrays, and by the negated
-        coefficients once a sampler has made them."""
-        arrays = self._off, self._flat, self._coef, self._neg
-        return sum(len(a) * a.itemsize for a in arrays) + len(self._tcode)
-
-    def move_arrays(self) -> tuple[array, array, array]:
-        """(offsets, flat cell ids, coefficients) of every stored move."""
-        return self._off, self._flat, self._coef
+        """Bytes held by the store's five arrays."""
+        return sum(len(a) * a.itemsize for a in self.store)
 
     def sampler(self, rng):
-        """``(draw, store)``: ``draw()`` returns a uniform move index into the
-        store, the tuple (offsets, flat cell ids, coefficients, type codes)
-        whose ``neg`` holds the coefficients negated.  The first call
-        negates a copy of the coefficients in place and the basis keeps it.
+        """``(draw, store)``: ``draw()`` returns a uniform move index into
+        the basis's store.
 
         A draw equals ``rng.randrange(len(self))`` and leaves ``rng`` in the
         same state: it runs the rejection loop that ``randrange`` runs
@@ -240,10 +230,6 @@ class MoveBasis:
         n = len(self)
         if not n:
             raise ValueError("basis is empty")
-        if len(self._neg) != len(self._coef):
-            self._neg = array("b", self._coef)
-            view = np.frombuffer(self._neg, dtype=np.int8)
-            np.negative(view, out=view)
         getrandbits, k = rng.getrandbits, n.bit_length()
 
         def draw() -> int:
@@ -252,7 +238,7 @@ class MoveBasis:
                 r = getrandbits(k)
             return r
 
-        return draw, _Store(self._off, self._flat, self._coef, self._tcode, self._neg)
+        return draw, self.store
 
 
 def _balanced(terms: np.ndarray, flats: np.ndarray, coefs: np.ndarray) -> np.ndarray:
@@ -558,15 +544,15 @@ def enumerate_basis(model, R: int, C: int, types: tuple[str, ...] | None = None)
     exactly balanced rectangle sums, so the term matrix decides."""
     _models.require_valid(model, R, C)
     code = _code_type(R * C)
-    store = array("i", [0]), array(code), array("b")
-    tcode = bytearray()
+    store = _Store(array("i", [0]), array(code), array("b"), array("B"), array("b"))
     for configs in _configurations(model, R, C, _move_types(model, types)):
         kernel = _KERNELS[configs.kernel]
         for idx, codes in _tuples(configs, code):
             keep = _once(configs.kernel, idx)
-            _append(store, _keys(kernel.codes(np.compress(keep, idx, axis=1), C), kernel.order))
-            tcode += codes[keep].tobytes()
-    return MoveBasis(R, C, *store, bytes(tcode))
+            _append(store, _keys(kernel.codes(np.compress(keep, idx, axis=1), C), kernel.order),
+                    codes[keep])
+    _negate(store)
+    return MoveBasis(R, C, store)
 
 
 # --- lazy draws: uniform index tuples of the configurations -----------------------
@@ -690,12 +676,10 @@ class LazyMoveBasis:
 
     def sampler(self, rng):
         """``(draw, store)`` like ``MoveBasis.sampler``; the store holds one
-        batch of drawn moves, negated coefficients included, and ``draw()``
-        refills it in place when the batch is spent, so the returned arrays
-        stay current."""
-        store = _Store(array("i", [0]), array(self._code), array("b"), bytearray(), array("b"))
-        off, flat, coef, tcode = store
-        neg = store.neg
+        batch of drawn moves, and ``draw()`` empties and refills it in place
+        when the batch is spent, so the returned arrays stay current."""
+        store = _Store(array("i", [0]), array(self._code), array("b"), array("B"), array("b"))
+        off, flat, coef, tcode, _ = store
         pos = n = 0
 
         def draw() -> int:
@@ -704,9 +688,9 @@ class LazyMoveBasis:
                 keys, codes = self._batch(rng)
                 while not len(codes):
                     keys, codes = self._batch(rng)
-                del off[1:], flat[:], coef[:], neg[:]
-                _append(store[:3], keys, neg)
-                tcode[:] = codes.tobytes()
+                del off[1:], flat[:], coef[:], tcode[:]
+                _append(store, keys, codes)
+                _negate(store)
                 pos, n = 0, len(codes)
             pos += 1
             return pos - 1

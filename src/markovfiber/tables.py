@@ -58,20 +58,27 @@ class Table:
     counts: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.counts, dtype=np.int64)
+        try:
+            arr = np.asarray(self.counts, dtype=np.int64)
+        except OverflowError:
+            raise TableError("table counts must fit in 64-bit integers") from None
         if arr.ndim != 2:
             raise TableError(f"table must be 2-dimensional, got shape {arr.shape}")
         if arr.shape[0] < 2 or arr.shape[1] < 2:
             raise TableError(f"table must be at least 2x2, got {arr.shape[0]}x{arr.shape[1]}")
         if (arr < 0).any():
             raise TableError("table counts must be nonnegative")
+        # up to a total of 2**53 every sum is exact in float64 and int64; the
+        # float sum is within a factor 2 of it, so the int64 one cannot wrap
+        if arr.sum(dtype=np.float64) > 2.0 ** 62 or arr.sum() > 2 ** 53:
+            raise TableError("table total exceeds 2**53")
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "counts", arr)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "Table":
-        return cls(np.array(rows, dtype=np.int64))
+        return cls(rows)
 
     @property
     def R(self) -> int:
@@ -289,14 +296,14 @@ def read_table_csv(path, header: bool = False) -> Table:
     """Read a table of comma-separated counts; ``header`` skips one label row+column."""
     import csv
 
-    with open(path, newline="") as fp:
-        rows = [row for row in csv.reader(fp) if row and any(f.strip() for f in row)]
-    if header:
-        rows = [row[1:] for row in rows[1:]]
     try:
+        with open(path, newline="", encoding="utf-8") as fp:
+            rows = [row for row in csv.reader(fp) if row and any(f.strip() for f in row)]
+        if header:
+            rows = [row[1:] for row in rows[1:]]
         data = [[int(f) for f in row] for row in rows]
-    except ValueError as exc:
-        raise TableError(f"non-integer entry in {path}: {exc}") from exc
+    except ValueError as exc:  # a non-integer entry, or bytes that are not UTF-8
+        raise TableError(f"{path} is not a table of integers: {exc}") from exc
     widths = {len(row) for row in data}
     if len(widths) != 1:
         raise TableError(f"ragged rows in {path}: widths {sorted(widths)}")

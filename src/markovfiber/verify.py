@@ -141,7 +141,7 @@ def _lookup(tables: np.ndarray, view: np.ndarray, rows: np.ndarray) -> np.ndarra
 def _parts(basis, n_cells: int):
     """(z-, z+) of every stored move, one dense uint8 row per move.  A
     stored move lists each of its cells once."""
-    off, flat, coef = (np.asarray(a) for a in basis.move_arrays())
+    off, flat, coef = (np.asarray(a) for a in basis.store[:3])
     move = np.repeat(np.arange(off.size - 1), np.diff(off))
     neg = np.zeros((off.size - 1, n_cells), dtype=np.uint8)
     pos = np.zeros_like(neg)

@@ -44,7 +44,7 @@ def reference_sweep(model, R, C, total, types=None, basis=None,
         inv_keep = np.full(n, -1, dtype=np.int64)
         inv_keep[keep] = np.arange(keep.size)
         sub = tables[keep]
-        off, flat, coef = basis.move_arrays()
+        off, flat, coef, _, _ = basis.store
         flat = np.asarray(flat, dtype=np.int64)
         coef = np.asarray(coef, dtype=np.int16)
         for lo, hi in zip(off, off[1:]):

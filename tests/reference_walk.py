@@ -3,8 +3,10 @@
 This is the plain loop that ``markovfiber.mcmc.walk`` must reproduce byte
 for byte: a modulo test per step for the sample and for the fiber audit, a
 numpy item write per sample, the move's coefficients multiplied by the
-sign on every accept, and the tracker fed one move per accept.  The
-package records the accepted moves of a window of steps, has the tracker
+sign on every accept, and the tracker fed the accepted moves between two
+resyncs in one call, after which each sample taken since gets the value
+after the last accept at or before its step.  The package records the
+accepted moves of a window of at most ``PIECE`` steps, has the tracker
 value them in one call, copies the window's kept steps to the samples with
 one numpy lookup, and takes the sign by picking the stored coefficients or
 their negated copy, which changes no random draw, no acceptance decision
@@ -17,7 +19,14 @@ import math
 
 import numpy as np
 
-from markovfiber.mcmc import RESYNC_EVERY, ChainConfig, ChainResult, _as_tracker, estimate_pvalue
+from markovfiber.mcmc import (
+    LF_TABLE,
+    RESYNC_EVERY,
+    ChainConfig,
+    ChainResult,
+    _as_tracker,
+    estimate_pvalue,
+)
 from markovfiber.tables import Configuration, Table
 
 
@@ -29,8 +38,10 @@ def walk(start: Table, cfg_matrix: Configuration, chain: ChainConfig, statistic)
     sample, so the chain is counted per step.
 
     ``statistic`` is a tracker or a plain callable on the (R, C) table.  A
-    tracker's ``values_after`` gets each accepted move alone, once; every ``RESYNC_EVERY`` accepts the walk calls ``start`` on
-    the current state to reset float drift.  A plain callable must be a pure
+    tracker's ``values_after`` gets the accepted moves since the last
+    resync, at every ``RESYNC_EVERY``-th accept (then the walk calls
+    ``start`` on the current state to reset float drift), at a failed
+    audit and at the chain's end.  A plain callable must be a pure
     function of the table: it is evaluated once per distinct state among the
     1,024 most recently used (about 8*R*C bytes a state, 1.2 MB on 12x12),
     not once per accepted step.
@@ -48,18 +59,20 @@ def walk(start: Table, cfg_matrix: Configuration, chain: ChainConfig, statistic)
     t0 = cfg_matrix.apply(start.vec())
     A = cfg_matrix.matrix.astype(np.int64)
     # a cell is at most its row's and its column's sum, and a proposal adds
-    # at most 8 to it (eight slots of +-1) before a later cell goes negative
+    # at most 8 to it (eight slots of +-1) before a later cell goes negative;
+    # at most LF_TABLE log-factorials are listed, and a larger count's is
+    # lgamma's
     counts = start.counts.tolist()
     col_sums = [sum(col) for col in zip(*counts)]
     top = max(min(sum(row), c) for row in counts for c in col_sums)
-    lf = [math.lgamma(n + 1) for n in range(top + 8 + 1)]
+    lf = [math.lgamma(n + 1) for n in range(min(top + 8 + 1, LF_TABLE))]
 
     cur = tracker.start(x)
     if not math.isfinite(cur):
         raise ValueError(f"statistic is not finite at the starting table: {cur}")
     observed = cur
 
-    draw, (off, flat, coef, _) = basis.sampler(rng)
+    draw, (off, flat, coef, _, _) = basis.sampler(rng)
 
     n_keep = (chain.steps - chain.burn_in + chain.thin - 1) // chain.thin
     samples = np.empty(n_keep, dtype=np.float64)
@@ -68,6 +81,25 @@ def walk(start: Table, cfg_matrix: Configuration, chain: ChainConfig, statistic)
     burn, thin, check_every = chain.burn_in, chain.thin, chain.check_every
     rnd = rng.random
     exp = math.exp
+    # the accepted moves not yet valued (their cells, signed coefficients,
+    # entry end offsets and steps), and for each sample taken since the
+    # first of them, the number of them at or before its step
+    cells, coefs, ends, at, since = [], [], [], [], []
+
+    def value_pending():
+        """Value the pending moves in one call and fill their samples."""
+        nonlocal cur
+        values = [cur]
+        if ends:
+            values += np.asarray(tracker.values_after(np.array(cells), np.array(coefs),
+                                                      np.array(ends)), dtype=np.float64).tolist()
+            for step, value in zip(at, values[1:]):
+                if not math.isfinite(value):
+                    raise ValueError(f"statistic became non-finite at step {step}: {value}")
+        for k, j in enumerate(since):
+            samples[n_samp - len(since) + k] = values[j]
+        cur = values[-1]
+        del cells[:], coefs[:], ends[:], at[:], since[:]
 
     for step in range(chain.steps):
         k = draw()
@@ -84,7 +116,8 @@ def walk(start: Table, cfg_matrix: Configuration, chain: ChainConfig, statistic)
             if nv < 0:
                 ok = False
                 break
-            lr += lf[xv] - lf[nv]
+            lr += (lf[xv] if xv < len(lf) else math.lgamma(xv + 1)) - (
+                lf[nv] if nv < len(lf) else math.lgamma(nv + 1))
             p += 1
 
         if not ok:
@@ -94,23 +127,26 @@ def walk(start: Table, cfg_matrix: Configuration, chain: ChainConfig, statistic)
             co = [s * c for c in coef[lo:hi]]
             for f, c in zip(fl, co):
                 x[f] += c
-            cur = float(tracker.values_after(np.array(fl), np.array(co),
-                                             np.array([len(fl)]))[0])
-            if not math.isfinite(cur):
-                raise ValueError(f"statistic became non-finite at step {step}: {cur}")
+            cells.extend(fl)
+            coefs.extend(co)
+            ends.append(len(cells))
+            at.append(step)
             accepts += 1
-            if accepts % RESYNC_EVERY == 0:
-                tracker.start(x)
         else:
             rejects += 1
 
         if step >= burn and (step - burn) % thin == 0:
-            samples[n_samp] = cur
+            since.append(len(ends))
             n_samp += 1
+        if ends and accepts % RESYNC_EVERY == 0:  # this step's accept was the resync's
+            value_pending()
+            tracker.start(x)
         if check_every and (step + 1) % check_every == 0:
             now = A @ np.asarray(x, dtype=np.int64)
             if not np.array_equal(now, t0):
+                value_pending()  # a value that went non-finite earlier raises first
                 raise AssertionError(f"fiber invariant broken at step {step}")
+    value_pending()
 
     assert n_samp == n_keep
     return ChainResult(

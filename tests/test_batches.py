@@ -99,8 +99,7 @@ def moves_from(table, basis, rng, n):
     """n moves of the basis's sampler, each with a random sign and applied
     when it keeps every count nonnegative: (cells, coefs) int arrays."""
     x = table.vec().astype(np.int64)
-    draw, store = basis.sampler(rng)
-    off, flat, coef, _ = store
+    draw, (off, flat, coef, _, _) = basis.sampler(rng)
     out = []
     while len(out) < n:
         k = draw()

@@ -240,6 +240,28 @@ def test_degenerate_table_is_an_error(capsys, tmp_path):
     assert rep["error"]["type"] == "TableError"
 
 
+INDEPENDENCE_JSON = b'{"family": "independence"}\n'
+
+
+@pytest.mark.parametrize("command", ["fit", "test"])
+@pytest.mark.parametrize("table,model,error", [
+    (b"100000000000000000000,1\n1,1\n", INDEPENDENCE_JSON, "TableError"),
+    (b"1,9223372036854775807\n1,1\n", INDEPENDENCE_JSON, "TableError"),
+    (b"1,2\n3,\xff4\n", INDEPENDENCE_JSON, "TableError"),
+    (b"1,2\n3,4\n", b'{"family": "indep\xffendence"}\n', "ModelError"),
+    (b"1,2\n3,4\n", b'{"family": "change-point", "rectangles": [[1, true, 1, 2]]}\n',
+     "ModelError"),
+], ids=["beyond-int64", "sums-wrap-int64", "table-not-utf8", "model-not-utf8", "json-true"])
+def test_bad_input_files_are_errors(capsys, tmp_path, command, table, model, error):
+    (tmp_path / "t.csv").write_bytes(table)
+    (tmp_path / "m.json").write_bytes(model)
+    steps = ("--steps", "100") if command == "test" else ()
+    code, rep = run_json(capsys, command, "--table", str(tmp_path / "t.csv"),
+                         "--model", str(tmp_path / "m.json"), *steps)
+    assert code == 1
+    assert rep["error"]["type"] == error
+
+
 def test_missing_inputs_are_errors(capsys):
     code, rep = run_json(capsys, "fiber", "--model", "whatever")
     assert code == 1

@@ -26,9 +26,9 @@ from markovfiber.mcmc import (
     run_chains,
     walk,
 )
-from markovfiber.models import COMMON_BLOCKS, INDEPENDENCE, ModelSpec
-from markovfiber.moves import LazyMoveBasis, MoveBasis, basis_for_model
-from markovfiber.tables import Table, build_configuration, sufficient_statistic
+from markovfiber.models import CHANGE_POINT, COMMON_BLOCKS, INDEPENDENCE, ModelSpec
+from markovfiber.moves import LazyMoveBasis, MoveBasis, _Store, basis_for_model
+from markovfiber.tables import Rectangle, Table, build_configuration, sufficient_statistic
 from markovfiber.datasets import gilby_model, gilby_table, victoria_models, victoria_table
 from test_acceptance import SAMPLER_CASES
 import reference_walk
@@ -110,6 +110,27 @@ def test_walk_memory_is_the_samples_and_one_buffer():
         tracemalloc.stop()
     assert len(res.samples) == 2_000 and res.accept_count > 0
     assert peak <= res.samples.nbytes + 256 * 1024
+
+
+def test_large_counts_leave_the_walk_memory_bounded():
+    # the walk lists the log-factorials of at most LF_TABLE counts (about
+    # 2 MB), whatever the table's counts, where a list up to the largest
+    # reachable count took about 32 MB here; a larger count's is lgamma's,
+    # the same float, as the reference loop's chain shows
+    model = ModelSpec(family=CHANGE_POINT, rectangles=(Rectangle(1, 2, 1, 1),))
+    table = Table.from_rows([[10 ** 6, 0, 3], [0, 1, 0], [5, 0, 100_000]])
+    cfg = build_configuration(model, 3, 3)
+    chain = ChainConfig(steps=2_000, seed=0, proposal=basis_for_model(model, 3, 3))
+    tracker = make_tracker("chi2", table, model)
+    walk(table, cfg, replace(chain, steps=10), tracker)
+    tracemalloc.start()
+    try:
+        res = walk(table, cfg, chain, tracker)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.accept_count > 0 and peak < 8 * 2 ** 20
+    assert_same_chain(res, reference_walk.walk(table, cfg, chain, tracker))
 
 
 def test_walk_is_deterministic_per_seed():
@@ -457,8 +478,8 @@ def test_audit_raises_at_the_reference_step(check_every):
     # a broken "move" shifts a count along row 1, so its first accept
     # changes two column sums and leaves the fiber
     table, cfg, _ = indep_setup([[2, 2], [2, 2]])
-    broken = MoveBasis(2, 2, array("i", [0, 2]), array("h", [0, 1]), array("b", [1, -1]),
-                       bytes(1))
+    broken = MoveBasis(2, 2, _Store(array("i", [0, 2]), array("h", [0, 1]), array("b", [1, -1]),
+                                    array("B", [0]), array("b", [-1, 1])))
     chain = ChainConfig(steps=10_007, seed=3, check_every=check_every, proposal=broken)
     stat = lambda a: float(a[0, 0])
     if not check_every:  # unaudited: both loops walk on off the fiber alike

@@ -23,6 +23,7 @@ from markovfiber.models import (
 )
 from markovfiber.moves import (
     _SORT,
+    _Store,
     TYPE_NAMES,
     LazyMoveBasis,
     Move,
@@ -105,18 +106,13 @@ def test_victoria_common_basis_counts():
     assert len(basis) == 331434
 
 
-def _store(basis):
-    """The basis store: (offsets, flat cell ids, coefficients, type codes)."""
-    return basis.sampler(random.Random(0))[1]
-
-
 def _store_digest(basis) -> str:
-    """sha256 of the store's four arrays as int64 sequences: a narrower or
-    wider dtype keeps it, any change of order or orientation does not."""
+    """sha256 of the store's first four arrays (offsets, flat cell ids,
+    coefficients, type codes) as int64 sequences: a narrower or wider dtype
+    keeps it, any change of order or orientation does not."""
     h = hashlib.sha256()
-    for a in _store(basis):
-        ints = np.frombuffer(a, dtype=np.uint8) if isinstance(a, bytes) else np.asarray(a)
-        h.update(ints.astype(np.int64).tobytes() + b"|")
+    for a in basis.store[:4]:
+        h.update(np.asarray(a).astype(np.int64).tobytes() + b"|")
     return h.hexdigest()[:16]
 
 
@@ -247,10 +243,40 @@ def test_random_geometry_terms_match_the_cell_oracle(model, R, C, types):
                               for k, (m, R, C, _) in enumerate(RANDOM_GEOMETRIES)])
 def test_store_bytes_match_the_streamed_builder(model, R, C, types):
     basis = enumerate_basis(model, R, C, types)
-    got = basis._off, basis._flat, basis._coef
     want = streamed_store(model, R, C, types)
-    assert [(a.typecode, bytes(a)) for a in got] == [(a.typecode, bytes(a)) for a in want[:3]]
-    assert basis._tcode == want[3]
+    assert [(a.typecode, bytes(a)) for a in basis.store[:3]] == [
+        (a.typecode, bytes(a)) for a in want[:3]]
+    assert bytes(basis.store.tcode) == want[3]
+
+
+def _dense(off, flat, coef, n_cells: int) -> np.ndarray:
+    """The moves of a store's (offsets, flat cell ids, coefficients), one
+    int64 row of cells per move."""
+    off = np.asarray(off)
+    dense = np.zeros((len(off) - 1, n_cells), dtype=np.int64)
+    dense[np.repeat(np.arange(len(off) - 1), np.diff(off)), np.asarray(flat)] = coef
+    return dense
+
+
+@pytest.mark.parametrize("model,R,C,types", RANDOM_GEOMETRIES,
+                         ids=[f"{m.family}-{R}x{C}-{k}"
+                              for k, (m, R, C, _) in enumerate(RANDOM_GEOMETRIES)])
+def test_every_move_lies_in_the_kernel(model, R, C, types):
+    # A z = 0 for every enumerated move, in one integer product, and for
+    # 300 lazy draws, each read from the sampler's store as it is drawn
+    A = build_configuration(model, R, C).matrix.astype(np.int64)
+    basis = enumerate_basis(model, R, C, types)
+    assert not (_dense(*basis.store[:3], R * C) @ A.T).any()
+    if not len(basis):
+        return
+    draw, store = LazyMoveBasis(model, R, C, types).sampler(random.Random(R * C))
+    off, flat, coef = [0], [], []
+    for _ in range(300):
+        k = draw()
+        flat += store.flat[store.off[k]:store.off[k + 1]]
+        coef += store.coef[store.off[k]:store.off[k + 1]]
+        off.append(len(flat))
+    assert not (_dense(off, flat, coef, R * C) @ A.T).any()
 
 
 @pytest.mark.parametrize("model,R,C,types", RANDOM_GEOMETRIES,
@@ -282,30 +308,30 @@ def test_sorting_networks_sort_every_input(k):
 
 def test_store_dtypes_and_bytes():
     basis = enumerate_basis(gilby_model(), 8, 4)
-    # 81 moves of four cells: int32 offsets, int16 cells, int8 coefficients
-    # and one type byte per move
-    assert basis.nbytes == 82 * 4 + 324 * 2 + 324 + 81
-    off, flat, coef, tcode = store = _store(basis)
-    assert (off.typecode, flat.typecode, coef.typecode, store.neg.typecode) == (
-        "i", "h", "b", "b")
-    # the sampler's negated coefficients, kept on the basis, count too
-    assert basis.nbytes == 82 * 4 + 324 * 2 + 324 + 324 + 81
+    # 81 moves of four cells: int32 offsets, int16 cells, int8 coefficients,
+    # one type byte per move and the int8 coefficients negated
+    store = basis.store
+    assert [a.typecode for a in store] == ["i", "h", "b", "B", "b"]
+    assert basis.nbytes == 82 * 4 + 324 * 2 + 324 + 81 + 324
+    # a sampler reads the store the build made whole, and changes nothing
+    assert basis.sampler(random.Random(0))[1] is store
+    assert basis.store is store and basis.nbytes == 82 * 4 + 324 * 2 + 324 + 81 + 324
 
 
 def test_samplers_keep_the_negated_coefficients():
     basis = enumerate_basis(victoria_models()[1], 12, 12)
-    store = _store(basis)
-    assert np.array_equal(np.asarray(store.neg), -np.asarray(store[2]))
-    assert basis.sampler(random.Random(1))[1].neg is store.neg  # negated once
+    store = basis.store
+    assert np.array_equal(np.asarray(store.neg), -np.asarray(store.coef))
+    assert basis.sampler(random.Random(1))[1] is store  # negated once, by the build
     # a lazy store is refilled in place, both signs with each batch
     draw, store = LazyMoveBasis(victoria_models()[0], 12, 12).sampler(random.Random(2))
-    off, flat, coef, tcode = store
+    off, flat, coef, tcode, neg = store
     refills = 0
     while refills < 4:
         if draw() == 0:
             refills += 1
-            assert len(store.neg) == len(coef) == off[-1] > 0
-            assert np.array_equal(np.asarray(store.neg), -np.asarray(coef))
+            assert len(neg) == len(coef) == off[-1] > 0 and len(tcode) == len(off) - 1
+            assert np.array_equal(np.asarray(neg), -np.asarray(coef))
 
 
 def test_build_memory_is_bounded_by_the_store():
@@ -368,7 +394,7 @@ def test_types_the_bands_rule_out_are_not_enumerated():
     model = _blocks(COMMON_BLOCKS, (1, 11, 21), (1, 11, 21))
     basis = enumerate_basis(model, 20, 20)
     assert len(basis) == 26100
-    assert _store(basis) == _store(enumerate_basis(model, 20, 20, types=("I",)))
+    assert basis.store == enumerate_basis(model, 20, 20, types=("I",)).store
 
 
 def test_move_accessors():
@@ -436,7 +462,8 @@ def test_random_move_draws_both_orientations():
 @pytest.mark.parametrize("n", [1, 2, 3, 81, 2**19, 2**19 + 1, 331_434])
 def test_enumerated_draws_equal_randrange(n):
     # a store of n empty moves: the sampler reads only the move count
-    basis = MoveBasis(1, 1, array("i", bytes(4 * (n + 1))), array("h"), array("b"), bytes(n))
+    basis = MoveBasis(1, 1, _Store(array("i", bytes(4 * (n + 1))), array("h"), array("b"),
+                                   array("B", bytes(n)), array("b")))
     rng, ref = random.Random(n), random.Random(n)
     draw, _ = basis.sampler(rng)
     assert [draw() for _ in range(10_000)] == [ref.randrange(n) for _ in range(10_000)]

@@ -56,6 +56,17 @@ def test_table_validation():
         Table(np.array([[1, -1], [0, 2]]))
 
 
+def test_table_totals_above_two_to_the_53_are_refused():
+    # every sum of a table's counts is then exact in float64 and int64; the
+    # check itself neither wraps (four counts of 2**62) nor overflows
+    # (counts beyond int64)
+    assert Table.from_rows([[2 ** 53 - 3, 1], [1, 1]]).total == 2 ** 53
+    for rows in ([[2 ** 53 - 2, 1], [1, 1]], [[2 ** 62] * 2] * 2, [[2 ** 63 - 1] * 2] * 2,
+                 [[2 ** 64, 1], [1, 1]], [[1, -2 ** 64], [1, 1]]):
+        with pytest.raises(TableError):
+            Table.from_rows(rows)
+
+
 def test_table_is_immutable():
     t = Table.from_rows([[1, 2], [3, 4]])
     with pytest.raises(ValueError):

@@ -16,7 +16,7 @@ from markovfiber.models import (
     OWN_BLOCKS,
     ModelSpec,
 )
-from markovfiber.moves import MoveBasis, basis_for_model, format_move
+from markovfiber.moves import MoveBasis, _Store, basis_for_model, format_move
 from markovfiber.tables import Rectangle, build_configuration
 from markovfiber.verify import (
     COMMON_SUITE_GEOMETRIES,
@@ -152,7 +152,8 @@ def _hand_basis(R, C, *moves):
             flat.append(f)
             coef.append(c)
         off.append(len(flat))
-    return MoveBasis(R, C, off, flat, coef, bytes(len(moves)))
+    return MoveBasis(R, C, _Store(off, flat, coef, array("B", bytes(len(moves))),
+                                  array("b", [-c for c in coef])))
 
 
 def test_negative_controls_are_not_indispensable():
