@@ -20,6 +20,7 @@ from .tables import (
     Table,
     Rectangle,
     Configuration,
+    MarkovFiberError,
     TableError,
     build_configuration,
     sufficient_statistic,
@@ -66,7 +67,7 @@ _HOME = {name: module for module, names in _LAZY.items() for name in names}
 __version__ = "0.1.0"
 
 __all__ = [
-    "Table", "Rectangle", "Configuration", "TableError",
+    "Table", "Rectangle", "Configuration", "MarkovFiberError", "TableError",
     "build_configuration", "sufficient_statistic", "degrees_of_freedom",
     "read_table_csv", "write_table_csv",
     "ModelSpec", "ModelError",

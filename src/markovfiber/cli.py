@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Every subcommand prints one JSON report to stdout and exits 0, or prints a
-machine-readable error object and exits 1.  Tables travel as header-less
-CSV, reports as JSON; identical invocations with identical seeds produce
-identical reports except for the timing block.  A command imports the
+machine-readable error object and exits 1 (for any ``MarkovFiberError``,
+the base of every error raised on purpose, or ``OSError``).  Tables travel
+as header-less CSV, reports as JSON; identical invocations with identical
+seeds produce identical reports except for the timing block.  ``moves
+dump``, ``verify`` and ``grobner-check`` take their grid from ``--dataset``
+or ``--table``, else from ``--rows`` and ``--cols``.  A command imports the
 fiber, toric and verification layers only if it calls them, so ``test`` and
 ``fit`` load neither.
 """
@@ -21,13 +24,13 @@ from contextlib import ExitStack
 from . import __version__
 from . import models as _models
 from .datasets import DATASET_NAMES, dataset, dataset_models
-from .fit import FitError, chi_square, g_square, ipf_fit, make_tracker
+from .fit import chi_square, g_square, ipf_fit, make_tracker
 from .mcmc import ChainConfig, pooled_pvalue, run_chains
-from .models import ModelError, ModelSpec, load_model, model_to_dict, save_model
+from .models import ModelSpec, load_model, model_to_dict, save_model
 from .moves import ENUMERATION_THRESHOLD, basis_for_model, dump_moves, enumerate_basis
 from .tables import (
+    MarkovFiberError,
     Table,
-    TableError,
     build_configuration,
     degrees_of_freedom,
     read_table_csv,
@@ -47,26 +50,14 @@ _MODEL_ALIASES = {
 _DEFAULT_MODEL = {"gilby": "change-point", "victoria": "common-blocks"}
 
 
-class CliError(ValueError):
+class CliError(MarkovFiberError, ValueError):
     pass
 
 
-def _reported_errors() -> tuple[type[Exception], ...]:
-    """The errors reported as a JSON object and exit 1, including
-    ``FiberOverflow`` and ``ToricError`` of the layers a command loads on
-    demand, once loaded (an error of a layer never loaded cannot have been
-    raised)."""
-    fiber = sys.modules.get(f"{__package__}.fiber")
-    toric = sys.modules.get(f"{__package__}.toric")
-    return ((CliError, TableError, ModelError, FitError, OSError)
-            + ((fiber.FiberOverflow,) if fiber else ())
-            + ((toric.ToricError,) if toric else ()))
-
-
 def _load_table(args) -> tuple[Table, str | None]:
-    if getattr(args, "dataset", None):
+    if args.dataset:
         return dataset(args.dataset), args.dataset
-    if getattr(args, "table", None):
+    if args.table:
         return read_table_csv(args.table, header=args.header), None
     raise CliError("provide --dataset or --table")
 
@@ -90,17 +81,21 @@ def _resolve_model(name: str | None, ds: str | None) -> ModelSpec:
     raise CliError(f"model file not found: {name!r}")
 
 
-def _grid(args, table: Table | None) -> tuple[int, int]:
+def _model_on_grid(args) -> tuple[ModelSpec, int, int]:
+    """The model, and the grid of ``--dataset`` or ``--table`` if one is
+    given, else of ``--rows`` and ``--cols``."""
+    table, ds = _load_table(args) if args.dataset or args.table else (None, None)
+    model = _resolve_model(args.model, ds)
     if table is not None:
-        return table.R, table.C
+        return model, table.R, table.C
     if args.rows and args.cols:
-        return args.rows, args.cols
+        return model, args.rows, args.cols
     raise CliError("provide --rows and --cols (or a table/dataset)")
 
 
 def _stat_pair(args, ds) -> tuple[ModelSpec, ModelSpec | None]:
     model = _resolve_model(args.model, ds)
-    alt = _resolve_model(args.alt, ds) if getattr(args, "alt", None) else None
+    alt = _resolve_model(args.alt, ds) if args.alt else None
     if args.stat == "llr" and alt is None:
         raise CliError("--stat llr needs --alt (the larger model)")
     return model, alt
@@ -290,10 +285,7 @@ def cmd_sample(args) -> dict:
 
 
 def cmd_moves_dump(args) -> dict:
-    ds = getattr(args, "dataset", None)
-    table = dataset(ds) if ds else None
-    model = _resolve_model(args.model, ds)
-    R, C = _grid(args, table)
+    model, R, C = _model_on_grid(args)
     _require_enumerable("moves dump", R, C)
     basis = enumerate_basis(model, R, C)
     if not args.out:
@@ -372,10 +364,7 @@ def cmd_verify(args) -> dict:
             "suites": suites,
             "timings": {"sweep_s": sweep_s},
         }
-    ds = getattr(args, "dataset", None)
-    table = dataset(ds) if ds else None
-    model = _resolve_model(args.model, ds)
-    R, C = _grid(args, table)
+    model, R, C = _model_on_grid(args)
     _models.require_valid(model, R, C)
     _require_enumerable("verify", R, C)
     types = tuple(args.types.split(",")) if args.types else None
@@ -403,10 +392,7 @@ def cmd_grobner_check(args) -> dict:
     from .toric import verify_grobner
 
     _check_bounds(("--max-dim", args.max_dim))
-    ds = getattr(args, "dataset", None)
-    table = dataset(ds) if ds else None
-    model = _resolve_model(args.model, ds)
-    R, C = _grid(args, table)
+    model, R, C = _model_on_grid(args)
     t0 = time.perf_counter()
     report = verify_grobner(model, R, C, max_dim=args.max_dim)
     grobner_s = time.perf_counter() - t0
@@ -445,6 +431,13 @@ def _add_model_flags(p: argparse.ArgumentParser, with_alt: bool = True) -> None:
     if with_alt:
         p.add_argument("--alt",
                        help="larger nested model (needed for --stat llr)")
+
+
+def _add_grid_flags(p: argparse.ArgumentParser) -> None:
+    _add_table_flags(p)
+    _add_model_flags(p, with_alt=False)
+    p.add_argument("--rows", type=int)
+    p.add_argument("--cols", type=int)
 
 
 def _add_chain_flags(p: argparse.ArgumentParser) -> None:
@@ -491,10 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("moves", help="move-basis utilities")
     msub = p.add_subparsers(dest="moves_command", required=True)
     pd = msub.add_parser("dump", help="write the enumerated basis as text")
-    _add_table_flags(pd)
-    _add_model_flags(pd, with_alt=False)
-    pd.add_argument("--rows", type=int)
-    pd.add_argument("--cols", type=int)
+    _add_grid_flags(pd)
     pd.add_argument("--out", help="output path (default stdout)")
     pd.set_defaults(func=cmd_moves_dump)
 
@@ -509,10 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fiber)
 
     p = sub.add_parser("verify", help="connectivity/indispensability sweeps")
-    _add_table_flags(p)
-    _add_model_flags(p, with_alt=False)
-    p.add_argument("--rows", type=int)
-    p.add_argument("--cols", type=int)
+    _add_grid_flags(p)
     p.add_argument("--max-total", type=int, default=5)
     p.add_argument("--max-dim", type=int,
                    help="largest grid side of --suite change-point (default 4)")
@@ -523,10 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grobner-check",
                        help="certify the quadratic basis by S-pair reduction")
-    _add_table_flags(p)
-    _add_model_flags(p, with_alt=False)
-    p.add_argument("--rows", type=int)
-    p.add_argument("--cols", type=int)
+    _add_grid_flags(p)
     p.add_argument("--max-dim", type=int, default=5)
     p.set_defaults(func=cmd_grobner_check)
 
@@ -542,7 +526,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         report = args.func(args)
-    except _reported_errors() as exc:  # evaluated once the command has raised
+    except (MarkovFiberError, OSError) as exc:
         print(json.dumps({"error": {"type": type(exc).__name__,
                                     "message": str(exc)}}))
         return 1

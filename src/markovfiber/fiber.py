@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mcmc import PV_TOL, _as_tracker
-from .tables import Configuration, Table, sufficient_statistic
+from .tables import Configuration, MarkovFiberError, Table, sufficient_statistic
 
 __all__ = [
     "Fiber",
@@ -33,7 +33,7 @@ __all__ = [
 DEFAULT_CAP = 5_000_000
 
 
-class FiberOverflow(RuntimeError):
+class FiberOverflow(MarkovFiberError, RuntimeError):
     """An enumeration passed its member cap or byte bound; sample instead."""
 
 

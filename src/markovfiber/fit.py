@@ -41,7 +41,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import models as _models
-from .tables import Table, build_configuration, independent_rows
+from .tables import MarkovFiberError, Table, build_configuration, independent_rows
 
 __all__ = [
     "FitResult",
@@ -61,7 +61,7 @@ _EPS = float(np.finfo(np.float64).eps)
 MAX_ITER = 10_000
 
 
-class FitError(ValueError):
+class FitError(MarkovFiberError, ValueError):
     pass
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tables import Rectangle, build_configuration, row_space_contains
+from .tables import MarkovFiberError, Rectangle, build_configuration, row_space_contains
 
 __all__ = [
     "INDEPENDENCE",
@@ -57,7 +57,7 @@ GENERAL_BLOCKS = "general-blocks"
 _FAMILIES = (INDEPENDENCE, CHANGE_POINT, OWN_BLOCKS, COMMON_BLOCKS, GENERAL_BLOCKS)
 
 
-class ModelError(ValueError):
+class ModelError(MarkovFiberError, ValueError):
     """Raised when a model spec fails validation."""
 
 
@@ -261,7 +261,7 @@ def load_model(path) -> ModelSpec:
     with open(path, encoding="utf-8") as fp:
         try:
             data = json.load(fp)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too deep, too long
             raise ModelError(f"model file {path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ModelError(f"model file {path} must hold a JSON object")

@@ -62,6 +62,7 @@ uniformly, which keeps the proposal symmetric (Diaconis & Sturmfels 1998).
 
 from __future__ import annotations
 
+import weakref
 from array import array
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, groupby, permutations, product
@@ -617,6 +618,7 @@ class LazyMoveBasis:
         types = _move_types(model, types)
         self.R = R
         self.C = C
+        self._samplers = weakref.WeakKeyDictionary()  # random_move's, by rng
         self._code = _code_type(R * C)
         self._configs = [_joined(name, chunks)  # one table per kernel
                          for name, chunks in groupby(
@@ -712,13 +714,17 @@ def random_move(basis, rng) -> Move:
 
     Every basis element has positive draw probability in both signs and the
     distribution is state-independent, which is what the Metropolis kernel
-    requires.  The sampler is kept on the basis while the same ``rng`` is
-    passed, so repeated calls use up a lazy batch before drawing the next.
+    requires.  An enumerated draw keeps no state; a lazy basis keeps one
+    sampler per live ``rng``, holding a weak proxy of it, so each ``rng``
+    uses up its own batch before drawing the next.
     """
-    held = getattr(basis, "_held_sampler", None)
-    if held is None or held[0] is not rng:
-        held = basis._held_sampler = (rng, *basis.sampler(rng))
-    _, draw, store = held
+    if not isinstance(basis, LazyMoveBasis):
+        draw, store = basis.sampler(rng)
+    else:
+        held = basis._samplers.get(rng)
+        if held is None:
+            held = basis._samplers[rng] = basis.sampler(weakref.proxy(rng))
+        draw, store = held
     move = _move_at(store, draw(), basis.C)
     return move.negated() if rng.random() < 0.5 else move
 

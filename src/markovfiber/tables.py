@@ -42,7 +42,12 @@ __all__ = [
 ]
 
 
-class TableError(ValueError):
+class MarkovFiberError(Exception):
+    """The base of every error raised on purpose: bad input, a refused
+    request or a bound passed; the command line reports each as JSON."""
+
+
+class TableError(MarkovFiberError, ValueError):
     """Raised for malformed tables or dimension mismatches."""
 
 
@@ -302,7 +307,7 @@ def read_table_csv(path, header: bool = False) -> Table:
         if header:
             rows = [row[1:] for row in rows[1:]]
         data = [[int(f) for f in row] for row in rows]
-    except ValueError as exc:  # a non-integer entry, or bytes that are not UTF-8
+    except (ValueError, csv.Error) as exc:  # not an integer, not UTF-8, or too long a field
         raise TableError(f"{path} is not a table of integers: {exc}") from exc
     widths = {len(row) for row in data}
     if len(widths) != 1:

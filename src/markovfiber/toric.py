@@ -38,7 +38,7 @@ import numpy as np
 
 from . import models as _models
 from .models import ModelSpec
-from .tables import Rectangle
+from .tables import MarkovFiberError, Rectangle
 
 __all__ = [
     "ToricError",
@@ -51,7 +51,7 @@ __all__ = [
 MAX_DIVISION_STEPS = 10_000
 
 
-class ToricError(RuntimeError):
+class ToricError(MarkovFiberError, RuntimeError):
     pass
 
 

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +16,7 @@ from markovfiber.datasets import dataset, dataset_models, victoria_models, victo
 from markovfiber.fit import llr_nested
 from markovfiber.models import (CHANGE_POINT, COMMON_BLOCKS, OWN_BLOCKS, ModelSpec, load_model,
                                 save_model)
-from markovfiber.tables import Rectangle, read_table_csv
+from markovfiber.tables import Rectangle, read_table_csv, write_table_csv
 
 GILBY_CHI2 = 153.66942307412367
 VICTORIA_LLR = 3.0739019349974956
@@ -241,6 +242,13 @@ def test_degenerate_table_is_an_error(capsys, tmp_path):
 
 
 INDEPENDENCE_JSON = b'{"family": "independence"}\n'
+# one field past the csv module's 131,072-character limit
+CSV_FIELD_PAST_LIMIT = b"1,2\n3," + b"4" * 131_073 + b"\n"
+# arrays nested past the recursion limit
+MODEL_NESTED_DEEP = b'{"family":"independence","groups":' + b"[" * 100_000
+# an integer past Python's 4,300-digit limit of int-from-string
+MODEL_LONG_INTEGER = (b'{"family": "change-point", "rectangles": [[1, 2, 1, '
+                      + b"1" * 5000 + b"]]}\n")
 
 
 @pytest.mark.parametrize("command", ["fit", "test"])
@@ -251,7 +259,11 @@ INDEPENDENCE_JSON = b'{"family": "independence"}\n'
     (b"1,2\n3,4\n", b'{"family": "indep\xffendence"}\n', "ModelError"),
     (b"1,2\n3,4\n", b'{"family": "change-point", "rectangles": [[1, true, 1, 2]]}\n',
      "ModelError"),
-], ids=["beyond-int64", "sums-wrap-int64", "table-not-utf8", "model-not-utf8", "json-true"])
+    (CSV_FIELD_PAST_LIMIT, INDEPENDENCE_JSON, "TableError"),
+    (b"1,2\n3,4\n", MODEL_NESTED_DEEP, "ModelError"),
+    (b"1,2\n3,4\n", MODEL_LONG_INTEGER, "ModelError"),
+], ids=["beyond-int64", "sums-wrap-int64", "table-not-utf8", "model-not-utf8", "json-true",
+        "csv-field-limit", "json-nested-deep", "json-long-integer"])
 def test_bad_input_files_are_errors(capsys, tmp_path, command, table, model, error):
     (tmp_path / "t.csv").write_bytes(table)
     (tmp_path / "m.json").write_bytes(model)
@@ -260,6 +272,83 @@ def test_bad_input_files_are_errors(capsys, tmp_path, command, table, model, err
                          "--model", str(tmp_path / "m.json"), *steps)
     assert code == 1
     assert rep["error"]["type"] == error
+
+
+# bytes that are not UTF-8 next to ASCII: a continuation byte, a lead byte
+# and a byte UTF-8 never uses
+NOT_UTF8 = b"\x80\xc3\xff"
+# bytes that no count of a table CSV may hold wherever they land: ASCII
+# control bytes that are not whitespace, letters and punctuation that no
+# integer takes, and bytes that are not UTF-8
+CSV_BREAKERS = bytes([*range(0x00, 0x09), *range(0x0e, 0x1c)]) + b"x@#." + NOT_UTF8
+# bytes that no JSON text may hold wherever they land: control bytes other
+# than JSON whitespace (bare, or raw inside a string), and bytes that are not
+# UTF-8
+JSON_BREAKERS = bytes([*range(0x00, 0x09), 0x0b, 0x0c, *range(0x0e, 0x20)]) + NOT_UTF8
+
+
+def _corrupted(data: bytes, rng: random.Random, breakers: bytes, cuts, structure=b""):
+    """Eight each of byte replacements and insertions from ``breakers``,
+    truncations at one of ``cuts`` and, if ``structure`` is given, replacements
+    of one of its bytes by a letter: each leaves a file that cannot be read."""
+    def pick(seq):
+        return seq[rng.randrange(len(seq))]
+
+    out = []
+    for k in range(8):
+        at = rng.randrange(len(data))
+        out.append((f"replace-{k}", data[:at] + bytes([pick(breakers)]) + data[at + 1:]))
+        at = rng.randrange(len(data) + 1)
+        out.append((f"insert-{k}", data[:at] + bytes([pick(breakers)]) + data[at:]))
+        out.append((f"truncate-{k}", data[:pick(cuts)]))
+        if structure:
+            at = pick([i for i, b in enumerate(data) if b in structure])
+            out.append((f"structure-{k}", data[:at] + b"x" + data[at + 1:]))
+    return out
+
+
+def corrupted_inputs(tmp_path):
+    """(name, table bytes, model bytes, error type) of seeded corruptions of
+    the Gilby CSV and its change-point model JSON, one file corrupted at a
+    time, and of the three files that once escaped as tracebacks."""
+    write_table_csv(dataset("gilby"), tmp_path / "gilby.csv")
+    save_model(dataset_models("gilby")["change-point"], tmp_path / "gilby.json")
+    table, model = (tmp_path / "gilby.csv").read_bytes(), (tmp_path / "gilby.json").read_bytes()
+    # a cut inside a row, before its last comma, leaves a short last row
+    row_cuts = [at for start, end in zip([0, *(i + 1 for i, b in enumerate(table) if b == 10)],
+                                         [i for i, b in enumerate(table) if b == 10])
+                for at in range(start + 1, table.rindex(b",", start, end) + 1)]
+    # a cut before the closing brace leaves the object open
+    open_cuts = range(model.rindex(b"}"))
+    cases = [(f"csv-{name}", bad, model, "TableError")
+             for name, bad in _corrupted(table, random.Random(2027), CSV_BREAKERS, row_cuts)]
+    cases += [(f"json-{name}", table, bad, "ModelError")
+              for name, bad in _corrupted(model, random.Random(2028), JSON_BREAKERS, open_cuts,
+                                          structure=b'{}[],:"')]
+    cases += [("csv-field-limit", CSV_FIELD_PAST_LIMIT, model, "TableError"),
+              ("json-nested-deep", table, MODEL_NESTED_DEEP, "ModelError"),
+              ("json-long-integer", table, MODEL_LONG_INTEGER, "ModelError")]
+    return cases
+
+
+@pytest.mark.parametrize("argv", [
+    ("test", "--steps", "100"), ("fit",), ("fiber",), ("moves", "dump"),
+    ("verify", "--max-total", "2"), ("grobner-check",),
+], ids=lambda argv: argv[0] if argv[0] != "moves" else "moves-dump")
+def test_corrupted_input_files_are_errors(capsys, tmp_path, argv):
+    table, model = tmp_path / "t.csv", tmp_path / "m.json"
+    failed = []
+    for name, table_bytes, model_bytes, error in corrupted_inputs(tmp_path):
+        table.write_bytes(table_bytes)
+        model.write_bytes(model_bytes)
+        try:
+            code, rep = run_json(capsys, *argv, "--table", str(table), "--model", str(model))
+        except Exception as exc:  # a traceback, or a report that is not JSON
+            failed.append((name, repr(exc)[:200]))
+            continue
+        if code != 1 or set(rep) != {"error"} or rep["error"]["type"] != error:
+            failed.append((name, code, str(rep)[:200]))
+    assert failed == []
 
 
 def test_missing_inputs_are_errors(capsys):
@@ -335,6 +424,32 @@ def test_moves_dump_to_stdout(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 81  # one line per unsigned move
     assert lines[0].split()[0] == "2" and lines[0].split()[1] == "I"
+
+
+@pytest.mark.parametrize("header", [False, True], ids=["plain", "header"])
+@pytest.mark.parametrize("argv,R,C", [
+    (("moves", "dump"), 3, 4),
+    (("verify", "--max-total", "3"), 3, 3),
+    (("grobner-check",), 3, 4),
+], ids=["moves-dump", "verify", "grobner-check"])
+def test_grid_commands_read_the_grid_of_a_table(capsys, tmp_path, cp_model_path,
+                                               argv, R, C, header):
+    rows = [[str(i + j) for j in range(C)] for i in range(R)]
+    if header:
+        rows = [["", *(f"c{j}" for j in range(C))],
+                *([f"r{i}", *row] for i, row in enumerate(rows))]
+    table = tmp_path / "t.csv"
+    table.write_text("".join(",".join(row) + "\n" for row in rows))
+    reports = []
+    for grid in (("--rows", str(R), "--cols", str(C)),
+                 ("--table", str(table), *(("--header",) if header else ()))):
+        code, out = run(capsys, *argv, *grid, "--model", cp_model_path)
+        assert code == 0
+        if argv[0] != "moves":  # the dump's stdout is the basis as text
+            out = json.loads(out)
+            out.pop("timings")
+        reports.append(out)
+    assert reports[0] == reports[1]
 
 
 def test_moves_dump_to_file(capsys, tmp_path):

@@ -573,6 +573,33 @@ def test_random_move_covers_a_small_basis():
     assert len(seen) == 2
 
 
+def test_random_move_leaves_an_enumerated_basis_unchanged():
+    basis = enumerate_basis(gilby_model(), 8, 4)
+    before = dict(vars(basis))
+    random_move(basis, random.Random(1))
+    assert vars(basis) == before
+
+
+def test_alternating_rngs_draw_what_each_draws_alone():
+    # 24x24, four 6x6 common blocks: each rng's lazy batches are its own
+    grid = _blocks(COMMON_BLOCKS, (1, 7, 13, 19, 25), (1, 7, 13, 19, 25))
+    alone = []
+    for seed in (1, 2):
+        basis, rng = LazyMoveBasis(grid, 24, 24), random.Random(seed)
+        alone.append([random_move(basis, rng).entries for _ in range(1500)])
+    basis = LazyMoveBasis(grid, 24, 24)
+    rngs = random.Random(1), random.Random(2)
+    together = [[], []]
+    for _ in range(1500):
+        for k in (0, 1):
+            together[k].append(random_move(basis, rngs[k]).entries)
+    assert together == alone
+    # the basis keeps a sampler per live rng, and no rng alive
+    assert len(basis._samplers) == 2
+    del rngs
+    assert len(basis._samplers) == 0
+
+
 # the common case draws Types I-IVt; the change-point case balances its
 # rectangle terms; the own-blocks case draws Type II; the general case has a
 # leftover band that Type IV's third and fourth columns may use; the

@@ -67,3 +67,14 @@ def test_star_import_binds_every_exported_name():
 def test_an_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="has no attribute 'nonesuch'"):
         markovfiber.nonesuch
+
+
+def test_every_refusal_is_a_markovfiber_error():
+    from markovfiber.cli import CliError
+
+    for error, base in [(CliError, ValueError), (markovfiber.TableError, ValueError),
+                        (markovfiber.ModelError, ValueError),
+                        (markovfiber.fit.FitError, ValueError),
+                        (markovfiber.FiberOverflow, RuntimeError),
+                        (markovfiber.toric.ToricError, RuntimeError)]:
+        assert issubclass(error, markovfiber.MarkovFiberError) and issubclass(error, base)
