@@ -22,7 +22,6 @@ from .tables import (
     Configuration,
     MarkovFiberError,
     TableError,
-    build_configuration,
     sufficient_statistic,
     degrees_of_freedom,
     read_table_csv,
@@ -31,6 +30,7 @@ from .tables import (
 from .models import (
     ModelSpec,
     ModelError,
+    build_configuration,
     INDEPENDENCE,
     CHANGE_POINT,
     OWN_BLOCKS,

@@ -26,12 +26,11 @@ from . import models as _models
 from .datasets import DATASET_NAMES, dataset, dataset_models
 from .fit import chi_square, g_square, ipf_fit, make_tracker
 from .mcmc import ChainConfig, pooled_pvalue, run_chains
-from .models import ModelSpec, load_model, model_to_dict, save_model
+from .models import ModelSpec, build_configuration, load_model, model_to_dict, save_model
 from .moves import ENUMERATION_THRESHOLD, basis_for_model, dump_moves, enumerate_basis
 from .tables import (
     MarkovFiberError,
     Table,
-    build_configuration,
     degrees_of_freedom,
     read_table_csv,
     sufficient_statistic,

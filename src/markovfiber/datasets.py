@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .models import COMMON_BLOCKS, CHANGE_POINT, OWN_BLOCKS, ModelSpec
-from .tables import Rectangle, Table
+from .tables import MarkovFiberError, Rectangle, Table
 
 __all__ = [
     "GILBY",
@@ -34,6 +34,7 @@ __all__ = [
     "dataset_models",
     "dataset_labels",
     "DATASET_NAMES",
+    "DatasetError",
 ]
 
 GILBY = (
@@ -73,6 +74,11 @@ VICTORIA = (
 
 DATASET_NAMES = ("gilby", "victoria")
 
+
+class DatasetError(MarkovFiberError, KeyError):
+    """Raised for a dataset name that is not embedded."""
+
+
 _SEASON_BOUNDS = (1, 4, 7, 10, 13)
 
 
@@ -103,7 +109,7 @@ def dataset(name: str) -> Table:
         return gilby_table()
     if name == "victoria":
         return victoria_table()
-    raise KeyError(f"unknown dataset {name!r}; have {DATASET_NAMES}")
+    raise DatasetError(f"unknown dataset {name!r}; have {DATASET_NAMES}")
 
 
 def dataset_labels(name: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -112,7 +118,7 @@ def dataset_labels(name: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
         return GILBY_ROW_LABELS, GILBY_COL_LABELS
     if name == "victoria":
         return VICTORIA_MONTHS, VICTORIA_MONTHS
-    raise KeyError(f"unknown dataset {name!r}; have {DATASET_NAMES}")
+    raise DatasetError(f"unknown dataset {name!r}; have {DATASET_NAMES}")
 
 
 def dataset_models(name: str) -> dict[str, ModelSpec]:
@@ -122,4 +128,4 @@ def dataset_models(name: str) -> dict[str, ModelSpec]:
     if name == "victoria":
         common, own = victoria_models()
         return {"common-blocks": common, "own-blocks": own}
-    raise KeyError(f"unknown dataset {name!r}; have {DATASET_NAMES}")
+    raise DatasetError(f"unknown dataset {name!r}; have {DATASET_NAMES}")

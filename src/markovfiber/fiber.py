@@ -18,11 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mcmc import PV_TOL, _as_tracker
-from .tables import Configuration, MarkovFiberError, Table, sufficient_statistic
+from .tables import Configuration, MarkovFiberError, Table, TableError, sufficient_statistic
 
 __all__ = [
     "Fiber",
     "FiberOverflow",
+    "FiberError",
     "UnionFind",
     "enumerate_fiber",
     "is_connected",
@@ -35,6 +36,12 @@ DEFAULT_CAP = 5_000_000
 
 class FiberOverflow(MarkovFiberError, RuntimeError):
     """An enumeration passed its member cap or byte bound; sample instead."""
+
+
+class FiberError(MarkovFiberError, ValueError):
+    """Raised for a fiber question that cannot be asked: a cap below 1, a
+    statistic whose row and column sums disagree, or connectivity without
+    an enumerated basis."""
 
 
 class UnionFind:
@@ -86,16 +93,16 @@ def enumerate_fiber(t, cfg: Configuration, cap: int = DEFAULT_CAP) -> Fiber:
     overflow promptly instead of wandering.  ``cap`` must be at least 1.
     """
     if cap < 1:
-        raise ValueError(f"cap must be >= 1, got {cap}")
+        raise FiberError(f"cap must be >= 1, got {cap}")
     t = tuple(int(v) for v in t)
     if len(t) != cfg.T:
-        raise ValueError(f"statistic has {len(t)} components, configuration expects {cfg.T}")
+        raise TableError(f"statistic has {len(t)} components, configuration expects {cfg.T}")
     R, C, Q = cfg.R, cfg.C, cfg.Q
     row_rem = [0] + list(t[:R])
     col_rem = [0] + list(t[R:R + C])
     term_rem = list(t[R + C:])
     if sum(row_rem) != sum(col_rem):
-        raise ValueError("inconsistent statistic: row-sum total differs from column-sum total")
+        raise FiberError("inconsistent statistic: row-sum total differs from column-sum total")
 
     # terms per cell, and the row-major-last cell of each term
     cell_terms: list[list[int]] = [[] for _ in range(R * C)]
@@ -168,17 +175,20 @@ def is_connected(fiber: Fiber, basis) -> bool:
 
     The basis stores one sign per move, and applying +z from every member
     still finds each edge once: the edge x <-> x - z is found from x - z.
+    A move whose |z-| exceeds the fiber's total applies to no member, so
+    it is not listed.
     """
     if fiber.overflowed:
         raise FiberOverflow(f"fiber exceeded cap {fiber.cap}; cannot check connectivity")
     if len(fiber) <= 1:
         return True
     if basis.kind != "enumerated":
-        raise ValueError("connectivity needs an enumerated basis")
+        raise FiberError("connectivity needs an enumerated basis")
     idx = {m: k for k, m in enumerate(fiber.members)}
     uf = UnionFind(len(fiber))
     off, flat, coef, _, _ = basis.store
-    deltas = [(flat[lo:hi], coef[lo:hi]) for lo, hi in zip(off, off[1:])]
+    fits = np.flatnonzero(basis.store.degrees()[0] <= sum(fiber.members[0])).tolist()
+    deltas = [(flat[off[k]:off[k + 1]], coef[off[k]:off[k + 1]]) for k in fits]
     for k, member in enumerate(fiber.members):
         for flats, coefs in deltas:
             target = list(member)

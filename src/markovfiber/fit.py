@@ -41,7 +41,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import models as _models
-from .tables import MarkovFiberError, Table, build_configuration, independent_rows
+from .tables import MarkovFiberError, Table, TableError, independent_rows
 
 __all__ = [
     "FitResult",
@@ -62,7 +62,8 @@ MAX_ITER = 10_000
 
 
 class FitError(MarkovFiberError, ValueError):
-    pass
+    """Raised when a fit or a statistic cannot be made: a bad tolerance, a
+    fit that does not converge, models not nested, an unknown statistic."""
 
 
 @dataclass(frozen=True)
@@ -164,7 +165,7 @@ def ipf_fit(table: Table, model, tol: float = 1e-10) -> FitResult:
     if not 0.0 <= tol < math.inf:
         raise FitError(f"tol must be finite and >= 0, got {tol!r}")
     R, C = table.R, table.C
-    A = build_configuration(model, R, C).matrix
+    A = _models.build_configuration(model, R, C).matrix
     x = table.vec()
     t = (A.astype(np.int64) @ x).astype(np.float64)
     fit, _ = _newton(_Support(A, t == 0), t, float(x.sum()), tol)
@@ -213,7 +214,7 @@ def _total(terms: np.ndarray) -> float:
 def _table_total(terms, table: Table, expected: np.ndarray) -> float:
     m = np.asarray(expected, dtype=np.float64)
     if table.counts.shape != m.shape:
-        raise ValueError("table and expected shapes differ")
+        raise TableError("table and expected shapes differ")
     return _total(terms(table.counts.ravel(), m.ravel()))
 
 
@@ -389,7 +390,7 @@ class LLRTracker:
         self.tol = tol
 
         # the outer rows and the cells where m1 = 0, a row whose target is 0
-        outer_rows = build_configuration(outer, R, C).matrix
+        outer_rows = _models.build_configuration(outer, R, C).matrix
         A = np.vstack([outer_rows, self._m1 == 0.0])
         self._support = lru_cache(self.PATTERN_CACHE_SIZE)(
             lambda zero: _Support(A, np.frombuffer(zero, dtype=bool)))
@@ -448,4 +449,4 @@ def make_tracker(stat: str, table: Table, model, alt=None, tol: float = 1e-10):
         if alt is None:
             raise FitError("llr needs an alternative (outer) model")
         return LLRTracker(table, model, alt, tol=tol)
-    raise ValueError(f"unknown statistic {stat!r}")
+    raise FitError(f"unknown statistic {stat!r}")

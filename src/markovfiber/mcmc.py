@@ -55,9 +55,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .tables import Configuration, Table
+from .tables import Configuration, MarkovFiberError, Table, TableError
 
 __all__ = [
+    "ChainError",
+    "TrackerError",
     "ChainConfig",
     "ChainResult",
     "walk",
@@ -75,12 +77,22 @@ RESYNC_EVERY = 4096
 # moves of at most this many steps (about 130 kB with eight-cell moves),
 # whatever the chain's length
 PIECE = 4096
-# the most a proposal adds to one cell: a move has at most eight slots of
-# coefficient +-1 (Type IV), merged where its cells coincide
-MOVE_REACH = 8
+# the most a proposal adds to one cell: a stored coefficient is +-1 or +-2
+# (Type IV slots merged where its cells coincide; ``moves`` codes it as
+# flat * 5 + coef + 2)
+MOVE_REACH = 2
 # the most log-factorials a chain lists (about 2 MB of floats): the walk
 # takes ``math.lgamma`` of a larger count on the step that reaches it
 LF_TABLE = 1 << 16
+
+
+class ChainError(MarkovFiberError, ValueError):
+    """Raised for a walk that cannot run or be summed up: a bad chain
+    configuration, a statistic that is not finite, no samples or no chains."""
+
+
+class TrackerError(MarkovFiberError, TypeError):
+    """Raised for a statistic that is neither a tracker nor a callable."""
 
 
 @dataclass(frozen=True)
@@ -94,15 +106,15 @@ class ChainConfig:
 
     def __post_init__(self) -> None:
         if self.steps <= 0:
-            raise ValueError("steps must be positive")
+            raise ChainError("steps must be positive")
         if not (0 <= self.burn_in < self.steps):
-            raise ValueError("need 0 <= burn_in < steps")
+            raise ChainError("need 0 <= burn_in < steps")
         if self.thin < 1:
-            raise ValueError("thin must be >= 1")
+            raise ChainError("thin must be >= 1")
         if self.check_every < 0:
-            raise ValueError("check_every must be >= 0; 0 turns the audit off")
+            raise ChainError("check_every must be >= 0; 0 turns the audit off")
         if self.proposal is None:
-            raise ValueError("a proposal basis is required")
+            raise ChainError("a proposal basis is required")
 
 
 @dataclass(frozen=True)
@@ -200,7 +212,7 @@ def _as_tracker(statistic, R: int, C: int):
         return _MoveByMove(statistic)
     if callable(statistic):
         return _CallableTracker(statistic, R, C)
-    raise TypeError("statistic must be callable or implement the tracker protocol")
+    raise TrackerError("statistic must be callable or implement the tracker protocol")
 
 
 def walk(start: Table, cfg_matrix: Configuration, chain: ChainConfig, statistic) -> ChainResult:
@@ -226,14 +238,14 @@ def walk(start: Table, cfg_matrix: Configuration, chain: ChainConfig, statistic)
     callable must be a pure function of the table: it is evaluated once per
     distinct state among the 1,024 most recently used (about 8*R*C bytes a
     state, 1.2 MB on 12x12), not once per accepted step.  A value that is
-    not finite raises ``ValueError`` naming the step of its move.
+    not finite raises ``ChainError`` naming the step of its move.
     """
     import random as _random
 
     basis = chain.proposal
     R, C = start.R, start.C
     if (basis.R, basis.C) != (R, C):
-        raise ValueError("proposal basis grid does not match the table")
+        raise TableError("proposal basis grid does not match the table")
     rng = _random.Random(chain.seed)
     tracker = _as_tracker(statistic, R, C)
 
@@ -249,7 +261,7 @@ def walk(start: Table, cfg_matrix: Configuration, chain: ChainConfig, statistic)
 
     cur = tracker.start(x)
     if not math.isfinite(cur):
-        raise ValueError(f"statistic is not finite at the starting table: {cur}")
+        raise ChainError(f"statistic is not finite at the starting table: {cur}")
     observed = cur
 
     draw, (off, flat, coef, _, neg) = basis.sampler(rng)
@@ -273,7 +285,7 @@ def walk(start: Table, cfg_matrix: Configuration, chain: ChainConfig, statistic)
             bad = np.flatnonzero(~np.isfinite(values))
             if bad.size:
                 j = bad[0]
-                raise ValueError(f"statistic became non-finite at step {at[j]}: "
+                raise ChainError(f"statistic became non-finite at step {at[j]}: "
                                  f"{float(values[j])}")
         if keep < last:
             kept = np.arange(keep, last, thin)
@@ -361,7 +373,7 @@ def estimate_pvalue(samples, observed: float) -> float:
     """Add-one Monte Carlo estimator: (#{sample >= observed - PV_TOL} + 1) / (n + 1)."""
     arr = np.asarray(samples, dtype=np.float64)
     if arr.size == 0:
-        raise ValueError("need at least one sample")
+        raise ChainError("need at least one sample")
     n_ge = int((arr >= observed - PV_TOL).sum())
     return (n_ge + 1) / (arr.size + 1)
 
@@ -377,7 +389,7 @@ def run_chains(start: Table, cfg_matrix: Configuration, chain: ChainConfig,
     the fiber, so each chain's result is that of a freshly built tracker.
     """
     if n_chains < 1:
-        raise ValueError("n_chains must be >= 1")
+        raise ChainError("n_chains must be >= 1")
     return [walk(start, cfg_matrix, replace(chain, seed=chain.seed + k), statistic)
             for k in range(n_chains)]
 
@@ -388,7 +400,7 @@ def pooled_pvalue(results: list[ChainResult]) -> tuple[float, float]:
     chain otherwise."""
     k = len(results)
     if k == 0:
-        raise ValueError("no chains")
+        raise ChainError("no chains")
     ps = [r.pvalue for r in results]
     p = float(np.mean(ps))
     if k >= 2:

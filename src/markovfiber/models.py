@@ -15,7 +15,8 @@ A model spec carries geometry only; the log-linear parameters it implies are
 never materialized (the fit works in the coordinates of independent
 configuration rows).  ``terms`` is the one place the geometry becomes
 cells: a (Q, R*C) 0-1 array of the subtable terms, which the
-configuration, the move builder and the certificates all read.
+configuration (``build_configuration``), the move builder and the
+certificates all read.
 Nesting between two models is decided by exact rational row-space containment
 of their configurations, so any pair of families can be compared.
 """
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tables import MarkovFiberError, Rectangle, build_configuration, row_space_contains
+from .tables import Configuration, MarkovFiberError, Rectangle, row_space_contains
 
 __all__ = [
     "INDEPENDENCE",
@@ -40,6 +41,7 @@ __all__ = [
     "validate",
     "require_valid",
     "terms",
+    "build_configuration",
     "n_blocks",
     "is_nested",
     "model_to_dict",
@@ -58,7 +60,7 @@ _FAMILIES = (INDEPENDENCE, CHANGE_POINT, OWN_BLOCKS, COMMON_BLOCKS, GENERAL_BLOC
 
 
 class ModelError(MarkovFiberError, ValueError):
-    """Raised when a model spec fails validation."""
+    """Raised when a model fails validation or cannot give the moves asked of it."""
 
 
 @dataclass(frozen=True)
@@ -185,6 +187,15 @@ def terms(model: ModelSpec, R: int, C: int) -> np.ndarray:
         for a1, a2, b1, b2 in term:
             out[q, a1 - 1:a2, b1 - 1:b2] = 1
     return out.reshape(len(boxes), R * C)
+
+
+def build_configuration(model: ModelSpec, R: int, C: int) -> Configuration:
+    """Configuration of ``model`` on the R x C grid: the one-hot rows of the
+    R row sums and of the C column sums, stacked on the model's terms."""
+    require_valid(model, R, C)
+    rows = np.repeat(np.eye(R, dtype=np.uint8), C, axis=1)
+    cols = np.tile(np.eye(C, dtype=np.uint8), R)
+    return Configuration(R=R, C=C, matrix=np.vstack([rows, cols, terms(model, R, C)]))
 
 
 def is_nested(inner: ModelSpec, outer: ModelSpec, R: int, C: int) -> bool:

@@ -71,7 +71,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import models as _models
-from .tables import Configuration, flat_index
+from .tables import Configuration, TableError, flat_index
 
 __all__ = [
     "Move",
@@ -152,6 +152,12 @@ class _Store(NamedTuple):
     tcode: array
     neg: array
 
+    def degrees(self) -> tuple[np.ndarray, np.ndarray]:
+        """(|z-|, |z+|) of every move, summed in the store's own arrays."""
+        starts = np.asarray(self.off)[:-1]
+        return tuple(np.add.reduceat(np.maximum(np.asarray(c), 0), starts, dtype=np.int8)
+                     for c in (self.neg, self.coef))
+
 
 def _append(store: _Store, keys: np.ndarray, tcodes: np.ndarray) -> None:
     """Append the moves with these (n, k) keys, and their uint8 type codes,
@@ -230,7 +236,7 @@ class MoveBasis:
         frames."""
         n = len(self)
         if not n:
-            raise ValueError("basis is empty")
+            raise _models.ModelError("basis is empty")
         getrandbits, k = rng.getrandbits, n.bit_length()
 
         def draw() -> int:
@@ -542,7 +548,11 @@ def enumerate_basis(model, R: int, C: int, types: tuple[str, ...] | None = None)
     """Every move of the model's types (``_move_types``) on the R x C grid,
     one sign each.  For change-point models these are the basic moves whose
     corner strata balance: with nested rectangles, balanced strata are
-    exactly balanced rectangle sums, so the term matrix decides."""
+    exactly balanced rectangle sums, so the term matrix decides.  Grids
+    above ``ENUMERATION_THRESHOLD`` cells are refused."""
+    if R * C > ENUMERATION_THRESHOLD:
+        raise _models.ModelError(f"the {R}x{C} grid is above the enumeration threshold "
+                                 f"of {ENUMERATION_THRESHOLD} cells; draw its moves lazily")
     _models.require_valid(model, R, C)
     code = _code_type(R * C)
     store = _Store(array("i", [0]), array(code), array("b"), array("B"), array("b"))
@@ -625,7 +635,7 @@ class LazyMoveBasis:
                              _configurations(model, R, C, types, _LAZY_CONFIGS),
                              key=lambda c: c.kernel)]
         if not self._configs:
-            raise ValueError("lazy basis has empty pattern space")
+            raise _models.ModelError("lazy basis has empty pattern space")
         self._tcode = np.concatenate([c.tcode for c in self._configs])
         # a configuration's share: its type's, 1 / types, times its share of
         # the type's draws; formed in place in one float array, a kernel or
@@ -734,7 +744,7 @@ def is_kernel_move(cfg: Configuration, move: Move) -> bool:
     acc = np.zeros(cfg.T, dtype=np.int64)
     for i, j, c in move.entries:
         if not (1 <= i <= cfg.R and 1 <= j <= cfg.C):
-            raise ValueError(f"move cell ({i},{j}) outside {cfg.R}x{cfg.C} grid")
+            raise TableError(f"move cell ({i},{j}) outside {cfg.R}x{cfg.C} grid")
         acc += c * cfg.matrix[:, flat_index(i, j, cfg.C)].astype(np.int64)
     return not acc.any()
 

@@ -30,7 +30,6 @@ __all__ = [
     "Table",
     "Rectangle",
     "Configuration",
-    "build_configuration",
     "sufficient_statistic",
     "config_rank",
     "degrees_of_freedom",
@@ -186,17 +185,6 @@ class Configuration:
 
     def apply(self, flat_counts: np.ndarray) -> np.ndarray:
         return self.matrix.astype(np.int64) @ np.asarray(flat_counts, dtype=np.int64)
-
-
-def build_configuration(model, R: int, C: int) -> Configuration:
-    """Configuration of ``model`` on the R x C grid: the one-hot rows of the
-    R row sums and of the C column sums, stacked on the model's terms."""
-    from . import models  # local import; models depends on tables' geometry types
-
-    models.require_valid(model, R, C)
-    rows = np.repeat(np.eye(R, dtype=np.uint8), C, axis=1)
-    cols = np.tile(np.eye(C, dtype=np.uint8), R)
-    return Configuration(R=R, C=C, matrix=np.vstack([rows, cols, models.terms(model, R, C)]))
 
 
 def sufficient_statistic(table: Table, cfg: Configuration) -> np.ndarray:

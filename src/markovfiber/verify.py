@@ -32,9 +32,9 @@ import numpy as np
 
 from . import models as _models
 from .fiber import FiberOverflow, enumerate_fiber, is_connected
-from .models import ModelSpec
-from .moves import ENUMERATION_THRESHOLD, enumerate_basis, format_move
-from .tables import Rectangle, build_configuration
+from .models import ModelSpec, build_configuration
+from .moves import enumerate_basis, format_move
+from .tables import Rectangle
 from .toric import canonicalize
 
 __all__ = [
@@ -138,12 +138,15 @@ def _lookup(tables: np.ndarray, view: np.ndarray, rows: np.ndarray) -> np.ndarra
     return pos
 
 
-def _parts(basis, n_cells: int):
-    """(z-, z+) of every stored move, one dense uint8 row per move.  A
+def _parts(store, k: np.ndarray, n_cells: int):
+    """(z-, z+) of the stored moves ``k``, one dense uint8 row per move.  A
     stored move lists each of its cells once."""
-    off, flat, coef = (np.asarray(a) for a in basis.store[:3])
-    move = np.repeat(np.arange(off.size - 1), np.diff(off))
-    neg = np.zeros((off.size - 1, n_cells), dtype=np.uint8)
+    off, flat, coef = (np.asarray(a) for a in store[:3])
+    size = off[k + 1] - off[k]
+    move = np.repeat(np.arange(k.size), size)
+    at = np.repeat(off[k] - np.cumsum(size) + size, size) + np.arange(move.size)
+    flat, coef = flat[at], coef[at]
+    neg = np.zeros((k.size, n_cells), dtype=np.uint8)
     pos = np.zeros_like(neg)
     up = coef > 0
     pos[move[up], flat[up]] = coef[up]
@@ -171,19 +174,20 @@ def _move_edges(basis, universes: _Universes, R: int, C: int, total: int):
     A move z applies to x exactly when x = y + z- for a table y of total
     ``total - |z-|``, so running y over that smaller universe gives every
     such x once, and x + z = y + z+.  Moves of one degree |z-| share that
-    universe and are translated a chunk at a time.
+    universe and are made dense and translated a chunk at a time, so a move
+    too large for the total is never made dense.
     """
     tables, view = universes[R, C, total]
-    neg, pos = _parts(basis, R * C)
-    degree = neg.sum(axis=1)
+    degree = basis.store.degrees()[0]
     src, dst = [], []
     for d in np.unique(degree[degree <= total]):
         base = universes[R, C, total - int(d)][0]
         moves = np.flatnonzero(degree == d)
         step = max(1, _CHUNK_BYTES // base.nbytes)
         for k in np.array_split(moves, -(-moves.size // step)):
-            src.append(_lookup(tables, view, (base + neg[k, None]).reshape(-1, R * C)))
-            dst.append(_lookup(tables, view, (base + pos[k, None]).reshape(-1, R * C)))
+            neg, pos = _parts(basis.store, k, R * C)
+            src.append(_lookup(tables, view, (base + neg[:, None]).reshape(-1, R * C)))
+            dst.append(_lookup(tables, view, (base + pos[:, None]).reshape(-1, R * C)))
     if not src:
         return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
     return np.concatenate(src), np.concatenate(dst)
@@ -273,11 +277,7 @@ _MAX_WITNESSES = 3
 
 def _built(model: ModelSpec, R: int, C: int, types=None):
     """The configuration and the enumerated basis that every check of one
-    model shares.  A sweep needs every move, so grids above the enumeration
-    threshold are refused."""
-    if R * C > ENUMERATION_THRESHOLD:
-        raise ValueError(f"sweeps need an enumerated basis; the {R}x{C} grid is above "
-                         f"the enumeration threshold of {ENUMERATION_THRESHOLD} cells")
+    model shares (``enumerate_basis`` refuses a grid too large to list)."""
     basis = enumerate_basis(model, R, C, types)
     return build_configuration(model, R, C), basis
 
@@ -409,12 +409,12 @@ def _indispensable(universes: _Universes, cfg, basis) -> np.ndarray:
     One pass per move degree d: the universe of total-d tables, labelled by
     fiber, holds both z+ and z- when |z-| = |z+| = d, and z is indispensable
     iff they share a fiber of exactly two members.  A move with |z-| != |z+|
-    leaves its fiber, so it is not.  Moves are looked up a chunk at a time.
+    leaves its fiber, so it is not.  Moves are made dense and looked up a
+    chunk at a time.
     """
     R, C = cfg.R, cfg.C
-    neg, pos = _parts(basis, R * C)
-    degree = pos.sum(axis=1)
-    balanced = degree == neg.sum(axis=1)
+    down, degree = basis.store.degrees()
+    balanced = degree == down
     verdict = np.zeros(degree.size, dtype=bool)
     step = max(1, _CHUNK_BYTES // (R * C))
     for d in np.unique(degree[balanced]).tolist():
@@ -423,8 +423,9 @@ def _indispensable(universes: _Universes, cfg, basis) -> np.ndarray:
         moves = np.flatnonzero(balanced & (degree == d))
         for lo in range(0, moves.size, step):
             k = moves[lo:lo + step]
-            f = fiber_id[_lookup(tables, view, pos[k])]
-            verdict[k] = (f == fiber_id[_lookup(tables, view, neg[k])]) & (sizes[f] == 2)
+            neg, pos = _parts(basis.store, k, R * C)
+            f = fiber_id[_lookup(tables, view, pos)]
+            verdict[k] = (f == fiber_id[_lookup(tables, view, neg)]) & (sizes[f] == 2)
     return verdict
 
 

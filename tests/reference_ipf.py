@@ -14,7 +14,7 @@ import numpy as np
 
 from markovfiber import models as _models
 from markovfiber.fit import FitError, FitResult
-from markovfiber.tables import build_configuration
+from markovfiber.models import build_configuration
 
 
 def constraint_groups(model, R, C):

@@ -18,7 +18,8 @@ from typing import NamedTuple
 import numpy as np
 
 from markovfiber import models as _models
-from markovfiber.tables import build_configuration, flat_index
+from markovfiber.models import build_configuration
+from markovfiber.tables import flat_index
 from reference_models import cell_stratum, col_band, row_band, term_membership
 
 TYPE_ORDER = ("I", "II", "III", "IV", "IVt")

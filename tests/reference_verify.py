@@ -18,7 +18,8 @@ import numpy as np
 from markovfiber import models as _models
 from markovfiber.fiber import DEFAULT_CAP, FiberOverflow, UnionFind, enumerate_fiber, is_connected
 from markovfiber.moves import basis_for_model
-from markovfiber.tables import build_configuration, flat_index
+from markovfiber.models import build_configuration
+from markovfiber.tables import flat_index
 from markovfiber.verify import ConnectivityReport, FiberWitness, _row_view, _universe
 
 

@@ -14,9 +14,9 @@ import pytest
 
 from markovfiber.fit import _g2_cell, make_tracker
 from markovfiber.mcmc import PIECE, RESYNC_EVERY, ChainConfig, _as_tracker, walk
-from markovfiber.models import CHANGE_POINT, INDEPENDENCE, ModelSpec
+from markovfiber.models import CHANGE_POINT, INDEPENDENCE, ModelSpec, build_configuration
 from markovfiber.moves import _LAZY_BATCH, basis_for_model
-from markovfiber.tables import Rectangle, Table, build_configuration
+from markovfiber.tables import Rectangle, Table
 from markovfiber.datasets import gilby_model, gilby_table
 from test_mcmc import RecomputingTracker, assert_same_chain, grid_setup, indep_chi2
 import reference_walk

@@ -19,9 +19,10 @@ from markovfiber.models import (
     INDEPENDENCE,
     OWN_BLOCKS,
     ModelSpec,
+    build_configuration,
 )
 from markovfiber.moves import LazyMoveBasis, Move, basis_for_model, enumerate_basis
-from markovfiber.tables import Rectangle, Table, build_configuration, sufficient_statistic
+from markovfiber.tables import Rectangle, Table, sufficient_statistic
 from markovfiber.datasets import gilby_model, gilby_table
 from markovfiber.fit import make_tracker
 from reference_verify import indispensable

@@ -23,13 +23,13 @@ from markovfiber.fit import (
     make_tracker,
 )
 from markovfiber.mcmc import RESYNC_EVERY, ChainConfig, run_chains, walk
-from markovfiber.models import COMMON_BLOCKS, CHANGE_POINT, GENERAL_BLOCKS, INDEPENDENCE, ModelSpec
+from markovfiber.models import (COMMON_BLOCKS, CHANGE_POINT, GENERAL_BLOCKS, INDEPENDENCE, ModelSpec,
+                                build_configuration)
 from markovfiber.moves import basis_for_model, random_move
 from markovfiber.tables import (
     Rectangle,
     Table,
     _gram_pivots,
-    build_configuration,
     degrees_of_freedom,
     sufficient_statistic,
 )
@@ -37,6 +37,7 @@ from markovfiber.datasets import gilby_model, gilby_table, victoria_models, vict
 from reference_ipf import constraint_groups, reference_core, reference_fit
 from reference_models import cell_stratum
 from reference_moves import flats_coefs
+from test_moves import RANDOM_GEOMETRIES
 
 GILBY_CHI2 = 153.66942307412367
 GILBY_G2 = 178.2393011182423
@@ -180,6 +181,25 @@ def test_fit_of_large_counts_converges_at_their_rounding():
     # small sums keep the absolute test
     small = ipf_fit(Table.from_rows([[9, 0, 3], [0, 1, 0], [5, 0, 7]]), model)
     assert small.converged and small.max_discrepancy <= 1e-10
+
+
+@pytest.mark.parametrize("k", range(len(RANDOM_GEOMETRIES)),
+                         ids=[f"{m.family}-{R}x{C}-{k}"
+                              for k, (m, R, C, _) in enumerate(RANDOM_GEOMETRIES)])
+def test_fit_matches_the_sums_of_random_tables_with_zeros(k):
+    # three seeded tables per geometry: counts below 10 to 10^4, and 10-60%
+    # of the cells set to 0, so many fits end on the boundary
+    model, R, C, _ = RANDOM_GEOMETRIES[k]
+    A = build_configuration(model, R, C).matrix.astype(np.int64)
+    rng = np.random.default_rng([2311, k])
+    for _ in range(3):
+        counts = rng.integers(0, 10 ** int(rng.integers(1, 5)), (R, C))
+        counts[rng.random((R, C)) < rng.uniform(0.1, 0.6)] = 0
+        t = A @ counts.ravel()
+        fit = ipf_fit(Table(counts), model)
+        assert fit.converged
+        assert np.abs(A @ fit.expected.ravel() - t).max() <= max(
+            1e-10, 4 * np.finfo(np.float64).eps * t.max())
 
 
 def test_gilby_fit_frozen_values():

@@ -26,9 +26,9 @@ from markovfiber.mcmc import (
     run_chains,
     walk,
 )
-from markovfiber.models import CHANGE_POINT, COMMON_BLOCKS, INDEPENDENCE, ModelSpec
+from markovfiber.models import CHANGE_POINT, COMMON_BLOCKS, INDEPENDENCE, ModelSpec, build_configuration
 from markovfiber.moves import LazyMoveBasis, MoveBasis, _Store, basis_for_model
-from markovfiber.tables import Rectangle, Table, build_configuration, sufficient_statistic
+from markovfiber.tables import Rectangle, Table, sufficient_statistic
 from markovfiber.datasets import gilby_model, gilby_table, victoria_models, victoria_table
 from test_acceptance import SAMPLER_CASES
 import reference_walk

@@ -10,6 +10,7 @@ from markovfiber.models import (
     OWN_BLOCKS,
     ModelError,
     ModelSpec,
+    build_configuration,
     is_nested,
     load_model,
     model_from_dict,
@@ -22,7 +23,7 @@ from markovfiber.models import (
 )
 import numpy as np
 
-from markovfiber.tables import Rectangle, build_configuration
+from markovfiber.tables import Rectangle
 from markovfiber.datasets import gilby_model, victoria_models
 from reference_models import cell_block, cell_stratum, term_membership
 
@@ -247,7 +248,7 @@ NESTING_CASES = [
 def test_nesting_ranks_only_the_inner_rows_the_outer_lack(monkeypatch, inner, outer, grid,
                                                           verdict, extra):
     import markovfiber.models as models
-    from markovfiber.tables import build_configuration, row_space_contains
+    from markovfiber.tables import row_space_contains
 
     ranked = []
 

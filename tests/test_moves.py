@@ -4,6 +4,7 @@ import hashlib
 import io
 from array import array
 import random
+import time
 import tracemalloc
 from itertools import combinations
 
@@ -19,6 +20,7 @@ from markovfiber.models import (
     OWN_BLOCKS,
     ModelError,
     ModelSpec,
+    build_configuration,
     terms,
 )
 from markovfiber.moves import (
@@ -35,8 +37,9 @@ from markovfiber.moves import (
     is_kernel_move,
     random_move,
 )
-from markovfiber.tables import Rectangle, build_configuration
+from markovfiber.tables import Rectangle
 from markovfiber.datasets import gilby_model, victoria_models
+from markovfiber.mcmc import MOVE_REACH
 from reference_models import cell_stratum, term_membership
 from reference_moves import flats_coefs, reference_unsigned, streamed_store, unsigned_key
 
@@ -263,10 +266,12 @@ def _dense(off, flat, coef, n_cells: int) -> np.ndarray:
                               for k, (m, R, C, _) in enumerate(RANDOM_GEOMETRIES)])
 def test_every_move_lies_in_the_kernel(model, R, C, types):
     # A z = 0 for every enumerated move, in one integer product, and for
-    # 300 lazy draws, each read from the sampler's store as it is drawn
+    # 300 lazy draws, each read from the sampler's store as it is drawn; no
+    # coefficient adds more to a cell than the walk lists log-factorials for
     A = build_configuration(model, R, C).matrix.astype(np.int64)
     basis = enumerate_basis(model, R, C, types)
     assert not (_dense(*basis.store[:3], R * C) @ A.T).any()
+    assert all(abs(c) <= MOVE_REACH for c in basis.store.coef)
     if not len(basis):
         return
     draw, store = LazyMoveBasis(model, R, C, types).sampler(random.Random(R * C))
@@ -277,6 +282,7 @@ def test_every_move_lies_in_the_kernel(model, R, C, types):
         coef += store.coef[store.off[k]:store.off[k + 1]]
         off.append(len(flat))
     assert not (_dense(off, flat, coef, R * C) @ A.T).any()
+    assert all(abs(c) <= MOVE_REACH for c in coef)
 
 
 @pytest.mark.parametrize("model,R,C,types", RANDOM_GEOMETRIES,
@@ -562,6 +568,19 @@ def test_basis_for_model_dispatch():
     independence = ModelSpec(family=INDEPENDENCE)
     assert isinstance(basis_for_model(independence, 20, 20), MoveBasis)
     assert isinstance(basis_for_model(independence, 21, 20), LazyMoveBasis)
+
+
+def test_enumeration_refuses_grids_above_the_threshold():
+    # the benchmark's 24x24 four-block grid has 81.5 million moves
+    # (LazyMoveBasis.counts_by_type); the bound is checked before any
+    # configuration is decided
+    bounds = (1, 7, 13, 19, 25)
+    model = _blocks(COMMON_BLOCKS, bounds, bounds)
+    t0 = time.perf_counter()
+    with pytest.raises(ModelError, match="enumeration threshold of 400 cells"):
+        enumerate_basis(model, 24, 24)
+    assert time.perf_counter() - t0 < 0.5
+    assert len(enumerate_basis(ModelSpec(family=INDEPENDENCE), 20, 20)) == 190 * 190
 
 
 def test_random_move_covers_a_small_basis():

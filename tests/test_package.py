@@ -1,12 +1,16 @@
 """The package's export lists, and the layers that importing it loads."""
 
+import ast
+import builtins
 import importlib
+import math
 import os
 import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import markovfiber
@@ -71,10 +75,87 @@ def test_an_unknown_attribute_raises_attribute_error():
 
 def test_every_refusal_is_a_markovfiber_error():
     from markovfiber.cli import CliError
+    from markovfiber.datasets import DatasetError, dataset, dataset_labels, dataset_models
+    from markovfiber.fiber import FiberError, enumerate_fiber, is_connected
+    from markovfiber.fit import FitError
+    from markovfiber.mcmc import ChainError, TrackerError
+    from markovfiber.toric import ToricError
 
     for error, base in [(CliError, ValueError), (markovfiber.TableError, ValueError),
-                        (markovfiber.ModelError, ValueError),
-                        (markovfiber.fit.FitError, ValueError),
-                        (markovfiber.FiberOverflow, RuntimeError),
-                        (markovfiber.toric.ToricError, RuntimeError)]:
+                        (markovfiber.ModelError, ValueError), (FitError, ValueError),
+                        (ChainError, ValueError), (FiberError, ValueError),
+                        (TrackerError, TypeError), (DatasetError, KeyError),
+                        (markovfiber.FiberOverflow, RuntimeError), (ToricError, RuntimeError)]:
         assert issubclass(error, markovfiber.MarkovFiberError) and issubclass(error, base)
+
+    mf = markovfiber
+    indep = mf.ModelSpec(family=mf.INDEPENDENCE)
+    two_blocks = mf.ModelSpec(family=mf.OWN_BLOCKS, row_bounds=(1, 2, 3), col_bounds=(1, 2, 3))
+    table, cfg = mf.Table.from_rows([[1, 1], [1, 1]]), mf.build_configuration(indep, 2, 2)
+    basis = mf.basis_for_model(indep, 2, 2)
+    chain = mf.ChainConfig(steps=100, proposal=basis)
+    pair = enumerate_fiber((1, 1, 1, 1), cfg)  # two members
+    refusals = [
+        (ChainError, lambda: mf.ChainConfig(steps=0, proposal=basis)),
+        (ChainError, lambda: mf.ChainConfig(steps=10, burn_in=10, proposal=basis)),
+        (ChainError, lambda: mf.ChainConfig(steps=10, thin=0, proposal=basis)),
+        (ChainError, lambda: mf.ChainConfig(steps=10, check_every=-1, proposal=basis)),
+        (ChainError, lambda: mf.ChainConfig(steps=10)),
+        (TrackerError, lambda: mf.walk(table, cfg, chain, object())),
+        (mf.TableError, lambda: mf.walk(
+            table, cfg, mf.ChainConfig(steps=10, proposal=mf.basis_for_model(indep, 3, 3)),
+            lambda x: 0.0)),
+        (ChainError, lambda: mf.walk(table, cfg, chain, lambda x: math.inf)),
+        (ChainError, lambda: mf.walk(
+            table, cfg, chain, lambda x: 0.0 if x[0, 0] == 1 else math.nan)),
+        (ChainError, lambda: mf.estimate_pvalue([], 0.0)),
+        (ChainError, lambda: mf.run_chains(table, cfg, chain, lambda x: 0.0, n_chains=0)),
+        (ChainError, lambda: mf.pooled_pvalue([])),
+        (FiberError, lambda: enumerate_fiber((1, 1, 1, 1), cfg, cap=0)),
+        (mf.TableError, lambda: enumerate_fiber((1, 1, 1), cfg)),
+        (FiberError, lambda: enumerate_fiber((1, 1, 1, 2), cfg)),
+        (FiberError, lambda: is_connected(pair, mf.LazyMoveBasis(indep, 2, 2))),
+        (mf.ModelError, lambda: mf.enumerate_basis(two_blocks, 2, 2, ("II",)).sampler(None)),
+        (mf.ModelError, lambda: mf.LazyMoveBasis(two_blocks, 2, 2, ("II",))),
+        (mf.ModelError, lambda: mf.enumerate_basis(indep, 21, 20)),
+        (mf.TableError, lambda: mf.is_kernel_move(cfg, mf.Move(((3, 1, 1), (3, 2, -1)), "I"))),
+        (mf.TableError, lambda: mf.chi_square(table, np.ones((2, 3)))),
+        (FitError, lambda: mf.make_tracker("bogus", table, indep)),
+        (DatasetError, lambda: dataset("nope")),
+        (DatasetError, lambda: dataset_labels("nope")),
+        (DatasetError, lambda: dataset_models("nope")),
+    ]
+    for error, refusal in refusals:
+        with pytest.raises(error):
+            refusal()
+
+
+# builtin exceptions a module may raise: assertions guard internal
+# invariants, and PEP 562 asks a module's __getattr__ for AttributeError
+ALLOWED_BUILTIN_RAISES = {("__init__.py", "AttributeError")}
+
+
+def _raised_builtins(path: Path):
+    """(file name, builtin exception class) of each ``raise`` in the file
+    whose exception is a builtin class other than ``AssertionError``."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = getattr(exc, "id", None)
+            if (isinstance(getattr(builtins, name or "", None), type)
+                    and issubclass(getattr(builtins, name), BaseException)
+                    and name != "AssertionError"):
+                yield path.name, name
+
+
+def test_no_refusal_raises_a_builtin_exception():
+    package = Path(markovfiber.__file__).parent
+    raised = {hit for path in sorted(package.glob("*.py")) for hit in _raised_builtins(path)}
+    assert raised == ALLOWED_BUILTIN_RAISES
+
+
+def test_tables_imports_nothing_from_the_package():
+    tree = ast.parse((Path(markovfiber.__file__).parent / "tables.py").read_text())
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert imports and not [n for n in imports if isinstance(n, ast.ImportFrom) and n.level]
+    assert not [a.name for n in imports for a in n.names if a.name.startswith("markovfiber")]

@@ -12,7 +12,6 @@ from markovfiber.tables import (
     Rectangle,
     Table,
     TableError,
-    build_configuration,
     config_rank,
     degrees_of_freedom,
     flat_index,
@@ -32,6 +31,7 @@ from markovfiber.models import (
     INDEPENDENCE,
     OWN_BLOCKS,
     ModelSpec,
+    build_configuration,
 )
 from markovfiber.datasets import gilby_model, gilby_table, victoria_models, victoria_table
 

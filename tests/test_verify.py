@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from array import array
 
 import numpy as np
@@ -15,9 +16,10 @@ from markovfiber.models import (
     INDEPENDENCE,
     OWN_BLOCKS,
     ModelSpec,
+    build_configuration,
 )
-from markovfiber.moves import MoveBasis, _Store, basis_for_model, format_move
-from markovfiber.tables import Rectangle, build_configuration
+from markovfiber.moves import MoveBasis, _Store, basis_for_model, enumerate_basis, format_move
+from markovfiber.tables import Rectangle
 from markovfiber.verify import (
     COMMON_SUITE_GEOMETRIES,
     OWN_SUITE_GEOMETRIES,
@@ -38,6 +40,7 @@ from markovfiber.verify import (
     own_blocks_suite,
 )
 from reference_verify import indispensable, reference_sweep
+from test_moves import RANDOM_GEOMETRIES
 
 OWN_3X3 = ModelSpec(family=OWN_BLOCKS, row_bounds=(1, 2, 3, 4),
                     col_bounds=(1, 2, 3, 4))
@@ -260,6 +263,40 @@ def test_indispensability_enumerates_no_fiber(monkeypatch):
     change_point_suite(max_dim=3, max_total=3)
     # only the sweeps' cross-checks: one per sweep with a multi-member fiber
     assert len(enumerated) == sum(rep.n_multi > 0 for rep in sweeps) > 0
+
+
+def test_sweep_memory_is_bounded_by_the_store():
+    # at total 2 only the 1,926 Type I moves of Victoria's common-blocks
+    # basis act, and only moves that act are made dense or listed for the
+    # cross-checks: the traced peak is the build's, 1.7x the store's bytes
+    # when measured, against 12.6x when all 331,434 moves were
+    model = victoria_models()[0]
+    basis = enumerate_basis(model, 12, 12)
+    connectivity_range(ModelSpec(family=INDEPENDENCE), 2, 2, max_total=2)  # first-call imports
+    tracemalloc.start()
+    try:
+        reports = connectivity_range(model, 12, 12, max_total=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * basis.nbytes
+    assert [rep.to_dict() for rep in reports] == [{
+        "grid": [12, 12], "total": 2, "n_tables": 10440, "n_fibers": 8514,
+        "n_multi_member_fibers": 1926, "n_disconnected": 0, "connected": True,
+        "witnesses": [], "cross_checks": 2}]
+
+
+@pytest.mark.parametrize("model,R,C", [g[:3] for g in RANDOM_GEOMETRIES],
+                         ids=[f"{m.family}-{R}x{C}-{k}"
+                              for k, (m, R, C, _) in enumerate(RANDOM_GEOMETRIES)])
+def test_random_geometries_connect_every_small_fiber(model, R, C):
+    # the full basis of every family, general blocks with leftover bands
+    # included, connects every fiber of totals 2-3, and of total 4 on grids
+    # of up to 16 cells (a geometry's type restriction is dropped: a
+    # restricted basis may rightly disconnect); each sweep cross-checks two
+    # fibers against the depth-first oracle
+    reports = connectivity_range(model, R, C, max_total=4 if R * C <= 16 else 3)
+    assert [rep.total for rep in reports if not rep.ok] == []
 
 
 def test_sweeps_refuse_grids_above_the_enumeration_threshold():
