@@ -76,12 +76,9 @@ __all__ = [
     "Move", "MoveBasis", "LazyMoveBasis",
     "enumerate_basis", "basis_for_model",
     "random_move", "is_kernel_move",
-    "Fiber", "FiberOverflow", "enumerate_fiber", "is_connected", "fiber_pvalue", "exact_pvalue",
     "ipf_fit", "chi_square", "g_square", "llr_nested", "FitResult", "make_tracker",
     "ChainConfig", "ChainResult", "walk", "run_chains", "estimate_pvalue", "pooled_pvalue",
-    "GrobnerReport", "verify_grobner",
-    "ConnectivityReport", "connectivity_sweep", "connectivity_range", "indispensability_sweep",
-    "dataset", "dataset_models", "gilby_table", "victoria_table",
+    *_HOME,
     "__version__",
 ]
 

@@ -24,7 +24,7 @@ from contextlib import ExitStack
 from . import __version__
 from . import models as _models
 from .datasets import DATASET_NAMES, dataset, dataset_models
-from .fit import chi_square, g_square, ipf_fit, make_tracker
+from .fit import STATS, chi_square, g_square, ipf_fit, make_tracker
 from .mcmc import ChainConfig, pooled_pvalue, run_chains
 from .models import ModelSpec, build_configuration, load_model, model_to_dict, save_model
 from .moves import ENUMERATION_THRESHOLD, basis_for_model, dump_moves, enumerate_basis
@@ -39,14 +39,11 @@ from .tables import (
 
 __all__ = ["main"]
 
-STATS = ("chi2", "g2", "llr")
-
 # --model accepts a builtin name (per dataset) or a path to a model JSON
 _MODEL_ALIASES = {
     "changepoint-gilby": "change-point",
     "gilby-change-point": "change-point",
 }
-_DEFAULT_MODEL = {"gilby": "change-point", "victoria": "common-blocks"}
 
 
 class CliError(MarkovFiberError, ValueError):
@@ -65,7 +62,7 @@ def _resolve_model(name: str | None, ds: str | None) -> ModelSpec:
     if name is None:
         if ds is None:
             raise CliError("provide --model (builtin name or JSON path)")
-        name = _DEFAULT_MODEL[ds]
+        name = next(iter(dataset_models(ds)))  # the dataset's default null
     if ds is not None:
         builtin = dataset_models(ds)
         key = _MODEL_ALIASES.get(name, name)
@@ -92,12 +89,25 @@ def _model_on_grid(args) -> tuple[ModelSpec, int, int]:
     raise CliError("provide --rows and --cols (or a table/dataset)")
 
 
-def _stat_pair(args, ds) -> tuple[ModelSpec, ModelSpec | None]:
+def _stat_pair(args, ds, stat: str) -> tuple[ModelSpec, ModelSpec | None]:
+    """The null model, and the alternative, which only --stat llr reads."""
     model = _resolve_model(args.model, ds)
-    alt = _resolve_model(args.alt, ds) if args.alt else None
-    if args.stat == "llr" and alt is None:
+    if stat != "llr":
+        if args.alt:
+            raise CliError(f"--alt is read only by --stat llr, not by --stat {stat}")
+        return model, None
+    if not args.alt:
         raise CliError("--stat llr needs --alt (the larger model)")
-    return model, alt
+    return model, _resolve_model(args.alt, ds)
+
+
+def _refuse_unread(args, flags: tuple[str, ...], reader: str) -> None:
+    """Refuse each of ``flags`` that was given, since only ``reader`` reads
+    it, instead of dropping it unreported."""
+    for flag in flags:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None and value is not False:
+            raise CliError(f"{flag} is read only {reader}")
 
 
 def _chi2_sf(x: float, df: int) -> float:
@@ -166,7 +176,7 @@ def _write_stream(fp, samples) -> None:
 def cmd_test(args) -> dict:
     _check_chain_args(args)
     table, ds = _load_table(args)
-    model, alt = _stat_pair(args, ds)
+    model, alt = _stat_pair(args, ds, args.stat)
     R, C = table.R, table.C
     if alt is not None:
         _models.require_valid(alt, R, C)
@@ -309,8 +319,11 @@ def cmd_fiber(args) -> dict:
     cap = DEFAULT_CAP if args.cap is None else args.cap
     if cap < 1:
         raise CliError(f"--cap must be >= 1, got {cap}")
+    if not args.exact_p:
+        _refuse_unread(args, ("--alt", "--stat"), "with --exact-p")
+    stat = args.stat or "chi2"
     table, ds = _load_table(args)
-    model, alt = _stat_pair(args, ds) if args.exact_p else (_resolve_model(args.model, ds), None)
+    model, alt = _stat_pair(args, ds, stat)
     R, C = table.R, table.C
     if args.check_connect:
         # refuse before enumerating: the fiber can take minutes to list
@@ -331,8 +344,8 @@ def cmd_fiber(args) -> dict:
     if args.check_connect:
         report["connected"] = is_connected(fiber, enumerate_basis(model, R, C))
     if args.exact_p:
-        statistic = make_tracker(args.stat, table, model, alt=alt)
-        report["stat"] = args.stat
+        statistic = make_tracker(stat, table, model, alt=alt)
+        report["stat"] = stat
         report["exact_pvalue"] = fiber_pvalue(fiber, table, statistic)
     return report
 
@@ -346,6 +359,8 @@ def cmd_verify(args) -> dict:
         raise CliError("--max-dim bounds the grids of --suite change-point (or all) "
                        "and is read nowhere else")
     if args.suite:
+        _refuse_unread(args, ("--types", "--rows", "--cols", "--model", "--dataset", "--table",
+                              "--header"), "by verify without --suite, on one model and grid")
         runners = {
             "change-point": lambda: change_point_suite(
                 max_dim=4 if args.max_dim is None else args.max_dim, max_total=args.max_total),
@@ -494,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="most tables to enumerate (default: markovfiber.fiber.DEFAULT_CAP)")
     p.add_argument("--check-connect", action="store_true")
     p.add_argument("--exact-p", action="store_true")
-    p.add_argument("--stat", choices=STATS, default="chi2")
+    p.add_argument("--stat", choices=STATS, help="statistic of --exact-p (default chi2)")
     p.set_defaults(func=cmd_fiber)
 
     p = sub.add_parser("verify", help="connectivity/indispensability sweeps")

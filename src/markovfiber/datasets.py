@@ -72,9 +72,6 @@ VICTORIA = (
     (0, 1, 0, 0, 0, 0, 0, 1, 0, 2, 1, 0),
 )
 
-DATASET_NAMES = ("gilby", "victoria")
-
-
 class DatasetError(MarkovFiberError, KeyError):
     """Raised for a dataset name that is not embedded."""
 
@@ -104,28 +101,34 @@ def victoria_models() -> tuple[ModelSpec, ModelSpec]:
     return common, own
 
 
+# each dataset's table, (row labels, column labels) and built-in models,
+# keyed by the names the CLI accepts; a dataset's first model is its
+# default null
+_DATASETS = {
+    "gilby": (gilby_table, (GILBY_ROW_LABELS, GILBY_COL_LABELS),
+              {"change-point": gilby_model()}),
+    "victoria": (victoria_table, (VICTORIA_MONTHS, VICTORIA_MONTHS),
+                 dict(zip(("common-blocks", "own-blocks"), victoria_models()))),
+}
+DATASET_NAMES = tuple(_DATASETS)
+
+
+def _entry(name: str) -> tuple:
+    if name not in DATASET_NAMES:
+        raise DatasetError(f"unknown dataset {name!r}; have {DATASET_NAMES}")
+    return _DATASETS[name]
+
+
 def dataset(name: str) -> Table:
-    if name == "gilby":
-        return gilby_table()
-    if name == "victoria":
-        return victoria_table()
-    raise DatasetError(f"unknown dataset {name!r}; have {DATASET_NAMES}")
+    return _entry(name)[0]()
 
 
 def dataset_labels(name: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """(row labels, column labels)."""
-    if name == "gilby":
-        return GILBY_ROW_LABELS, GILBY_COL_LABELS
-    if name == "victoria":
-        return VICTORIA_MONTHS, VICTORIA_MONTHS
-    raise DatasetError(f"unknown dataset {name!r}; have {DATASET_NAMES}")
+    return _entry(name)[1]
 
 
 def dataset_models(name: str) -> dict[str, ModelSpec]:
-    """Built-in model specs for a dataset, keyed by the names the CLI accepts."""
-    if name == "gilby":
-        return {"change-point": gilby_model()}
-    if name == "victoria":
-        common, own = victoria_models()
-        return {"common-blocks": common, "own-blocks": own}
-    raise DatasetError(f"unknown dataset {name!r}; have {DATASET_NAMES}")
+    """Built-in model specs for a dataset, keyed by the names the CLI
+    accepts; the first is the dataset's default null model."""
+    return dict(_entry(name)[2])

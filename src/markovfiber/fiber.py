@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mcmc import PV_TOL, _as_tracker
+from .fit import PV_TOL, as_tracker
 from .tables import Configuration, MarkovFiberError, Table, TableError, sufficient_statistic
 
 __all__ = [
@@ -213,11 +213,12 @@ def fiber_pvalue(fiber: Fiber, table: Table, statistic) -> float:
     """Exact conditional p-value of ``table`` over its enumerated fiber:
     total weight of the members whose statistic is >= the observed value
     (within ``PV_TOL``, the sampler's tie rule), weights proportional to
-    1/prod(x_ij!).  ``statistic`` is what ``mcmc.walk`` takes, and each
-    member's value is its tracker's ``start`` on the member's flat tuple."""
+    1/prod(x_ij!).  ``statistic`` is anything ``fit.as_tracker`` takes, and
+    each member's value is its tracker's ``start`` on the member's flat
+    tuple."""
     if fiber.overflowed:
         raise FiberOverflow(f"fiber exceeded cap {fiber.cap}; cannot compute the exact p-value")
-    value = _as_tracker(statistic, table.R, table.C).start
+    value = as_tracker(statistic, table.R, table.C).start
     observed = value(table.vec().tolist())
     log_weights = [-sum(math.lgamma(x + 1) for x in member) for member in fiber.members]
     shift = max(log_weights)

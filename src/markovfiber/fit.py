@@ -28,6 +28,9 @@ million-step sampling runs affordable.  The observed table's value is the
 same function at the table's own vector, so ``llr_nested`` is
 ``LLRTracker(...).observed``.
 
+A statistic reaches the walk and the fiber oracle through ``as_tracker``,
+which states the tracker contract and adapts what is not a tracker.
+
 Conventions: 0 * log(0/anything) := 0 by continuity; a row with target 0
 pins its cells to exactly 0 and leaves the fit.
 """
@@ -35,6 +38,7 @@ pins its cells to exactly 0 and leaves the fit.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -46,6 +50,7 @@ from .tables import MarkovFiberError, Table, TableError, independent_rows
 __all__ = [
     "FitResult",
     "FitError",
+    "TrackerError",
     "ipf_fit",
     "chi_square",
     "g_square",
@@ -54,16 +59,26 @@ __all__ = [
     "GSquareTracker",
     "LLRTracker",
     "make_tracker",
+    "as_tracker",
 ]
 
 _EPS = float(np.finfo(np.float64).eps)
 # Newton steps a fit may take before it reports itself unconverged
 MAX_ITER = 10_000
+# the statistics ``make_tracker`` builds, by the names the CLI takes
+STATS = ("chi2", "g2", "llr")
+# the tie rule of every p-value, chain and exact: a value counts as at
+# least the observed one within PV_TOL
+PV_TOL = 1e-12
 
 
 class FitError(MarkovFiberError, ValueError):
     """Raised when a fit or a statistic cannot be made: a bad tolerance, a
     fit that does not converge, models not nested, an unknown statistic."""
+
+
+class TrackerError(MarkovFiberError, TypeError):
+    """Raised for a statistic that is neither a tracker nor a callable."""
 
 
 @dataclass(frozen=True)
@@ -236,23 +251,7 @@ def llr_nested(table: Table, inner, outer, tol: float = 1e-10) -> float:
 
 
 # ---------------------------------------------------------------------------
-# statistic trackers for the sampler
-#
-# Contract with mcmc.walk: start(x) resets every per-chain field and returns
-# the statistic at the flat state x; values_after(cells, coefs, ends) takes
-# the moves accepted since, in order, and returns a float array of the value
-# after each move, leaving the tracker at the last state.  Move j is the
-# entries ends[j - 1]:ends[j] (from 0 for j = 0) of the integer arrays cells
-# and coefs, its flat cells and signed coefficients; a cell appears at most
-# once per move, there is at least one move, and the arrays are valid only
-# during the call.  Each value equals the one the moves fed one call at a
-# time would give, bit for bit.  The walk calls start again every few
-# thousand accepts to shed the float drift of the increments.  Chains run
-# one after another, so one tracker serves them all; what outlives a chain
-# (the null fit, the LLR value cache) depends only on the fiber.
-# ``fiber.fiber_pvalue`` reads each fiber member's value by ``start``.
-# ``fit`` is the null model's FitResult and ``observed`` the statistic at
-# the table.
+# statistic trackers for the sampler (the contract is ``as_tracker``'s)
 
 
 def _entry_counts(x: np.ndarray, cells: np.ndarray,
@@ -296,7 +295,7 @@ class _FixedExpectedTracker:
             raise FitError("null fit did not converge; cannot track a statistic against it")
         self.expected = self.fit.expected
         self._m = self.expected.ravel()
-        self.observed = _total(self._terms(table.vec(), self._m))
+        self.observed = self.start(table.vec())
 
     def _entry_terms(self, cells: np.ndarray, counts: np.ndarray) -> np.ndarray:
         """The term of each entry's cell at its count."""
@@ -400,7 +399,7 @@ class LLRTracker:
         # cells x terms: 1 where the cell lies in the term
         self._cell_terms = outer_rows[R + C:].T.astype(np.int64)
         self._llr = lru_cache(self.CACHE_SIZE)(self._refit)
-        self.observed = self._llr(self._block_sums(x))
+        self.observed = self.start(x)
 
     def _refit(self, b: tuple[int, ...]) -> float:
         t = np.array(self._fixed_targets + b + (0.0,))
@@ -440,13 +439,124 @@ class LLRTracker:
 
 
 def make_tracker(stat: str, table: Table, model, alt=None, tol: float = 1e-10):
-    """Statistic factory for the CLI: chi2 | g2 | llr."""
-    if stat == "chi2":
-        return ChiSquareTracker(table, model, tol=tol)
-    if stat == "g2":
-        return GSquareTracker(table, model, tol=tol)
-    if stat == "llr":
-        if alt is None:
-            raise FitError("llr needs an alternative (outer) model")
-        return LLRTracker(table, model, alt, tol=tol)
-    raise FitError(f"unknown statistic {stat!r}")
+    """Statistic factory for the CLI: one of ``STATS``."""
+    if stat not in STATS:
+        raise FitError(f"unknown statistic {stat!r}")
+    if stat != "llr":
+        return (ChiSquareTracker if stat == "chi2" else GSquareTracker)(table, model, tol=tol)
+    if alt is None:
+        raise FitError("llr needs an alternative (outer) model")
+    return LLRTracker(table, model, alt, tol=tol)
+
+
+class _CallableTracker:
+    """Adapter giving a plain statistic callable the tracker interface; a
+    revisited state reuses the callable's value instead of calling it again.
+    A state's key is the bytes of its int64 cells, which numpy gives for a
+    whole batch of states at once."""
+
+    # states whose values are kept: a small fiber fits whole, and the keys
+    # of a 12x12 grid take about 1.2 MB
+    CACHE_SIZE = 1024
+    # cells of the states a batch rebuilds at once (128 kB of int64)
+    STATE_CELLS = 1 << 14
+
+    def __init__(self, fn, R: int, C: int) -> None:
+        self._fn = fn
+        self._shape = (R, C)
+        self._key = np.dtype((np.void, 8 * R * C))
+        self._value = lru_cache(self.CACHE_SIZE)(self._compute)
+
+    def _compute(self, key: bytes) -> float:
+        arr = np.frombuffer(key, dtype=np.int64).reshape(self._shape).copy()
+        return float(self._fn(arr))
+
+    def start(self, x_flat) -> float:
+        self._x = np.array(x_flat, dtype=np.int64)
+        return self._value(self._x.tobytes())
+
+    def values_after(self, cells, coefs, ends) -> np.ndarray:
+        n_cells = self._x.size
+        move = np.repeat(np.arange(len(ends)), np.diff(ends, prepend=0))
+        out = []
+        per = max(1, self.STATE_CELLS // n_cells)  # moves whose states are rebuilt at once
+        for lo in range(0, len(ends), per):
+            hi = min(lo + per, len(ends))
+            first, last = ends[lo - 1] if lo else 0, ends[hi - 1]
+            delta = np.zeros((hi - lo, n_cells), dtype=np.int64)
+            delta[move[first:last] - lo, cells[first:last]] = coefs[first:last]
+            states = np.cumsum(delta, axis=0, out=delta)
+            states += self._x
+            self._x = states[-1].copy()
+            out += map(self._value, states.view(self._key).ravel().tolist())
+        return np.array(out)
+
+
+class _MoveByMove:
+    """Adapter for a tracker with ``value_after(x, flats, coefs)``, called
+    once per move on the state after it, in place of ``values_after``: the
+    adapter replays the moves on its own copy of the state."""
+
+    def __init__(self, tracker) -> None:
+        self._tracker = tracker
+
+    def start(self, x_flat) -> float:
+        self._x = list(x_flat)
+        return self._tracker.start(self._x)
+
+    def values_after(self, cells, coefs, ends) -> np.ndarray:
+        x, value_after = self._x, self._tracker.value_after
+        # typed copies, a few bytes an entry, whose slices are the integer
+        # sequences value_after takes
+        cells = array(cells.dtype.char, cells.tobytes())
+        coefs = array(coefs.dtype.char, coefs.tobytes())
+        out = []
+        lo = 0
+        for hi in ends.tolist():
+            fl, co = cells[lo:hi], coefs[lo:hi]
+            for f, c in zip(fl, co):
+                x[f] += c
+            out.append(value_after(x, fl, co))
+            lo = hi
+        return np.array(out, dtype=np.float64)
+
+
+def as_tracker(statistic, R: int, C: int):
+    """The tracker that values ``statistic`` on (R, C) tables: the one door
+    by which ``mcmc.walk`` and ``fiber.fiber_pvalue`` take a statistic.
+
+    A tracker has two methods.  ``start(x)`` resets every per-chain field
+    and returns the statistic at the flat state x.  ``values_after(cells,
+    coefs, ends)`` takes the moves accepted since, in order, and returns a
+    float array of the value after each move, leaving the tracker at the
+    last state.  Move j is the entries ``ends[j - 1]:ends[j]`` (from 0 for
+    j = 0) of the integer arrays ``cells`` and ``coefs``, its flat cells and
+    signed coefficients; a cell appears at most once per move, there is at
+    least one move, and the arrays are valid only during the call.  Each
+    value equals the one the moves fed one call at a time would give, bit
+    for bit.  The walk calls ``start`` again after every
+    ``mcmc.RESYNC_EVERY``-th accept to shed the float drift of the
+    increments; the sample at that step is still the incremental value.
+    Chains run one after another, so one tracker serves them all; what
+    outlives a chain (the null fit, the LLR value cache) depends only on
+    the fiber.  The fiber oracle values each member by ``start``.  The
+    trackers of this module also carry ``fit``, the null model's
+    FitResult, and ``observed``, the statistic at the table.
+
+    A tracker is returned as it is.  A tracker with ``start`` and a
+    per-move ``value_after(x, flats, coefs)``, called on the state after
+    each move, is replayed one move at a time on the adapter's own copy of
+    the state.  A plain callable on the (R, C) table is wrapped.  It must
+    be a pure function of the table: it is evaluated once per distinct
+    state among the 1,024 most recently used, keyed by the bytes of the
+    flat int64 cells (about 8*R*C bytes a key, 1.2 MB in all on a 12x12
+    grid), and the adapter rebuilds each window's states with numpy.
+    Anything else raises ``TrackerError``.
+    """
+    if hasattr(statistic, "start") and hasattr(statistic, "values_after"):
+        return statistic
+    if hasattr(statistic, "start") and hasattr(statistic, "value_after"):
+        return _MoveByMove(statistic)
+    if callable(statistic):
+        return _CallableTracker(statistic, R, C)
+    raise TrackerError("statistic must be callable or implement the tracker protocol")

@@ -22,28 +22,8 @@ and the window's kept steps take their values from those in one numpy
 lookup.  So a long thinned chain holds its samples and buffers of at most
 ``PIECE`` accepted moves, not a value per step.
 
-Statistics are streamed through a tracker, an object with two methods (see
-fit.py): ``start(x)`` returns the statistic at the flat state x and resets
-the tracker's per-chain state; ``values_after(cells, coefs, ends)`` takes
-the moves accepted since, in order, and returns a float array of the value
-after each, leaving the tracker at the last state.  Move j is the entries
-``ends[j - 1]:ends[j]`` (from 0 for the first) of the integer arrays
-``cells`` and ``coefs``, its flat cells and signed coefficients; a cell
-appears at most once per move, there is at least one move, and the arrays
-are valid only during the call.  After every ``RESYNC_EVERY``-th accept
-the walk calls ``start`` on the current state, so float drift in the
-increments cannot build up; the sample at that step is still the
-incremental value.
-A tracker with ``value_after(x, flats, coefs)`` in place of the batched
-method (called once per move, on the state after it) is adapted: the
-adapter replays the moves on its own copy of the state.  Plain callables
-work too and are wrapped.  A plain callable must be a pure function of the
-table: it is evaluated once per distinct state among the 1,024 most
-recently used, keyed by the bytes of the flat int64 cells (about 8*R*C
-bytes a key, 1.2 MB in all on a 12x12 grid), and the adapter rebuilds each
-window's states with numpy.  Since ``start`` resets the per-chain state,
-the chains of ``run_chains``, which run one after another, share one
-tracker.
+Statistics are streamed through a tracker; ``fit.as_tracker`` states the
+contract and adapts per-move trackers and plain callables.
 """
 
 from __future__ import annotations
@@ -51,15 +31,14 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 
 import numpy as np
 
+from .fit import PV_TOL, as_tracker
 from .tables import Configuration, MarkovFiberError, Table, TableError
 
 __all__ = [
     "ChainError",
-    "TrackerError",
     "ChainConfig",
     "ChainResult",
     "walk",
@@ -68,9 +47,6 @@ __all__ = [
     "pooled_pvalue",
 ]
 
-# the tie rule of every p-value, chain and exact: a value counts as at
-# least the observed one within PV_TOL
-PV_TOL = 1e-12
 # accepts between two full recomputations of a tracker's value
 RESYNC_EVERY = 4096
 # steps in a window of the walk, at most: its buffers hold the accepted
@@ -89,10 +65,6 @@ LF_TABLE = 1 << 16
 class ChainError(MarkovFiberError, ValueError):
     """Raised for a walk that cannot run or be summed up: a bad chain
     configuration, a statistic that is not finite, no samples or no chains."""
-
-
-class TrackerError(MarkovFiberError, TypeError):
-    """Raised for a statistic that is neither a tracker nor a callable."""
 
 
 @dataclass(frozen=True)
@@ -133,88 +105,6 @@ class ChainResult:
         return self.accept_count / self.steps
 
 
-class _CallableTracker:
-    """Adapter giving a plain statistic callable the tracker interface; a
-    revisited state reuses the callable's value instead of calling it again.
-    A state's key is the bytes of its int64 cells, which numpy gives for a
-    whole batch of states at once."""
-
-    # states whose values are kept: a small fiber fits whole, and the keys
-    # of a 12x12 grid take about 1.2 MB
-    CACHE_SIZE = 1024
-    # cells of the states a batch rebuilds at once (128 kB of int64)
-    STATE_CELLS = 1 << 14
-
-    def __init__(self, fn, R: int, C: int) -> None:
-        self._fn = fn
-        self._shape = (R, C)
-        self._key = np.dtype((np.void, 8 * R * C))
-        self._value = lru_cache(self.CACHE_SIZE)(self._compute)
-
-    def _compute(self, key: bytes) -> float:
-        arr = np.frombuffer(key, dtype=np.int64).reshape(self._shape).copy()
-        return float(self._fn(arr))
-
-    def start(self, x_flat) -> float:
-        self._x = np.array(x_flat, dtype=np.int64)
-        return self._value(self._x.tobytes())
-
-    def values_after(self, cells, coefs, ends) -> np.ndarray:
-        n_cells = self._x.size
-        move = np.repeat(np.arange(len(ends)), np.diff(ends, prepend=0))
-        out = []
-        per = max(1, self.STATE_CELLS // n_cells)  # moves whose states are rebuilt at once
-        for lo in range(0, len(ends), per):
-            hi = min(lo + per, len(ends))
-            first, last = ends[lo - 1] if lo else 0, ends[hi - 1]
-            delta = np.zeros((hi - lo, n_cells), dtype=np.int64)
-            delta[move[first:last] - lo, cells[first:last]] = coefs[first:last]
-            states = np.cumsum(delta, axis=0, out=delta)
-            states += self._x
-            self._x = states[-1].copy()
-            out += map(self._value, states.view(self._key).ravel().tolist())
-        return np.array(out)
-
-
-class _MoveByMove:
-    """Adapter for a tracker with ``value_after(x, flats, coefs)``, called
-    once per move on the state after it, in place of ``values_after``: the
-    adapter replays the moves on its own copy of the state."""
-
-    def __init__(self, tracker) -> None:
-        self._tracker = tracker
-
-    def start(self, x_flat) -> float:
-        self._x = list(x_flat)
-        return self._tracker.start(self._x)
-
-    def values_after(self, cells, coefs, ends) -> np.ndarray:
-        x, value_after = self._x, self._tracker.value_after
-        # typed copies, a few bytes an entry, whose slices are the integer
-        # sequences value_after takes
-        cells = array(cells.dtype.char, cells.tobytes())
-        coefs = array(coefs.dtype.char, coefs.tobytes())
-        out = []
-        lo = 0
-        for hi in ends.tolist():
-            fl, co = cells[lo:hi], coefs[lo:hi]
-            for f, c in zip(fl, co):
-                x[f] += c
-            out.append(value_after(x, fl, co))
-            lo = hi
-        return np.array(out, dtype=np.float64)
-
-
-def _as_tracker(statistic, R: int, C: int):
-    if hasattr(statistic, "start") and hasattr(statistic, "values_after"):
-        return statistic
-    if hasattr(statistic, "start") and hasattr(statistic, "value_after"):
-        return _MoveByMove(statistic)
-    if callable(statistic):
-        return _CallableTracker(statistic, R, C)
-    raise TrackerError("statistic must be callable or implement the tracker protocol")
-
-
 def walk(start: Table, cfg_matrix: Configuration, chain: ChainConfig, statistic) -> ChainResult:
     """Run one chain and return its thinned post-burn-in statistic stream.
 
@@ -227,17 +117,7 @@ def walk(start: Table, cfg_matrix: Configuration, chain: ChainConfig, statistic)
     window's end the tracker values the recorded moves in one call and the
     window's kept steps are copied to the samples.
 
-    ``statistic`` is a tracker or a plain callable on the (R, C) table.  A
-    tracker's ``values_after`` gets the accepted moves of a window in
-    order, as the cells, signed coefficients and end offsets of their
-    entries (numpy integer arrays valid only during the call; each cell at
-    most once per move), and returns the value after each move; after every
-    ``RESYNC_EVERY``-th accept the walk calls ``start`` on the current state
-    to reset float drift.  A tracker with a per-move ``value_after(x,
-    flats, coefs)`` instead is replayed one move at a time.  A plain
-    callable must be a pure function of the table: it is evaluated once per
-    distinct state among the 1,024 most recently used (about 8*R*C bytes a
-    state, 1.2 MB on 12x12), not once per accepted step.  A value that is
+    ``statistic`` is anything ``fit.as_tracker`` takes.  A value that is
     not finite raises ``ChainError`` naming the step of its move.
     """
     import random as _random
@@ -247,7 +127,7 @@ def walk(start: Table, cfg_matrix: Configuration, chain: ChainConfig, statistic)
     if (basis.R, basis.C) != (R, C):
         raise TableError("proposal basis grid does not match the table")
     rng = _random.Random(chain.seed)
-    tracker = _as_tracker(statistic, R, C)
+    tracker = as_tracker(statistic, R, C)
 
     x = [int(v) for v in start.vec()]
     t0 = cfg_matrix.apply(start.vec())
@@ -383,10 +263,8 @@ def run_chains(start: Table, cfg_matrix: Configuration, chain: ChainConfig,
     """k independent chains seeded seed+0 .. seed+k-1, run one after another
     in the calling thread (threads only slow a walk that holds the GIL).
 
-    Every chain gets the same statistic: ``walk`` calls ``start`` at the
-    beginning of each chain, which resets the tracker's per-chain state, and
-    what a tracker keeps across chains (the LLR refit cache) depends only on
-    the fiber, so each chain's result is that of a freshly built tracker.
+    Every chain gets the same statistic, and each chain's result is that of
+    a freshly built tracker (``fit.as_tracker`` says why).
     """
     if n_chains < 1:
         raise ChainError("n_chains must be >= 1")

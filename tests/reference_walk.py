@@ -19,12 +19,12 @@ import math
 
 import numpy as np
 
+from markovfiber.fit import as_tracker as _as_tracker
 from markovfiber.mcmc import (
     LF_TABLE,
     RESYNC_EVERY,
     ChainConfig,
     ChainResult,
-    _as_tracker,
     estimate_pvalue,
 )
 from markovfiber.tables import Configuration, Table

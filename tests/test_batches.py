@@ -12,8 +12,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from markovfiber.fit import _g2_cell, make_tracker
-from markovfiber.mcmc import PIECE, RESYNC_EVERY, ChainConfig, _as_tracker, walk
+from markovfiber.fit import _g2_cell, as_tracker as _as_tracker, make_tracker
+from markovfiber.mcmc import PIECE, RESYNC_EVERY, ChainConfig, walk
 from markovfiber.models import CHANGE_POINT, INDEPENDENCE, ModelSpec, build_configuration
 from markovfiber.moves import _LAZY_BATCH, basis_for_model
 from markovfiber.tables import Rectangle, Table

@@ -760,6 +760,50 @@ def test_verify_max_dim_is_refused_where_nothing_reads_it(capsys, argv):
     assert rep["error"]["message"].startswith("--max-dim bounds the grids of --suite change-point")
 
 
+# (argv, error message): a flag that the command would not read, which
+# would otherwise be dropped with no word in the report
+UNREAD_FLAGS = [
+    (("verify", "--suite", "own-blocks", "--max-total", "3", "--types", "I"),
+     "--types is read only by verify without --suite"),
+    (("verify", "--suite", "all", "--max-total", "2", "--rows", "3", "--cols", "3"),
+     "--rows is read only by verify without --suite"),
+    (("verify", "--suite", "common-blocks", "--max-total", "2", "--cols", "3"),
+     "--cols is read only by verify without --suite"),
+    (("verify", "--suite", "own-blocks", "--max-total", "2", "--model", "own-blocks"),
+     "--model is read only by verify without --suite"),
+    (("verify", "--suite", "change-point", "--max-total", "2", "--dataset", "gilby"),
+     "--dataset is read only by verify without --suite"),
+    (("verify", "--suite", "own-blocks", "--max-total", "2", "--table", "t.csv"),
+     "--table is read only by verify without --suite"),
+    (("verify", "--suite", "own-blocks", "--max-total", "2", "--header"),
+     "--header is read only by verify without --suite"),
+    (("fiber", "--dataset", "victoria", "--model", "common-blocks", "--alt", "own-blocks",
+      "--stat", "llr", "--cap", "10"), "--alt is read only with --exact-p"),
+    (("fiber", "--dataset", "gilby", "--stat", "g2", "--cap", "10"),
+     "--stat is read only with --exact-p"),
+    (("fiber", "--dataset", "gilby", "--stat", "chi2", "--cap", "10"),
+     "--stat is read only with --exact-p"),
+    (("fiber", "--dataset", "victoria", "--model", "common-blocks", "--alt", "own-blocks",
+      "--exact-p", "--cap", "10"), "--alt is read only by --stat llr, not by --stat chi2"),
+    (("test", "--dataset", "victoria", "--model", "common-blocks", "--alt", "own-blocks",
+      "--stat", "chi2", "--steps", "2000"), "--alt is read only by --stat llr, not by --stat chi2"),
+    (("test", "--dataset", "victoria", "--alt", "own-blocks", "--stat", "g2", "--steps", "2000"),
+     "--alt is read only by --stat llr, not by --stat g2"),
+    (("sample", "--dataset", "victoria", "--alt", "own-blocks", "--steps", "2000",
+      "--stats-out", "s.txt"), "--alt is read only by --stat llr, not by --stat chi2"),
+]
+
+
+@pytest.mark.parametrize("argv,message", UNREAD_FLAGS,
+                         ids=[f"{argv[0]}-{message.split()[0][2:]}" for argv, message in UNREAD_FLAGS])
+def test_flags_that_nothing_reads_are_refused(capsys, argv, message):
+    # refused before any table is read or stream written
+    code, rep = run_json(capsys, *argv)
+    assert code == 1
+    assert rep["error"]["type"] == "CliError"
+    assert rep["error"]["message"].startswith(message)
+
+
 def test_verify_suite_takes_the_smallest_bounds(capsys):
     code, rep = run_json(capsys, "verify", "--suite", "change-point", "--max-dim", "2",
                          "--max-total", "2")

@@ -24,7 +24,7 @@ from markovfiber.models import (
 from markovfiber.moves import LazyMoveBasis, Move, basis_for_model, enumerate_basis
 from markovfiber.tables import Rectangle, Table, sufficient_statistic
 from markovfiber.datasets import gilby_model, gilby_table
-from markovfiber.fit import make_tracker
+from markovfiber.fit import TrackerError, make_tracker
 from reference_verify import indispensable
 
 
@@ -224,4 +224,23 @@ def test_exact_pvalues_are_pinned(rows, stat, model, alt, expected):
     table = Table.from_rows(rows)
     _, cfg = stat_of(model, table)
     assert exact_pvalue(table, cfg, make_tracker(stat, table, model, alt=alt)) == expected
+    # the same statistic through each adapter of ``fit.as_tracker``: a plain
+    # callable of the table, and a tracker with the per-move ``value_after``
+    tracker = make_tracker(stat, table, model, alt=alt)
+    fiber = enumerate_fiber(sufficient_statistic(table, cfg), cfg)
+    assert fiber_pvalue(fiber, table, lambda a: tracker.start(a.ravel())) == expected
+    assert fiber_pvalue(fiber, table, PerMove(tracker.start)) == expected
+    with pytest.raises(TrackerError):
+        fiber_pvalue(fiber, table, object())
+
+
+class PerMove:
+    """A tracker with the per-move ``value_after`` that recomputes each
+    value by ``start``."""
+
+    def __init__(self, start):
+        self.start = start
+
+    def value_after(self, x, flats, coefs):
+        return self.start(x)
 

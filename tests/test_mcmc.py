@@ -13,14 +13,12 @@ import numpy as np
 import pytest
 
 from markovfiber.fiber import enumerate_fiber, exact_pvalue
-from markovfiber.fit import make_tracker
+from markovfiber.fit import PV_TOL, _CallableTracker, make_tracker
 from markovfiber.mcmc import (
     PIECE,
-    PV_TOL,
     RESYNC_EVERY,
     ChainConfig,
     ChainResult,
-    _CallableTracker,
     estimate_pvalue,
     pooled_pvalue,
     run_chains,

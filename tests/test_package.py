@@ -77,8 +77,8 @@ def test_every_refusal_is_a_markovfiber_error():
     from markovfiber.cli import CliError
     from markovfiber.datasets import DatasetError, dataset, dataset_labels, dataset_models
     from markovfiber.fiber import FiberError, enumerate_fiber, is_connected
-    from markovfiber.fit import FitError
-    from markovfiber.mcmc import ChainError, TrackerError
+    from markovfiber.fit import FitError, TrackerError
+    from markovfiber.mcmc import ChainError
     from markovfiber.toric import ToricError
 
     for error, base in [(CliError, ValueError), (markovfiber.TableError, ValueError),
@@ -152,6 +152,24 @@ def test_no_refusal_raises_a_builtin_exception():
     package = Path(markovfiber.__file__).parent
     raised = {hit for path in sorted(package.glob("*.py")) for hit in _raised_builtins(path)}
     assert raised == ALLOWED_BUILTIN_RAISES
+
+
+def _private_imports(path: Path):
+    """(file name, module, name) of each private name the file imports from
+    another module of the package."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("markovfiber")):
+            for alias in node.names:
+                if alias.name.startswith("_") and not alias.name.startswith("__"):
+                    yield path.name, node.module, alias.name
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # a name another module needs is made public where it lives, so no
+    # module leans on a helper that its owner may change unannounced
+    package = Path(markovfiber.__file__).parent
+    assert [hit for path in sorted(package.glob("*.py")) for hit in _private_imports(path)] == []
 
 
 def test_tables_imports_nothing_from_the_package():
