@@ -38,7 +38,6 @@ pins its cells to exactly 0 and leaves the fit.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -450,15 +449,18 @@ def make_tracker(stat: str, table: Table, model, alt=None, tol: float = 1e-10):
 
 
 class _CallableTracker:
-    """Adapter giving a plain statistic callable the tracker interface; a
-    revisited state reuses the callable's value instead of calling it again.
-    A state's key is the bytes of its int64 cells, which numpy gives for a
-    whole batch of states at once."""
+    """Adapter giving the tracker interface to a function of the table: a
+    plain statistic callable, or the ``start`` of a tracker that has no
+    ``values_after``.  A revisited state reuses the function's value instead
+    of calling it again.  A state's key is the bytes of its int64 cells,
+    which numpy gives for a whole batch of states at once."""
 
     # states whose values are kept: a small fiber fits whole, and the keys
     # of a 12x12 grid take about 1.2 MB
     CACHE_SIZE = 1024
-    # cells of the states a batch rebuilds at once (128 kB of int64)
+    # cells of the states a batch rebuilds at once: 128 kB of int64, and
+    # the batch's keys besides, a bytes object and a list slot per state
+    # (41 + 8*R*C bytes), which take 300 kB more on a 2x2 grid
     STATE_CELLS = 1 << 14
 
     def __init__(self, fn, R: int, C: int) -> None:
@@ -492,35 +494,6 @@ class _CallableTracker:
         return np.array(out)
 
 
-class _MoveByMove:
-    """Adapter for a tracker with ``value_after(x, flats, coefs)``, called
-    once per move on the state after it, in place of ``values_after``: the
-    adapter replays the moves on its own copy of the state."""
-
-    def __init__(self, tracker) -> None:
-        self._tracker = tracker
-
-    def start(self, x_flat) -> float:
-        self._x = list(x_flat)
-        return self._tracker.start(self._x)
-
-    def values_after(self, cells, coefs, ends) -> np.ndarray:
-        x, value_after = self._x, self._tracker.value_after
-        # typed copies, a few bytes an entry, whose slices are the integer
-        # sequences value_after takes
-        cells = array(cells.dtype.char, cells.tobytes())
-        coefs = array(coefs.dtype.char, coefs.tobytes())
-        out = []
-        lo = 0
-        for hi in ends.tolist():
-            fl, co = cells[lo:hi], coefs[lo:hi]
-            for f, c in zip(fl, co):
-                x[f] += c
-            out.append(value_after(x, fl, co))
-            lo = hi
-        return np.array(out, dtype=np.float64)
-
-
 def as_tracker(statistic, R: int, C: int):
     """The tracker that values ``statistic`` on (R, C) tables: the one door
     by which ``mcmc.walk`` and ``fiber.fiber_pvalue`` take a statistic.
@@ -543,20 +516,20 @@ def as_tracker(statistic, R: int, C: int):
     trackers of this module also carry ``fit``, the null model's
     FitResult, and ``observed``, the statistic at the table.
 
-    A tracker is returned as it is.  A tracker with ``start`` and a
-    per-move ``value_after(x, flats, coefs)``, called on the state after
-    each move, is replayed one move at a time on the adapter's own copy of
-    the state.  A plain callable on the (R, C) table is wrapped.  It must
-    be a pure function of the table: it is evaluated once per distinct
+    A tracker is returned as it is.  Anything else with ``start`` is valued
+    by its ``start`` alone, as a function of the table; no other method of
+    it is called.  A plain callable on the (R, C) table is wrapped.  Either
+    must be a pure function of the table: it is evaluated once per distinct
     state among the 1,024 most recently used, keyed by the bytes of the
     flat int64 cells (about 8*R*C bytes a key, 1.2 MB in all on a 12x12
     grid), and the adapter rebuilds each window's states with numpy.
     Anything else raises ``TrackerError``.
     """
-    if hasattr(statistic, "start") and hasattr(statistic, "values_after"):
-        return statistic
-    if hasattr(statistic, "start") and hasattr(statistic, "value_after"):
-        return _MoveByMove(statistic)
+    if hasattr(statistic, "start"):
+        if hasattr(statistic, "values_after"):
+            return statistic
+        start = statistic.start
+        statistic = lambda a: start(a.ravel())
     if callable(statistic):
         return _CallableTracker(statistic, R, C)
     raise TrackerError("statistic must be callable or implement the tracker protocol")

@@ -23,7 +23,7 @@ lookup.  So a long thinned chain holds its samples and buffers of at most
 ``PIECE`` accepted moves, not a value per step.
 
 Statistics are streamed through a tracker; ``fit.as_tracker`` states the
-contract and adapts per-move trackers and plain callables.
+contract and adapts a function of the table.
 """
 
 from __future__ import annotations
@@ -147,7 +147,12 @@ def walk(start: Table, cfg_matrix: Configuration, chain: ChainConfig, statistic)
     draw, (off, flat, coef, _, neg) = basis.sampler(rng)
 
     steps, burn, thin, check_every = chain.steps, chain.burn_in, chain.thin, chain.check_every
-    samples = np.empty((steps - burn + thin - 1) // thin, dtype=np.float64)
+    n_keep = (steps - burn + thin - 1) // thin
+    try:
+        samples = np.empty(n_keep, dtype=np.float64)
+    except (ValueError, MemoryError):
+        raise ChainError(f"cannot hold the chain's {n_keep} kept samples; "
+                         "raise thin or lower steps") from None
     n_samp = 0
     keep = burn  # the next step whose value is a sample
     # the accepted moves of the open window: their entries' cells and signed

@@ -297,6 +297,8 @@ def read_table_csv(path, header: bool = False) -> Table:
         data = [[int(f) for f in row] for row in rows]
     except (ValueError, csv.Error) as exc:  # not an integer, not UTF-8, or too long a field
         raise TableError(f"{path} is not a table of integers: {exc}") from exc
+    if not any(data):
+        raise TableError(f"{path} holds no counts")
     widths = {len(row) for row in data}
     if len(widths) != 1:
         raise TableError(f"ragged rows in {path}: widths {sorted(widths)}")

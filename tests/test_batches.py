@@ -18,7 +18,7 @@ from markovfiber.models import CHANGE_POINT, INDEPENDENCE, ModelSpec, build_conf
 from markovfiber.moves import _LAZY_BATCH, basis_for_model
 from markovfiber.tables import Rectangle, Table
 from markovfiber.datasets import gilby_model, gilby_table
-from test_mcmc import RecomputingTracker, assert_same_chain, grid_setup, indep_chi2
+from test_mcmc import StartOnly, assert_same_chain, grid_setup, indep_chi2
 import reference_walk
 
 # independence with an empty row and column: the fitted means there are 0
@@ -39,7 +39,9 @@ def grid():
 
 # case -> (table, model, inner model of the llr or None); the Gilby
 # table's counts of 0 and 1 reach 0 under its moves, and the grid's basis
-# is lazy
+# is lazy.  Statistic "per-move" is a tracker with only ``start``, the shape
+# of a tracker of the older per-move protocol, which ``as_tracker`` values
+# by its ``start``
 BASES = {"gilby": gilby, "structural-zero": structural_zero, "grid": grid}
 CASES = [(case, stat) for case in BASES
          for stat in ("chi2", "g2", "llr", "callable", "per-move")
@@ -53,8 +55,7 @@ def tracker_for(stat, table, model, inner):
     if stat == "callable":
         return _as_tracker(indep_chi2, table.R, table.C)
     if stat == "per-move":
-        return _as_tracker(RecomputingTracker(indep_chi2, table.R, table.C),
-                           table.R, table.C)
+        return _as_tracker(StartOnly(indep_chi2, table.R, table.C), table.R, table.C)
     return make_tracker(stat, table, model)
 
 
@@ -234,7 +235,7 @@ def test_a_non_finite_value_raises_at_its_step(adapter, check_every):
     def corner(arr):
         return math.inf if arr[0, 0] == 0 else float(arr[0, 0])
 
-    statistic = corner if adapter == "callable" else RecomputingTracker(corner, 2, 2)
+    statistic = corner if adapter == "callable" else StartOnly(corner, 2, 2)
     with pytest.raises(ValueError, match="became non-finite at step") as want:
         reference_walk.walk(table, cfg, chain, statistic)
     step = int(str(want.value).split("step ")[1].split(":")[0])

@@ -241,6 +241,15 @@ def test_degenerate_table_is_an_error(capsys, tmp_path):
     assert rep["error"]["type"] == "TableError"
 
 
+def test_a_chain_too_long_to_hold_is_an_error(capsys):
+    # 2**62 samples of 8 bytes are past numpy's largest array: nothing is
+    # allocated
+    code, rep = run_json(capsys, "test", "--dataset", "gilby", "--steps", str(2 ** 62))
+    assert code == 1
+    assert rep["error"]["type"] == "ChainError"
+    assert "raise thin or lower steps" in rep["error"]["message"]
+
+
 INDEPENDENCE_JSON = b'{"family": "independence"}\n'
 # one field past the csv module's 131,072-character limit
 CSV_FIELD_PAST_LIMIT = b"1,2\n3," + b"4" * 131_073 + b"\n"

@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 
 from markovfiber.fiber import enumerate_fiber, exact_pvalue
-from markovfiber.fit import PV_TOL, _CallableTracker, make_tracker
+from markovfiber.fit import PV_TOL, TrackerError, _CallableTracker, as_tracker, make_tracker
 from markovfiber.mcmc import (
     PIECE,
     RESYNC_EVERY,
     ChainConfig,
+    ChainError,
     ChainResult,
     estimate_pvalue,
     pooled_pvalue,
@@ -66,6 +67,14 @@ def test_walk_rejects_mismatched_basis():
         walk(table, cfg, ChainConfig(steps=10, proposal=wrong), lambda a: 0.0)
 
 
+def test_walk_refuses_samples_it_cannot_hold():
+    # 2**62 samples of 8 bytes are past numpy's largest array, so the
+    # failed allocation allocates nothing
+    table, cfg, basis = indep_setup([[1, 0], [0, 1]])
+    with pytest.raises(ChainError, match=f"{2 ** 62} kept samples; raise thin or lower steps"):
+        walk(table, cfg, ChainConfig(steps=2 ** 62, proposal=basis), lambda a: 0.0)
+
+
 def test_walk_rejects_non_finite_statistic():
     table, cfg, basis = indep_setup([[1, 0], [0, 1]])
     with pytest.raises(ValueError):
@@ -87,15 +96,15 @@ class ConstantTracker:
     def start(self, x_flat) -> float:
         return 0.0
 
-    def value_after(self, x_flat, flats, coefs) -> float:
-        return 0.0
+    def values_after(self, cells, coefs, ends) -> np.ndarray:
+        return np.zeros(len(ends))
 
 
 def test_walk_memory_is_the_samples_and_one_buffer():
     # unaudited, the steps still run in windows of at most PIECE steps, so
     # a thinned chain holds its samples and one window's moves and values
-    # (about 220 kB here, with the adapter of a per-move tracker); a buffer
-    # of the chain's length would add 1.6 MB
+    # (about 140 kB here, with a batch tracker); a buffer of the chain's
+    # length would add 1.6 MB
     table, cfg, basis = indep_setup([[2, 1], [1, 2]])
     tracker = ConstantTracker()
     chain = ChainConfig(steps=200_000, thin=100, check_every=0, seed=3, proposal=basis)
@@ -289,7 +298,27 @@ def indep_chi2(arr):
 
 class RecomputingTracker:
     """Tracker protocol around a plain callable that evaluates it at every
-    call, with no cache: the reference the cached adapter must match."""
+    state, with no cache: the reference the cached adapter must match.  It
+    replays each move on its own int64 copy of the state."""
+
+    def __init__(self, fn, R, C):
+        self.fn, self.shape = fn, (R, C)
+
+    def start(self, x_flat):
+        self.x = np.array(x_flat, dtype=np.int64)
+        return float(self.fn(self.x.reshape(self.shape).copy()))
+
+    def values_after(self, cells, coefs, ends):
+        out, lo = [], 0
+        for hi in ends.tolist():
+            self.x[cells[lo:hi]] += coefs[lo:hi]
+            out.append(float(self.fn(self.x.reshape(self.shape).copy())))
+            lo = hi
+        return np.array(out)
+
+
+class StartOnly:
+    """A tracker with ``start`` and no ``values_after``."""
 
     def __init__(self, fn, R, C):
         self.fn, self.shape = fn, (R, C)
@@ -297,8 +326,32 @@ class RecomputingTracker:
     def start(self, x_flat):
         return float(self.fn(np.asarray(x_flat, dtype=np.int64).reshape(self.shape)))
 
+
+class PerMoveThatRaises(StartOnly):
+    """A tracker of the older per-move protocol whose ``value_after`` must
+    never be called."""
+
     def value_after(self, x_flat, flats, coefs):
-        return self.start(x_flat)
+        raise AssertionError("value_after was called")
+
+
+def test_as_tracker_returns_a_batch_tracker_and_refuses_a_non_statistic():
+    tracker = make_tracker("chi2", gilby_table(), gilby_model())
+    assert as_tracker(tracker, 8, 4) is tracker
+    with pytest.raises(TrackerError):
+        as_tracker(object(), 2, 2)
+
+
+@pytest.mark.parametrize("kind", [StartOnly, PerMoveThatRaises])
+def test_a_tracker_without_values_after_is_valued_by_its_start(kind):
+    # it walks bit for bit as the same function given as a plain callable
+    table, model = gilby_table(), gilby_model()
+    cfg = build_configuration(model, 8, 4)
+    chain = ChainConfig(steps=5_000, burn_in=500, thin=3, seed=9,
+                        proposal=basis_for_model(model, 8, 4))
+    res = walk(table, cfg, chain, kind(indep_chi2, 8, 4))
+    assert_same_chain(res, walk(table, cfg, chain, indep_chi2))
+    assert res.accept_count > 0 and len(set(res.samples.tolist())) > 1
 
 
 def assert_same_chain(a, b):

@@ -172,6 +172,33 @@ def test_no_module_imports_a_private_name_of_another():
     assert [hit for path in sorted(package.glob("*.py")) for hit in _private_imports(path)] == []
 
 
+# the methods by which a statistic is told apart: a batch tracker's two, and
+# the older per-move protocol's
+TRACKER_METHODS = {"start", "values_after", "value_after"}
+
+
+def _tracker_probes(path: Path):
+    """(file name, line, method) of each ``hasattr(..., <tracker method>)``
+    of the file outside ``fit.as_tracker``."""
+    tree = ast.parse(path.read_text())
+    door = {id(node) for top in tree.body if isinstance(top, ast.FunctionDef)
+            and (path.name, top.name) == ("fit.py", "as_tracker") for node in ast.walk(top)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "hasattr" and len(node.args) == 2
+                and isinstance(node.args[1], ast.Constant)
+                and node.args[1].value in TRACKER_METHODS and id(node) not in door):
+            yield path.name, node.lineno, node.args[1].value
+
+
+def test_a_statistic_is_told_apart_only_by_fit_as_tracker():
+    # one door, one rule for what a statistic is: no other module probes a
+    # tracker's methods, and nothing speaks the per-move protocol
+    paths = sorted(Path(markovfiber.__file__).parent.glob("*.py"))
+    assert [hit for path in paths for hit in _tracker_probes(path)] == []
+    assert [path.name for path in paths if "value_after" in path.read_text()] == []
+
+
 def test_tables_imports_nothing_from_the_package():
     tree = ast.parse((Path(markovfiber.__file__).parent / "tables.py").read_text())
     imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]

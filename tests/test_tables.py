@@ -357,3 +357,12 @@ def test_csv_header_tolerance(tmp_path):
     ragged.write_text("1,2\n3,4,5\n")
     with pytest.raises(TableError):
         read_table_csv(ragged)
+
+
+@pytest.mark.parametrize("text,header", [("", False), ("\n \n,\n", False), (",a,b\n", True)],
+                         ids=["empty", "blank-lines", "header-only"])
+def test_a_file_of_no_counts_is_refused(tmp_path, text, header):
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    with pytest.raises(TableError, match="holds no counts"):
+        read_table_csv(path, header=header)
